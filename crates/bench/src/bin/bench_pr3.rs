@@ -194,7 +194,7 @@ fn main() {
     let mut train_ds = bench_dataset();
     let mut train_model = bench_model(&train_ds, train_cfg);
     let t0 = Instant::now();
-    let report = catehgn::train::train(&mut train_model, &mut train_ds);
+    let report = catehgn::train::train(&mut train_model, &mut train_ds).expect("training run");
     let train_secs = t0.elapsed().as_secs_f64();
     par::set_num_threads(0);
     let (hits, misses) = train_model.sampling_cache_stats();

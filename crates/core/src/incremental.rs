@@ -127,7 +127,7 @@ mod tests {
             ds.graph.schema().num_node_types(),
             ds.graph.schema().num_link_types(),
         );
-        crate::train::train(&mut model, &mut ds);
+        crate::train::train(&mut model, &mut ds).unwrap();
         (model, ds)
     }
 

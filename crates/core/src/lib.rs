@@ -31,10 +31,11 @@
 //!     ds.graph.schema().num_node_types(),
 //!     ds.graph.schema().num_link_types(),
 //! );
-//! let report = train(&mut model, &mut ds);
+//! let report = train(&mut model, &mut ds)?;
 //! let seeds = ds.paper_nodes_of(&ds.split.test);
 //! let preds = model.predict(&ds.graph, &ds.features, &seeds, 0);
 //! # let _ = (report, preds);
+//! # Ok::<(), catehgn::TrainError>(())
 //! ```
 
 pub mod ca;

@@ -11,6 +11,7 @@ use hetgraph::{Block, BlockCache, HetGraph, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::btree_map::{BTreeMap, Entry};
 use tensor::{ForwardCtx, Graph, InferCtx, Params, Tensor, Var};
 
 /// The CATE-HGN model (and, through ablation flags, its HGN / CA-HGN
@@ -447,28 +448,28 @@ impl CateHgn {
         seed: u64,
     ) -> Vec<f32> {
         const PREDICT_SAMPLES: u64 = 5;
+        let batch = self.cfg.batch_size.max(1);
         let mut out = vec![0.0f32; seeds.len()];
         for s in 0..PREDICT_SAMPLES {
             let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(s.wrapping_mul(0x9E37)));
-            let mut offset = 0;
-            for chunk in seeds.chunks(self.cfg.batch_size.max(1)) {
+            for (chunk, out_chunk) in seeds.chunks(batch).zip(out.chunks_mut(batch)) {
                 let blocks = self.sample_cached(graph, chunk, self.cfg.fanout * 2, &mut rng);
+                let n = deduped_len(chunk, &blocks);
                 g.reset();
                 let fw = self.forward(g, graph, features, &blocks, false);
                 // Eq. 6 trains a regressor at every layer; averaging the
                 // per-layer predictions is the natural deep-supervision
                 // ensemble read-out.
-                let mut preds = vec![0.0f32; chunk.len()];
+                let mut preds = vec![0.0f32; n];
                 for l in 1..=self.cfg.layers {
-                    let pred = self.predict_rows(g, &fw, l, chunk.len());
+                    let pred = self.predict_rows(g, &fw, l, n);
                     for (o, &p) in preds.iter_mut().zip(g.value(pred).as_slice()) {
                         *o += p / self.cfg.layers as f32;
                     }
                 }
-                for (o, &p) in out[offset..offset + chunk.len()].iter_mut().zip(&preds) {
+                for (o, p) in out_chunk.iter_mut().zip(per_seed(chunk, preds)) {
                     *o += p / PREDICT_SAMPLES as f32;
                 }
-                offset += chunk.len();
             }
         }
         out
@@ -512,17 +513,18 @@ impl CateHgn {
         let mut out = Vec::with_capacity(seeds.len());
         for chunk in seeds.chunks(self.cfg.batch_size.max(1)) {
             let blocks = self.sample_cached(graph, chunk, self.cfg.fanout * 2, &mut rng);
+            let n = deduped_len(chunk, &blocks);
             g.reset();
             let fw = self.forward(g, graph, features, &blocks, false);
-            let pred = self.predict_rows(g, &fw, self.cfg.layers, chunk.len());
+            let pred = self.predict_rows(g, &fw, self.cfg.layers, n);
             let preds = g.value(pred).as_slice().to_vec();
             let clusters: Vec<usize> = if let Some(&q) = fw.q_layers.last() {
                 let qv = g.value(q);
-                qv.argmax_rows().into_iter().take(chunk.len()).collect()
+                qv.argmax_rows().into_iter().take(n).collect()
             } else {
-                vec![0; chunk.len()]
+                vec![0; n]
             };
-            out.extend(preds.into_iter().zip(clusters));
+            out.extend(per_seed(chunk, preds.into_iter().zip(clusters).collect()));
         }
         out
     }
@@ -579,18 +581,13 @@ impl CateHgn {
             let blocks = self.sample_cached(graph, chunk, self.cfg.fanout, &mut rng);
             // Duplicate seeds dedup in the sampler: resolve each requested
             // seed to its row in the deduped frontier prefix.
-            let pos_of: std::collections::BTreeMap<NodeId, usize> = blocks[self.cfg.layers - 1]
-                .dst_nodes
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| (n, i))
-                .collect();
+            let rows = per_seed(chunk, (0..deduped_len(chunk, &blocks)).collect());
             g.reset();
             let fw = self.forward(g, graph, features, &blocks, false);
             for (l, &h) in fw.h_layers.iter().enumerate() {
                 let hv = g.value(h);
-                for n in chunk {
-                    per_layer[l].extend_from_slice(hv.row(pos_of[n]));
+                for &r in &rows {
+                    per_layer[l].extend_from_slice(hv.row(r));
                 }
             }
         }
@@ -599,6 +596,29 @@ impl CateHgn {
             .map(|data| Tensor::from_vec(seeds.len(), self.cfg.dim, data))
             .collect()
     }
+}
+
+/// Rows of the sampler's deduped seed prefix: the sampler keeps the first
+/// occurrence of each seed, in request order, at the head of the frontier.
+fn deduped_len(seeds: &[NodeId], blocks: &[Block]) -> usize {
+    blocks.first().map_or(seeds.len(), |b| b.dst_nodes.len())
+}
+
+/// Expands one value per row of the deduped seed prefix back to one value
+/// per requested seed. Distinct seeds pass through untouched.
+fn per_seed<T: Copy>(seeds: &[NodeId], deduped: Vec<T>) -> Vec<T> {
+    if deduped.len() == seeds.len() {
+        return deduped;
+    }
+    let mut rows = deduped.into_iter();
+    let mut first: BTreeMap<NodeId, T> = BTreeMap::new();
+    seeds
+        .iter()
+        .filter_map(|&n| match first.entry(n) {
+            Entry::Occupied(e) => Some(*e.get()),
+            Entry::Vacant(e) => rows.next().map(|v| *e.insert(v)),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -184,6 +184,9 @@ impl fmt::Display for NonFiniteSource {
 /// Structured training failure returned by `train_with`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TrainError {
+    /// The dataset's training split is empty: there is nothing to draw a
+    /// batch from.
+    EmptyTrainSplit,
     /// Checkpoint plumbing failed.
     Checkpoint(CheckpointError),
     /// A non-finite value survived the configured [`RecoveryPolicy`]
@@ -202,6 +205,7 @@ pub enum TrainError {
 impl fmt::Display for TrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            TrainError::EmptyTrainSplit => write!(f, "empty training split"),
             TrainError::Checkpoint(e) => write!(f, "{e}"),
             TrainError::NonFinite {
                 source,
@@ -369,9 +373,10 @@ impl FaultPlan {
 pub struct TrainOptions {
     /// Snapshot file; `.tmp` and `.prev` siblings are created next to it.
     pub checkpoint_path: Option<PathBuf>,
-    /// Capture a snapshot every N completed HGN mini-iterations. Captures
-    /// land in memory always (rollback target) and on disk when
-    /// `checkpoint_path` is set.
+    /// Capture a snapshot every N completed HGN mini-iterations and every
+    /// N completed CA iterations (a lane group that crosses a multiple of
+    /// N captures at its end). Captures land in memory always (rollback
+    /// target) and on disk when `checkpoint_path` is set.
     pub checkpoint_every: Option<usize>,
     /// Resume from `checkpoint_path` instead of starting fresh.
     pub resume: bool,
@@ -407,8 +412,8 @@ pub struct TrainOptions {
     /// state with each payload, so losses, parameters, and checkpoints
     /// are bitwise-identical to the serial loop at any depth — `prefetch`
     /// is deliberately *not* recorded in [`TrainState`], and a checkpoint
-    /// can be resumed under a different depth. Ignored when
-    /// `data_lanes > 1` (the lane coordinator already overlaps sampling).
+    /// can be resumed under a different depth. Composes with
+    /// `data_lanes`: the producer draws each lane's step in lane order.
     pub prefetch: usize,
 }
 

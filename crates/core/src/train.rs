@@ -1,31 +1,32 @@
 //! Algorithm 1: iterative training of HGN mini-iterations, CA center
 //! updates, and TE term refreshes.
 //!
-//! The loop is **resumable**: [`train_with`] can capture its full state at
-//! any HGN mini-iteration boundary into an atomic checkpoint (see
-//! `crate::resilience`) and later continue from it bitwise — a resumed run
-//! reproduces the losses and parameters of an uninterrupted one exactly.
-//! Every optimizer step is guarded against non-finite losses/gradients,
-//! with the reaction chosen by a [`RecoveryPolicy`]. [`train`] is the
-//! historical entry point and runs with all of this disabled (plain abort
-//! on non-finite, no checkpoints), which makes it byte-for-byte the old
-//! behavior on clean runs.
+//! [`train_with`] runs every step through one *step driver*: a step source
+//! yields `Payload`s — drawn inline, or ahead of time by the prefetch
+//! producer — and one consumer evaluates each group of them (on the one
+//! tape, or on lane tapes folded in fixed order), takes the guarded
+//! optimizer step, accounts it, and checkpoints or halts. Both sources
+//! consume the main RNG in the same order, so the source never changes a
+//! number, and a run resumed from a checkpoint at any step boundary
+//! reproduces the uninterrupted run bitwise. Non-finite steps are handled
+//! by a [`RecoveryPolicy`]; [`train`] runs with all of this off.
 
 use crate::config::ModelConfig;
 use crate::mi::{plan_mi, MiPlan};
 use crate::model::CateHgn;
 use crate::resilience::{
     restore_params, restore_values, snapshot_params, snapshot_values, CheckpointError,
-    CheckpointManager, NonFiniteSource, RecoveryPolicy, TrainError, TrainOptions, TrainState,
+    CheckpointManager, FaultPlan, NonFiniteSource, RecoveryPolicy, TrainError, TrainOptions,
+    TrainState,
 };
 use crate::te::TextEnhancer;
+use dblp_sim::Dataset;
 use hetgraph::{sample_blocks, Block, NodeId};
-use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
-use tensor::{Graph, Optimizer, Tensor};
+use tensor::{Graph, Optimizer, ParamId, Tensor};
 
 /// Snapshot of the TE term sets after one refinement round (Fig. 5 data).
 #[derive(Clone, Debug, PartialEq)]
@@ -58,297 +59,606 @@ pub struct TrainReport {
 /// module rebuilds its paper-term links; callers wanting to reuse a dataset
 /// across models should pass a clone.
 ///
-/// Equivalent to [`train_with`] under [`TrainOptions::default`]; panics on
-/// the (abort-policy) error path.
-pub fn train(model: &mut CateHgn, ds: &mut dblp_sim::Dataset) -> TrainReport {
-    let mut opts = TrainOptions::default();
-    train_with(model, ds, &mut opts).unwrap_or_else(|e| panic!("training failed: {e}"))
+/// Equivalent to [`train_with`] under [`TrainOptions::default`]: a
+/// non-finite step aborts with [`TrainError::NonFinite`], and an empty
+/// training split is [`TrainError::EmptyTrainSplit`].
+pub fn train(model: &mut CateHgn, ds: &mut Dataset) -> Result<TrainReport, TrainError> {
+    train_with(model, ds, &mut TrainOptions::default())
 }
 
-/// What the recovery policy decided to do about one non-finite step.
-enum Recovery {
-    Skip,
-    Rollback,
+/// Where the loop stands in Algorithm 1 — exactly what checkpoint codec
+/// v4 records as `(outer, mini, phase, ca_done)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Pos {
+    /// Round `outer`, `mini` HGN mini-iterations landed.
+    Hgn { outer: usize, mini: usize },
+    /// Round `outer`, HGN minis and their epilogue complete, `done` CA
+    /// iterations landed.
+    Ca { outer: usize, done: usize },
 }
 
-/// One fully assembled HGN training step, drawn ahead of time by the
-/// prefetch producer ([`TrainOptions::prefetch`] > 1). Everything the
-/// consumer needs to reproduce the serial step bitwise: the raw batch
-/// (pre-poison, pre-dedup), the sampled blocks, the pre-drawn MI plan,
-/// and the main-RNG state *after* all of this step's draws — the
-/// consumer adopts it at checkpoint boundaries and segment exits.
-struct StepPayload {
+impl Pos {
+    fn of(state: &TrainState) -> Pos {
+        let outer = state.outer as usize;
+        let (mini, done) = (state.mini as usize, state.ca_done as usize);
+        match state.phase {
+            1 => Pos::Ca { outer, done },
+            _ => Pos::Hgn { outer, mini },
+        }
+    }
+
+    /// `(outer, phase-local step)`: the mini-iteration or CA iteration.
+    fn parts(self) -> (usize, usize) {
+        let (Pos::Hgn { outer, mini: k } | Pos::Ca { outer, done: k }) = self;
+        (outer, k)
+    }
+
+    fn per_round(self, cfg: &ModelConfig) -> usize {
+        match self {
+            Pos::Hgn { .. } => cfg.mini_iters,
+            Pos::Ca { .. } => cfg.ca_iters,
+        }
+    }
+
+    /// Global position in the phase's step sequence. For HGN steps this is
+    /// the fault-injection key, stable across resume and rollback replays.
+    fn global(self, cfg: &ModelConfig) -> u64 {
+        let (outer, k) = self.parts();
+        (outer * self.per_round(cfg) + k) as u64
+    }
+
+    /// Steps of this phase still to land in the current round.
+    fn left(self, cfg: &ModelConfig) -> usize {
+        self.per_round(cfg).saturating_sub(self.parts().1)
+    }
+}
+
+/// One drawn training step. The inline source and the prefetch producer
+/// build it with the same code in the same RNG order, so a consumer
+/// cannot tell them apart. CA steps carry no labels and an empty plan.
+struct Payload {
+    /// Global step position (the fault-injection key).
     step: u64,
     seeds: Vec<NodeId>,
+    /// Raw labels, before fault poisoning and seed dedup.
     labels: Vec<f32>,
     blocks: Vec<Block>,
     plan: MiPlan,
+    /// Main-RNG state after all of this step's draws; the consumer adopts
+    /// it for every step it consumes.
     rng_words: [u32; 27],
 }
 
-/// One prefetched CA-phase step: the CA loss draws no per-step RNG beyond
-/// the batch and its blocks, so no plan rides along.
-struct CaPayload {
-    blocks: Vec<Block>,
-    rng_words: [u32; 27],
+/// The step source of one phase segment: yields the phase's remaining
+/// steps, consuming a private copy of the main RNG in serial order —
+/// batch, blocks, then the MI plan.
+struct Draws<'a> {
+    ds: &'a Dataset,
+    cfg: &'a ModelConfig,
+    /// HGN steps draw training papers with labels and an MI plan; CA
+    /// steps draw any node.
+    hgn: bool,
+    lanes: usize,
+    rng: ChaCha8Rng,
+    steps: std::ops::Range<u64>,
 }
 
-/// How a pipelined segment ended; recovery (which may need `&mut Dataset`)
-/// runs outside the producer scope.
-enum Segment {
-    /// All queued steps consumed; the phase position reached its bound.
-    Done,
-    /// `halt_after_steps`, `halt_after_ca`, or a shutdown request hit —
-    /// the final snapshot is already saved.
-    Halt,
-    /// A non-finite step at the current position; the main RNG has been
-    /// positioned after the failed step's draws, exactly like the serial
-    /// loop at the same point.
-    Failed(NonFiniteSource),
-    /// A checkpoint save inside the segment failed (CA consumer only; the
-    /// HGN consumer propagates through its `Result` directly).
-    SaveFailed(CheckpointError),
-}
+impl Iterator for Draws<'_> {
+    type Item = Payload;
 
-fn decide(
-    policy: RecoveryPolicy,
-    skips_in_row: usize,
-    rolls_in_row: usize,
-    source: &NonFiniteSource,
-    outer: usize,
-    step: usize,
-) -> Result<Recovery, TrainError> {
-    let fail = |exhausted: &'static str| TrainError::NonFinite {
-        source: source.clone(),
-        outer,
-        step,
-        exhausted,
-    };
-    match policy {
-        RecoveryPolicy::Abort => Err(fail("policy is abort")),
-        RecoveryPolicy::SkipBatch { max_consecutive } => {
-            if skips_in_row > max_consecutive {
-                Err(fail("skip-batch limit reached"))
-            } else {
-                Ok(Recovery::Skip)
+    fn next(&mut self) -> Option<Payload> {
+        let step = self.steps.next()?;
+        let (ds, cfg, rng) = (self.ds, self.cfg, &mut self.rng);
+        let (seeds, labels) = if self.hgn {
+            let train = &ds.split.train;
+            let batch: Vec<usize> = (0..cfg.batch_size)
+                .map(|_| train[rng.gen_range(0..train.len())])
+                .collect();
+            (ds.paper_nodes_of(&batch), ds.labels_of(&batch))
+        } else {
+            let n = ds.graph.num_nodes();
+            let batch = (0..cfg.batch_size)
+                .map(|_| NodeId(rng.gen_range(0..n) as u32))
+                .collect();
+            (batch, Vec::new())
+        };
+        let blocks = sample_blocks(&ds.graph, &seeds, cfg.layers, cfg.fanout, rng);
+        let (mi, max_edges) = (cfg.ablation.mi, cfg.mi_max_edges);
+        let plan = match (self.hgn, self.lanes > 1) {
+            (false, _) => MiPlan::default(),
+            (true, false) => plan_mi(&blocks, mi, max_edges, rng),
+            // A lane draws its plan from a private stream seeded off the
+            // main one, so main-RNG consumption is a function of the lane
+            // schedule only, never of the thread count.
+            (true, true) => {
+                let mut lane_rng = ChaCha8Rng::seed_from_u64(rng.gen());
+                plan_mi(&blocks, mi, max_edges, &mut lane_rng)
             }
-        }
-        RecoveryPolicy::Rollback { max_retries, .. } => {
-            if rolls_in_row > max_retries {
-                Err(fail("rollback retries exhausted"))
-            } else {
-                Ok(Recovery::Rollback)
-            }
-        }
+        };
+        Some(Payload {
+            step,
+            seeds,
+            labels,
+            blocks,
+            plan,
+            rng_words: rng.state_words(),
+        })
     }
 }
 
-/// Per-lane state for the batch-parallel HGN path
-/// ([`TrainOptions::data_lanes`] > 1): a private tape — with its own
-/// `BufferPool` scratch, the PR-3 pattern — plus the coordinator-drawn
-/// batch payload the lane evaluates.
+/// Per-lane tape of the batch-parallel path (more than one
+/// [`TrainOptions::data_lanes`]), with its own `BufferPool` scratch. Lanes
+/// live as long as the run, so steady-state lane steps run allocation-free
+/// like the one-tape path.
+#[derive(Default)]
 struct Lane {
-    /// Long-lived private tape; reset per group, so steady-state lane
-    /// steps run allocation-free exactly like the serial loop.
     g: Graph,
-    /// Lane-local RNG for the loss's stochastic draws, reseeded from the
-    /// main stream each step so consumption never depends on the thread
-    /// count.
-    rng: ChaCha8Rng,
-    /// Global step position this lane evaluates (the fault-injection key).
-    step: u64,
-    labels: Tensor,
-    blocks: Vec<Block>,
-    loss_val: f32,
+    loss: f32,
     sup: f32,
 }
 
-impl Lane {
-    fn new() -> Self {
-        Lane {
-            g: Graph::new(),
-            rng: ChaCha8Rng::seed_from_u64(0),
-            step: 0,
-            labels: Tensor::col_vec(vec![0.0]),
-            blocks: Vec::new(),
-            loss_val: 0.0,
-            sup: 0.0,
-        }
-    }
+/// How a step segment ended. Recovery, which may need `&mut Dataset`,
+/// runs after the segment (and any producer thread) has finished.
+enum Segment {
+    /// The phase's steps for this round have all landed.
+    Done,
+    /// A halt option or a shutdown request hit; the snapshot is saved.
+    Halt,
+    /// A non-finite step at `pos`; the main RNG is past its draws, and no
+    /// parameter or optimizer state moved.
+    Failed(NonFiniteSource),
 }
 
-/// Captures the full training state at an HGN mini-iteration or CA
-/// iteration boundary. `phase` is 0 inside the HGN mini-loop and 1 inside
-/// the CA refinement loop; `ca_done` is the completed CA iterations of
-/// round `outer` (meaningful only when `phase == 1`).
-#[allow(clippy::too_many_arguments)]
-fn capture_state(
-    cfg_json: &str,
-    outer: usize,
-    mini: usize,
+/// Algorithm 1's loop state together with what the step driver works on.
+/// A checkpoint is this state at a step boundary: [`Run::capture`] and
+/// [`Run::restore`] convert between the two.
+struct Run<'a> {
+    cfg: &'a ModelConfig,
+    cfg_json: String,
+    model: &'a mut CateHgn,
+    opts: &'a mut TrainOptions,
+    manager: CheckpointManager,
+    /// Normalized lane count: 0 and 1 both mean the one-tape loop.
+    lanes: usize,
+    center_ids: BTreeSet<ParamId>,
+    pos: Pos,
+    /// Loss sums over the current round's landed HGN minis.
     tot: f32,
     sup_tot: f32,
-    model: &CateHgn,
-    opt: &Optimizer,
-    ca_opt: &Optimizer,
-    rng: &ChaCha8Rng,
+    opt: Optimizer,
+    ca_opt: Optimizer,
+    rng: ChaCha8Rng,
+    report: TrainReport,
     best_val: f32,
-    best_params: &Option<tensor::Params>,
-    te: &Option<TextEnhancer>,
-    report: &TrainReport,
-    ds: &dblp_sim::Dataset,
-    lanes: usize,
-    phase: u64,
-    ca_done: u64,
-) -> TrainState {
-    TrainState {
-        config_json: cfg_json.to_string(),
-        outer: outer as u64,
-        mini: mini as u64,
-        tot,
-        sup_tot,
-        best_val,
-        opt_lr: opt.lr(),
-        opt_steps: opt.steps(),
-        ca_lr: ca_opt.lr(),
-        ca_steps: ca_opt.steps(),
-        rng_words: rng.state_words(),
-        params: snapshot_params(&model.params),
-        best_params: best_params.as_ref().map(snapshot_values),
-        te_term_sets: te.as_ref().map(|te| {
-            te.term_sets
-                .iter()
-                .map(|s| s.iter().map(|t| t.0).collect())
-                .collect()
-        }),
-        report: report.clone(),
-        graph_fingerprint: ds.graph.content_fingerprint(),
-        cache_stamp: ds.graph.sampling_stamp(),
-        data_lanes: lanes as u64,
-        phase,
-        ca_done,
+    best_params: Option<tensor::Params>,
+    te: Option<TextEnhancer>,
+    /// Consecutive-failure counters; both reset on any landed step.
+    skips_in_row: usize,
+    rolls_in_row: usize,
+    /// One long-lived tape: reset between steps recycles every node
+    /// buffer through its pool, so steady-state training steps run
+    /// allocation-free (see DESIGN.md, "Memory model").
+    g: Graph,
+    /// Lane tapes (empty on the one-tape path).
+    lane_tapes: Vec<Lane>,
+    /// `(loss, sup)` of each step of the last landed group, in step order.
+    landed: Vec<(f32, f32)>,
+}
+
+impl Run<'_> {
+    fn capture(&self, ds: &Dataset) -> TrainState {
+        let (outer, mini, phase, ca_done) = match self.pos {
+            Pos::Hgn { outer, mini } => (outer, mini, 0, 0),
+            Pos::Ca { outer, done } => (outer, self.cfg.mini_iters, 1, done),
+        };
+        TrainState {
+            config_json: self.cfg_json.clone(),
+            outer: outer as u64,
+            mini: mini as u64,
+            tot: self.tot,
+            sup_tot: self.sup_tot,
+            best_val: self.best_val,
+            opt_lr: self.opt.lr(),
+            opt_steps: self.opt.steps(),
+            ca_lr: self.ca_opt.lr(),
+            ca_steps: self.ca_opt.steps(),
+            rng_words: self.rng.state_words(),
+            params: snapshot_params(&self.model.params),
+            best_params: self.best_params.as_ref().map(snapshot_values),
+            te_term_sets: self.te.as_ref().map(|te| {
+                te.term_sets
+                    .iter()
+                    .map(|s| s.iter().map(|t| t.0).collect())
+                    .collect()
+            }),
+            report: self.report.clone(),
+            graph_fingerprint: ds.graph.content_fingerprint(),
+            cache_stamp: ds.graph.sampling_stamp(),
+            data_lanes: self.lanes as u64,
+            phase,
+            ca_done: ca_done as u64,
+        }
     }
-}
 
-/// Where a restored snapshot re-enters the round: `Some(ca_done)` when it
-/// was captured inside the CA refinement loop (the HGN minis and epilogue
-/// of that round are already complete), `None` for an HGN-phase snapshot.
-fn resume_point(state: &TrainState) -> Option<usize> {
-    (state.phase == 1).then_some(state.ca_done as usize)
-}
-
-/// Restores a captured state into the live loop. Returns the partial-round
-/// loss accumulators `(tot, sup_tot)`; the caller takes the resume position
-/// from `state` itself.
-#[allow(clippy::too_many_arguments)]
-fn apply_snapshot(
-    state: &TrainState,
-    cfg: &ModelConfig,
-    model: &mut CateHgn,
-    ds: &mut dblp_sim::Dataset,
-    te: &mut Option<TextEnhancer>,
-    opt: &mut Optimizer,
-    ca_opt: &mut Optimizer,
-    rng: &mut ChaCha8Rng,
-    report: &mut TrainReport,
-    best_val: &mut f32,
-    best_params: &mut Option<tensor::Params>,
-) -> Result<(f32, f32), TrainError> {
-    restore_params(&mut model.params, &state.params)?;
-    // The snapshot carries the best model's *values* only; the moments in
-    // this reconstructed store are the live optimizer's and are never
-    // read — model selection installs values, not optimizer state.
-    *best_params = match &state.best_params {
-        Some(snaps) => {
-            let mut p = model.params.clone();
-            restore_values(&mut p, snaps)?;
-            Some(p)
+    /// Restores a captured state into the live loop, position included.
+    fn restore(&mut self, state: &TrainState, ds: &mut Dataset) -> Result<(), TrainError> {
+        restore_params(&mut self.model.params, &state.params)?;
+        // The snapshot carries the best model's *values* only; the moments
+        // in this reconstructed store are the live optimizer's and are
+        // never read — model selection installs values, not optimizer
+        // state.
+        self.best_params = state
+            .best_params
+            .as_ref()
+            .map(|snaps| {
+                let mut p = self.model.params.clone();
+                restore_values(&mut p, snaps).map(|()| p)
+            })
+            .transpose()?;
+        self.opt.set_lr(state.opt_lr);
+        self.opt.set_steps(state.opt_steps);
+        self.ca_opt.set_lr(state.ca_lr);
+        self.ca_opt.set_steps(state.ca_steps);
+        self.rng = ChaCha8Rng::from_state_words(&state.rng_words);
+        self.report = state.report.clone();
+        self.best_val = state.best_val;
+        match (self.te.as_mut(), &state.te_term_sets) {
+            (Some(te), Some(sets)) => {
+                te.term_sets = sets
+                    .iter()
+                    .map(|s| s.iter().map(|&x| textmine::TokenId(x)).collect())
+                    .collect();
+                // Replaying the persisted term sets through relink
+                // reproduces the snapshot-time paper-term links on the
+                // freshly built graph.
+                te.relink(ds, self.cfg.ablation.te_tfidf);
+            }
+            (None, None) => {}
+            (te, sets) => {
+                return Err(CheckpointError::Mismatch(format!(
+                    "snapshot {} TE state but TE is {}",
+                    if sets.is_some() { "carries" } else { "has no" },
+                    if te.is_some() { "enabled" } else { "disabled" }
+                ))
+                .into());
+            }
         }
-        None => None,
-    };
-    opt.set_lr(state.opt_lr);
-    opt.set_steps(state.opt_steps);
-    ca_opt.set_lr(state.ca_lr);
-    ca_opt.set_steps(state.ca_steps);
-    *rng = ChaCha8Rng::from_state_words(&state.rng_words);
-    *report = state.report.clone();
-    *best_val = state.best_val;
-    match (te.as_mut(), &state.te_term_sets) {
-        (Some(te), Some(sets)) => {
-            te.term_sets = sets
-                .iter()
-                .map(|s| s.iter().map(|&x| textmine::TokenId(x)).collect())
-                .collect();
-            // Replaying the persisted term sets through relink reproduces
-            // the snapshot-time paper-term links on the freshly built graph.
-            te.relink(ds, cfg.ablation.te_tfidf);
-        }
-        (None, None) => {}
-        (Some(_), None) => {
-            return Err(CheckpointError::Mismatch(
-                "snapshot has no TE state but TE is enabled".into(),
-            )
+        let fp = ds.graph.content_fingerprint();
+        if fp != state.graph_fingerprint {
+            return Err(CheckpointError::Mismatch(format!(
+                "graph content fingerprint {fp:#018x} != snapshot {:#018x}",
+                state.graph_fingerprint
+            ))
             .into());
         }
-        (None, Some(_)) => {
-            return Err(CheckpointError::Mismatch(
-                "snapshot carries TE state but TE is disabled".into(),
-            )
-            .into());
+        self.tot = state.tot;
+        self.sup_tot = state.sup_tot;
+        self.pos = Pos::of(state);
+        Ok(())
+    }
+
+    /// Runs the current phase from `pos` to its end, a halt, or a failed
+    /// step. `prefetch` alone picks the step source; both draw from a copy
+    /// of the main RNG, and the consumer adopts the state of each step it
+    /// consumes, so unconsumed prefetched draws are simply discarded.
+    fn segment(&mut self, ds: &Dataset) -> Result<Segment, TrainError> {
+        let start = self.pos.global(self.cfg);
+        let draws = Draws {
+            ds,
+            cfg: self.cfg,
+            hgn: matches!(self.pos, Pos::Hgn { .. }),
+            lanes: self.lanes,
+            rng: self.rng.clone(),
+            steps: start..start + self.pos.left(self.cfg) as u64,
+        };
+        if self.opts.prefetch > 1 {
+            let producer = move |tx: &tensor::par::PipeSender<'_, Payload>| {
+                for p in draws {
+                    if !tx.send(p) {
+                        return; // the consumer stopped the segment early
+                    }
+                }
+            };
+            tensor::par::run_with_producer(self.opts.prefetch, producer, |rx| {
+                self.consume(ds, || rx.recv())
+            })
+        } else {
+            let mut draws = draws;
+            self.consume(ds, || draws.next())
         }
     }
-    let fp = ds.graph.content_fingerprint();
-    if fp != state.graph_fingerprint {
-        return Err(CheckpointError::Mismatch(format!(
-            "graph content fingerprint {fp:#018x} != snapshot {:#018x}",
-            state.graph_fingerprint
-        ))
-        .into());
+
+    /// The one consumer: evaluates groups of payloads from `src` — one
+    /// step per group, or up to `lanes` HGN steps sharing one optimizer
+    /// step — and runs the post-step block after each landed group.
+    fn consume(
+        &mut self,
+        ds: &Dataset,
+        mut src: impl FnMut() -> Option<Payload>,
+    ) -> Result<Segment, TrainError> {
+        let cfg = self.cfg;
+        let mut batch: Vec<Payload> = Vec::with_capacity(self.lanes);
+        loop {
+            let group = match self.pos {
+                Pos::Hgn { .. } => self.lanes.min(self.pos.left(cfg)),
+                Pos::Ca { .. } => self.pos.left(cfg).min(1),
+            };
+            batch.clear();
+            batch.extend(std::iter::from_fn(&mut src).take(group));
+            let Some(last) = batch.last() else {
+                return Ok(Segment::Done);
+            };
+            self.rng = ChaCha8Rng::from_state_words(&last.rng_words);
+            let stepped = match self.pos {
+                Pos::Hgn { .. } => self.hgn_step(ds, &mut batch),
+                Pos::Ca { .. } => batch.iter().try_for_each(|p| self.ca_step(ds, p)),
+            };
+            if let Err(source) = stepped {
+                return Ok(Segment::Failed(source));
+            }
+
+            // ---- Post-step: the group landed ------------------------
+            // Same values, same f32 accumulation order as a serial walk
+            // of the group.
+            for &(loss, sup) in &self.landed {
+                self.tot += loss;
+                self.sup_tot += sup;
+            }
+            self.skips_in_row = 0;
+            self.rolls_in_row = 0;
+            let prev = self.pos.global(cfg);
+            let (Pos::Hgn { mini: k, .. } | Pos::Ca { done: k, .. }) = &mut self.pos;
+            *k += batch.len();
+            let halt_at = match self.pos {
+                Pos::Hgn { .. } => self.opts.halt_after_steps,
+                Pos::Ca { .. } => self.opts.halt_after_ca,
+            };
+            let pos = self.pos.global(cfg);
+            // "Crossed a multiple of n" is `pos.is_multiple_of(n)` for a
+            // one-step group and lands lane groups on group boundaries,
+            // so a resume always restarts on the same lane schedule.
+            let due = self
+                .opts
+                .checkpoint_every
+                .is_some_and(|n| n > 0 && pos / n as u64 > prev / n as u64);
+            let halting = halt_at.is_some_and(|n| pos >= n)
+                || self.opts.shutdown.as_ref().is_some_and(|t| t.requested());
+            if due || halting {
+                let state = self.capture(ds);
+                self.manager.save(&state, &mut self.opts.faults)?;
+            }
+            if halting {
+                // Simulated kill or shutdown: the snapshot above is the
+                // resume point.
+                return Ok(Segment::Halt);
+            }
+        }
     }
-    Ok((state.tot, state.sup_tot))
+
+    /// Guarded HGN step over one group of payloads. On failure nothing
+    /// moved: parameters, moments, and the Adam counter are untouched.
+    fn hgn_step(&mut self, ds: &Dataset, batch: &mut [Payload]) -> Result<(), NonFiniteSource> {
+        self.landed.clear();
+        let clip = Some(self.cfg.clip);
+        if self.lanes == 1 {
+            for p in batch.iter_mut() {
+                let labels = step_labels(p, &mut self.opts.faults);
+                let (model, g): (&CateHgn, _) = (self.model, &mut self.g);
+                g.reset();
+                let fw = model.forward(g, &ds.graph, &ds.features, &p.blocks, false);
+                let (loss, sup, _mi) = model.hgn_loss_planned(g, &fw, &p.blocks, &labels, &p.plan);
+                let loss_val = g.value(loss).as_slice()[0];
+                if !loss_val.is_finite() {
+                    return Err(NonFiniteSource::Loss);
+                }
+                g.backward(loss);
+                self.opts.faults.corrupt_gradients(p.step, g);
+                self.opt
+                    .step_clipped_guarded(&mut self.model.params, g, clip)
+                    .map_err(|pid| grad_source(self.model, pid))?;
+                self.landed.push((loss_val, sup));
+            }
+            return Ok(());
+        }
+
+        // ---- Lane group: each payload on its own tape ---------------
+        // `batch.len() <= lanes == lane_tapes.len()` by construction.
+        let (lanes, _) = self.lane_tapes.split_at_mut(batch.len());
+        let faults = &mut self.opts.faults;
+        let labels: Vec<Tensor> = batch.iter_mut().map(|p| step_labels(p, faults)).collect();
+        // Each lane touches only its own tape, and every kernel inside a
+        // lane runs serially (pool jobs carry the nested guard), so a
+        // lane's numbers match a one-at-a-time evaluation bitwise at any
+        // `TENSOR_NUM_THREADS`.
+        let payloads: &[Payload] = batch;
+        let model: &CateHgn = self.model;
+        tensor::par::par_for_each_mut(lanes, |k, lane| {
+            let (Some(p), Some(labels)) = (payloads.get(k), labels.get(k)) else {
+                return;
+            };
+            lane.g.reset();
+            let fw = model.forward(&mut lane.g, &ds.graph, &ds.features, &p.blocks, false);
+            let (loss, sup, _mi) =
+                model.hgn_loss_planned(&mut lane.g, &fw, &p.blocks, labels, &p.plan);
+            lane.sup = sup;
+            lane.loss = lane.g.value(loss).as_slice()[0];
+            if lane.loss.is_finite() {
+                lane.g.backward(loss);
+            }
+        });
+        if lanes.iter().any(|l| !l.loss.is_finite()) {
+            return Err(NonFiniteSource::Loss);
+        }
+        // Fold per-lane gradient sums in fixed lane order; the BTreeMap then
+        // yields an id-sorted list exactly like `collect_param_grads`, so
+        // the clip norm and Adam arithmetic see a canonical order.
+        let mut folded: BTreeMap<ParamId, Tensor> = BTreeMap::new();
+        for (lane, p) in lanes.iter_mut().zip(payloads) {
+            self.opts.faults.corrupt_gradients(p.step, &mut lane.g);
+            for (pid, grad) in lane.g.collect_param_grads() {
+                match folded.get_mut(&pid) {
+                    Some(sum) => {
+                        sum.add_assign(&grad);
+                        lane.g.recycle(grad);
+                    }
+                    None => {
+                        folded.insert(pid, grad);
+                    }
+                }
+            }
+        }
+        let inv = 1.0 / lanes.len() as f32;
+        let grads: Vec<(ParamId, Tensor)> = folded
+            .into_iter()
+            .map(|(pid, mut sum)| {
+                sum.scale_assign(inv);
+                (pid, sum)
+            })
+            .collect();
+        self.opt
+            .step_grads_clipped_guarded(&mut self.model.params, grads, clip, &mut self.g)
+            .map_err(|pid| grad_source(self.model, pid))?;
+        self.landed.extend(lanes.iter().map(|l| (l.loss, l.sup)));
+        Ok(())
+    }
+
+    /// Guarded CA step: only the cluster centers move. A batch whose
+    /// forward pass yields no CA loss lands without a step.
+    fn ca_step(&mut self, ds: &Dataset, p: &Payload) -> Result<(), NonFiniteSource> {
+        self.landed.clear();
+        let (model, g): (&CateHgn, _) = (self.model, &mut self.g);
+        g.reset();
+        let fw = model.forward(g, &ds.graph, &ds.features, &p.blocks, true);
+        let Some(loss) = model.ca_loss(g, &fw) else {
+            return Ok(());
+        };
+        if !g.value(loss).as_slice()[0].is_finite() {
+            return Err(NonFiniteSource::Loss);
+        }
+        g.backward(loss);
+        let clip = Some(self.cfg.clip);
+        self.ca_opt
+            .step_filtered_guarded(&mut self.model.params, g, clip, &self.center_ids)
+            .map(drop)
+            .map_err(|pid| grad_source(self.model, pid))
+    }
+
+    /// The one failure block: the policy decides, then the failed step is
+    /// skipped or the run rolls back to the last snapshot.
+    fn recover(&mut self, source: NonFiniteSource, ds: &mut Dataset) -> Result<(), TrainError> {
+        self.skips_in_row += 1;
+        self.rolls_in_row += 1;
+        let (exhausted, give_up) = match self.opts.policy {
+            RecoveryPolicy::Abort => ("policy is abort", true),
+            RecoveryPolicy::SkipBatch { max_consecutive } => (
+                "skip-batch limit reached",
+                self.skips_in_row > max_consecutive,
+            ),
+            RecoveryPolicy::Rollback { max_retries, .. } => (
+                "rollback retries exhausted",
+                self.rolls_in_row > max_retries,
+            ),
+        };
+        if give_up {
+            let (outer, step) = self.pos.parts();
+            return Err(TrainError::NonFinite {
+                source,
+                outer,
+                step,
+                exhausted,
+            });
+        }
+        if let RecoveryPolicy::Rollback { lr_backoff, .. } = self.opts.policy {
+            let state = self.manager.last_state()?;
+            self.restore(&state, ds)?;
+            self.report.rollbacks += 1;
+            // Backoff compounds over consecutive retries of the same
+            // snapshot.
+            let scale = lr_backoff.powi(self.rolls_in_row as i32);
+            self.opt.set_lr(state.opt_lr * scale);
+            self.ca_opt.set_lr(state.ca_lr * scale);
+        } else {
+            // The RNG is already past the bad draws. An HGN skip redraws
+            // the same mini slot; a CA iteration carries no loss
+            // accounting, so its skip consumes the iteration.
+            self.report.skipped += 1;
+            if let Pos::Ca { done, .. } = &mut self.pos {
+                *done += 1;
+            }
+        }
+        Ok(())
+    }
 }
 
-/// [`train`] with checkpoint/resume, non-finite recovery, and fault
-/// injection. See `crate::resilience` for the option types.
+fn grad_source(model: &CateHgn, pid: ParamId) -> NonFiniteSource {
+    NonFiniteSource::Gradient {
+        param: model.params.name(pid).to_string(),
+    }
+}
+
+/// A step's label column: fault poisoning first (keyed by the global step),
+/// then alignment with the sampler's deduped seed prefix.
+fn step_labels(p: &mut Payload, faults: &mut FaultPlan) -> Tensor {
+    let mut labels = Tensor::col_vec(std::mem::take(&mut p.labels));
+    faults.poison_batch(p.step, labels.as_mut_slice());
+    match p.blocks.first() {
+        Some(b) => dedup_labels(&p.seeds, &b.dst_nodes, &labels),
+        None => labels,
+    }
+}
+
+/// [`train`] with checkpoint/resume, non-finite recovery, fault injection,
+/// batch-level data parallelism, and minibatch prefetch. See
+/// `crate::resilience` for the option types.
 ///
 /// Determinism contract: on a clean run (no faults, no non-finite values)
 /// this performs arithmetic bitwise-identical to the historical loop
-/// regardless of checkpoint options, and a run resumed from a checkpoint
-/// continues bitwise-identical to the uninterrupted run.
+/// regardless of checkpoint and prefetch options, and a run resumed from a
+/// checkpoint continues bitwise-identical to the uninterrupted run.
 pub fn train_with(
     model: &mut CateHgn,
-    ds: &mut dblp_sim::Dataset,
+    ds: &mut Dataset,
     opts: &mut TrainOptions,
 ) -> Result<TrainReport, TrainError> {
+    if ds.split.train.is_empty() {
+        return Err(TrainError::EmptyTrainSplit);
+    }
     let cfg = model.cfg.clone();
     let cfg_json = serde_json::to_string(&cfg)
         .map_err(|e| CheckpointError::Corrupt(format!("model config serialization: {e}")))
         .map_err(TrainError::Checkpoint)?;
-    let mut manager = CheckpointManager::new(opts.checkpoint_path.clone());
-    // Normalized lane count: 0 and 1 both mean the serial historical loop.
     let lanes = opts.data_lanes.max(1);
+    let mut run = Run {
+        cfg: &cfg,
+        cfg_json,
+        manager: CheckpointManager::new(opts.checkpoint_path.clone()),
+        lanes,
+        center_ids: model.ca.centers.iter().copied().collect(),
+        pos: Pos::Hgn { outer: 0, mini: 0 },
+        tot: 0.0,
+        sup_tot: 0.0,
+        opt: Optimizer::adam(cfg.lr),
+        ca_opt: Optimizer::adam(cfg.lr),
+        rng: ChaCha8Rng::seed_from_u64(cfg.seed.wrapping_add(0x7EA1)),
+        report: TrainReport::default(),
+        best_val: f32::INFINITY,
+        best_params: None,
+        te: None,
+        skips_in_row: 0,
+        rolls_in_row: 0,
+        g: Graph::new(),
+        lane_tapes: match lanes {
+            1 => Vec::new(),
+            n => (0..n).map(|_| Lane::default()).collect(),
+        },
+        landed: Vec::with_capacity(lanes),
+        model,
+        opts,
+    };
 
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed.wrapping_add(0x7EA1));
-    let mut report = TrainReport::default();
-    let mut opt = Optimizer::adam(cfg.lr);
-    let mut ca_opt = Optimizer::adam(cfg.lr);
-    let center_ids: BTreeSet<tensor::ParamId> = model.ca.centers.iter().copied().collect();
-
-    let train_idx = ds.split.train.clone();
-    assert!(!train_idx.is_empty(), "empty training split");
-
-    let mut te: Option<TextEnhancer>;
-    let mut best_val = f32::INFINITY;
-    let mut best_params: Option<tensor::Params> = None;
-    let (mut cur_outer, mut cur_mini): (usize, usize);
-    let (mut tot, mut sup_tot): (f32, f32);
-    // `Some(ca_done)` when the next round entry must skip the (already
-    // completed) HGN minis and epilogue and continue the CA loop mid-way.
-    let mut entering_ca: Option<usize> = None;
-
-    if opts.resume {
-        let state = manager.load_latest()?;
-        if state.config_json != cfg_json {
+    if run.opts.resume {
+        let state = run.manager.load_latest()?;
+        if state.config_json != run.cfg_json {
             return Err(CheckpointError::Mismatch(
                 "checkpoint was produced by a different model config".into(),
             )
@@ -365,32 +675,15 @@ pub fn train_with(
         }
         // The enhancer itself is a pure deterministic function of the
         // dataset and config; only its mined term sets evolve, and those
-        // come back from the snapshot inside `apply_snapshot`.
-        te = cfg
+        // come back from the snapshot inside `restore`.
+        run.te = cfg
             .ablation
             .te
             .then(|| TextEnhancer::new(ds, cfg.n_clusters, cfg.dim.max(16), cfg.seed));
-        let (t, s) = apply_snapshot(
-            &state,
-            &cfg,
-            model,
-            ds,
-            &mut te,
-            &mut opt,
-            &mut ca_opt,
-            &mut rng,
-            &mut report,
-            &mut best_val,
-            &mut best_params,
-        )?;
-        tot = t;
-        sup_tot = s;
-        cur_outer = state.outer as usize;
-        cur_mini = state.mini as usize;
-        entering_ca = resume_point(&state);
+        run.restore(&state, ds)?;
     } else {
         // ---- TE initialisation (Algorithm 1, line 1) ------------------
-        te = if cfg.ablation.te {
+        if cfg.ablation.te {
             let mut te = TextEnhancer::new(ds, cfg.n_clusters, cfg.dim.max(16), cfg.seed);
             if cfg.ablation.te_init {
                 te.bootstrap(cfg.kappa);
@@ -398,21 +691,14 @@ pub fn train_with(
                 te.bootstrap_from_keywords(ds);
             }
             te.relink(ds, cfg.ablation.te_tfidf);
-            report.te_rounds.push(snapshot(0, &te, ds));
-            Some(te)
-        } else {
-            None
-        };
-
-        // Term-enhanced cluster-center initialisation (Sec. III-E1):
-        // centers start at the mean embedding of each bootstrapped term
-        // set. Without TE, the centers are re-seeded from actual node
-        // embeddings (k-means++-style spread) after the first warm-up
-        // round, once the embeddings carry signal.
-        if cfg.ablation.ca {
-            if let Some(te) = &te {
-                init_centers_from_terms(model, ds, te);
+            run.report.te_rounds.push(snapshot(0, &te, ds));
+            // Term-enhanced cluster-center initialisation (Sec. III-E1):
+            // centers start at the mean embedding of each bootstrapped
+            // term set (without TE they are seeded after round one).
+            if cfg.ablation.ca {
+                init_centers_from_terms(run.model, ds, &te);
             }
+            run.te = Some(te);
         }
 
         // Output-bias warm start: every layer's prediction head opens at
@@ -420,920 +706,88 @@ pub fn train_with(
         // predictor and gradient steps refine from there instead of
         // climbing to it.
         let label_mean = {
-            let labels = ds.labels_of(&train_idx);
+            let labels = ds.labels_of(&ds.split.train);
             labels.iter().sum::<f32>() / labels.len() as f32
         };
-        for layer in &model.layers {
-            model.params.value_mut(layer.b_y).fill(label_mean);
+        for layer in &run.model.layers {
+            run.model.params.value_mut(layer.b_y).fill(label_mean);
         }
 
-        // Best-on-validation model selection: the 2014 validation split
-        // exists for exactly this (Sec. IV-A1); heavy-tailed labels make
-        // late epochs drift, so we keep the parameters of the best
-        // validation round. The initial (warm-started) parameters seed the
-        // selection, so a run whose every round validates worse keeps the
-        // mean-predictor head.
-        if !ds.split.val.is_empty() {
-            let seeds = ds.paper_nodes_of(&ds.split.val);
-            let preds = model.predict(&ds.graph, &ds.features, &seeds, 0xE7A1);
-            best_val = rmse(&preds, &ds.labels_of(&ds.split.val));
-            best_params = Some(model.params.clone());
+        // Best-on-validation model selection (Sec. IV-A1): heavy-tailed
+        // labels make late epochs drift. The warm-started parameters seed
+        // the selection, so a run whose every round validates worse keeps
+        // the mean-predictor head.
+        if let Some(val) = val_rmse(run.model, ds) {
+            run.best_val = val;
+            run.best_params = Some(run.model.params.clone());
         }
-
-        cur_outer = 0;
-        cur_mini = 0;
-        tot = 0.0;
-        sup_tot = 0.0;
     }
 
     // Rollback needs a restore target even before the first periodic
     // checkpoint: capture a run-entry baseline (memory only).
-    if matches!(opts.policy, RecoveryPolicy::Rollback { .. }) && !manager.has_snapshot() {
-        manager.set_baseline(&capture_state(
-            &cfg_json,
-            cur_outer,
-            cur_mini,
-            tot,
-            sup_tot,
-            model,
-            &opt,
-            &ca_opt,
-            &rng,
-            best_val,
-            &best_params,
-            &te,
-            &report,
-            ds,
-            lanes,
-            if entering_ca.is_some() { 1 } else { 0 },
-            entering_ca.unwrap_or(0) as u64,
-        ));
+    if matches!(run.opts.policy, RecoveryPolicy::Rollback { .. }) && !run.manager.has_snapshot() {
+        let state = run.capture(ds);
+        run.manager.set_baseline(&state);
     }
 
-    // One long-lived tape for the whole run: reset between batches recycles
-    // every node buffer through the graph's pool, so steady-state training
-    // steps run allocation-free (see DESIGN.md, "Memory model").
-    let mut g = Graph::new();
-    // Lane tapes for the batch-parallel path (empty when serial). They
-    // live as long as the run so their buffer pools stay warm.
-    let mut lane_states: Vec<Lane> = if lanes > 1 {
-        (0..lanes).map(|_| Lane::new()).collect()
-    } else {
-        Vec::new()
-    };
-    // Consecutive-failure counters; both reset on any successful step.
-    let mut skips_in_row = 0usize;
-    let mut rolls_in_row = 0usize;
-
-    'outer_loop: while cur_outer < cfg.outer_iters {
-        // A CA-phase snapshot re-enters here with `cur_mini` already at
-        // `mini_iters` (skipping the HGN loop below) and the round's
-        // epilogue guarded off; the CA loop then starts at `ca_done`.
-        let resume_ca_at = entering_ca.take();
-        // ---- HGN mini-iterations (lines 3-9) --------------------------
-        while cur_mini < cfg.mini_iters {
-            if lanes > 1 {
-                // ---- Batch-parallel group (ROADMAP item 2) ------------
-                // `group` independent batches share one optimizer step:
-                // the coordinator draws every lane's inputs sequentially
-                // in lane order (main-RNG consumption is a pure function
-                // of the lane schedule, never of the thread count), the
-                // lanes evaluate concurrently on the tensor worker pool,
-                // and their gradients fold back in fixed lane order.
-                let group = lanes.min(cfg.mini_iters - cur_mini);
-                // `group <= lanes == lane_states.len()` by construction.
-                let (lane_group, _) = lane_states.split_at_mut(group);
-                for (k, lane) in lane_group.iter_mut().enumerate() {
-                    let step = (cur_outer * cfg.mini_iters + cur_mini + k) as u64;
-                    let batch: Vec<usize> = (0..cfg.batch_size)
-                        .map(|_| train_idx[rng.gen_range(0..train_idx.len())])
-                        .collect();
-                    let seeds = ds.paper_nodes_of(&batch);
-                    let mut labels = Tensor::col_vec(ds.labels_of(&batch));
-                    opts.faults.poison_batch(step, labels.as_mut_slice());
-                    let blocks = sample_blocks(&ds.graph, &seeds, cfg.layers, cfg.fanout, &mut rng);
-                    lane.labels = dedup_labels(&seeds, &blocks[0].dst_nodes, &labels);
-                    lane.blocks = blocks;
-                    lane.step = step;
-                    lane.rng = ChaCha8Rng::seed_from_u64(rng.gen());
+    while run.pos.parts().0 < cfg.outer_iters {
+        match run.pos {
+            // ---- Round epilogue of the HGN mini-iterations (lines 3-9)
+            Pos::Hgn { outer, mini } if mini >= cfg.mini_iters => {
+                let minis = cfg.mini_iters as f32;
+                run.report.hgn_losses.push(run.tot / minis);
+                run.report.sup_losses.push(run.sup_tot / minis);
+                // CA without TE: seed the centers from real node embeddings
+                // once the trunk has seen one round of supervision.
+                if outer == 0 && cfg.ablation.ca && run.te.is_none() {
+                    init_centers_from_nodes(run.model, ds, &mut run.rng);
                 }
-                // Each lane touches only its own tape, and every kernel
-                // inside a lane runs serially (pool jobs carry the nested
-                // guard), so a lane's numbers match a one-at-a-time
-                // evaluation bitwise at any `TENSOR_NUM_THREADS`.
-                let model_ref: &CateHgn = model;
-                let ds_ref: &dblp_sim::Dataset = ds;
-                tensor::par::par_for_each_mut(lane_group, |_, lane| {
-                    lane.g.reset();
-                    let fw = model_ref.forward(
-                        &mut lane.g,
-                        &ds_ref.graph,
-                        &ds_ref.features,
-                        &lane.blocks,
-                        false,
-                    );
-                    let (loss, sup, _mi) = model_ref.hgn_loss(
-                        &mut lane.g,
-                        &fw,
-                        &lane.blocks,
-                        &lane.labels,
-                        &mut lane.rng,
-                    );
-                    lane.sup = sup;
-                    lane.loss_val = lane.g.value(loss).as_slice()[0];
-                    if lane.loss_val.is_finite() {
-                        lane.g.backward(loss);
+                run.pos = Pos::Ca { outer, done: 0 };
+            }
+            // ---- Round end: CA center updates (line 10) are done ------
+            Pos::Ca { outer, done } if !cfg.ablation.ca || done >= cfg.ca_iters => {
+                // ---- TE refinement (line 11) --------------------------
+                if let Some(te) = run.te.as_mut() {
+                    if cfg.ablation.te_iterative {
+                        refine_terms(run.model, ds, te, &cfg);
+                        run.report.te_rounds.push(snapshot(outer + 1, te, ds));
                     }
-                });
-
-                let failure: Option<NonFiniteSource> =
-                    if lane_group.iter().any(|l| !l.loss_val.is_finite()) {
-                        Some(NonFiniteSource::Loss)
-                    } else {
-                        // Fold per-lane gradient sums in fixed lane order;
-                        // the BTreeMap then yields an id-sorted list
-                        // exactly like `collect_param_grads`, so the clip
-                        // norm and Adam arithmetic see a canonical order.
-                        let mut folded: BTreeMap<tensor::ParamId, Tensor> = BTreeMap::new();
-                        for lane in lane_group.iter_mut() {
-                            opts.faults.corrupt_gradients(lane.step, &mut lane.g);
-                            for (pid, grad) in lane.g.collect_param_grads() {
-                                match folded.get_mut(&pid) {
-                                    Some(sum) => {
-                                        sum.add_assign(&grad);
-                                        lane.g.recycle(grad);
-                                    }
-                                    None => {
-                                        folded.insert(pid, grad);
-                                    }
-                                }
-                            }
-                        }
-                        let inv = 1.0 / group as f32;
-                        let grads: Vec<(tensor::ParamId, Tensor)> = folded
-                            .into_iter()
-                            .map(|(pid, mut sum)| {
-                                sum.scale_assign(inv);
-                                (pid, sum)
-                            })
-                            .collect();
-                        match opt.step_grads_clipped_guarded(
-                            &mut model.params,
-                            grads,
-                            Some(cfg.clip),
-                            &mut g,
-                        ) {
-                            Ok(_norm) => None,
-                            Err(pid) => Some(NonFiniteSource::Gradient {
-                                param: model.params.name(pid).to_string(),
-                            }),
-                        }
-                    };
-
-                let Some(source) = failure else {
-                    // Account lane losses in lane order — the same f32
-                    // accumulation a serial walk of the group would do.
-                    for lane in lane_group.iter() {
-                        tot += lane.loss_val;
-                        sup_tot += lane.sup;
+                }
+                // ---- Validation trace & model selection ---------------
+                if let Some(val) = val_rmse(run.model, ds) {
+                    run.report.val_rmse.push(val);
+                    if val < run.best_val {
+                        run.best_val = val;
+                        run.best_params = Some(run.model.params.clone());
                     }
-                    skips_in_row = 0;
-                    rolls_in_row = 0;
-                    cur_mini += group;
-
-                    let pos = (cur_outer * cfg.mini_iters + cur_mini) as u64;
-                    let prev = pos - group as u64;
-                    // "Crossed a multiple of n" generalizes the serial
-                    // is_multiple_of check to group-sized strides, so
-                    // checkpoints land on group boundaries and resume
-                    // always restarts on the same lane schedule.
-                    let due = opts
-                        .checkpoint_every
-                        .is_some_and(|n| n > 0 && pos / n as u64 > prev / n as u64);
-                    let halting = opts.halt_after_steps.is_some_and(|n| pos >= n)
-                        || opts.shutdown.as_ref().is_some_and(|t| t.requested());
-                    if due || halting {
-                        let state = capture_state(
-                            &cfg_json,
-                            cur_outer,
-                            cur_mini,
-                            tot,
-                            sup_tot,
-                            model,
-                            &opt,
-                            &ca_opt,
-                            &rng,
-                            best_val,
-                            &best_params,
-                            &te,
-                            &report,
-                            ds,
-                            lanes,
-                            0,
-                            0,
-                        );
-                        manager.save(&state, &mut opts.faults)?;
-                    }
-                    if halting {
-                        return Ok(report);
-                    }
-                    continue;
+                }
+                run.pos = Pos::Hgn {
+                    outer: outer + 1,
+                    mini: 0,
                 };
-
-                // A bad lane abandons the whole group before any state
-                // moved (parameters, moments, and the Adam counter are
-                // untouched): Skip redraws the group, Rollback behaves
-                // exactly as in the serial loop.
-                skips_in_row += 1;
-                rolls_in_row += 1;
-                match decide(
-                    opts.policy,
-                    skips_in_row,
-                    rolls_in_row,
-                    &source,
-                    cur_outer,
-                    cur_mini,
-                )? {
-                    Recovery::Skip => {
-                        report.skipped += 1;
-                    }
-                    Recovery::Rollback => {
-                        let state = manager.last_state()?;
-                        let (t, s) = apply_snapshot(
-                            &state,
-                            &cfg,
-                            model,
-                            ds,
-                            &mut te,
-                            &mut opt,
-                            &mut ca_opt,
-                            &mut rng,
-                            &mut report,
-                            &mut best_val,
-                            &mut best_params,
-                        )?;
-                        tot = t;
-                        sup_tot = s;
-                        cur_outer = state.outer as usize;
-                        cur_mini = state.mini as usize;
-                        entering_ca = resume_point(&state);
-                        report.rollbacks += 1;
-                        if let RecoveryPolicy::Rollback { lr_backoff, .. } = opts.policy {
-                            let scale = lr_backoff.powi(rolls_in_row as i32);
-                            opt.set_lr(state.opt_lr * scale);
-                            ca_opt.set_lr(state.ca_lr * scale);
-                        }
-                        continue 'outer_loop;
-                    }
-                }
-                continue;
+                run.tot = 0.0;
+                run.sup_tot = 0.0;
             }
-            if opts.prefetch > 1 {
-                // ---- Prefetched pipeline segment (ROADMAP item 3) -----
-                // A producer thread draws batches, samples blocks, and
-                // pre-draws the MI plan up to `prefetch` steps ahead; the
-                // consumer (this thread) runs forward/backward/step. The
-                // producer clones the main RNG, consumes from it in the
-                // exact serial order (batch, blocks, plan), and ships the
-                // post-step state with each payload; the consumer adopts
-                // the last consumed state on exit, so the whole segment
-                // is bitwise-identical to the serial loop below at any
-                // prefetch depth and thread count.
-                let ds_ref: &dblp_sim::Dataset = ds;
-                let train_ref: &[usize] = &train_idx;
-                let mut prng = rng.clone();
-                let (start_mini, outer_now) = (cur_mini, cur_outer);
-                let (mini_iters, layers_n, fanout) = (cfg.mini_iters, cfg.layers, cfg.fanout);
-                let (batch_size, mi_on, mi_max_edges) =
-                    (cfg.batch_size, cfg.ablation.mi, cfg.mi_max_edges);
-                let producer = move |tx: &tensor::par::PipeSender<'_, StepPayload>| {
-                    for mini in start_mini..mini_iters {
-                        let step = (outer_now * mini_iters + mini) as u64;
-                        let batch: Vec<usize> = (0..batch_size)
-                            .map(|_| train_ref[prng.gen_range(0..train_ref.len())])
-                            .collect();
-                        let seeds = ds_ref.paper_nodes_of(&batch);
-                        let labels = ds_ref.labels_of(&batch);
-                        let blocks =
-                            sample_blocks(&ds_ref.graph, &seeds, layers_n, fanout, &mut prng);
-                        let plan = plan_mi(&blocks, mi_on, mi_max_edges, &mut prng);
-                        let payload = StepPayload {
-                            step,
-                            seeds,
-                            labels,
-                            blocks,
-                            plan,
-                            rng_words: prng.state_words(),
-                        };
-                        if !tx.send(payload) {
-                            return; // consumer stopped the segment early
-                        }
-                    }
-                };
-                // RNG state after the last *consumed* step; the states of
-                // prefetched-but-unconsumed steps are discarded with them.
-                let mut end_words: Option<[u32; 27]> = None;
-                let seg: Result<Segment, TrainError> =
-                    tensor::par::run_with_producer(opts.prefetch, producer, |rx| {
-                        while cur_mini < cfg.mini_iters {
-                            let Some(p) = rx.recv() else {
-                                return Ok(Segment::Done);
-                            };
-                            let mut labels = Tensor::col_vec(p.labels);
-                            opts.faults.poison_batch(p.step, labels.as_mut_slice());
-                            let labels = dedup_labels(&p.seeds, &p.blocks[0].dst_nodes, &labels);
-                            g.reset();
-                            let fw = model.forward(
-                                &mut g,
-                                &ds_ref.graph,
-                                &ds_ref.features,
-                                &p.blocks,
-                                false,
-                            );
-                            let (loss, sup, _mi) =
-                                model.hgn_loss_planned(&mut g, &fw, &p.blocks, &labels, &p.plan);
-                            let loss_val = g.value(loss).as_slice()[0];
-                            let failure: Option<NonFiniteSource> = if !loss_val.is_finite() {
-                                Some(NonFiniteSource::Loss)
-                            } else {
-                                g.backward(loss);
-                                opts.faults.corrupt_gradients(p.step, &mut g);
-                                match opt.step_clipped_guarded(
-                                    &mut model.params,
-                                    &mut g,
-                                    Some(cfg.clip),
-                                ) {
-                                    Ok(_norm) => None,
-                                    Err(pid) => Some(NonFiniteSource::Gradient {
-                                        param: model.params.name(pid).to_string(),
-                                    }),
-                                }
-                            };
-                            end_words = Some(p.rng_words);
-                            let Some(source) = failure else {
-                                tot += loss_val;
-                                sup_tot += sup;
-                                skips_in_row = 0;
-                                rolls_in_row = 0;
-                                cur_mini += 1;
-                                let pos = (cur_outer * cfg.mini_iters + cur_mini) as u64;
-                                let due = opts
-                                    .checkpoint_every
-                                    .is_some_and(|n| n > 0 && pos.is_multiple_of(n as u64));
-                                let halting = opts.halt_after_steps.is_some_and(|n| pos >= n)
-                                    || opts.shutdown.as_ref().is_some_and(|t| t.requested());
-                                if due || halting {
-                                    let rng_now = ChaCha8Rng::from_state_words(&p.rng_words);
-                                    let state = capture_state(
-                                        &cfg_json,
-                                        cur_outer,
-                                        cur_mini,
-                                        tot,
-                                        sup_tot,
-                                        model,
-                                        &opt,
-                                        &ca_opt,
-                                        &rng_now,
-                                        best_val,
-                                        &best_params,
-                                        &te,
-                                        &report,
-                                        ds_ref,
-                                        lanes,
-                                        0,
-                                        0,
-                                    );
-                                    manager.save(&state, &mut opts.faults)?;
-                                }
-                                if halting {
-                                    rx.stop();
-                                    return Ok(Segment::Halt);
-                                }
-                                continue;
-                            };
-                            rx.stop();
-                            return Ok(Segment::Failed(source));
-                        }
-                        Ok(Segment::Done)
-                    });
-                if let Some(w) = end_words {
-                    rng = ChaCha8Rng::from_state_words(&w);
-                }
-                match seg? {
-                    Segment::Done => continue,
-                    Segment::Halt => return Ok(report),
-                    Segment::SaveFailed(e) => return Err(e.into()),
-                    Segment::Failed(source) => {
-                        skips_in_row += 1;
-                        rolls_in_row += 1;
-                        match decide(
-                            opts.policy,
-                            skips_in_row,
-                            rolls_in_row,
-                            &source,
-                            cur_outer,
-                            cur_mini,
-                        )? {
-                            Recovery::Skip => {
-                                // The RNG already advanced past the bad
-                                // draws; re-enter the pipeline on the
-                                // same mini slot, exactly like the
-                                // serial redraw.
-                                report.skipped += 1;
-                                continue;
-                            }
-                            Recovery::Rollback => {
-                                let state = manager.last_state()?;
-                                let (t, s) = apply_snapshot(
-                                    &state,
-                                    &cfg,
-                                    model,
-                                    ds,
-                                    &mut te,
-                                    &mut opt,
-                                    &mut ca_opt,
-                                    &mut rng,
-                                    &mut report,
-                                    &mut best_val,
-                                    &mut best_params,
-                                )?;
-                                tot = t;
-                                sup_tot = s;
-                                cur_outer = state.outer as usize;
-                                cur_mini = state.mini as usize;
-                                entering_ca = resume_point(&state);
-                                report.rollbacks += 1;
-                                if let RecoveryPolicy::Rollback { lr_backoff, .. } = opts.policy {
-                                    let scale = lr_backoff.powi(rolls_in_row as i32);
-                                    opt.set_lr(state.opt_lr * scale);
-                                    ca_opt.set_lr(state.ca_lr * scale);
-                                }
-                                continue 'outer_loop;
-                            }
-                        }
-                    }
-                }
-            }
-            // Global step position; stable across resume and rollback
-            // replays, which is what makes fault injection deterministic.
-            let step = (cur_outer * cfg.mini_iters + cur_mini) as u64;
-            let batch: Vec<usize> = (0..cfg.batch_size)
-                .map(|_| train_idx[rng.gen_range(0..train_idx.len())])
-                .collect();
-            let seeds = ds.paper_nodes_of(&batch);
-            let mut labels = Tensor::col_vec(ds.labels_of(&batch));
-            opts.faults.poison_batch(step, labels.as_mut_slice());
-            let blocks = sample_blocks(&ds.graph, &seeds, cfg.layers, cfg.fanout, &mut rng);
-            // Seed dedup can shrink the frontier prefix; relabel to match.
-            let labels = dedup_labels(&seeds, &blocks[0].dst_nodes, &labels);
-            g.reset();
-            let fw = model.forward(&mut g, &ds.graph, &ds.features, &blocks, false);
-            let (loss, sup, _mi) = model.hgn_loss(&mut g, &fw, &blocks, &labels, &mut rng);
-            let loss_val = g.value(loss).as_slice()[0];
-
-            let failure: Option<NonFiniteSource> = if !loss_val.is_finite() {
-                Some(NonFiniteSource::Loss)
-            } else {
-                g.backward(loss);
-                opts.faults.corrupt_gradients(step, &mut g);
-                match opt.step_clipped_guarded(&mut model.params, &mut g, Some(cfg.clip)) {
-                    Ok(_norm) => None,
-                    Err(pid) => Some(NonFiniteSource::Gradient {
-                        param: model.params.name(pid).to_string(),
-                    }),
-                }
-            };
-
-            let Some(source) = failure else {
-                // The step landed: account it exactly as the historical
-                // loop did (same values, same f32 accumulation order).
-                tot += loss_val;
-                sup_tot += sup;
-                skips_in_row = 0;
-                rolls_in_row = 0;
-                cur_mini += 1;
-
-                let pos = (cur_outer * cfg.mini_iters + cur_mini) as u64;
-                let due = opts
-                    .checkpoint_every
-                    .is_some_and(|n| n > 0 && pos.is_multiple_of(n as u64));
-                let halting = opts.halt_after_steps.is_some_and(|n| pos >= n)
-                    || opts.shutdown.as_ref().is_some_and(|t| t.requested());
-                if due || halting {
-                    let state = capture_state(
-                        &cfg_json,
-                        cur_outer,
-                        cur_mini,
-                        tot,
-                        sup_tot,
-                        model,
-                        &opt,
-                        &ca_opt,
-                        &rng,
-                        best_val,
-                        &best_params,
-                        &te,
-                        &report,
-                        ds,
-                        lanes,
-                        0,
-                        0,
-                    );
-                    manager.save(&state, &mut opts.faults)?;
-                }
-                if halting {
-                    // Simulated kill: the snapshot above is the resume
-                    // point; return the partial trace.
-                    return Ok(report);
-                }
-                continue;
-            };
-
-            skips_in_row += 1;
-            rolls_in_row += 1;
-            match decide(
-                opts.policy,
-                skips_in_row,
-                rolls_in_row,
-                &source,
-                cur_outer,
-                cur_mini,
-            )? {
-                Recovery::Skip => {
-                    // Drop the poisoned batch and redraw the same mini
-                    // slot; the RNG has advanced past the bad draws, and
-                    // no parameter or optimizer state was touched.
-                    report.skipped += 1;
-                }
-                Recovery::Rollback => {
-                    let state = manager.last_state()?;
-                    let (t, s) = apply_snapshot(
-                        &state,
-                        &cfg,
-                        model,
-                        ds,
-                        &mut te,
-                        &mut opt,
-                        &mut ca_opt,
-                        &mut rng,
-                        &mut report,
-                        &mut best_val,
-                        &mut best_params,
-                    )?;
-                    tot = t;
-                    sup_tot = s;
-                    cur_outer = state.outer as usize;
-                    cur_mini = state.mini as usize;
-                    entering_ca = resume_point(&state);
-                    report.rollbacks += 1;
-                    if let RecoveryPolicy::Rollback { lr_backoff, .. } = opts.policy {
-                        // Backoff compounds over consecutive retries of
-                        // the same snapshot.
-                        let scale = lr_backoff.powi(rolls_in_row as i32);
-                        opt.set_lr(state.opt_lr * scale);
-                        ca_opt.set_lr(state.ca_lr * scale);
-                    }
-                    continue 'outer_loop;
-                }
-            }
+            // ---- HGN mini-iterations or CA iterations left to run -----
+            _ => match run.segment(ds)? {
+                Segment::Done => {}
+                Segment::Halt => return Ok(run.report),
+                Segment::Failed(source) => run.recover(source, ds)?,
+            },
         }
-        if resume_ca_at.is_none() {
-            report.hgn_losses.push(tot / cfg.mini_iters as f32);
-            report.sup_losses.push(sup_tot / cfg.mini_iters as f32);
-
-            // Warm-start the cluster centers from real node embeddings once
-            // the trunk has seen one round of supervision (CA without TE
-            // only).
-            if cur_outer == 0 && cfg.ablation.ca && te.is_none() {
-                init_centers_from_nodes(model, ds, &mut rng);
-            }
-        }
-
-        // ---- CA center updates (line 10) ------------------------------
-        if cfg.ablation.ca {
-            let all_nodes: Vec<NodeId> = (0..ds.graph.num_nodes() as u32).map(NodeId).collect();
-            let mut ca_i = resume_ca_at.unwrap_or(0);
-            while ca_i < cfg.ca_iters {
-                if opts.prefetch > 1 && lanes == 1 {
-                    // ---- Prefetched CA segment: same producer/consumer
-                    // contract as the HGN segment above; the CA loss
-                    // draws no per-step RNG beyond batch + blocks.
-                    let ds_ref: &dblp_sim::Dataset = ds;
-                    let nodes_ref: &[NodeId] = &all_nodes;
-                    let mut prng = rng.clone();
-                    let (start_i, ca_iters) = (ca_i, cfg.ca_iters);
-                    let (layers_n, fanout, batch_size) = (cfg.layers, cfg.fanout, cfg.batch_size);
-                    let producer = move |tx: &tensor::par::PipeSender<'_, CaPayload>| {
-                        for _ in start_i..ca_iters {
-                            let batch: Vec<NodeId> = (0..batch_size)
-                                .map(|_| nodes_ref[prng.gen_range(0..nodes_ref.len())])
-                                .collect();
-                            let blocks =
-                                sample_blocks(&ds_ref.graph, &batch, layers_n, fanout, &mut prng);
-                            let payload = CaPayload {
-                                blocks,
-                                rng_words: prng.state_words(),
-                            };
-                            if !tx.send(payload) {
-                                return;
-                            }
-                        }
-                    };
-                    let mut end_words: Option<[u32; 27]> = None;
-                    let seg: Segment =
-                        tensor::par::run_with_producer(opts.prefetch, producer, |rx| {
-                            while ca_i < cfg.ca_iters {
-                                let Some(p) = rx.recv() else {
-                                    return Segment::Done;
-                                };
-                                g.reset();
-                                let fw = model.forward(
-                                    &mut g,
-                                    &ds_ref.graph,
-                                    &ds_ref.features,
-                                    &p.blocks,
-                                    true,
-                                );
-                                let failure: Option<NonFiniteSource> =
-                                    if let Some(loss) = model.ca_loss(&mut g, &fw) {
-                                        if !g.value(loss).as_slice()[0].is_finite() {
-                                            Some(NonFiniteSource::Loss)
-                                        } else {
-                                            g.backward(loss);
-                                            match ca_opt.step_filtered_guarded(
-                                                &mut model.params,
-                                                &mut g,
-                                                Some(cfg.clip),
-                                                &center_ids,
-                                            ) {
-                                                Ok(_) => None,
-                                                Err(pid) => Some(NonFiniteSource::Gradient {
-                                                    param: model.params.name(pid).to_string(),
-                                                }),
-                                            }
-                                        }
-                                    } else {
-                                        None
-                                    };
-                                end_words = Some(p.rng_words);
-                                let Some(source) = failure else {
-                                    skips_in_row = 0;
-                                    rolls_in_row = 0;
-                                    ca_i += 1;
-                                    let ca_pos = (cur_outer * cfg.ca_iters + ca_i) as u64;
-                                    let due = opts
-                                        .checkpoint_every
-                                        .is_some_and(|n| n > 0 && ca_pos.is_multiple_of(n as u64));
-                                    let halting = opts.halt_after_ca.is_some_and(|n| ca_pos >= n)
-                                        || opts.shutdown.as_ref().is_some_and(|t| t.requested());
-                                    if due || halting {
-                                        let rng_now = ChaCha8Rng::from_state_words(&p.rng_words);
-                                        let state = capture_state(
-                                            &cfg_json,
-                                            cur_outer,
-                                            cur_mini,
-                                            tot,
-                                            sup_tot,
-                                            model,
-                                            &opt,
-                                            &ca_opt,
-                                            &rng_now,
-                                            best_val,
-                                            &best_params,
-                                            &te,
-                                            &report,
-                                            ds_ref,
-                                            lanes,
-                                            1,
-                                            ca_i as u64,
-                                        );
-                                        if let Err(e) = manager.save(&state, &mut opts.faults) {
-                                            rx.stop();
-                                            return Segment::SaveFailed(e);
-                                        }
-                                    }
-                                    if halting {
-                                        rx.stop();
-                                        return Segment::Halt;
-                                    }
-                                    continue;
-                                };
-                                rx.stop();
-                                return Segment::Failed(source);
-                            }
-                            Segment::Done
-                        });
-                    if let Some(w) = end_words {
-                        rng = ChaCha8Rng::from_state_words(&w);
-                    }
-                    match seg {
-                        Segment::Done => continue,
-                        Segment::Halt => return Ok(report),
-                        Segment::SaveFailed(e) => return Err(e.into()),
-                        Segment::Failed(source) => {
-                            skips_in_row += 1;
-                            rolls_in_row += 1;
-                            match decide(
-                                opts.policy,
-                                skips_in_row,
-                                rolls_in_row,
-                                &source,
-                                cur_outer,
-                                ca_i,
-                            )? {
-                                Recovery::Skip => {
-                                    // As in the serial loop, a CA skip
-                                    // consumes the iteration.
-                                    report.skipped += 1;
-                                    ca_i += 1;
-                                    continue;
-                                }
-                                Recovery::Rollback => {
-                                    let state = manager.last_state()?;
-                                    let (t, s) = apply_snapshot(
-                                        &state,
-                                        &cfg,
-                                        model,
-                                        ds,
-                                        &mut te,
-                                        &mut opt,
-                                        &mut ca_opt,
-                                        &mut rng,
-                                        &mut report,
-                                        &mut best_val,
-                                        &mut best_params,
-                                    )?;
-                                    tot = t;
-                                    sup_tot = s;
-                                    cur_outer = state.outer as usize;
-                                    cur_mini = state.mini as usize;
-                                    entering_ca = resume_point(&state);
-                                    report.rollbacks += 1;
-                                    if let RecoveryPolicy::Rollback { lr_backoff, .. } = opts.policy
-                                    {
-                                        let scale = lr_backoff.powi(rolls_in_row as i32);
-                                        opt.set_lr(state.opt_lr * scale);
-                                        ca_opt.set_lr(state.ca_lr * scale);
-                                    }
-                                    continue 'outer_loop;
-                                }
-                            }
-                        }
-                    }
-                }
-                let batch: Vec<NodeId> = (0..cfg.batch_size)
-                    .map(|_| all_nodes[rng.gen_range(0..all_nodes.len())])
-                    .collect();
-                let blocks = sample_blocks(&ds.graph, &batch, cfg.layers, cfg.fanout, &mut rng);
-                g.reset();
-                let fw = model.forward(&mut g, &ds.graph, &ds.features, &blocks, true);
-                let failure: Option<NonFiniteSource> =
-                    if let Some(loss) = model.ca_loss(&mut g, &fw) {
-                        if !g.value(loss).as_slice()[0].is_finite() {
-                            Some(NonFiniteSource::Loss)
-                        } else {
-                            g.backward(loss);
-                            match ca_opt.step_filtered_guarded(
-                                &mut model.params,
-                                &mut g,
-                                Some(cfg.clip),
-                                &center_ids,
-                            ) {
-                                Ok(_) => None,
-                                Err(pid) => Some(NonFiniteSource::Gradient {
-                                    param: model.params.name(pid).to_string(),
-                                }),
-                            }
-                        }
-                    } else {
-                        None
-                    };
-                let Some(source) = failure else {
-                    skips_in_row = 0;
-                    rolls_in_row = 0;
-                    ca_i += 1;
-                    let ca_pos = (cur_outer * cfg.ca_iters + ca_i) as u64;
-                    let due = opts
-                        .checkpoint_every
-                        .is_some_and(|n| n > 0 && ca_pos.is_multiple_of(n as u64));
-                    let halting = opts.halt_after_ca.is_some_and(|n| ca_pos >= n)
-                        || opts.shutdown.as_ref().is_some_and(|t| t.requested());
-                    if due || halting {
-                        let state = capture_state(
-                            &cfg_json,
-                            cur_outer,
-                            cur_mini,
-                            tot,
-                            sup_tot,
-                            model,
-                            &opt,
-                            &ca_opt,
-                            &rng,
-                            best_val,
-                            &best_params,
-                            &te,
-                            &report,
-                            ds,
-                            lanes,
-                            1,
-                            ca_i as u64,
-                        );
-                        manager.save(&state, &mut opts.faults)?;
-                    }
-                    if halting {
-                        return Ok(report);
-                    }
-                    continue;
-                };
-                skips_in_row += 1;
-                rolls_in_row += 1;
-                match decide(
-                    opts.policy,
-                    skips_in_row,
-                    rolls_in_row,
-                    &source,
-                    cur_outer,
-                    ca_i,
-                )? {
-                    Recovery::Skip => {
-                        // CA iterations carry no loss accounting; a skip
-                        // consumes the iteration.
-                        report.skipped += 1;
-                        ca_i += 1;
-                    }
-                    Recovery::Rollback => {
-                        let state = manager.last_state()?;
-                        let (t, s) = apply_snapshot(
-                            &state,
-                            &cfg,
-                            model,
-                            ds,
-                            &mut te,
-                            &mut opt,
-                            &mut ca_opt,
-                            &mut rng,
-                            &mut report,
-                            &mut best_val,
-                            &mut best_params,
-                        )?;
-                        tot = t;
-                        sup_tot = s;
-                        cur_outer = state.outer as usize;
-                        cur_mini = state.mini as usize;
-                        entering_ca = resume_point(&state);
-                        report.rollbacks += 1;
-                        if let RecoveryPolicy::Rollback { lr_backoff, .. } = opts.policy {
-                            let scale = lr_backoff.powi(rolls_in_row as i32);
-                            opt.set_lr(state.opt_lr * scale);
-                            ca_opt.set_lr(state.ca_lr * scale);
-                        }
-                        continue 'outer_loop;
-                    }
-                }
-            }
-        }
-
-        // ---- TE refinement (line 11) ----------------------------------
-        if let Some(te) = te.as_mut() {
-            if cfg.ablation.te_iterative {
-                refine_terms(model, ds, te, &cfg);
-                report.te_rounds.push(snapshot(cur_outer + 1, te, ds));
-            }
-        }
-
-        // ---- Validation trace & model selection -----------------------
-        if !ds.split.val.is_empty() {
-            let seeds = ds.paper_nodes_of(&ds.split.val);
-            let preds = model.predict(&ds.graph, &ds.features, &seeds, 0xE7A1);
-            let truth = ds.labels_of(&ds.split.val);
-            let val = rmse(&preds, &truth);
-            report.val_rmse.push(val);
-            if val < best_val {
-                best_val = val;
-                best_params = Some(model.params.clone());
-            }
-        }
-
-        cur_outer += 1;
-        cur_mini = 0;
-        tot = 0.0;
-        sup_tot = 0.0;
     }
-    if let Some(best) = best_params {
+    if let Some(best) = &run.best_params {
         // Install the selected model's values over the live optimizer
         // moments. The moments belong to the optimizer's trajectory, not
         // the selected model, and nothing downstream reads them — which
         // is what lets checkpoints persist the best model values-only.
-        let ids: Vec<tensor::ParamId> = model.params.iter().map(|(id, _, _)| id).collect();
+        let ids: Vec<ParamId> = run.model.params.iter().map(|(id, _, _)| id).collect();
         for id in ids {
-            model
-                .params
-                .value_mut(id)
-                .as_mut_slice()
-                .copy_from_slice(best.value(id).as_slice());
+            let value = run.model.params.value_mut(id).as_mut_slice();
+            value.copy_from_slice(best.value(id).as_slice());
         }
     }
-    Ok(report)
+    Ok(run.report)
 }
 
 /// Root mean squared error.
@@ -1350,6 +804,16 @@ pub fn rmse(pred: &[f32], truth: &[f32]) -> f32 {
     (s / pred.len() as f32).sqrt()
 }
 
+/// Validation RMSE of the current parameters; `None` without a validation
+/// split.
+fn val_rmse(model: &CateHgn, ds: &Dataset) -> Option<f32> {
+    (!ds.split.val.is_empty()).then(|| {
+        let seeds = ds.paper_nodes_of(&ds.split.val);
+        let preds = model.predict(&ds.graph, &ds.features, &seeds, 0xE7A1);
+        rmse(&preds, &ds.labels_of(&ds.split.val))
+    })
+}
+
 /// The sampler dedups seeds; align the label column with the deduped order.
 fn dedup_labels(seeds: &[NodeId], deduped: &[NodeId], labels: &Tensor) -> Tensor {
     if seeds.len() == deduped.len() {
@@ -1364,7 +828,7 @@ fn dedup_labels(seeds: &[NodeId], deduped: &[NodeId], labels: &Tensor) -> Tensor
     Tensor::col_vec(deduped.iter().map(|n| first_label[n]).collect())
 }
 
-fn init_centers_from_terms(model: &mut CateHgn, ds: &dblp_sim::Dataset, te: &TextEnhancer) {
+fn init_centers_from_terms(model: &mut CateHgn, ds: &Dataset, te: &TextEnhancer) {
     // Collect the union of term nodes, embed them once per layer, then
     // average per cluster.
     let mut all_tokens: Vec<textmine::TokenId> = te.term_sets.iter().flatten().copied().collect();
@@ -1403,7 +867,7 @@ fn init_centers_from_terms(model: &mut CateHgn, ds: &dblp_sim::Dataset, te: &Tex
 
 /// Seeds cluster centers with a k-means++-style selection over the
 /// embeddings of a random node sample (all types).
-fn init_centers_from_nodes<R: Rng>(model: &mut CateHgn, ds: &dblp_sim::Dataset, rng: &mut R) {
+fn init_centers_from_nodes<R: Rng>(model: &mut CateHgn, ds: &Dataset, rng: &mut R) {
     let k = model.cfg.n_clusters;
     let n = ds.graph.num_nodes();
     let sample: Vec<NodeId> = (0..(8 * k).min(n))
@@ -1440,12 +904,7 @@ fn init_centers_from_nodes<R: Rng>(model: &mut CateHgn, ds: &dblp_sim::Dataset, 
     }
 }
 
-fn refine_terms(
-    model: &CateHgn,
-    ds: &mut dblp_sim::Dataset,
-    te: &mut TextEnhancer,
-    cfg: &ModelConfig,
-) {
+fn refine_terms(model: &CateHgn, ds: &mut Dataset, te: &mut TextEnhancer, cfg: &ModelConfig) {
     let active: Vec<textmine::TokenId> = {
         let mut v: Vec<_> = te.active_terms().into_iter().collect();
         v.sort();
@@ -1466,7 +925,7 @@ fn refine_terms(
     te.relink(ds, cfg.ablation.te_tfidf);
 }
 
-fn snapshot(round: usize, te: &TextEnhancer, ds: &dblp_sim::Dataset) -> TeRound {
+fn snapshot(round: usize, te: &TextEnhancer, ds: &Dataset) -> TeRound {
     let precision = te.term_precision(ds);
     let sample_terms = te
         .term_sets
@@ -1485,13 +944,6 @@ fn snapshot(round: usize, te: &TextEnhancer, ds: &dblp_sim::Dataset) -> TeRound 
     }
 }
 
-/// Fisher-Yates helper re-exported for harness reproducibility.
-pub fn shuffled_indices<R: Rng>(n: usize, rng: &mut R) -> Vec<usize> {
-    let mut v: Vec<usize> = (0..n).collect();
-    v.shuffle(rng);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1506,7 +958,7 @@ mod tests {
             ds.graph.schema().num_node_types(),
             ds.graph.schema().num_link_types(),
         );
-        let report = train(&mut model, &mut ds);
+        let report = train(&mut model, &mut ds).unwrap();
         (report, model, ds)
     }
 
@@ -1546,6 +998,20 @@ mod tests {
         assert!(report.val_rmse.iter().all(|r| r.is_finite()));
         // No recovery machinery fired on a clean run.
         assert_eq!((report.skipped, report.rollbacks), (0, 0));
+    }
+
+    #[test]
+    fn empty_train_split_is_a_typed_error() {
+        let mut ds = Dataset::full(&WorldConfig::tiny(), 8);
+        ds.split.train.clear();
+        let mut model = CateHgn::new(
+            ModelConfig::test_tiny(),
+            ds.features.cols(),
+            ds.graph.schema().num_node_types(),
+            ds.graph.schema().num_link_types(),
+        );
+        let err = train(&mut model, &mut ds).unwrap_err();
+        assert!(matches!(err, TrainError::EmptyTrainSplit), "got {err:?}");
     }
 
     #[test]

@@ -269,3 +269,40 @@ fn failed_reload_serves_last_good_graph_flagged_degraded() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A batch that repeats a seed answers once per requested seed, with the
+/// same value the seed gets in a distinct-seed batch (the sampler dedups
+/// the frontier, so both batches run the same forward pass).
+#[test]
+fn repeated_seeds_answer_once_per_request() {
+    let (model, ds) = fixture();
+    let (a, b, c) = (ds.paper_nodes[0], ds.paper_nodes[1], ds.paper_nodes[2]);
+    let distinct = [a, b, c];
+    let repeated = [a, b, a, c, b];
+    let expand = |v: &[f32]| vec![v[0], v[1], v[0], v[2], v[1]];
+
+    let p = model.predict(&ds.graph, &ds.features, &distinct, 5);
+    let pr = model.predict(&ds.graph, &ds.features, &repeated, 5);
+    assert_eq!(bits(&pr), bits(&expand(&p)), "predict");
+    let pt = model.predict_taped(&ds.graph, &ds.features, &repeated, 5);
+    assert_eq!(bits(&pt), bits(&pr), "taped predict");
+    let same = model.predict(&ds.graph, &ds.features, &[a, a], 5);
+    assert_eq!(bits(&same), bits(&[p[0], p[0]]), "predict [p, p]");
+
+    let ic = model.impact_and_cluster(&ds.graph, &ds.features, &distinct, 9);
+    let icr = model.impact_and_cluster(&ds.graph, &ds.features, &repeated, 9);
+    let (ic0, ic1, ic2) = (ic[0], ic[1], ic[2]);
+    assert_eq!(icr.len(), repeated.len());
+    for (got, want) in icr.iter().zip([ic0, ic1, ic0, ic2, ic1]) {
+        assert_eq!((got.0.to_bits(), got.1), (want.0.to_bits(), want.1));
+    }
+
+    let mut eng = ServeEngine::new(model, 3);
+    let served = eng.predict(&ds.graph, &ds.features, &distinct).unwrap();
+    let served_rep = eng.predict(&ds.graph, &ds.features, &repeated).unwrap();
+    assert_eq!(
+        bits(&served_rep),
+        bits(&expand(&served)),
+        "ServeEngine::predict"
+    );
+}

@@ -475,6 +475,65 @@ fn rollback_aborts_when_retries_are_exhausted() {
     }
 }
 
+/// Recovery does not depend on where the steps come from: the same fault
+/// schedule lands on the same fingerprints whether batches are drawn
+/// inline or by the prefetch producer, serially or in lane groups.
+#[test]
+fn recovery_is_bitwise_across_step_schedules() {
+    let cfg = tiny_cfg();
+    let pristine = Dataset::full(&WorldConfig::tiny(), 8);
+    // `(params_fingerprint, report_fingerprint, skipped, rollbacks)`.
+    let run = |policy: RecoveryPolicy, lanes: usize, prefetch: usize| {
+        let (mut model, mut ds) = build(&cfg, &pristine);
+        let mut opts = TrainOptions {
+            checkpoint_every: Some(2),
+            faults: FaultPlan::new(
+                5,
+                &[
+                    Fault::PoisonBatch { step: 1 },
+                    Fault::InfGradients { step: 5 },
+                ],
+            ),
+            policy,
+            data_lanes: lanes,
+            prefetch,
+            ..TrainOptions::default()
+        };
+        let report = train_with(&mut model, &mut ds, &mut opts).unwrap();
+        assert!(opts.faults.exhausted(), "every armed fault must have fired");
+        (
+            params_fingerprint(&model.params),
+            report_fingerprint(&report),
+            report.skipped,
+            report.rollbacks,
+        )
+    };
+    for policy in [
+        RecoveryPolicy::SkipBatch { max_consecutive: 2 },
+        RecoveryPolicy::Rollback {
+            lr_backoff: 0.5,
+            max_retries: 2,
+        },
+    ] {
+        let serial = run(policy, 1, 0);
+        assert!(serial.2 + serial.3 > 0, "{policy:?}: no recovery fired");
+        for prefetch in [2, 4] {
+            assert_eq!(
+                serial,
+                run(policy, 1, prefetch),
+                "{policy:?}: prefetch {prefetch} diverged from the serial run"
+            );
+        }
+        let lanes = run(policy, 2, 0);
+        assert!(lanes.2 + lanes.3 > 0, "{policy:?}: no lane recovery fired");
+        assert_eq!(
+            lanes,
+            run(policy, 2, 2),
+            "{policy:?}: lanes=2 with prefetch 2 diverged from lanes=2"
+        );
+    }
+}
+
 #[test]
 fn torn_checkpoint_write_falls_back_to_previous_snapshot() {
     let cfg = tiny_cfg();

@@ -5,7 +5,7 @@
 use catehgn::{train_model, CateHgn, ModelConfig};
 use eval::{fig5_trace, out_dir_from_args, write_json, ExperimentConfig, Scale};
 
-fn main() {
+fn main() -> Result<(), catehgn::TrainError> {
     let scale = Scale::from_args();
     let cfg = ExperimentConfig::at_scale(scale);
     let mut ds = dblp_sim::Dataset::full(&cfg.world, cfg.feat_dim);
@@ -19,7 +19,7 @@ fn main() {
         ds.graph.schema().num_node_types(),
         ds.graph.schema().num_link_types(),
     );
-    let report = train_model(&mut model, &mut ds);
+    let report = train_model(&mut model, &mut ds)?;
     let trace = fig5_trace(&report, ds.world.config.n_domains);
     println!("Figure 5 — adaptive term mining on {} ({scale:?} scale)", ds.name);
     for p in &trace {
@@ -33,4 +33,5 @@ fn main() {
     if let Some(dir) = out_dir_from_args() {
         write_json(&dir, "fig5", &trace);
     }
+    Ok(())
 }

@@ -99,7 +99,8 @@ fn clusters_for(ds: &Dataset, requested: usize) -> usize {
 ///
 /// Following the paper's "standard grid-search" protocol (Sec. III-F),
 /// two training seeds are run and the one with the better validation RMSE
-/// is kept; the test split plays no part in the selection.
+/// is kept; the test split plays no part in the selection. A seed whose
+/// training returns an error is dropped; panics when both are.
 pub fn run_catehgn_variant(
     ds: &Dataset,
     base: &ModelConfig,
@@ -120,13 +121,15 @@ pub fn run_catehgn_variant(
             ds_run.graph.schema().num_node_types(),
             ds_run.graph.schema().num_link_types(),
         );
-        let report = train_model(&mut model, &mut ds_run);
+        let Ok(report) = train_model(&mut model, &mut ds_run) else {
+            continue;
+        };
         let val = report.val_rmse.iter().cloned().fold(f32::INFINITY, f32::min);
         if best.as_ref().is_none_or(|(b, _, _)| val < *b) {
             best = Some((val, model, ds_run));
         }
     }
-    let (_, model, ds_run) = best.expect("at least one run");
+    let (_, model, ds_run) = best.expect("no training seed finished");
     let seeds = ds_run.paper_nodes_of(&ds_run.split.test);
     let preds = model.predict(&ds_run.graph, &ds_run.features, &seeds, 0xF1AA);
     (preds, model)

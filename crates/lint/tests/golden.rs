@@ -265,6 +265,7 @@ fn par_fold_fixture_flags_captured_accumulator_only() {
     assert_eq!(found.len(), 1);
     assert!(found[0].msg.contains("`acc`"));
     assert!(found[0].msg.contains("matmul_grads_into"));
+    assert!(found[0].msg.contains("hgn_step"));
 }
 
 #[test]

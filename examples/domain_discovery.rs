@@ -10,7 +10,7 @@ use catehgn::{case_study, train_model, Ablation, CateHgn, ModelConfig};
 use dblp_sim::{Dataset, WorldConfig};
 use eval::nmi;
 
-fn main() {
+fn main() -> Result<(), catehgn::TrainError> {
     let world = WorldConfig::tiny();
     let mut ds = Dataset::full(&world, 16);
     let cfg = ModelConfig {
@@ -28,7 +28,7 @@ fn main() {
         ds.graph.schema().num_node_types(),
         ds.graph.schema().num_link_types(),
     );
-    train_model(&mut model, &mut ds);
+    train_model(&mut model, &mut ds)?;
 
     // Score the learned venue clustering against ground-truth domains.
     let readout =
@@ -48,4 +48,5 @@ fn main() {
             println!("   venue {:<16} impact {:.2}", r.name, r.impact);
         }
     }
+    Ok(())
 }

@@ -12,7 +12,7 @@ use catehgn::{
 };
 use dblp_sim::{Dataset, WorldConfig};
 
-fn main() {
+fn main() -> Result<(), catehgn::TrainError> {
     let world = WorldConfig::tiny();
     let mut ds = Dataset::full(&world, 16);
     let cfg = ModelConfig {
@@ -29,7 +29,7 @@ fn main() {
         ds.graph.schema().num_node_types(),
         ds.graph.schema().num_link_types(),
     );
-    train_model(&mut model, &mut ds);
+    train_model(&mut model, &mut ds)?;
 
     // 1. Temporal head: per-year trajectories on top of the frozen base.
     let horizon = 5;
@@ -54,4 +54,5 @@ fn main() {
     //    re-evaluate on the later years.
     let (before, after) = rolling_update(&mut model, &ds, 2015, 8, 21);
     println!("rolling update on year 2015: RMSE on later years {before:.3} -> {after:.3}");
+    Ok(())
 }

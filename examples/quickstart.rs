@@ -8,7 +8,7 @@
 use catehgn::{train_model, CateHgn, ModelConfig};
 use dblp_sim::{Dataset, WorldConfig};
 
-fn main() {
+fn main() -> Result<(), catehgn::TrainError> {
     // 1. Generate a publication world: papers, authors, venues, terms,
     //    citation links, and per-year citation labels.
     let world = WorldConfig::tiny();
@@ -32,7 +32,7 @@ fn main() {
         ds.graph.schema().num_link_types(),
     );
     println!("model: {} trainable weights", model.num_weights());
-    let report = train_model(&mut model, &mut ds);
+    let report = train_model(&mut model, &mut ds)?;
     println!("validation RMSE per round: {:?}", report.val_rmse);
 
     // 3. Predict average citations-per-year for the held-out test papers.
@@ -46,4 +46,5 @@ fn main() {
         println!("  paper #{i}: predicted {p:.2} cites/yr, actual {:.2}", ds.labels[*i]);
     }
     assert!(rmse < floor, "the trained model must beat the mean predictor");
+    Ok(())
 }

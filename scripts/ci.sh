@@ -27,6 +27,8 @@
 #      --full widens this to every workspace crate and runs the
 #      alloc-count gate asserting the pooled training path performs >= 10x
 #      fewer heap allocations than the fresh-graph path.
+#      The perfbench workspace's own tests follow (it builds against
+#      crates/* but sits outside this workspace).
 #      Between tier-1 and the bench gates, three CLI smokes drill the
 #      resilience path end to end: halt/resume fingerprint equality, a
 #      real `kill -TERM` mid-training with bitwise resume, and the shard
@@ -140,6 +142,13 @@ TENSOR_NUM_THREADS=1 cargo test -q
 
 echo "== cargo test (tier-1, TENSOR_NUM_THREADS=4) =="
 TENSOR_NUM_THREADS=4 cargo test -q
+
+# perfbench is its own cargo workspace with path dependencies on
+# crates/*, so the tier-1 run above never builds it: compile and test it
+# here so an API change in the library cannot silently break the
+# benchmark.
+echo "== perfbench tests (separate workspace) =="
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "== resilience suite (checkpoint/resume + fault injection) =="
 cargo test -q -p catehgn --test resilience

@@ -143,7 +143,7 @@ fn training_is_deterministic_under_fixed_seed() {
             ds2.graph.schema().num_node_types(),
             ds2.graph.schema().num_link_types(),
         );
-        train_model(&mut model, &mut ds2);
+        train_model(&mut model, &mut ds2).unwrap();
         let seeds = ds2.paper_nodes_of(&ds2.split.test);
         model.predict(&ds2.graph, &ds2.features, &seeds, 1)
     };
