@@ -218,40 +218,52 @@ impl<'m> ServeEngine<'m> {
         self.pending.len()
     }
 
+    /// Counts a typed error where it is raised and returns it.
     fn fail<T>(&mut self, e: ServeError) -> Result<T, ServeError> {
         self.stats.errors += 1;
         Err(e)
     }
 
-    /// Validates the feature matrix against the graph and the seed/query
-    /// node ids against the node space.
-    fn validate_request(
+    /// The one request validator: the feature matrix must have a row per
+    /// graph node and the encoder's input width and be finite, and every
+    /// id in `nodes` must be a node of the graph.
+    fn validate(
+        &mut self,
         graph: &HetGraph,
         features: &Tensor,
         nodes: &[NodeId],
         what: &'static str,
     ) -> Result<(), ServeError> {
         let n = graph.num_nodes();
-        let rows = features.shape().0;
-        if rows != n {
-            return Err(ServeError::ShapeMismatch {
+        let (rows, cols) = features.shape();
+        let width = self
+            .model
+            .enc
+            .node_w
+            .first()
+            .map_or(cols, |&w| self.model.params.value(w).shape().0);
+        let err = if rows != n {
+            ServeError::ShapeMismatch {
                 what: "feature rows",
                 got: rows,
                 want: n,
-            });
-        }
-        if let Some(&bad) = nodes.iter().find(|s| s.index() >= n) {
-            return Err(ServeError::UnknownNode { node: bad, what });
-        }
-        Ok(())
-    }
-
-    fn validate_finite(features: &Tensor) -> Result<(), ServeError> {
-        if let Some(pos) = features.as_slice().iter().position(|v| !v.is_finite()) {
-            let cols = features.shape().1.max(1);
-            return Err(ServeError::NonFiniteFeatures { row: pos / cols });
-        }
-        Ok(())
+            }
+        } else if cols != width {
+            ServeError::ShapeMismatch {
+                what: "feature width",
+                got: cols,
+                want: width,
+            }
+        } else if let Some(&node) = nodes.iter().find(|s| s.index() >= n) {
+            ServeError::UnknownNode { node, what }
+        } else if let Some(pos) = features.as_slice().iter().position(|v| !v.is_finite()) {
+            ServeError::NonFiniteFeatures {
+                row: pos / cols.max(1),
+            }
+        } else {
+            return Ok(());
+        };
+        self.fail(err)
     }
 
     /// Batched impact prediction through the tape-free context — the
@@ -264,14 +276,53 @@ impl<'m> ServeEngine<'m> {
         features: &Tensor,
         seeds: &[NodeId],
     ) -> Result<Vec<f32>, ServeError> {
-        if let Err(e) = Self::validate_request(graph, features, seeds, "seed")
-            .and_then(|()| Self::validate_finite(features))
-        {
-            return self.fail(e);
-        }
+        self.validate(graph, features, seeds, "seed")?;
         Ok(self
             .model
             .predict_in(&mut self.ctx, graph, features, seeds, self.seed))
+    }
+
+    /// The embedding cache for `(graph, features, candidates)`, rebuilt if
+    /// any of the three changed, and whether it was valid (hit).
+    fn cache_for(
+        &mut self,
+        graph: &HetGraph,
+        features: &Tensor,
+        candidates: &[NodeId],
+    ) -> Result<(&EmbeddingCache, bool), ServeError> {
+        self.validate(graph, features, candidates, "candidate")?;
+        let feat_fp = fnv1a_f32(features.as_slice());
+        let (cache, hit) = match self.cache.take() {
+            // A changed stamp falls back to content equality: a reload of
+            // identical data keeps the cache, a real mutation does not.
+            Some(c)
+                if c.candidates == candidates
+                    && c.feat_fp == feat_fp
+                    && (c.stamp == graph.sampling_stamp()
+                        || c.content_fp == graph.content_fingerprint()) =>
+            {
+                (c, true)
+            }
+            _ => {
+                let embs =
+                    self.model
+                        .embed_in(&mut self.ctx, graph, features, candidates, self.seed);
+                let emb = embs
+                    .into_iter()
+                    .next_back()
+                    .expect("model has at least one layer");
+                self.stats.cache_rebuilds += 1;
+                let cache = EmbeddingCache {
+                    stamp: graph.sampling_stamp(),
+                    content_fp: graph.content_fingerprint(),
+                    feat_fp,
+                    candidates: candidates.to_vec(),
+                    emb,
+                };
+                (cache, false)
+            }
+        };
+        Ok((self.cache.insert(cache), hit))
     }
 
     /// Ensures the embedding cache matches `(graph, features, candidates)`,
@@ -283,38 +334,7 @@ impl<'m> ServeEngine<'m> {
         features: &Tensor,
         candidates: &[NodeId],
     ) -> Result<bool, ServeError> {
-        Self::validate_request(graph, features, candidates, "candidate")?;
-        Self::validate_finite(features)?;
-        let feat_fp = fnv1a_f32(features.as_slice());
-        if let Some(c) = &self.cache {
-            if c.candidates == candidates && c.feat_fp == feat_fp {
-                if c.stamp == graph.sampling_stamp() {
-                    return Ok(true);
-                }
-                // Stamp changed: fall back to content equality (a reload
-                // of identical data keeps the cache, a real mutation does
-                // not).
-                if c.content_fp == graph.content_fingerprint() {
-                    return Ok(true);
-                }
-            }
-        }
-        let embs = self
-            .model
-            .embed_in(&mut self.ctx, graph, features, candidates, self.seed);
-        let emb = embs
-            .into_iter()
-            .next_back()
-            .expect("model has at least one layer");
-        self.cache = Some(EmbeddingCache {
-            stamp: graph.sampling_stamp(),
-            content_fp: graph.content_fingerprint(),
-            feat_fp,
-            candidates: candidates.to_vec(),
-            emb,
-        });
-        self.stats.cache_rebuilds += 1;
-        Ok(false)
+        Ok(self.cache_for(graph, features, candidates)?.1)
     }
 
     /// Top-`k` candidates for each query node already present in the
@@ -332,65 +352,47 @@ impl<'m> ServeEngine<'m> {
         queries: &[NodeId],
         k: usize,
     ) -> Result<Vec<Vec<Recommendation>>, ServeError> {
-        let res = self.recommend_batch_inner(graph, features, candidates, queries, k);
-        if res.is_err() {
-            self.stats.errors += 1;
-        }
-        res
-    }
-
-    fn recommend_batch_inner(
-        &mut self,
-        graph: &HetGraph,
-        features: &Tensor,
-        candidates: &[NodeId],
-        queries: &[NodeId],
-        k: usize,
-    ) -> Result<Vec<Vec<Recommendation>>, ServeError> {
         if let Some(capacity) = self.capacity {
             if queries.len() > capacity {
                 self.stats.shed += (queries.len() - capacity) as u64;
-                return Err(ServeError::Overloaded {
+                return self.fail(ServeError::Overloaded {
                     capacity,
                     submitted: queries.len(),
                 });
             }
         }
-        // Validate every query before touching the cache, so a bad batch
-        // has no side effects.
-        for q in queries {
-            if !candidates.contains(q) {
-                return Err(ServeError::UnknownNode {
-                    node: *q,
-                    what: "query",
-                });
-            }
-        }
-        let hit = self.ensure_cache(graph, features, candidates)?;
-        if hit {
-            self.stats.cache_hits += queries.len() as u64;
-        }
-        self.stats.queries += queries.len() as u64;
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("ensure_cache populates the cache");
-        let d = cache.emb.shape().1;
-        let mut qm = Tensor::zeros(queries.len(), d);
-        for (r, q) in queries.iter().enumerate() {
-            let pos = cache
-                .candidates
-                .iter()
-                .position(|c| c == q)
-                .expect("queries validated against the candidate set above");
-            qm.set_row(r, cache.emb.row(pos));
+        // Resolve every query's row before touching the cache, so a bad
+        // batch has no side effects.
+        let rows: Result<Vec<usize>, ServeError> = queries
+            .iter()
+            .map(|&node| {
+                candidates
+                    .iter()
+                    .position(|&c| c == node)
+                    .ok_or(ServeError::UnknownNode {
+                        node,
+                        what: "query",
+                    })
+            })
+            .collect();
+        let rows = match rows {
+            Ok(rows) => rows,
+            Err(e) => return self.fail(e),
+        };
+        let (cache, hit) = self.cache_for(graph, features, candidates)?;
+        let mut qm = Tensor::zeros(queries.len(), cache.emb.shape().1);
+        for (r, &row) in rows.iter().enumerate() {
+            qm.set_row(r, cache.emb.row(row));
         }
         let scores = qm.matmul_tb(&cache.emb);
-        Ok(queries
+        let rankings = queries
             .iter()
             .enumerate()
             .map(|(r, q)| top_k(scores.row(r), &cache.candidates, Some(*q), k))
-            .collect())
+            .collect();
+        self.stats.queries += queries.len() as u64;
+        self.stats.cache_hits += if hit { queries.len() as u64 } else { 0 };
+        Ok(rankings)
     }
 
     /// Top-`k` candidates for one in-graph query node.
@@ -402,11 +404,8 @@ impl<'m> ServeEngine<'m> {
         query: NodeId,
         k: usize,
     ) -> Result<Vec<Recommendation>, ServeError> {
-        Ok(self
-            .recommend_batch(graph, features, candidates, &[query], k)?
-            .into_iter()
-            .next_back()
-            .expect("one ranking per query"))
+        let mut rankings = self.recommend_batch(graph, features, candidates, &[query], k)?;
+        Ok(rankings.pop().unwrap_or_default())
     }
 
     /// Inductive cold-start: a paper not yet in the graph, described only
@@ -424,68 +423,37 @@ impl<'m> ServeEngine<'m> {
         feat_row: &[f32],
         k: usize,
     ) -> Result<Vec<Recommendation>, ServeError> {
-        let res = self.cold_start_inner(graph, features, candidates, node_type, feat_row, k);
-        if res.is_err() {
-            self.stats.errors += 1;
-        }
-        res
-    }
-
-    fn cold_start_inner(
-        &mut self,
-        graph: &HetGraph,
-        features: &Tensor,
-        candidates: &[NodeId],
-        node_type: NodeTypeId,
-        feat_row: &[f32],
-        k: usize,
-    ) -> Result<Vec<Recommendation>, ServeError> {
-        let type_count = self.model.enc.node_w.len();
-        if node_type.0 as usize >= type_count {
-            return Err(ServeError::ShapeMismatch {
+        let model = self.model;
+        let t = node_type.0 as usize;
+        let (Some(&w), Some(&b)) = (model.enc.node_w.get(t), model.enc.node_b.get(t)) else {
+            return self.fail(ServeError::ShapeMismatch {
                 what: "cold-start node type id",
-                got: node_type.0 as usize,
-                want: type_count,
+                got: t,
+                want: model.enc.node_w.len(),
             });
-        }
-        let w = self
-            .model
-            .params
-            .value(self.model.enc.node_w[node_type.0 as usize]);
+        };
+        let (w, b) = (model.params.value(w), model.params.value(b));
         if feat_row.len() != w.shape().0 {
-            return Err(ServeError::ShapeMismatch {
+            return self.fail(ServeError::ShapeMismatch {
                 what: "cold-start feature width",
                 got: feat_row.len(),
                 want: w.shape().0,
             });
         }
         if feat_row.iter().any(|v| !v.is_finite()) {
-            return Err(ServeError::NonFiniteFeatures { row: 0 });
+            return self.fail(ServeError::NonFiniteFeatures { row: 0 });
         }
-        let hit = self.ensure_cache(graph, features, candidates)?;
-        if hit {
-            self.stats.cache_hits += 1;
-        }
-        self.stats.queries += 1;
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("ensure_cache populates the cache");
-        let w = self
-            .model
-            .params
-            .value(self.model.enc.node_w[node_type.0 as usize]);
-        let b = self
-            .model
-            .params
-            .value(self.model.enc.node_b[node_type.0 as usize]);
+        let (cache, hit) = self.cache_for(graph, features, candidates)?;
         let x = Tensor::from_vec(1, feat_row.len(), feat_row.to_vec());
         let mut h0 = x.matmul(w);
         for (v, &bv) in h0.as_mut_slice().iter_mut().zip(b.as_slice()) {
             *v = (*v + bv).max(0.0);
         }
         let scores = h0.matmul_tb(&cache.emb);
-        Ok(top_k(scores.row(0), &cache.candidates, None, k))
+        let ranking = top_k(scores.row(0), &cache.candidates, None, k);
+        self.stats.queries += 1;
+        self.stats.cache_hits += u64::from(hit);
+        Ok(ranking)
     }
 
     // ----- bounded admission queue -------------------------------------
@@ -528,31 +496,19 @@ impl<'m> ServeEngine<'m> {
 
     // ----- resident data & degraded-mode reload ------------------------
 
-    /// Installs engine-owned serving data (graph + features). Resident
-    /// query APIs and [`ServeEngine::reload_resident`] operate on this
-    /// copy, so a failed reload can keep the last-good generation.
+    /// Installs engine-owned serving data (graph + features), validated
+    /// like any request. [`ServeEngine::recommend_batch_resident`] and
+    /// [`ServeEngine::reload_resident`] operate on this copy, so a failed
+    /// reload can keep the last-good generation.
     pub fn install_resident(
         &mut self,
         graph: HetGraph,
         features: Tensor,
     ) -> Result<(), ServeError> {
-        let n = graph.num_nodes();
-        let rows = features.shape().0;
-        if rows != n {
-            return self.fail(ServeError::ShapeMismatch {
-                what: "feature rows",
-                got: rows,
-                want: n,
-            });
-        }
+        self.validate(&graph, &features, &[], "node")?;
         self.resident = Some(Resident { graph, features });
         self.degraded = false;
         Ok(())
-    }
-
-    /// The resident graph, if installed.
-    pub fn resident_graph(&self) -> Option<&HetGraph> {
-        self.resident.as_ref().map(|r| &r.graph)
     }
 
     /// Replaces the resident graph from a shard store. On any failure —
@@ -563,46 +519,31 @@ impl<'m> ServeEngine<'m> {
     /// [`ServeStats::degraded_queries`]. A successful reload clears the
     /// degraded flag.
     pub fn reload_resident(&mut self, store: &ShardStore) -> Result<(), ServeError> {
-        let resident_rows = match &self.resident {
-            Some(r) => r.features.shape().0,
-            None => {
-                return self.fail(ServeError::NoResidentGraph);
-            }
+        let Some(mut res) = self.resident.take() else {
+            return self.fail(ServeError::NoResidentGraph);
         };
+        let want = res.features.shape().0;
         let loaded = match store.load_graph() {
-            Ok(g) => g,
+            Ok(g) if g.num_nodes() != want => Err(ServeError::ShapeMismatch {
+                what: "reloaded graph nodes",
+                got: g.num_nodes(),
+                want,
+            }),
+            other => other.map_err(ServeError::Reload),
+        };
+        let out = match loaded {
+            Ok(graph) => {
+                res.graph = graph;
+                self.degraded = false;
+                Ok(())
+            }
             Err(e) => {
                 self.stats.reload_failures += 1;
                 self.degraded = true;
-                return self.fail(ServeError::Reload(e));
+                self.fail(e)
             }
         };
-        if loaded.num_nodes() != resident_rows {
-            self.stats.reload_failures += 1;
-            self.degraded = true;
-            return self.fail(ServeError::ShapeMismatch {
-                what: "reloaded graph nodes",
-                got: loaded.num_nodes(),
-                want: resident_rows,
-            });
-        }
-        if let Some(r) = &mut self.resident {
-            r.graph = loaded;
-        }
-        self.degraded = false;
-        Ok(())
-    }
-
-    /// [`ServeEngine::predict`] against the resident data.
-    pub fn predict_resident(&mut self, seeds: &[NodeId]) -> Result<Vec<f32>, ServeError> {
-        let Some(res) = self.resident.take() else {
-            return self.fail(ServeError::NoResidentGraph);
-        };
-        let out = self.predict(&res.graph, &res.features, seeds);
         self.resident = Some(res);
-        if out.is_ok() && self.degraded {
-            self.stats.degraded_queries += seeds.len() as u64;
-        }
         out
     }
 
@@ -796,6 +737,53 @@ mod tests {
         }
         assert_eq!(eng.stats().errors, 4);
         assert_eq!(eng.stats().queries, 0, "failed requests answer nothing");
+        // A feature matrix with a row per node but the wrong width is a
+        // typed error at every entry point, never a matmul panic.
+        fn width<T: std::fmt::Debug>(r: Result<T, ServeError>) {
+            match r {
+                Err(ServeError::ShapeMismatch { what, .. }) => assert_eq!(what, "feature width"),
+                other => panic!("expected feature-width ShapeMismatch, got {other:?}"),
+            }
+        }
+        let n = ds.graph.num_nodes();
+        let row = ds.features.row(candidates[0].index()).to_vec();
+        let pair = &candidates[..2];
+        for bad in [
+            Tensor::zeros(n, ds.features.cols() + 3),
+            Tensor::zeros(n, 0),
+        ] {
+            let before = eng.stats().errors;
+            width(eng.predict(&ds.graph, &bad, &candidates));
+            width(eng.ensure_cache(&ds.graph, &bad, &candidates));
+            width(eng.recommend(&ds.graph, &bad, &candidates, candidates[0], 3));
+            width(eng.recommend_batch(&ds.graph, &bad, &candidates, pair, 3));
+            width(eng.cold_start(&ds.graph, &bad, &candidates, paper_type, &row, 3));
+            eng.submit(candidates[0]).unwrap();
+            width(eng.drain(&ds.graph, &bad, &candidates, 3));
+            assert_eq!(eng.pending(), 1, "a failed drain keeps the queue");
+            eng.drain(&ds.graph, &ds.features, &candidates, 3).unwrap();
+            width(eng.install_resident(ds.graph.clone(), bad));
+            assert_eq!(
+                eng.recommend_batch_resident(&candidates, pair, 3),
+                Err(ServeError::NoResidentGraph),
+                "rejected data is never installed"
+            );
+            assert_eq!(eng.stats().errors, before + 8, "one error per failed call");
+        }
+        // A failed `ensure_cache` counts one error, and a failed batch or
+        // cold start counts one, not one more for its cache check.
+        let short = Tensor::zeros(3, ds.features.cols());
+        let before = eng.stats().errors;
+        assert!(eng.ensure_cache(&ds.graph, &short, &candidates).is_err());
+        assert_eq!(eng.stats().errors, before + 1);
+        assert!(eng
+            .recommend_batch(&ds.graph, &short, &candidates, &candidates[..1], 3)
+            .is_err());
+        assert_eq!(eng.stats().errors, before + 2);
+        assert!(eng
+            .cold_start(&ds.graph, &short, &candidates, paper_type, &row, 3)
+            .is_err());
+        assert_eq!(eng.stats().errors, before + 3);
         // The engine still serves good requests afterwards.
         let ok = eng
             .recommend(&ds.graph, &ds.features, &candidates, candidates[0], 3)

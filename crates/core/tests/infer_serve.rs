@@ -7,9 +7,10 @@ use catehgn::config::ModelConfig;
 use catehgn::model::CateHgn;
 use catehgn::serve::{ServeEngine, ServeError};
 use dblp_sim::{Dataset, WorldConfig};
-use hetgraph::{NodeId, ShardStore};
+use hetgraph::{NodeId, NodeTypeId, ShardStore};
 use proptest::prelude::*;
 use std::sync::OnceLock;
+use tensor::Tensor;
 
 fn fixture() -> &'static (CateHgn, Dataset) {
     static FIX: OnceLock<(CateHgn, Dataset)> = OnceLock::new();
@@ -305,4 +306,194 @@ fn repeated_seeds_answer_once_per_request() {
         bits(&expand(&served)),
         "ServeEngine::predict"
     );
+}
+
+/// Candidate-set size for the accounting proptest.
+const CANDS: usize = 12;
+
+/// The feature matrix one call sends.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Feats {
+    Good,
+    /// Three rows instead of one per node.
+    Rows,
+    /// One row per node, three columns too many.
+    Wide,
+    /// One row per node, no columns.
+    Empty,
+    /// The right shape with one NaN.
+    Nan,
+}
+
+/// One engine call. A node is `(in_set, i)`: the `i`-th candidate, or a
+/// node outside the candidate set (for `Predict`: outside the graph).
+#[derive(Clone, Debug)]
+enum Call {
+    Batch(Vec<(bool, usize)>, usize),
+    Predict(Vec<(bool, usize)>),
+    /// Type id, feature-row width choice, NaN in the row.
+    Cold(u8, usize, bool),
+    Ensure(Feats),
+    Submit(bool, usize),
+    Drain(Feats),
+}
+
+impl Feats {
+    /// Three of seven draws are well-formed.
+    fn from_draw(d: u8) -> Self {
+        match d {
+            3 => Feats::Rows,
+            4 => Feats::Wide,
+            5 => Feats::Empty,
+            6 => Feats::Nan,
+            _ => Feats::Good,
+        }
+    }
+}
+
+/// Four of five drawn nodes are in the candidate set.
+fn node((d, i): (u8, usize)) -> (bool, usize) {
+    (d != 0, i)
+}
+
+fn call() -> impl Strategy<Value = Call> {
+    let nodes = collection::vec((0u8..5, 0usize..64), 0..10);
+    (0u8..6, 0u8..7, 0usize..64, nodes).prop_map(|(kind, d, i, nodes)| {
+        let nodes: Vec<(bool, usize)> = nodes.into_iter().map(node).collect();
+        match kind {
+            0 => Call::Batch(nodes, i % 6),
+            1 => Call::Predict(if nodes.is_empty() {
+                vec![(d != 0, i)]
+            } else {
+                nodes
+            }),
+            2 => Call::Cold(d, i % 4, i % 5 == 0),
+            3 => Call::Ensure(Feats::from_draw(d)),
+            4 => Call::Submit(d % 5 != 0, i),
+            _ => Call::Drain(Feats::from_draw(d)),
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every call returns `Ok` or a typed error, exactly when the request
+    /// data is valid, and the engine's counters account for every call:
+    /// one error per `Err`, one query per ranking returned, and one shed
+    /// request per request an `Overloaded` rejection turned away.
+    #[test]
+    fn serve_accounting_matches_the_calls_made(
+        capacity in 0usize..=8,
+        calls in collection::vec(call(), 1..14),
+    ) {
+        let (model, ds) = fixture();
+        let (n, cols) = ds.features.shape();
+        let types = model.enc.node_w.len();
+        let candidates: Vec<NodeId> = ds.paper_nodes[..CANDS].to_vec();
+        let outsiders = &ds.paper_nodes[CANDS..];
+        let pick = |(in_set, i): (bool, usize)| {
+            if in_set {
+                candidates[i % CANDS]
+            } else {
+                outsiders[i % outsiders.len()]
+            }
+        };
+        let mut nan = ds.features.clone();
+        nan.as_mut_slice()[cols + 1] = f32::NAN;
+        let variants = [
+            (Feats::Good, ds.features.clone()),
+            (Feats::Rows, Tensor::zeros(3, cols)),
+            (Feats::Wide, Tensor::zeros(n, cols + 3)),
+            (Feats::Empty, Tensor::zeros(n, 0)),
+            (Feats::Nan, nan),
+        ];
+        let matrix = |f: Feats| &variants.iter().find(|v| v.0 == f).unwrap().1;
+        // Capacity 0 draws an unbounded engine.
+        let (mut eng, cap) = match capacity {
+            0 => (ServeEngine::new(model, 7), usize::MAX),
+            c => (ServeEngine::with_capacity(model, 7, c), c),
+        };
+        let (mut errors, mut answers, mut shed) = (0u64, 0u64, 0u64);
+        // In-set flags of the admitted requests, mirroring the engine queue.
+        let mut pending: Vec<bool> = Vec::new();
+
+        for c in &calls {
+            let (ok, answered, err) = match c {
+                Call::Batch(qs, k) => {
+                    let queries: Vec<NodeId> = qs.iter().map(|&q| pick(q)).collect();
+                    let want = qs.len() <= cap && qs.iter().all(|q| q.0);
+                    let r = eng.recommend_batch(&ds.graph, &ds.features, &candidates, &queries, *k);
+                    if let Ok(v) = &r {
+                        prop_assert_eq!(v.len(), queries.len());
+                    }
+                    (want, r.as_ref().map_or(0, Vec::len), r.err())
+                }
+                Call::Predict(ss) => {
+                    let seeds: Vec<NodeId> = ss
+                        .iter()
+                        .map(|&(in_range, i)| if in_range { pick((true, i)) } else { NodeId((n + i) as u32) })
+                        .collect();
+                    let want = ss.iter().all(|s| s.0);
+                    let r = eng.predict(&ds.graph, &ds.features, &seeds);
+                    if let Ok(v) = &r {
+                        prop_assert_eq!(v.len(), seeds.len());
+                    }
+                    (want, 0, r.err())
+                }
+                Call::Cold(ty, width, has_nan) => {
+                    let width = [cols, cols, cols - 1, cols + 2][*width];
+                    let mut row = ds.features.row(candidates[0].index()).to_vec();
+                    row.resize(width, 0.5);
+                    if *has_nan {
+                        row[0] = f32::NAN;
+                    }
+                    let want = (*ty as usize) < types && width == cols && !has_nan;
+                    let r = eng.cold_start(
+                        &ds.graph,
+                        &ds.features,
+                        &candidates,
+                        NodeTypeId(*ty),
+                        &row,
+                        3,
+                    );
+                    (want, usize::from(r.is_ok()), r.err())
+                }
+                Call::Ensure(f) => {
+                    let r = eng.ensure_cache(&ds.graph, matrix(*f), &candidates);
+                    (*f == Feats::Good, 0, r.err())
+                }
+                Call::Submit(in_set, i) => {
+                    let want = pending.len() < cap;
+                    let r = eng.submit(pick((*in_set, *i)));
+                    if r.is_ok() {
+                        pending.push(*in_set);
+                    }
+                    (want, 0, r.err())
+                }
+                Call::Drain(f) => {
+                    let want = *f == Feats::Good && pending.iter().all(|&s| s);
+                    let r = eng.drain(&ds.graph, matrix(*f), &candidates, 3);
+                    if let Ok(v) = &r {
+                        prop_assert_eq!(v.len(), pending.len());
+                        pending.clear();
+                    }
+                    (want, r.as_ref().map_or(0, Vec::len), r.err())
+                }
+            };
+            prop_assert_eq!(err.is_none(), ok, "{:?} returned {:?}", c, err);
+            answers += answered as u64;
+            if let Some(e) = err {
+                errors += 1;
+                if let ServeError::Overloaded { capacity, submitted } = e {
+                    shed += (submitted - capacity) as u64;
+                }
+            }
+            let s = eng.stats();
+            prop_assert_eq!(s.errors, errors, "errors after {:?}", c);
+            prop_assert_eq!(s.queries, answers, "queries after {:?}", c);
+            prop_assert_eq!(s.shed, shed, "shed after {:?}", c);
+            prop_assert_eq!(eng.pending(), pending.len());
+        }
+    }
 }

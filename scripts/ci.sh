@@ -28,7 +28,11 @@
 #      alloc-count gate asserting the pooled training path performs >= 10x
 #      fewer heap allocations than the fresh-graph path.
 #      The perfbench workspace's own tests follow (it builds against
-#      crates/* but sits outside this workspace).
+#      crates/* but sits outside this workspace), then the resilience
+#      suite and the serving suite (the `catehgn` crate's `infer_serve`
+#      integration tests and `serve::` unit tests: tape-free equivalence,
+#      cache staleness, degraded reload, typed errors and the accounting
+#      proptest), which tier-1's root-package run never reaches.
 #      Between tier-1 and the bench gates, three CLI smokes drill the
 #      resilience path end to end: halt/resume fingerprint equality, a
 #      real `kill -TERM` mid-training with bitwise resume, and the shard
@@ -152,6 +156,13 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "== resilience suite (checkpoint/resume + fault injection) =="
 cargo test -q -p catehgn --test resilience
+
+# The serving engine lives in the `catehgn` crate, which tier-1's
+# root-package run never tests: run its integration suite and its
+# in-module unit tests here.
+echo "== serving suite (ServeEngine: equivalence, cache, typed errors, accounting) =="
+cargo test -q -p catehgn --test infer_serve
+cargo test -q -p catehgn --lib serve::
 
 # Kill-and-resume drill through the real CLI: a run halted at step 20 and
 # resumed in a fresh process must print the same params/report
