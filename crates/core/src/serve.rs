@@ -17,8 +17,10 @@
 //! steady-state queries touch pooled buffers only. The cache is keyed by
 //! the graph's sampling stamp with a content-fingerprint fallback
 //! (a content-equal reload of the same graph keeps the cache warm), plus
-//! a feature fingerprint and the candidate list; any mismatch rebuilds
-//! before the query is answered — a stale cache is never served.
+//! a feature content key and the candidate list; any mismatch rebuilds
+//! before the query is answered — a stale cache is never served. The
+//! feature key comes out of the same single pass that checks the features
+//! are finite.
 //!
 //! ## Failure behaviour (PR 9)
 //!
@@ -35,8 +37,9 @@
 //! newest request with [`ServeError::Overloaded`].
 
 use crate::model::CateHgn;
-use crate::resilience::fnv1a_f32;
 use hetgraph::{HetGraph, NodeId, NodeTypeId, ShardError, ShardStore};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt;
 use tensor::{InferCtx, Tensor};
 
@@ -147,12 +150,79 @@ struct EmbeddingCache {
     /// Content fingerprint fallback: a different stamp with equal content
     /// (e.g. a reloaded graph) revalidates instead of rebuilding.
     content_fp: u64,
-    /// FNV-1a over the raw feature bytes.
+    /// Content key of the raw feature bits from [`feature_key`], computed
+    /// by the validating pass every request already makes.
     feat_fp: u64,
     /// Candidate papers, in caller order (defines embedding rows).
     candidates: Vec<NodeId>,
-    /// `candidates.len() x d` last-layer embeddings.
-    emb: Tensor,
+    /// Last-layer embeddings of `candidates`, in blocks of at most
+    /// [`SCORE_BLOCK`] rows: block `b` holds candidates
+    /// `b * SCORE_BLOCK ..`, one row each.
+    emb: Vec<Tensor>,
+    /// Scores of the current queries against one block, reused by every
+    /// block and every ranking, so a warm query allocates only its answer.
+    scores: Tensor,
+}
+
+impl EmbeddingCache {
+    /// A cache of `emb`, the `candidates.len() x d` last-layer embeddings
+    /// of `candidates`, split into blocks.
+    fn new(stamp: u64, content_fp: u64, feat_fp: u64, candidates: &[NodeId], emb: Tensor) -> Self {
+        let n = candidates.len();
+        let emb = (0..n)
+            .step_by(SCORE_BLOCK)
+            .map(|lo| {
+                let rows: Vec<usize> = (lo..n.min(lo + SCORE_BLOCK)).collect();
+                emb.gather_rows(&rows)
+            })
+            .collect();
+        EmbeddingCache {
+            stamp,
+            content_fp,
+            feat_fp,
+            candidates: candidates.to_vec(),
+            emb,
+            scores: Tensor::zeros(0, 0),
+        }
+    }
+
+    /// The cached embedding of candidate row `row`.
+    fn emb_row(&self, row: usize) -> &[f32] {
+        self.emb
+            .get(row / SCORE_BLOCK)
+            .map_or(&[], |block| block.row(row % SCORE_BLOCK))
+    }
+
+    /// The top-`k` candidates of each row of `queries * emb^T`, row `r`
+    /// excluding the `r`-th node of `excludes`. Scores are computed one
+    /// block of candidates at a time and streamed into one [`TopK`] per
+    /// query, so the working set is one block of embeddings and scores
+    /// instead of a full `queries x candidates` matrix.
+    fn rank(
+        &mut self,
+        queries: &Tensor,
+        excludes: impl IntoIterator<Item = Option<NodeId>>,
+        k: usize,
+    ) -> Vec<Vec<Recommendation>> {
+        let k = k.min(self.candidates.len());
+        let mut tops: Vec<TopK> = excludes
+            .into_iter()
+            .map(|exclude| TopK::new(k, exclude))
+            .collect();
+        for (block, nodes) in self.emb.iter().zip(self.candidates.chunks(SCORE_BLOCK)) {
+            let (rows, cols) = (queries.rows(), block.rows());
+            if self.scores.shape() != (rows, cols) {
+                let mut buf = std::mem::replace(&mut self.scores, Tensor::zeros(0, 0)).into_vec();
+                buf.resize(rows * cols, 0.0);
+                self.scores = Tensor::from_vec(rows, cols, buf);
+            }
+            queries.matmul_tb_into(block, &mut self.scores);
+            for (top, scores) in tops.iter_mut().zip(self.scores.rows_iter()) {
+                top.offer(scores, nodes);
+            }
+        }
+        tops.into_iter().map(TopK::into_ranking).collect()
+    }
 }
 
 /// Engine-owned serving data for the degraded-mode reload path.
@@ -224,16 +294,18 @@ impl<'m> ServeEngine<'m> {
         Err(e)
     }
 
-    /// The one request validator: the feature matrix must have a row per
-    /// graph node and the encoder's input width and be finite, and every
-    /// id in `nodes` must be a node of the graph.
+    /// The one request validator: the model must have a layer to read
+    /// embeddings from, the feature matrix must have a row per graph node
+    /// and the encoder's input width and be finite, and every id in
+    /// `nodes` must be a node of the graph. Returns the features' content
+    /// key, computed in the same pass as the finiteness check.
     fn validate(
         &mut self,
         graph: &HetGraph,
         features: &Tensor,
         nodes: &[NodeId],
         what: &'static str,
-    ) -> Result<(), ServeError> {
+    ) -> Result<u64, ServeError> {
         let n = graph.num_nodes();
         let (rows, cols) = features.shape();
         let width = self
@@ -242,7 +314,9 @@ impl<'m> ServeEngine<'m> {
             .node_w
             .first()
             .map_or(cols, |&w| self.model.params.value(w).shape().0);
-        let err = if rows != n {
+        let err = if self.model.cfg.layers == 0 {
+            NO_LAYERS
+        } else if rows != n {
             ServeError::ShapeMismatch {
                 what: "feature rows",
                 got: rows,
@@ -256,12 +330,13 @@ impl<'m> ServeEngine<'m> {
             }
         } else if let Some(&node) = nodes.iter().find(|s| s.index() >= n) {
             ServeError::UnknownNode { node, what }
-        } else if let Some(pos) = features.as_slice().iter().position(|v| !v.is_finite()) {
-            ServeError::NonFiniteFeatures {
-                row: pos / cols.max(1),
-            }
         } else {
-            return Ok(());
+            match feature_key(features.as_slice()) {
+                Ok(key) => return Ok(key),
+                Err(pos) => ServeError::NonFiniteFeatures {
+                    row: pos / cols.max(1),
+                },
+            }
         };
         self.fail(err)
     }
@@ -289,9 +364,8 @@ impl<'m> ServeEngine<'m> {
         graph: &HetGraph,
         features: &Tensor,
         candidates: &[NodeId],
-    ) -> Result<(&EmbeddingCache, bool), ServeError> {
-        self.validate(graph, features, candidates, "candidate")?;
-        let feat_fp = fnv1a_f32(features.as_slice());
+    ) -> Result<(&mut EmbeddingCache, bool), ServeError> {
+        let feat_fp = self.validate(graph, features, candidates, "candidate")?;
         let (cache, hit) = match self.cache.take() {
             // A changed stamp falls back to content equality: a reload of
             // identical data keeps the cache, a real mutation does not.
@@ -307,18 +381,17 @@ impl<'m> ServeEngine<'m> {
                 let embs =
                     self.model
                         .embed_in(&mut self.ctx, graph, features, candidates, self.seed);
-                let emb = embs
-                    .into_iter()
-                    .next_back()
-                    .expect("model has at least one layer");
-                self.stats.cache_rebuilds += 1;
-                let cache = EmbeddingCache {
-                    stamp: graph.sampling_stamp(),
-                    content_fp: graph.content_fingerprint(),
-                    feat_fp,
-                    candidates: candidates.to_vec(),
-                    emb,
+                let Some(emb) = embs.into_iter().next_back() else {
+                    return self.fail(NO_LAYERS);
                 };
+                self.stats.cache_rebuilds += 1;
+                let cache = EmbeddingCache::new(
+                    graph.sampling_stamp(),
+                    graph.content_fingerprint(),
+                    feat_fp,
+                    candidates,
+                    emb,
+                );
                 (cache, false)
             }
         };
@@ -339,9 +412,10 @@ impl<'m> ServeEngine<'m> {
 
     /// Top-`k` candidates for each query node already present in the
     /// candidate set (transductive). Scores are dot products between
-    /// cached last-layer embeddings, computed as one batched
-    /// `Q x d * (n x d)^T` product through the worker pool; each query's
-    /// own row is excluded from its ranking. A query outside the candidate
+    /// cached last-layer embeddings, computed as a batched
+    /// `Q x d * (n x d)^T` product through the worker pool, one block of
+    /// candidates at a time; each query's own row is excluded from its
+    /// ranking. A query outside the candidate
     /// set, malformed features, or a batch beyond the admission capacity
     /// is a typed error — nothing panics on request data.
     pub fn recommend_batch(
@@ -380,16 +454,12 @@ impl<'m> ServeEngine<'m> {
             Err(e) => return self.fail(e),
         };
         let (cache, hit) = self.cache_for(graph, features, candidates)?;
-        let mut qm = Tensor::zeros(queries.len(), cache.emb.shape().1);
+        let d = cache.emb.first().map_or(0, Tensor::cols);
+        let mut qm = Tensor::zeros(queries.len(), d);
         for (r, &row) in rows.iter().enumerate() {
-            qm.set_row(r, cache.emb.row(row));
+            qm.set_row(r, cache.emb_row(row));
         }
-        let scores = qm.matmul_tb(&cache.emb);
-        let rankings = queries
-            .iter()
-            .enumerate()
-            .map(|(r, q)| top_k(scores.row(r), &cache.candidates, Some(*q), k))
-            .collect();
+        let rankings = cache.rank(&qm, queries.iter().copied().map(Some), k);
         self.stats.queries += queries.len() as u64;
         self.stats.cache_hits += if hit { queries.len() as u64 } else { 0 };
         Ok(rankings)
@@ -449,8 +519,7 @@ impl<'m> ServeEngine<'m> {
         for (v, &bv) in h0.as_mut_slice().iter_mut().zip(b.as_slice()) {
             *v = (*v + bv).max(0.0);
         }
-        let scores = h0.matmul_tb(&cache.emb);
-        let ranking = top_k(scores.row(0), &cache.candidates, None, k);
+        let ranking = cache.rank(&h0, [None], k).pop().unwrap_or_default();
         self.stats.queries += 1;
         self.stats.cache_hits += u64::from(hit);
         Ok(ranking)
@@ -568,23 +637,161 @@ impl<'m> ServeEngine<'m> {
     }
 }
 
-/// Selects the top-`k` of one score row under [`rank_desc`], optionally
-/// excluding the query's own node.
-fn top_k(
-    scores: &[f32],
-    candidates: &[NodeId],
-    exclude: Option<NodeId>,
+/// The typed error for a model with no layer, whose last-layer embeddings
+/// do not exist.
+const NO_LAYERS: ServeError = ServeError::ShapeMismatch {
+    what: "model layers",
+    got: 0,
+    want: 1,
+};
+
+/// Exponent mask of an `f32`: all ones iff the value is NaN or ±Inf (the
+/// test `tensor::finite` uses).
+const EXP_MASK: u32 = 0x7f80_0000;
+
+/// Values per block of [`feature_key`]: eight 64-bit lanes of two values.
+const KEY_BLOCK: usize = 16;
+
+/// Odd, so multiplying by it is invertible modulo 2^64.
+const KEY_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One step of [`feature_key`]. The xor, the odd multiply and the rotate
+/// are each a bijection, both of `h` for a fixed `word` and of `word` for
+/// a fixed `h`, so changing any one input word always changes the result.
+fn mix(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(KEY_MUL).rotate_left(23)
+}
+
+/// One pass over the bit patterns of `xs`: the index of the first
+/// non-finite value, or a 64-bit content key of every bit.
+///
+/// Pairs of values form 8-byte words folded into eight independent
+/// [`mix`] lanes, so the multiplies overlap instead of forming one
+/// dependency chain per byte as in `resilience::fnv1a_f32`; the lanes and
+/// the tail then fold into one key. Every step is a bijection, so two
+/// slices of one length that differ in a single value (`0.0` against
+/// `-0.0` included) always get different keys. The key is an in-memory
+/// cache tag only; persisted fingerprints stay `fnv1a_f32`.
+fn feature_key(xs: &[f32]) -> Result<u64, usize> {
+    let mut lanes = [0u64; KEY_BLOCK / 2];
+    let mut blocks = xs.chunks_exact(KEY_BLOCK);
+    let mut offset = 0;
+    for block in blocks.by_ref() {
+        let mut bad = false;
+        for (lane, pair) in lanes.iter_mut().zip(block.chunks_exact(2)) {
+            // First value in the low half: the word is one little-endian
+            // 8-byte load, about twice as fast as the other order.
+            let word = pair.iter().rev().fold(0u64, |w, x| {
+                let bits = x.to_bits();
+                bad |= bits & EXP_MASK == EXP_MASK;
+                w << 32 | u64::from(bits)
+            });
+            *lane = mix(*lane, word);
+        }
+        if bad {
+            return Err(offset + block.iter().take_while(|x| x.is_finite()).count());
+        }
+        offset += KEY_BLOCK;
+    }
+    let tail = blocks.remainder();
+    if let Some(i) = tail.iter().position(|x| !x.is_finite()) {
+        return Err(offset + i);
+    }
+    let h = lanes.into_iter().fold(xs.len() as u64, mix);
+    Ok(tail.iter().fold(h, |h, x| mix(h, u64::from(x.to_bits()))))
+}
+
+/// Candidates per block of [`EmbeddingCache::rank`]: a 64-query batch's
+/// scores for one block (512 KiB) and the block's `d = 32` embeddings
+/// (256 KiB) stay in a core's L2 cache.
+const SCORE_BLOCK: usize = 2048;
+
+/// `f32::total_cmp` as an integer: `a.total_cmp(&b)` equals
+/// `order_key(a).cmp(&order_key(b))` (the same bit flip `total_cmp` does).
+fn order_key(x: f32) -> i32 {
+    let bits = x.to_bits() as i32;
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
+}
+
+/// A [`Recommendation`] ordered by [`rank_desc`], so the top of a max-heap
+/// of them is the worst one kept.
+#[derive(Clone, Copy, Debug)]
+struct Ranked(Recommendation);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        rank_desc(&self.0, &other.0)
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ranked {}
+
+/// The `k` best candidates offered so far for one query under
+/// [`rank_desc`], optionally excluding the query's own node: a bounded
+/// max-heap whose top is the worst kept candidate. Once it holds `k`, a
+/// candidate whose score is below the worst kept score is rejected by one
+/// integer compare, so a block of scores is one read-only scan.
+/// [`rank_desc`] is a total order under which only bit-identical entries
+/// tie, so the ranking is exactly the first `k` of a full sort.
+struct TopK {
     k: usize,
-) -> Vec<Recommendation> {
-    let mut recs: Vec<Recommendation> = scores
-        .iter()
-        .zip(candidates)
-        .filter(|(_, &n)| Some(n) != exclude)
-        .map(|(&score, &node)| Recommendation { node, score })
-        .collect();
-    recs.sort_by(rank_desc);
-    recs.truncate(k);
-    recs
+    exclude: Option<NodeId>,
+    heap: BinaryHeap<Ranked>,
+    /// [`order_key`] of the worst kept score once `k` are kept, else
+    /// `i32::MIN`: no candidate scoring below it can enter.
+    floor: i32,
+}
+
+impl TopK {
+    fn new(k: usize, exclude: Option<NodeId>) -> Self {
+        TopK {
+            k,
+            exclude,
+            heap: BinaryHeap::with_capacity(k),
+            floor: i32::MIN,
+        }
+    }
+
+    /// Offers `scores[i]` for `nodes[i]`, in order.
+    fn offer(&mut self, scores: &[f32], nodes: &[NodeId]) {
+        for (&score, &node) in scores.iter().zip(nodes) {
+            if order_key(score) < self.floor || Some(node) == self.exclude {
+                continue;
+            }
+            let rec = Ranked(Recommendation { node, score });
+            if self.heap.len() < self.k {
+                self.heap.push(rec);
+            } else if let Some(mut worst) = self.heap.peek_mut() {
+                if rec < *worst {
+                    *worst = rec;
+                }
+            }
+            if self.heap.len() == self.k {
+                self.floor = self.heap.peek().map_or(i32::MIN, |w| order_key(w.0.score));
+            }
+        }
+    }
+
+    /// The kept candidates, best first.
+    fn into_ranking(self) -> Vec<Recommendation> {
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|r| r.0)
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -789,6 +996,128 @@ mod tests {
             .recommend(&ds.graph, &ds.features, &candidates, candidates[0], 3)
             .unwrap();
         assert_eq!(ok.len(), 3);
+        // A model with no layer has no last-layer embeddings: every entry
+        // point returns one typed error instead of indexing a missing layer.
+        let flat = CateHgn::new(
+            ModelConfig {
+                layers: 0,
+                ..ModelConfig::test_tiny()
+            },
+            ds.features.cols(),
+            ds.graph.schema().num_node_types(),
+            ds.graph.schema().num_link_types(),
+        );
+        let mut eng = ServeEngine::new(&flat, 9);
+        fn layers<T: std::fmt::Debug>(r: Result<T, ServeError>) {
+            assert_eq!(r.err(), Some(NO_LAYERS));
+        }
+        let (g, f) = (&ds.graph, &ds.features);
+        layers(eng.predict(g, f, &candidates));
+        layers(eng.ensure_cache(g, f, &candidates));
+        layers(eng.recommend(g, f, &candidates, candidates[0], 3));
+        layers(eng.recommend_batch(g, f, &candidates, pair, 3));
+        layers(eng.cold_start(g, f, &candidates, paper_type, &row, 3));
+        eng.submit(candidates[0]).unwrap();
+        layers(eng.drain(g, f, &candidates, 3));
+        layers(eng.install_resident(ds.graph.clone(), ds.features.clone()));
+        assert_eq!(eng.stats().errors, 7, "one error per failed call");
+        assert_eq!(eng.stats().queries, 0);
+    }
+
+    /// splitmix64: a seeded stream for the test data below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn top_k_equals_the_first_k_of_a_full_sort() {
+        let special = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            1.0,
+        ];
+        for seed in 0..40u64 {
+            let mut st = seed;
+            let n = (splitmix(&mut st) % 40) as usize;
+            // Few distinct ids force duplicate candidates; a duplicate
+            // carries its first copy's score, as duplicate rows of one
+            // embedding matrix do.
+            let ids = 1 + splitmix(&mut st) % (n as u64 + 1);
+            let mut candidates = Vec::with_capacity(n);
+            let mut scores: Vec<f32> = Vec::with_capacity(n);
+            for _ in 0..n {
+                let node = NodeId((splitmix(&mut st) % ids) as u32);
+                let r = splitmix(&mut st);
+                let fresh = match r % 3 {
+                    0 => special[(r >> 8) as usize % special.len()],
+                    1 => ((r >> 8) % 4) as f32 * 0.5,
+                    _ => (r >> 40) as f32 / (1u64 << 24) as f32 - 0.5,
+                };
+                let prior = candidates.iter().position(|&c| c == node);
+                scores.push(prior.map_or(fresh, |i| scores[i]));
+                candidates.push(node);
+            }
+            let excludes = [None, candidates.first().copied(), Some(NodeId(u32::MAX))];
+            for exclude in excludes {
+                let mut full: Vec<Recommendation> = scores
+                    .iter()
+                    .zip(&candidates)
+                    .filter(|(_, &node)| Some(node) != exclude)
+                    .map(|(&score, &node)| Recommendation { node, score })
+                    .collect();
+                full.sort_by(rank_desc);
+                let bits = |v: &[Recommendation]| -> Vec<(u32, u32)> {
+                    v.iter().map(|r| (r.node.0, r.score.to_bits())).collect()
+                };
+                for k in 0..=n + 1 {
+                    // Offered in blocks, as a cache's blocks stream in.
+                    let block = 1 + (seed as usize + k) % 9;
+                    let mut top = TopK::new(k.min(n), exclude);
+                    for (s, c) in scores.chunks(block).zip(candidates.chunks(block)) {
+                        top.offer(s, c);
+                    }
+                    let got = top.into_ranking();
+                    let want = &full[..k.min(full.len())];
+                    assert_eq!(bits(&got), bits(want), "seed {seed} k {k} {exclude:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn feature_key_finds_the_first_non_finite_and_sees_every_value() {
+        for len in [0usize, 1, 15, 16, 17, 33, 48] {
+            let xs: Vec<f32> = (0..len).map(|i| i as f32 * 0.25 - 2.0).collect();
+            let key = feature_key(&xs).unwrap();
+            for pos in 0..len {
+                for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut ys = xs.clone();
+                    ys[pos] = bad;
+                    if let Some(last) = ys.last_mut().filter(|_| pos + 1 < len) {
+                        *last = f32::NAN;
+                    }
+                    assert_eq!(feature_key(&ys), Err(pos), "{bad} at {pos}/{len}");
+                }
+                let mut ys = xs.clone();
+                ys[pos] = -ys[pos];
+                let sign = feature_key(&ys).unwrap();
+                ys[pos] = f32::from_bits(xs[pos].to_bits() ^ 1);
+                let low_bit = feature_key(&ys).unwrap();
+                assert!(
+                    sign != key && low_bit != key,
+                    "edit at {pos}/{len} kept the key"
+                );
+            }
+        }
     }
 
     #[test]

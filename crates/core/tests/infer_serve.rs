@@ -184,6 +184,81 @@ fn content_equal_graph_reload_keeps_cache_warm() {
     assert_eq!(r1, r2);
 }
 
+/// A ranking as exact bits, so NaN and signed-zero scores compare too.
+fn rank_bits(r: &[catehgn::serve::Recommendation]) -> Vec<(u32, u32)> {
+    r.iter().map(|r| (r.node.0, r.score.to_bits())).collect()
+}
+
+/// An in-place edit of one finite feature value invalidates the cache, at
+/// either end of the matrix and for a sign-only change, and the answer is
+/// the one a fresh engine gives on the edited data. Content-equal features
+/// in a different tensor keep the cache warm.
+#[test]
+fn in_place_feature_edits_invalidate_cache() {
+    // Width 7: the matrix length is not a multiple of a 16-value block,
+    // so the last value sits in the tail of any such blocking.
+    let ds = Dataset::full(&WorldConfig::tiny(), 7);
+    let model = CateHgn::new(
+        ModelConfig::test_tiny(),
+        ds.features.cols(),
+        ds.graph.schema().num_node_types(),
+        ds.graph.schema().num_link_types(),
+    );
+    let len = ds.features.as_slice().len();
+    assert_ne!(len % 16, 0, "the last value must fall outside whole blocks");
+    let zero = ds
+        .features
+        .as_slice()
+        .iter()
+        .position(|v| v.to_bits() == 0)
+        .expect("the fixture has a +0.0 feature");
+    let candidates: Vec<NodeId> = ds.paper_nodes.iter().take(12).copied().collect();
+    let query = |eng: &mut ServeEngine, f: &Tensor| {
+        let r = eng.recommend(&ds.graph, f, &candidates, candidates[0], 5);
+        rank_bits(&r.unwrap())
+    };
+
+    let mut eng = ServeEngine::new(&model, 37);
+    let original = query(&mut eng, &ds.features);
+    let mut feats = ds.features.clone();
+    assert_eq!(query(&mut eng, &feats), original);
+    assert_eq!(
+        (eng.stats().cache_rebuilds, eng.stats().cache_hits),
+        (1, 1),
+        "content-equal features are a hit"
+    );
+    let first = feats.as_slice()[0];
+    let last = feats.as_slice()[len - 1];
+    for (pos, edited) in [(0, first + 1.0), (len - 1, last * 2.0 + 0.5), (zero, -0.0)] {
+        let old = feats.as_slice()[pos];
+        assert_ne!(old.to_bits(), edited.to_bits());
+        let rebuilds = eng.stats().cache_rebuilds;
+        feats.as_mut_slice()[pos] = edited;
+        let got = query(&mut eng, &feats);
+        assert_eq!(
+            eng.stats().cache_rebuilds,
+            rebuilds + 1,
+            "editing value {pos} must rebuild"
+        );
+        let fresh = query(&mut ServeEngine::new(&model, 37), &feats);
+        assert_eq!(got, fresh, "answer after editing value {pos} is stale");
+
+        // Restoring the value rebuilds back to the original answer, and
+        // the untouched original matrix is then a hit.
+        feats.as_mut_slice()[pos] = old;
+        assert_eq!(query(&mut eng, &feats), original);
+        assert_eq!(eng.stats().cache_rebuilds, rebuilds + 2);
+        let hits = eng.stats().cache_hits;
+        assert_eq!(query(&mut eng, &ds.features), original);
+        assert_eq!(eng.stats().cache_rebuilds, rebuilds + 2);
+        assert_eq!(
+            eng.stats().cache_hits,
+            hits + 1,
+            "restored values are a hit"
+        );
+    }
+}
+
 /// A scratch shard directory under the OS temp dir, cleaned before use.
 fn shard_dir(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -308,9 +383,6 @@ fn repeated_seeds_answer_once_per_request() {
     );
 }
 
-/// Candidate-set size for the accounting proptest.
-const CANDS: usize = 12;
-
 /// The feature matrix one call sends.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Feats {
@@ -356,6 +428,23 @@ fn node((d, i): (u8, usize)) -> (bool, usize) {
     (d != 0, i)
 }
 
+/// The candidate set of one call: `size` distinct papers (1..=all) in an
+/// order shuffled by `seed`.
+fn candidate_set(papers: &[NodeId], seed: u64, size: usize) -> Vec<NodeId> {
+    let mut set = papers.to_vec();
+    let mut state = seed;
+    for i in (1..set.len()).rev() {
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        set.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+    }
+    set.truncate(1 + size % papers.len());
+    set
+}
+
 fn call() -> impl Strategy<Value = Call> {
     let nodes = collection::vec((0u8..5, 0usize..64), 0..10);
     (0u8..6, 0u8..7, 0usize..64, nodes).prop_map(|(kind, d, i, nodes)| {
@@ -385,20 +474,11 @@ proptest! {
     #[test]
     fn serve_accounting_matches_the_calls_made(
         capacity in 0usize..=8,
-        calls in collection::vec(call(), 1..14),
+        calls in collection::vec((call(), 0u64..u64::MAX, 0usize..usize::MAX), 1..14),
     ) {
         let (model, ds) = fixture();
         let (n, cols) = ds.features.shape();
         let types = model.enc.node_w.len();
-        let candidates: Vec<NodeId> = ds.paper_nodes[..CANDS].to_vec();
-        let outsiders = &ds.paper_nodes[CANDS..];
-        let pick = |(in_set, i): (bool, usize)| {
-            if in_set {
-                candidates[i % CANDS]
-            } else {
-                outsiders[i % outsiders.len()]
-            }
-        };
         let mut nan = ds.features.clone();
         nan.as_mut_slice()[cols + 1] = f32::NAN;
         let variants = [
@@ -415,10 +495,24 @@ proptest! {
             c => (ServeEngine::with_capacity(model, 7, c), c),
         };
         let (mut errors, mut answers, mut shed) = (0u64, 0u64, 0u64);
-        // In-set flags of the admitted requests, mirroring the engine queue.
-        let mut pending: Vec<bool> = Vec::new();
+        // The admitted requests, mirroring the engine queue.
+        let mut pending: Vec<NodeId> = Vec::new();
 
-        for c in &calls {
+        for (c, set_seed, set_size) in &calls {
+            let candidates = candidate_set(&ds.paper_nodes, *set_seed, *set_size);
+            // Graph nodes outside this call's candidate set: the papers it
+            // left out and every non-paper node.
+            let outsiders: Vec<NodeId> = (0..n as u32)
+                .map(NodeId)
+                .filter(|v| !candidates.contains(v))
+                .collect();
+            let pick = |(in_set, i): (bool, usize)| {
+                if in_set {
+                    candidates[i % candidates.len()]
+                } else {
+                    outsiders[i % outsiders.len()]
+                }
+            };
             let (ok, answered, err) = match c {
                 Call::Batch(qs, k) => {
                     let queries: Vec<NodeId> = qs.iter().map(|&q| pick(q)).collect();
@@ -465,14 +559,15 @@ proptest! {
                 }
                 Call::Submit(in_set, i) => {
                     let want = pending.len() < cap;
-                    let r = eng.submit(pick((*in_set, *i)));
+                    let query = pick((*in_set, *i));
+                    let r = eng.submit(query);
                     if r.is_ok() {
-                        pending.push(*in_set);
+                        pending.push(query);
                     }
                     (want, 0, r.err())
                 }
                 Call::Drain(f) => {
-                    let want = *f == Feats::Good && pending.iter().all(|&s| s);
+                    let want = *f == Feats::Good && pending.iter().all(|q| candidates.contains(q));
                     let r = eng.drain(&ds.graph, matrix(*f), &candidates, 3);
                     if let Ok(v) = &r {
                         prop_assert_eq!(v.len(), pending.len());
