@@ -17,184 +17,14 @@
 //!
 //! The shared fixtures live here so every bench sees the same world.
 
-// bench is the sanctioned home of wall-clock timing (clippy.toml backstop).
-#![allow(clippy::disallowed_types)]
-
 use baselines::GnnConfig;
 use catehgn::{CateHgn, ModelConfig};
 use dblp_sim::{Dataset, WorldConfig};
-
-/// Counting global allocator, enabled by the `alloc-count` feature. Every
-/// `alloc`/`realloc` bumps the counters; `dealloc` is not tracked (the
-/// interesting quantity is allocation pressure, not live bytes).
-#[cfg(feature = "alloc-count")]
-pub mod alloc_count {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static BYTES: AtomicU64 = AtomicU64::new(0);
-
-    struct CountingAlloc;
-
-    // SAFETY: defers all allocation to `System`; only the counters differ.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        // SAFETY: forwards `layout` unchanged to `System.alloc`, which
-        // upholds the `GlobalAlloc` contract; the counter bumps are
-        // relaxed atomics with no memory-safety obligations.
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-        // SAFETY: `ptr`/`layout` arrive exactly as the caller obtained
-        // them from `alloc`/`realloc` above, which returned them from
-        // `System`; forwarding to `System.dealloc` is therefore valid.
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-        // SAFETY: same forwarding argument as `dealloc` — `ptr` was
-        // produced by `System` with `layout`, and `new_size` is passed
-        // through unchanged.
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    #[global_allocator]
-    static COUNTER: CountingAlloc = CountingAlloc;
-
-    /// `(allocations, bytes)` since process start.
-    pub fn snapshot() -> (u64, u64) {
-        (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
-    }
-}
-
-/// `(allocations, bytes)` since process start, or `None` when the
-/// `alloc-count` feature is off.
-pub fn alloc_snapshot() -> Option<(u64, u64)> {
-    #[cfg(feature = "alloc-count")]
-    {
-        Some(alloc_count::snapshot())
-    }
-    #[cfg(not(feature = "alloc-count"))]
-    {
-        None
-    }
-}
 
 /// The dataset used by all benches: small enough for Criterion iteration,
 /// large enough to exercise real sampling fan-outs.
 pub fn bench_dataset() -> Dataset {
     Dataset::full(&WorldConfig::tiny(), 16)
-}
-
-/// Seed-vs-pooled training-step harness shared by `bench_pr2` and the
-/// `alloc-count` regression test.
-pub mod stepbench {
-    use super::{alloc_snapshot, bench_dataset, bench_model, bench_model_cfg, CateHgn, Dataset};
-    use hetgraph::{sample_blocks, Block, NodeId};
-    use rand::Rng;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-    use std::collections::HashMap;
-    use std::time::Instant;
-    use tensor::{Graph, Optimizer, Tensor};
-
-    pub const WARMUP_STEPS: usize = 3;
-    pub const MEASURE_STEPS: usize = 12;
-
-    /// One path's measurements over [`MEASURE_STEPS`] steps.
-    pub struct StepReport {
-        /// Per-step loss bit patterns, for cross-path identity checks.
-        pub losses: Vec<u32>,
-        pub ns_per_step: f64,
-        /// `None` when the `alloc-count` feature is off.
-        pub allocs_per_step: Option<f64>,
-        pub bytes_per_step: Option<f64>,
-    }
-
-    /// One fixed batch, sampled once: both paths replay the identical
-    /// forward/backward program so allocation counts compare tape cost,
-    /// not sampling noise.
-    pub struct FixedBatch {
-        pub ds: Dataset,
-        pub blocks: Vec<Block>,
-        pub labels: Tensor,
-    }
-
-    pub fn fixed_batch() -> FixedBatch {
-        let ds = bench_dataset();
-        let cfg = bench_model_cfg(&ds);
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let batch: Vec<usize> = (0..cfg.batch_size)
-            .map(|_| ds.split.train[rng.gen_range(0..ds.split.train.len())])
-            .collect();
-        let seeds = ds.paper_nodes_of(&batch);
-        let labels = Tensor::col_vec(ds.labels_of(&batch));
-        let blocks = sample_blocks(&ds.graph, &seeds, cfg.layers, cfg.fanout, &mut rng);
-        let labels = if blocks[0].dst_nodes.len() == seeds.len() {
-            labels
-        } else {
-            let first: HashMap<NodeId, f32> =
-                seeds.iter().zip(labels.as_slice()).map(|(&n, &l)| (n, l)).rev().collect();
-            Tensor::col_vec(blocks[0].dst_nodes.iter().map(|n| first[n]).collect())
-        };
-        FixedBatch { ds, blocks, labels }
-    }
-
-    /// Runs warmup + measured training steps on the fixed batch. `reuse`
-    /// selects the pooled path (one reset tape) vs the seed path (a fresh
-    /// `Graph` per step); both paths see identical RNG streams.
-    pub fn run_training_path(fb: &FixedBatch, reuse: bool) -> StepReport {
-        let cfg = bench_model_cfg(&fb.ds);
-        let mut model: CateHgn = bench_model(&fb.ds, cfg.clone());
-        let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
-        let mut opt = Optimizer::adam(cfg.lr);
-        let mut shared = Graph::new();
-        let mut losses = Vec::new();
-        let step = |model: &mut CateHgn,
-                    shared: &mut Graph,
-                    rng: &mut ChaCha8Rng,
-                    opt: &mut Optimizer|
-         -> u32 {
-            let mut fresh;
-            let g = if reuse {
-                shared.reset();
-                shared
-            } else {
-                fresh = Graph::new();
-                &mut fresh
-            };
-            let fw = model.forward(g, &fb.ds.graph, &fb.ds.features, &fb.blocks, false);
-            let (loss, _, _) = model.hgn_loss(g, &fw, &fb.blocks, &fb.labels, rng);
-            let bits = g.value(loss).as_slice()[0].to_bits();
-            g.backward(loss);
-            opt.step_clipped(&mut model.params, g, Some(cfg.clip));
-            bits
-        };
-        for _ in 0..WARMUP_STEPS {
-            step(&mut model, &mut shared, &mut rng, &mut opt);
-        }
-        let alloc0 = alloc_snapshot();
-        let t0 = Instant::now();
-        for _ in 0..MEASURE_STEPS {
-            losses.push(step(&mut model, &mut shared, &mut rng, &mut opt));
-        }
-        let elapsed = t0.elapsed();
-        let alloc1 = alloc_snapshot();
-        let per = |a: Option<(u64, u64)>, b: Option<(u64, u64)>, pick: fn((u64, u64)) -> u64| {
-            a.zip(b).map(|(x, y)| (pick(y) - pick(x)) as f64 / MEASURE_STEPS as f64)
-        };
-        StepReport {
-            losses,
-            ns_per_step: elapsed.as_nanos() as f64 / MEASURE_STEPS as f64,
-            allocs_per_step: per(alloc0, alloc1, |s| s.0),
-            bytes_per_step: per(alloc0, alloc1, |s| s.1),
-        }
-    }
 }
 
 /// A reduced model configuration for per-step benchmarks.
@@ -212,7 +42,13 @@ pub fn bench_model_cfg(ds: &Dataset) -> ModelConfig {
 
 /// A reduced GNN baseline configuration.
 pub fn bench_gnn_cfg() -> GnnConfig {
-    GnnConfig { dim: 16, fanout: 6, batch_size: 64, steps: 1, ..GnnConfig::default() }
+    GnnConfig {
+        dim: 16,
+        fanout: 6,
+        batch_size: 64,
+        steps: 1,
+        ..GnnConfig::default()
+    }
 }
 
 /// Builds a fresh CATE-HGN for a dataset.

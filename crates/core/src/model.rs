@@ -428,7 +428,8 @@ impl CateHgn {
 
     /// [`CateHgn::predict`] on the autodiff tape. This is the historical
     /// (pre-`InferCtx`) predict path, kept as the bitwise reference the
-    /// proptests and `bench_serve` gate the tape-free path against.
+    /// `infer_serve` tests hold the tape-free path to, and the slow arm of
+    /// `bench_gates`' no-tape serving gate.
     pub fn predict_taped(
         &self,
         graph: &HetGraph,

@@ -5,11 +5,11 @@
 
 use catehgn::config::ModelConfig;
 use catehgn::model::CateHgn;
-use catehgn::serve::{ServeEngine, ServeError};
+use catehgn::serve::{rank_desc, Recommendation, ServeEngine, ServeError};
 use dblp_sim::{Dataset, WorldConfig};
 use hetgraph::{NodeId, NodeTypeId, ShardStore};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use tensor::Tensor;
 
 fn fixture() -> &'static (CateHgn, Dataset) {
@@ -26,6 +26,10 @@ fn fixture() -> &'static (CateHgn, Dataset) {
     })
 }
 
+/// Serialises the tests that set the process-wide tensor thread count,
+/// so each runs at the counts it names.
+static THREADS: Mutex<()> = Mutex::new(());
+
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -35,6 +39,9 @@ fn tape_free_paths_match_tape_bitwise_across_thread_counts() {
     let (model, ds) = fixture();
     let seeds: Vec<NodeId> = ds.paper_nodes.iter().take(20).copied().collect();
     let mut reference: Option<Vec<u32>> = None;
+    let _guard = THREADS
+        .lock()
+        .expect("no test panics while holding the lock");
     for threads in [1usize, 2, 4] {
         tensor::par::set_num_threads(threads);
         let free = model.predict(&ds.graph, &ds.features, &seeds, 17);
@@ -185,8 +192,55 @@ fn content_equal_graph_reload_keeps_cache_warm() {
 }
 
 /// A ranking as exact bits, so NaN and signed-zero scores compare too.
-fn rank_bits(r: &[catehgn::serve::Recommendation]) -> Vec<(u32, u32)> {
+fn rank_bits(r: &[Recommendation]) -> Vec<(u32, u32)> {
     r.iter().map(|r| (r.node.0, r.score.to_bits())).collect()
+}
+
+/// `recommend_batch` ranks exactly as a brute-force full sort would: every
+/// candidate scored against the query's row of the taped last-layer
+/// embeddings, the query itself excluded, ordered by `rank_desc` — bitwise
+/// and at 1, 2 and 4 tensor threads.
+#[test]
+fn recommend_batch_matches_brute_force_ranking_over_taped_embeddings() {
+    const K: usize = 10;
+    let (model, ds) = fixture();
+    let candidates = ds.paper_nodes.clone();
+    let queries: Vec<NodeId> = candidates.iter().step_by(11).take(16).copied().collect();
+    let emb = model
+        .embed_taped(&ds.graph, &ds.features, &candidates, 41)
+        .pop()
+        .expect("the model has at least one layer");
+    let expected: Vec<Vec<(u32, u32)>> = queries
+        .iter()
+        .map(|&q| {
+            let row = candidates
+                .iter()
+                .position(|&c| c == q)
+                .expect("query is a candidate");
+            let scores = Tensor::from_vec(1, emb.cols(), emb.row(row).to_vec()).matmul_tb(&emb);
+            let mut recs: Vec<Recommendation> = candidates
+                .iter()
+                .zip(scores.row(0))
+                .filter(|&(&node, _)| node != q)
+                .map(|(&node, &score)| Recommendation { node, score })
+                .collect();
+            recs.sort_by(rank_desc);
+            recs.truncate(K);
+            rank_bits(&recs)
+        })
+        .collect();
+    let _guard = THREADS
+        .lock()
+        .expect("no test panics while holding the lock");
+    for threads in [1usize, 2, 4] {
+        tensor::par::set_num_threads(threads);
+        let got = ServeEngine::new(model, 41)
+            .recommend_batch(&ds.graph, &ds.features, &candidates, &queries, K)
+            .expect("well-formed request");
+        tensor::par::set_num_threads(0);
+        let got: Vec<Vec<(u32, u32)>> = got.iter().map(|r| rank_bits(r)).collect();
+        assert_eq!(got, expected, "top-{K} diverged at {threads} threads");
+    }
 }
 
 /// An in-place edit of one finite feature value invalidates the cache, at

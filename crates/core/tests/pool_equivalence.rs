@@ -1,7 +1,8 @@
-//! PR-2 acceptance test: the pooled, long-lived-tape training path must be
-//! bitwise-identical to the seed path that builds a fresh `Graph` per batch
-//! — per-step losses and all parameters, over 3 outer rounds of
-//! Algorithm 1's HGN + CA phases.
+//! Tape equivalence on the real model: the pooled, long-lived-tape
+//! training path must be bitwise-identical to the seed path that builds a
+//! fresh `Graph` per batch, and the serial backward sweep to the
+//! branch-parallel one at any thread count — per-step losses and all
+//! parameters, over 3 outer rounds of Algorithm 1's HGN + CA phases.
 
 use catehgn::config::ModelConfig;
 use catehgn::model::CateHgn;
@@ -32,11 +33,21 @@ fn dedup_labels(seeds: &[NodeId], deduped: &[NodeId], labels: &Tensor) -> Tensor
     Tensor::col_vec(deduped.iter().map(|n| first[n]).collect())
 }
 
-/// Runs 3 outer rounds of the HGN + CA training phases. `reuse` switches
-/// between one reset tape (pooled path) and a fresh `Graph` per batch (seed
-/// path); everything else — RNG stream, batches, ops — is identical.
+/// How each training step gets its tape and sweeps it backward.
+#[derive(Clone, Copy, PartialEq)]
+enum Arm {
+    /// A fresh `Graph` per batch, branch-parallel `Graph::backward`.
+    Fresh,
+    /// One long-lived `Graph` reset per batch, `Graph::backward`.
+    Pooled,
+    /// The pooled tape swept by `Graph::backward_serial`.
+    PooledSerialBackward,
+}
+
+/// Runs 3 outer rounds of the HGN + CA training phases under `arm`;
+/// everything else — RNG stream, batches, ops — is identical across arms.
 /// Returns (per-step loss bits, final parameter bits).
-fn run(ds: &Dataset, reuse: bool) -> (Vec<u32>, Vec<Vec<u32>>) {
+fn run(ds: &Dataset, arm: Arm) -> (Vec<u32>, Vec<Vec<u32>>) {
     let cfg = ModelConfig::test_tiny();
     let mut model = CateHgn::new(
         cfg.clone(),
@@ -50,6 +61,13 @@ fn run(ds: &Dataset, reuse: bool) -> (Vec<u32>, Vec<Vec<u32>>) {
     let center_ids: BTreeSet<tensor::ParamId> = model.ca.centers.iter().copied().collect();
     let train_idx = &ds.split.train;
 
+    let backward = |g: &mut Graph, loss| {
+        if arm == Arm::PooledSerialBackward {
+            g.backward_serial(loss);
+        } else {
+            g.backward(loss);
+        }
+    };
     let mut shared = Graph::new();
     let mut losses = Vec::new();
     for _outer in 0..OUTER_ROUNDS {
@@ -62,17 +80,20 @@ fn run(ds: &Dataset, reuse: bool) -> (Vec<u32>, Vec<Vec<u32>>) {
             let blocks = sample_blocks(&ds.graph, &seeds, cfg.layers, cfg.fanout, &mut rng);
             let labels = dedup_labels(&seeds, &blocks[0].dst_nodes, &labels);
             let mut fresh;
-            let g = if reuse {
-                shared.reset();
-                &mut shared
-            } else {
+            let g = if arm == Arm::Fresh {
                 fresh = Graph::new();
                 &mut fresh
+            } else {
+                shared.reset();
+                &mut shared
             };
             let fw = model.forward(g, &ds.graph, &ds.features, &blocks, false);
             let (loss, _, _) = model.hgn_loss(g, &fw, &blocks, &labels, &mut rng);
             losses.push(g.value(loss).as_slice()[0].to_bits());
-            g.backward(loss);
+            // Long enough that `backward` takes the branch-parallel
+            // scheduler whenever more than one worker is configured.
+            assert!(g.len() >= tensor::graph::PAR_TAPE_MIN);
+            backward(g, loss);
             opt.step_clipped(&mut model.params, g, Some(cfg.clip));
         }
         for _ in 0..CA_ITERS {
@@ -81,17 +102,17 @@ fn run(ds: &Dataset, reuse: bool) -> (Vec<u32>, Vec<Vec<u32>>) {
                 .collect();
             let blocks = sample_blocks(&ds.graph, &batch, cfg.layers, cfg.fanout, &mut rng);
             let mut fresh;
-            let g = if reuse {
-                shared.reset();
-                &mut shared
-            } else {
+            let g = if arm == Arm::Fresh {
                 fresh = Graph::new();
                 &mut fresh
+            } else {
+                shared.reset();
+                &mut shared
             };
             let fw = model.forward(g, &ds.graph, &ds.features, &blocks, true);
             if let Some(loss) = model.ca_loss(g, &fw) {
                 losses.push(g.value(loss).as_slice()[0].to_bits());
-                g.backward(loss);
+                backward(g, loss);
                 ca_opt.step_filtered(&mut model.params, g, Some(cfg.clip), &center_ids);
             }
         }
@@ -107,8 +128,8 @@ fn run(ds: &Dataset, reuse: bool) -> (Vec<u32>, Vec<Vec<u32>>) {
 #[test]
 fn pooled_training_is_bitwise_identical_to_fresh_graphs() {
     let ds = Dataset::full(&WorldConfig::tiny(), 8);
-    let (losses_fresh, params_fresh) = run(&ds, false);
-    let (losses_pooled, params_pooled) = run(&ds, true);
+    let (losses_fresh, params_fresh) = run(&ds, Arm::Fresh);
+    let (losses_pooled, params_pooled) = run(&ds, Arm::Pooled);
     assert!(!losses_fresh.is_empty());
     assert_eq!(
         losses_fresh, losses_pooled,
@@ -118,4 +139,27 @@ fn pooled_training_is_bitwise_identical_to_fresh_graphs() {
         params_fresh, params_pooled,
         "final parameters must be bitwise identical across {OUTER_ROUNDS} rounds"
     );
+}
+
+/// The serial backward sweep and the branch-parallel one accumulate every
+/// gradient in the same order, so at 1 and 4 tensor threads both land on
+/// the fresh-graph reference bits.
+#[test]
+fn serial_and_parallel_backward_are_bitwise_identical_across_threads() {
+    let ds = Dataset::full(&WorldConfig::tiny(), 8);
+    let reference = run(&ds, Arm::Fresh);
+    for threads in [1usize, 4] {
+        tensor::par::set_num_threads(threads);
+        let serial = run(&ds, Arm::PooledSerialBackward);
+        let parallel = run(&ds, Arm::Pooled);
+        tensor::par::set_num_threads(0);
+        assert!(
+            serial == reference,
+            "serial backward diverged at {threads} threads"
+        );
+        assert!(
+            parallel == reference,
+            "parallel backward diverged at {threads} threads"
+        );
+    }
 }

@@ -392,8 +392,9 @@ impl<'w, W: WorldView> PaperStream<'w, W> {
     }
 
     /// Approximate live heap footprint of the generator working set
-    /// (year histogram + author tables + citation pools). This is what
-    /// `bench_scale` gates sublinear growth on.
+    /// (year histogram + author tables + citation pools). The
+    /// `prop_stream` test `generator_memory_grows_sublinearly_across_scale_tiers`
+    /// gates sublinear growth on it.
     pub fn heap_bytes(&self) -> usize {
         self.year_counts.capacity() * std::mem::size_of::<u64>()
             + self.picker.heap_bytes()

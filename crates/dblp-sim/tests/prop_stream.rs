@@ -129,3 +129,27 @@ proptest! {
         prop_assert!(heap_after(160) <= heap_after(40) + 64);
     }
 }
+
+/// Generator memory (world columns + windowed stream working set) grows
+/// sublinearly in the paper count: `WorldConfig::at_scale` grows entity
+/// tables ~sqrt(papers) and the citation pools saturate at the window
+/// (the `ScaleOptions::at_scale` one), so a 10x larger corpus may cost at
+/// most half of 10x the heap. The 10k -> 100k tiers measure ~2.7x.
+#[test]
+fn generator_memory_grows_sublinearly_across_scale_tiers() {
+    const WINDOW: usize = 4096;
+    let heap = |n_papers: usize| {
+        let world = CompactWorld::generate(&WorldConfig::at_scale(n_papers));
+        let mut stream = PaperStream::windowed(&world, WINDOW);
+        let emitted = (&mut stream).count();
+        assert_eq!(emitted, n_papers, "stream must emit every configured paper");
+        world.heap_bytes() + stream.heap_bytes()
+    };
+    let (small, large) = (10_000, 100_000);
+    let paper_ratio = large as f64 / small as f64;
+    let mem_ratio = heap(large) as f64 / heap(small) as f64;
+    assert!(
+        mem_ratio <= 0.5 * paper_ratio,
+        "generator memory grew {mem_ratio:.2}x for {paper_ratio:.0}x more papers"
+    );
+}

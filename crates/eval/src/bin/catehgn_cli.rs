@@ -233,7 +233,7 @@ fn main() {
             // impact workload through one persistent engine, then a top-K
             // recommendation sweep over the same engine's warm embedding
             // cache. Output is deterministic; throughput numbers live in
-            // `bench_serve` (results/BENCH_SERVE.json).
+            // perfbench's `serve-query` workload.
             let model_path =
                 PathBuf::from(arg("--model").unwrap_or_else(|| "catehgn-model.json".into()));
             let batch: usize = arg("--batch")

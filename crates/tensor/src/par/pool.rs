@@ -4,8 +4,7 @@
 //! Workers are spawned lazily on the first parallel region and then live
 //! for the rest of the process, parked between regions. Submitting a
 //! region costs one mutex push plus a wakeup instead of the ~30 µs/thread
-//! `std::thread::scope` spawn the previous executor paid per call
-//! (results/BENCH_PR6.json measures the difference).
+//! `std::thread::scope` spawn the previous executor paid per call.
 //!
 //! # Protocol
 //!
