@@ -75,7 +75,19 @@ impl Hgt {
         let b_in = params.add_init("in.b", 1, d, Initializer::Zeros, &mut rng);
         let w_out = params.add_init("out.w", d, 1, Initializer::XavierUniform, &mut rng);
         let b_out = params.add_init("out.b", 1, 1, Initializer::Zeros, &mut rng);
-        Hgt { cfg, params, w_in, b_in, q, k, v, mu, out, w_out, b_out }
+        Hgt {
+            cfg,
+            params,
+            w_in,
+            b_in,
+            q,
+            k,
+            v,
+            mu,
+            out,
+            w_out,
+            b_out,
+        }
     }
 }
 
@@ -109,7 +121,12 @@ impl BatchRegressor for Hgt {
             // Type-specific projections of the whole frontier: compute per
             // node type and reassemble (Q for dst positions, K/V for src).
             let mut src_types = g.scratch_idx();
-            src_types.extend(block.src_nodes.iter().map(|n| ds.graph.node_type(*n).0 as usize));
+            src_types.extend(
+                block
+                    .src_nodes
+                    .iter()
+                    .map(|n| ds.graph.node_type(*n).0 as usize),
+            );
             let kh = project_by_type(g, &self.params, &self.k[l], h, &src_types);
             let vh = project_by_type(g, &self.params, &self.v[l], h, &src_types);
             let qh = project_by_type(g, &self.params, &self.q[l], h, &src_types);
@@ -133,8 +150,7 @@ impl BatchRegressor for Hgt {
                 let s = g.scale(s, scale);
                 // Per-link-type prior: multiply scores by mu_lt.
                 let mu = g.param(&self.params, self.mu[l][lt]);
-                let ones = g.input_with(n_edges, 1, |col| col.fill(1.0));
-                let mu_col = g.matmul(ones, mu);
+                let mu_col = g.tile_row(mu, n_edges);
                 let s = g.mul(s, mu_col);
                 let v_u = g.gather_rows(vh, idx.src);
                 scores = Some(match scores {
@@ -162,7 +178,12 @@ impl BatchRegressor for Hgt {
             };
             // Node-type-specific output projection + residual.
             let mut dst_types = g.scratch_idx();
-            dst_types.extend(block.dst_nodes.iter().map(|n| ds.graph.node_type(*n).0 as usize));
+            dst_types.extend(
+                block
+                    .dst_nodes
+                    .iter()
+                    .map(|n| ds.graph.node_type(*n).0 as usize),
+            );
             let projected = project_by_type(g, &self.params, &self.out[l], agg, &dst_types);
             g.recycle_idx(dst_types);
             let mut prev_idx = g.scratch_idx();

@@ -95,14 +95,6 @@ pub fn compose<F: ForwardCtx>(g: &mut F, h_u: Var, h_e_tiled: Var, op: Compositi
     }
 }
 
-/// Broadcasts a `1 x d` link embedding to `m` rows.
-fn tile_rows<F: ForwardCtx>(g: &mut F, v: Var, m: usize) -> Var {
-    let ones = g.input_with(m, 1, |b| b.fill(1.0));
-    let tiled = g.matmul(ones, v);
-    g.free(ones);
-    tiled
-}
-
 /// Output of one layer's forward pass.
 pub struct LayerOut {
     /// `n_dst x d` next-layer node embeddings.
@@ -207,7 +199,7 @@ pub fn layer_forward<F: ForwardCtx>(
         let m = ti.src_idx.len();
         let h_u = g.gather_rows(h_src, ti.src_idx);
         let h_v_prev = g.gather_rows(h_src, ti.prev_idx);
-        let e_tiled = tile_rows(g, h_edge[ti.lt], m);
+        let e_tiled = g.tile_row(h_edge[ti.lt], m);
 
         // Eq. 3: message = W_a (phi(h_u, h_e) concat h_v).
         let phi = compose(g, h_u, e_tiled, cfg.composition);
@@ -294,7 +286,7 @@ pub fn layer_forward<F: ForwardCtx>(
         let mut segments = g.scratch_idx();
         for ta in per_type {
             let h_v = g.gather_rows(h_src, ta.active_prev);
-            let e_tiled = tile_rows(g, ta.h_e, ta.active_dst.len());
+            let e_tiled = g.tile_row(ta.h_e, ta.active_dst.len());
             let hv_he = g.concat_cols(h_v, e_tiled);
             g.free(h_v);
             g.free(e_tiled);

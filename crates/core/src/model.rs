@@ -585,10 +585,10 @@ impl CateHgn {
             let rows = per_seed(chunk, (0..deduped_len(chunk, &blocks)).collect());
             g.reset();
             let fw = self.forward(g, graph, features, &blocks, false);
-            for (l, &h) in fw.h_layers.iter().enumerate() {
+            for (layer, &h) in per_layer.iter_mut().zip(&fw.h_layers) {
                 let hv = g.value(h);
                 for &r in &rows {
-                    per_layer[l].extend_from_slice(hv.row(r));
+                    layer.extend_from_slice(hv.row(r));
                 }
             }
         }

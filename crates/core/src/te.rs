@@ -58,8 +58,8 @@ impl TextEnhancer {
     /// Cluster-oriented term initialisation (Sec. III-E1): bootstrap the
     /// top-`kappa` MLM predictions for each domain name.
     pub fn bootstrap(&mut self, kappa: usize) {
-        for (k, q) in self.domain_queries.clone().iter().enumerate() {
-            self.term_sets[k] = match q {
+        for (set, q) in self.term_sets.iter_mut().zip(&self.domain_queries) {
+            *set = match q {
                 Some(tok) => self
                     .simbert
                     .predict_masked(*tok, kappa)

@@ -122,6 +122,21 @@ pub(crate) fn mul_row(pool: &mut BufferPool, a: &Tensor, row: &Tensor) -> Tensor
     out
 }
 
+/// Broadcasts a `1 x m` row vector to `n` rows: `out[r, c] = +0.0 + v[c]`.
+/// The `+0.0` start keeps it bitwise equal to `ones(n, 1) · v`, which
+/// turns a `-0.0` entry into `+0.0`.
+pub(crate) fn tile_row(pool: &mut BufferPool, v: &Tensor, n: usize) -> Tensor {
+    let (vr, m) = v.shape();
+    assert_eq!(vr, 1, "tile_row: expected a 1x{m} row, got {vr}x{m}");
+    let mut out = pool.tensor_raw(n, m);
+    for row in out.as_mut_slice().chunks_exact_mut(m.max(1)) {
+        for (o, &x) in row.iter_mut().zip(v.as_slice()) {
+            *o = 0.0 + x;
+        }
+    }
+    out
+}
+
 /// Scales row `i` of an `n x m` tensor by `col[i]` (`col` is `n x 1`).
 pub(crate) fn mul_col(pool: &mut BufferPool, a: &Tensor, col: &Tensor) -> Tensor {
     let (n, _m) = a.shape();

@@ -97,6 +97,9 @@ enum Op {
     AddRow(Var, Var),
     /// `a (n x m) * row (1 x m)` broadcast over rows.
     MulRow(Var, Var),
+    /// `row (1 x m)` broadcast to `n x m` (the count lives in the value's
+    /// shape).
+    TileRow(Var),
     /// `a (n x m) * col (n x 1)` broadcast over columns.
     MulCol(Var, Var),
     /// `a (n x m) / col (n x 1)` broadcast over columns.
@@ -174,6 +177,7 @@ impl Op {
             &Op::Scale(a, _)
             | &Op::AddScalar(a)
             | &Op::Neg(a)
+            | &Op::TileRow(a)
             | &Op::Transpose(a)
             | &Op::Relu(a)
             | &Op::LeakyRelu(a, _)
@@ -207,6 +211,7 @@ fn op_name(op: &Op) -> &'static str {
         Op::Div(..) => "Div",
         Op::AddRow(..) => "AddRow",
         Op::MulRow(..) => "MulRow",
+        Op::TileRow(..) => "TileRow",
         Op::MulCol(..) => "MulCol",
         Op::DivCol(..) => "DivCol",
         Op::Scale(..) => "Scale",
@@ -546,6 +551,14 @@ impl Graph {
             &self.values[row.idx()],
         );
         self.push(out, Op::MulRow(a, row))
+    }
+
+    /// Broadcasts a `1 x m` row vector to `n` rows. Value and gradient are
+    /// bitwise equal to `matmul(ones(n, 1), row)`, without the ones leaf
+    /// or its gradient.
+    pub fn tile_row(&mut self, row: Var, n: usize) -> Var {
+        let out = fwd::tile_row(&mut self.pool, &self.values[row.idx()], n);
+        self.push(out, Op::TileRow(row))
     }
 
     /// Scales row `i` of an `n x m` tensor by `col[i]` (`col` is `n x 1`).
@@ -1380,6 +1393,17 @@ fn backward_worker(
     }
 }
 
+/// Writes the column sums of `g` into the `1 x m` `out`: each summed from
+/// `+0.0` in ascending row order, the order `matmul_ta` uses.
+fn col_sums_into(g: &Tensor, out: &mut Tensor) {
+    out.fill(0.0);
+    for r in g.rows_iter() {
+        for (o, &x) in out.as_mut_slice().iter_mut().zip(r) {
+            *o += x;
+        }
+    }
+}
+
 /// The backward rule of node `i`: emits each parent's gradient contribution
 /// to `sink`, in [`Op::for_each_parent`] order. Shared verbatim by the
 /// serial and parallel sweeps, so the two cannot drift apart — arithmetic
@@ -1446,15 +1470,9 @@ fn backward_op(
         }
         &Op::AddRow(a, row) => {
             sink.emit_scaled(a, g, 1.0);
-            sink.emit_with(row, &mut |out| {
-                out.fill(0.0);
-                for r in g.rows_iter() {
-                    for (o, &x) in out.as_mut_slice().iter_mut().zip(r) {
-                        *o += x;
-                    }
-                }
-            });
+            sink.emit_with(row, &mut |out| col_sums_into(g, out));
         }
+        &Op::TileRow(row) => sink.emit_with(row, &mut |out| col_sums_into(g, out)),
         &Op::MulRow(a, row) => {
             let (n, m) = values[a.idx()].shape();
             let (av, rv) = (&values[a.idx()], &values[row.idx()]);

@@ -68,6 +68,8 @@ pub trait ForwardCtx {
     fn mul(&mut self, a: Var, b: Var) -> Var;
     fn add_row(&mut self, a: Var, row: Var) -> Var;
     fn mul_row(&mut self, a: Var, row: Var) -> Var;
+    /// Broadcasts a `1 x m` row vector to `n` rows.
+    fn tile_row(&mut self, row: Var, n: usize) -> Var;
     fn mul_col(&mut self, a: Var, col: Var) -> Var;
     fn div_col(&mut self, a: Var, col: Var) -> Var;
     fn scale(&mut self, a: Var, alpha: f32) -> Var;
@@ -145,6 +147,9 @@ impl ForwardCtx for Graph {
     }
     fn mul_row(&mut self, a: Var, row: Var) -> Var {
         Graph::mul_row(self, a, row)
+    }
+    fn tile_row(&mut self, row: Var, n: usize) -> Var {
+        Graph::tile_row(self, row, n)
     }
     fn mul_col(&mut self, a: Var, col: Var) -> Var {
         Graph::mul_col(self, a, col)
@@ -322,6 +327,10 @@ impl ForwardCtx for InferCtx {
         );
         self.push(v)
     }
+    fn tile_row(&mut self, row: Var, n: usize) -> Var {
+        let v = fwd::tile_row(&mut self.pool, &self.values[row.idx()], n);
+        self.push(v)
+    }
     fn mul_col(&mut self, a: Var, col: Var) -> Var {
         let v = fwd::mul_col(
             &mut self.pool,
@@ -449,6 +458,53 @@ mod tests {
         ForwardCtx::reset(&mut ic);
         let again = run_ops(&mut ic);
         assert_eq!(want, again);
+    }
+
+    /// `tile_row` is bitwise equal to the ones-column product
+    /// `matmul(ones(n, 1), v)`: the forward (a `-0.0` entry comes out
+    /// `+0.0`), the gradient into the row, and the tape-free forward.
+    #[test]
+    fn tile_row_matches_ones_column_product_bitwise() {
+        let n = 7;
+        let row = Tensor::from_rows(&[&[-0.0, 1.5, -2.25, 0.0, f32::MIN_POSITIVE]]);
+        // Output weights of mixed sign with an all `-0.0` column: that
+        // column's gradient sum must start from `+0.0` and stay there.
+        let w = Tensor::from_vec(
+            n,
+            5,
+            (0..n * 5)
+                .map(|i| {
+                    if i % 5 == 3 {
+                        -0.0
+                    } else {
+                        i as f32 * 0.37 - 4.0
+                    }
+                })
+                .collect(),
+        );
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let run = |tile: &dyn Fn(&mut Graph, Var) -> Var| {
+            let mut g = Graph::new();
+            let v = g.input_from(&row);
+            let t = tile(&mut g, v);
+            let weighted = g.mul_const(t, &w);
+            let loss = g.sum_all(weighted);
+            g.backward(loss);
+            (bits(g.value(t)), bits(g.grad(v).unwrap()))
+        };
+        let old = run(&|g, v| {
+            let ones = g.input_with(n, 1, |b| b.fill(1.0));
+            g.matmul(ones, v)
+        });
+        let new = run(&|g, v| g.tile_row(v, n));
+        assert_eq!(new, old);
+        assert_eq!(new.0[0], 0.0f32.to_bits(), "-0.0 must tile to +0.0");
+        assert_eq!(new.1[3], 0.0f32.to_bits(), "-0.0 sums must start at +0.0");
+
+        let mut ic = InferCtx::new();
+        let v = ic.input_from(&row);
+        let t = ic.tile_row(v, n);
+        assert_eq!(bits(ic.value(t)), new.0);
     }
 
     #[test]

@@ -492,6 +492,9 @@ impl Tensor {
     /// region (one pool dispatch instead of two) and run on the packed
     /// kernels, which reuse each gathered operand panel across all row
     /// blocks — the fusion of the MatMul backward path (carried debt 5a).
+    /// A narrow product (`m == 1`) takes the outer-product and column-sum
+    /// kernels instead, at every worker count, with the same per-element
+    /// summation order.
     pub fn matmul_grads_into(&self, a: &Tensor, b: &Tensor, da: &mut Tensor, db: &mut Tensor) {
         assert_eq!(
             a.cols, b.rows,
@@ -519,12 +522,8 @@ impl Tensor {
             par::num_threads()
         };
         if workers <= 1 {
-            if n > 0 {
-                matmul_tb_block(g, bv, m, k, 0, n, &mut da.data);
-            }
-            if k > 0 {
-                matmul_ta_block(av, g, n, k, m, 0, k, &mut db.data);
-            }
+            grad_a_block(g, bv, k, m, 0, n, &mut da.data);
+            grad_b_block(av, g, n, k, m, 0, k, &mut db.data);
             return;
         }
         let (per_a, ca) = fused_row_chunks(n, workers);
@@ -541,7 +540,7 @@ impl Tensor {
                 let chunk = unsafe {
                     std::slice::from_raw_parts_mut(da_ptr.get().add(lo * k), (hi - lo) * k)
                 };
-                matmul_tb_block(g, bv, m, k, lo, hi, chunk);
+                grad_a_block(g, bv, k, m, lo, hi, chunk);
             } else {
                 let lo = (c - ca) * per_b;
                 let hi = (lo + per_b).min(k);
@@ -550,7 +549,7 @@ impl Tensor {
                 let chunk = unsafe {
                     std::slice::from_raw_parts_mut(db_ptr.get().add(lo * m), (hi - lo) * m)
                 };
-                matmul_ta_block(av, g, n, k, m, lo, hi, chunk);
+                grad_b_block(av, g, n, k, m, lo, hi, chunk);
             }
         });
     }
@@ -741,6 +740,10 @@ fn window_mut(s: &mut [f32], start: usize, len: usize) -> &mut [f32] {
 /// C[lo..hi, :] += A[lo..hi, :] * B for row-major A (n x k) and B (k x m);
 /// `out` holds rows `lo..hi` of C and arrives zeroed.
 fn matmul_block(a: &[f32], b: &[f32], k: usize, m: usize, lo: usize, hi: usize, out: &mut [f32]) {
+    if m == 1 {
+        matvec_block(a, b, k, lo, hi, out);
+        return;
+    }
     // Every hot-loop index goes through a slice whose length the
     // optimiser can see, so no bounds checks survive in the k loop.
     let mut i = lo;
@@ -980,6 +983,125 @@ fn matmul_ta_block(
             kb = ke;
         }
         i += mr;
+    }
+}
+
+// -------------------------------------------------------------------
+// Narrow kernels: the `n x k · k x 1` product and its two gradients.
+//
+// With one output column the packed tiles above keep a single live
+// column, and the scalar edge path reloads the output element on every
+// k step. These kernels sum each output element in exactly the order
+// the packed kernels do — from the zeroed output, ascending over the
+// reduction index, multiply then add — so their results are
+// bitwise-equal, just without the dead tile work.
+// -------------------------------------------------------------------
+
+/// Rows [`matvec_block`] keeps in flight: eight independent add chains,
+/// one register accumulator each.
+const NV: usize = 8;
+
+/// c[lo..hi] += A[lo..hi, :] · b for row-major A (n x k) and a k-vector
+/// b: the `m == 1` case of [`matmul_block`]. `out` holds `c[lo..hi]` and
+/// arrives zeroed, so `out[r] = +0.0 + Σ_p a[r,p]·b[p]` in ascending p.
+fn matvec_block(a: &[f32], b: &[f32], k: usize, lo: usize, hi: usize, out: &mut [f32]) {
+    if k == 0 {
+        return;
+    }
+    let b = window(b, 0, k);
+    let rows = window(a, lo * k, (hi - lo) * k);
+    let mut blocks = rows.chunks_exact(NV * k);
+    let mut outs = out.chunks_exact_mut(NV);
+    for (blk, o) in blocks.by_ref().zip(outs.by_ref()) {
+        let r: [&[f32]; NV] = std::array::from_fn(|q| window(blk, q * k, k));
+        let mut acc = [0.0f32; NV];
+        acc.copy_from_slice(o);
+        for (p, &bp) in b.iter().enumerate() {
+            for q in 0..NV {
+                acc[q] += r[q][p] * bp;
+            }
+        }
+        o.copy_from_slice(&acc);
+    }
+    for (row, o) in blocks
+        .remainder()
+        .chunks_exact(k)
+        .zip(outs.into_remainder())
+    {
+        let mut acc = *o;
+        for (&x, &bp) in row.iter().zip(b) {
+            acc += x * bp;
+        }
+        *o = acc;
+    }
+}
+
+/// dA[lo..hi, :] += g[lo..hi] · bᵀ for a gradient column g (n x 1) and
+/// b (k x 1): the `m == 1` case of [`grad_a_block`]. `out` holds rows
+/// `lo..hi` of dA and arrives zeroed, so `dA[r,p] = +0.0 + g[r]·b[p]`.
+fn outer_block(g: &[f32], b: &[f32], k: usize, lo: usize, hi: usize, out: &mut [f32]) {
+    if k == 0 {
+        return;
+    }
+    let b = window(b, 0, k);
+    for (&gr, orow) in window(g, lo, hi - lo).iter().zip(out.chunks_exact_mut(k)) {
+        for (o, &bp) in orow.iter_mut().zip(b) {
+            *o += gr * bp;
+        }
+    }
+}
+
+/// dB[lo..hi] += (Aᵀ g)[lo..hi] for row-major A (n x k) and a gradient
+/// column g (n x 1): the `m == 1` case of [`grad_b_block`]. `out` holds
+/// `dB[lo..hi]` and arrives zeroed, so `dB[p] = +0.0 + Σ_r a[r,p]·g[r]`
+/// in ascending r; each call sums over every row, so a chunk of p
+/// never splits a reduction.
+fn matvec_ta_block(
+    a: &[f32],
+    g: &[f32],
+    n: usize,
+    k: usize,
+    lo: usize,
+    hi: usize,
+    out: &mut [f32],
+) {
+    for (r, &gr) in window(g, 0, n).iter().enumerate() {
+        let arow = window(a, r * k + lo, hi - lo);
+        for (o, &x) in out.iter_mut().zip(arow) {
+            *o += x * gr;
+        }
+    }
+}
+
+/// Rows `lo..hi` of `dA = dC · Bᵀ` (dC `n x m`, B `k x m`) for the fused
+/// MatMul backward: the narrow kernel when `m == 1`, the packed one
+/// otherwise.
+fn grad_a_block(g: &[f32], b: &[f32], k: usize, m: usize, lo: usize, hi: usize, out: &mut [f32]) {
+    if m == 1 {
+        outer_block(g, b, k, lo, hi, out);
+    } else {
+        matmul_tb_block(g, b, m, k, lo, hi, out);
+    }
+}
+
+/// Rows `lo..hi` of `dB = Aᵀ · dC` (A `n x k`, dC `n x m`) for the fused
+/// MatMul backward: the narrow kernel when `m == 1`, the packed one
+/// otherwise.
+#[allow(clippy::too_many_arguments)] // internal kernel: shapes + row range
+fn grad_b_block(
+    a: &[f32],
+    g: &[f32],
+    n: usize,
+    k: usize,
+    m: usize,
+    lo: usize,
+    hi: usize,
+    out: &mut [f32],
+) {
+    if m == 1 {
+        matvec_ta_block(a, g, n, k, lo, hi, out);
+    } else {
+        matmul_ta_block(a, g, n, k, m, lo, hi, out);
     }
 }
 

@@ -94,6 +94,11 @@ proptest! {
     }
 
     #[test]
+    fn grad_tile_row(a in small_tensor(1, 4)) {
+        assert_grad_unary(&a, |g, x| { let s = g.tile_row(x, 3); weighted_sum(g, s) });
+    }
+
+    #[test]
     fn grad_mul_col(a in small_tensor(3, 4), b in small_tensor(3, 1)) {
         assert_grad_binary(&a, &b, |g, x, y| { let s = g.mul_col(x, y); weighted_sum(g, s) });
     }

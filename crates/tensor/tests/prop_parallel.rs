@@ -198,6 +198,142 @@ proptest! {
     }
 }
 
+/// Narrow `n x k · k x 1` shapes, sized so `2·n·k` clears
+/// [`par::PAR_THRESHOLD`] for every `k > 1`: the small-dimension strategy
+/// above never reaches a multi-worker narrow product.
+fn narrow() -> impl Strategy<Value = (usize, usize)> {
+    (0usize..3, 0usize..4).prop_map(|(i, j)| ([2047, 2048, 4099][i], [1, 95, 96, 97][j]))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The narrow forward and fused backward kernels bitwise-match the
+    /// references at every thread count, above the parallel threshold.
+    #[test]
+    fn narrow_products_match_references_at_all_thread_counts(
+        (n, k) in narrow(),
+        seed in 0.0f32..64.0,
+    ) {
+        let mut state = seed + 0.125;
+        let a = fill(n, k, &mut state);
+        let b = fill(k, 1, &mut state);
+        let dc = fill(n, 1, &mut state);
+        let want = reference::matmul(&a, &b);
+        let want_da = reference::matmul_tb(&dc, &b);
+        let want_db = reference::matmul_ta(&a, &dc);
+        let _guard = THREADS.lock().unwrap();
+        for t in THREAD_COUNTS {
+            par::set_num_threads(t);
+            assert_bitwise("narrow matmul", &a.matmul(&b), &want, t);
+            let mut da = Tensor::zeros(n, k);
+            let mut db = Tensor::zeros(k, 1);
+            dc.matmul_grads_into(&a, &b, &mut da, &mut db);
+            assert_bitwise("narrow dA", &da, &want_da, t);
+            assert_bitwise("narrow dB", &db, &want_db, t);
+        }
+        par::set_num_threads(0);
+    }
+}
+
+/// Bitwise equality that also accepts any NaN for a NaN: IEEE leaves the
+/// payload of a NaN result to the hardware.
+fn assert_same_bits(tag: &str, got: &[f32], want: &[f32], threads: usize) {
+    assert_eq!(got.len(), want.len(), "{tag}: length at {threads} threads");
+    for (i, (x, y)) in got.iter().zip(want).enumerate() {
+        assert!(
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+            "{tag}: element {i} differs at {threads} threads: {x:?} vs {y:?}"
+        );
+    }
+}
+
+/// Checks the narrow forward and fused backward kernels against a plain
+/// scalar loop that sums from `+0.0` in ascending index order — the order
+/// the kernels promise — at every thread count.
+fn check_narrow_against_scalar_loop(a: &Tensor, b: &Tensor, dc: &Tensor) {
+    let (n, k) = a.shape();
+    let (av, bv, gv) = (a.as_slice(), b.as_slice(), dc.as_slice());
+    let mut want = vec![0.0f32; n];
+    for (r, w) in want.iter_mut().enumerate() {
+        let mut acc = 0.0f32;
+        for p in 0..k {
+            acc += av[r * k + p] * bv[p];
+        }
+        *w = acc;
+    }
+    let mut want_da = vec![0.0f32; n * k];
+    for r in 0..n {
+        for p in 0..k {
+            want_da[r * k + p] = 0.0 + gv[r] * bv[p];
+        }
+    }
+    let mut want_db = vec![0.0f32; k];
+    for (p, w) in want_db.iter_mut().enumerate() {
+        let mut acc = 0.0f32;
+        for r in 0..n {
+            acc += av[r * k + p] * gv[r];
+        }
+        *w = acc;
+    }
+    let _guard = THREADS.lock().unwrap();
+    for t in THREAD_COUNTS {
+        par::set_num_threads(t);
+        assert_same_bits("narrow matmul", a.matmul(b).as_slice(), &want, t);
+        let mut da = Tensor::zeros(n, k);
+        let mut db = Tensor::zeros(k, 1);
+        dc.matmul_grads_into(a, b, &mut da, &mut db);
+        assert_same_bits("narrow dA", da.as_slice(), &want_da, t);
+        assert_same_bits("narrow dB", db.as_slice(), &want_db, t);
+    }
+    par::set_num_threads(0);
+}
+
+/// Signed zeros, NaN and ±Inf through the narrow kernels, one operand at
+/// a time so most outputs stay finite. The references skip zero
+/// coefficients (`0 · inf` becomes `0`, not NaN), so they cannot be the
+/// oracle here.
+#[test]
+fn narrow_products_propagate_non_finite_values_like_a_scalar_loop() {
+    let (n, k) = (2051, 97);
+    // Finite operands with exact zeros of both signs mixed in.
+    let finite = |rows: usize, cols: usize, salt: usize| {
+        let data = (0..rows * cols)
+            .map(|i| match (i * 7 + salt) % 13 {
+                0 => 0.0,
+                1 => -0.0,
+                r => r as f32 * 0.125 - 0.75,
+            })
+            .collect();
+        Tensor::from_vec(rows, cols, data)
+    };
+    let (a, b, dc) = (finite(n, k, 0), finite(k, 1, 3), finite(n, 1, 5));
+
+    // Specials in A: a NaN, a lone +Inf, an Inf - Inf row, and a row of
+    // negative zeros whose products must still sum to +0.0.
+    let mut a_special = a.clone();
+    a_special.set(0, 3, f32::NAN);
+    a_special.set(1, 4, f32::INFINITY);
+    a_special.set(2, 4, f32::NEG_INFINITY);
+    a_special.set(2, 5, f32::INFINITY);
+    a_special.row_mut(3).fill(-0.0);
+    check_narrow_against_scalar_loop(&a_special, &b, &dc);
+
+    // Specials in b: every zero in its column of A turns into a NaN.
+    let mut b_special = b.clone();
+    b_special.set(2, 0, f32::INFINITY);
+    b_special.set(9, 0, f32::NAN);
+    b_special.set(10, 0, -0.0);
+    check_narrow_against_scalar_loop(&a, &b_special, &dc);
+
+    // Specials in the output gradient.
+    let mut dc_special = dc.clone();
+    dc_special.set(6, 0, f32::NEG_INFINITY);
+    dc_special.set(7, 0, -0.0);
+    dc_special.set(2050, 0, f32::NAN);
+    check_narrow_against_scalar_loop(&a, &b, &dc_special);
+}
+
 /// 0 x N, N x 0 and 1 x 1 shapes run through the full dispatch path
 /// without panicking, at every thread count.
 #[test]

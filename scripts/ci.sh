@@ -64,6 +64,7 @@ RUSTFMT_RATCHET=(
     crates/tensor/tests/prop_pool.rs
     crates/tensor/tests/prop_parallel.rs
     crates/tensor/tests/prop_parallel_backward.rs
+    crates/tensor/tests/prop_gradients.rs
     crates/tensor/src/fwd.rs
     crates/tensor/src/infer.rs
     crates/core/src/ca.rs
@@ -109,6 +110,7 @@ RUSTFMT_RATCHET=(
     crates/lint/src/taint.rs
     crates/lint/tests/golden.rs
     crates/eval/src/case.rs
+    crates/baselines/src/hgt.rs
 )
 
 echo "== rustfmt (ratcheted file list) =="
