@@ -4,7 +4,7 @@
 //! | Gate | Slow arm | Fast arm | Floor |
 //! |---|---|---|---|
 //! | no-tape serving | per-query taped `predict` | one batched `ServeEngine::predict` | 3x |
-//! | warm cache hit | cold engine per query (full re-embed) | warm-cache `recommend` | 10x |
+//! | warm cache hit | cold engine per query (full re-embed) | warm-cache `recommend` (stamp check + scan + rank) | 10x |
 //! | lanes | `train_with`, 1 data lane | 2 and 4 data lanes | 0.95x |
 //! | prefetch pipeline | `train_with`, serial loop | `prefetch = 4` | 1.0x |
 //!
@@ -140,6 +140,8 @@ fn main() {
     );
     passed &= gate("no-tape serving", &no_tape, 3.0);
 
+    // A warm hit is a feature stamp check, a scan of the cached
+    // embeddings and the top-K; the cold arm re-embeds every candidate.
     let mut warm = ServeEngine::new(&model, SEED);
     warm.ensure_cache(graph, features, candidates)
         .expect("well-formed request");

@@ -17,10 +17,11 @@
 //! steady-state queries touch pooled buffers only. The cache is keyed by
 //! the graph's sampling stamp with a content-fingerprint fallback
 //! (a content-equal reload of the same graph keeps the cache warm), plus
-//! a feature content key and the candidate list; any mismatch rebuilds
-//! before the query is answered — a stale cache is never served. The
-//! feature key comes out of the same single pass that checks the features
-//! are finite.
+//! the features' content stamp with a content-key fallback, and the
+//! candidate list; any mismatch rebuilds before the query is answered — a
+//! stale cache is never served. The feature key comes out of the same
+//! single pass that checks the features are finite, and runs only when
+//! the features' stamp differs from the cached one.
 //!
 //! ## Failure behaviour (PR 9)
 //!
@@ -151,13 +152,17 @@ struct EmbeddingCache {
     /// (e.g. a reloaded graph) revalidates instead of rebuilding.
     content_fp: u64,
     /// Content key of the raw feature bits from [`feature_key`], computed
-    /// by the validating pass every request already makes.
+    /// by the validating pass.
     feat_fp: u64,
-    /// Candidate papers, in caller order (defines embedding rows).
+    /// [`Tensor::content_stamp`] of the last features that matched
+    /// `feat_fp`: features still carrying it match without a key pass.
+    feat_stamp: u64,
+    /// Candidate papers, in caller order (defines embedding columns).
     candidates: Vec<NodeId>,
-    /// Last-layer embeddings of `candidates`, in blocks of at most
-    /// [`SCORE_BLOCK`] rows: block `b` holds candidates
-    /// `b * SCORE_BLOCK ..`, one row each.
+    /// Last-layer embeddings of `candidates`, transposed, in blocks of at
+    /// most [`SCORE_BLOCK`] columns: block `b` is `d x len` and holds
+    /// candidates `b * SCORE_BLOCK ..`, one column each, so scoring a
+    /// block is a plain `Q x d · d x len` product.
     emb: Vec<Tensor>,
     /// Scores of the current queries against one block, reused by every
     /// block and every ranking, so a warm query allocates only its answer.
@@ -166,38 +171,53 @@ struct EmbeddingCache {
 
 impl EmbeddingCache {
     /// A cache of `emb`, the `candidates.len() x d` last-layer embeddings
-    /// of `candidates`, split into blocks.
-    fn new(stamp: u64, content_fp: u64, feat_fp: u64, candidates: &[NodeId], emb: Tensor) -> Self {
+    /// of `candidates`, split into transposed blocks.
+    fn new(
+        stamp: u64,
+        content_fp: u64,
+        feat: FeatureKey,
+        candidates: &[NodeId],
+        emb: Tensor,
+    ) -> Self {
         let n = candidates.len();
         let emb = (0..n)
             .step_by(SCORE_BLOCK)
             .map(|lo| {
                 let rows: Vec<usize> = (lo..n.min(lo + SCORE_BLOCK)).collect();
-                emb.gather_rows(&rows)
+                emb.gather_rows(&rows).transpose()
             })
             .collect();
         EmbeddingCache {
             stamp,
             content_fp,
-            feat_fp,
+            feat_fp: feat.key,
+            feat_stamp: feat.stamp,
             candidates: candidates.to_vec(),
             emb,
             scores: Tensor::zeros(0, 0),
         }
     }
 
-    /// The cached embedding of candidate row `row`.
-    fn emb_row(&self, row: usize) -> &[f32] {
-        self.emb
-            .get(row / SCORE_BLOCK)
-            .map_or(&[], |block| block.row(row % SCORE_BLOCK))
+    /// The cached embeddings of candidates `rows`, one row each: candidate
+    /// `row` is column `row % SCORE_BLOCK` of its block, read top to bottom.
+    fn gather(&self, rows: &[usize]) -> Tensor {
+        let d = self.emb.first().map_or(0, Tensor::rows);
+        let mut data = Vec::with_capacity(rows.len() * d);
+        for &row in rows {
+            let (block, col) = (self.emb.get(row / SCORE_BLOCK), row % SCORE_BLOCK);
+            let column = block.into_iter().flat_map(Tensor::rows_iter);
+            data.extend(column.filter_map(|r| r.get(col).copied()));
+        }
+        Tensor::from_vec(rows.len(), d, data)
     }
 
     /// The top-`k` candidates of each row of `queries * emb^T`, row `r`
     /// excluding the `r`-th node of `excludes`. Scores are computed one
     /// block of candidates at a time and streamed into one [`TopK`] per
     /// query, so the working set is one block of embeddings and scores
-    /// instead of a full `queries x candidates` matrix.
+    /// instead of a full `queries x candidates` matrix. Each score is
+    /// `+0.0 + Σ_p q[p]·e[p]` in ascending p, as `matmul_tb` sums it, so
+    /// the transposed layout changes no bit.
     fn rank(
         &mut self,
         queries: &Tensor,
@@ -210,13 +230,13 @@ impl EmbeddingCache {
             .map(|exclude| TopK::new(k, exclude))
             .collect();
         for (block, nodes) in self.emb.iter().zip(self.candidates.chunks(SCORE_BLOCK)) {
-            let (rows, cols) = (queries.rows(), block.rows());
+            let (rows, cols) = (queries.rows(), block.cols());
             if self.scores.shape() != (rows, cols) {
                 let mut buf = std::mem::replace(&mut self.scores, Tensor::zeros(0, 0)).into_vec();
                 buf.resize(rows * cols, 0.0);
                 self.scores = Tensor::from_vec(rows, cols, buf);
             }
-            queries.matmul_tb_into(block, &mut self.scores);
+            queries.matmul_into(block, &mut self.scores);
             for (top, scores) in tops.iter_mut().zip(self.scores.rows_iter()) {
                 top.offer(scores, nodes);
             }
@@ -298,14 +318,16 @@ impl<'m> ServeEngine<'m> {
     /// embeddings from, the feature matrix must have a row per graph node
     /// and the encoder's input width and be finite, and every id in
     /// `nodes` must be a node of the graph. Returns the features' content
-    /// key, computed in the same pass as the finiteness check.
+    /// key. Features carrying the cache's stamp are the features the
+    /// cache validated, so they take its key unread; any others take one
+    /// [`feature_key`] pass, which checks finiteness and computes the key.
     fn validate(
         &mut self,
         graph: &HetGraph,
         features: &Tensor,
         nodes: &[NodeId],
         what: &'static str,
-    ) -> Result<u64, ServeError> {
+    ) -> Result<FeatureKey, ServeError> {
         let n = graph.num_nodes();
         let (rows, cols) = features.shape();
         let width = self
@@ -331,8 +353,13 @@ impl<'m> ServeEngine<'m> {
         } else if let Some(&node) = nodes.iter().find(|s| s.index() >= n) {
             ServeError::UnknownNode { node, what }
         } else {
-            match feature_key(features.as_slice()) {
-                Ok(key) => return Ok(key),
+            let stamp = features.content_stamp();
+            let key = match self.cache.as_ref().filter(|c| c.feat_stamp == stamp) {
+                Some(cache) => Ok(cache.feat_fp),
+                None => feature_key(features.as_slice()),
+            };
+            match key {
+                Ok(key) => return Ok(FeatureKey { key, stamp }),
                 Err(pos) => ServeError::NonFiniteFeatures {
                     row: pos / cols.max(1),
                 },
@@ -365,16 +392,19 @@ impl<'m> ServeEngine<'m> {
         features: &Tensor,
         candidates: &[NodeId],
     ) -> Result<(&mut EmbeddingCache, bool), ServeError> {
-        let feat_fp = self.validate(graph, features, candidates, "candidate")?;
+        let feat = self.validate(graph, features, candidates, "candidate")?;
         let (cache, hit) = match self.cache.take() {
             // A changed stamp falls back to content equality: a reload of
             // identical data keeps the cache, a real mutation does not.
-            Some(c)
+            // Features that matched by key lend the cache their stamp, so
+            // the next request with them skips the key pass.
+            Some(mut c)
                 if c.candidates == candidates
-                    && c.feat_fp == feat_fp
+                    && c.feat_fp == feat.key
                     && (c.stamp == graph.sampling_stamp()
                         || c.content_fp == graph.content_fingerprint()) =>
             {
+                c.feat_stamp = feat.stamp;
                 (c, true)
             }
             _ => {
@@ -388,7 +418,7 @@ impl<'m> ServeEngine<'m> {
                 let cache = EmbeddingCache::new(
                     graph.sampling_stamp(),
                     graph.content_fingerprint(),
-                    feat_fp,
+                    feat,
                     candidates,
                     emb,
                 );
@@ -454,11 +484,7 @@ impl<'m> ServeEngine<'m> {
             Err(e) => return self.fail(e),
         };
         let (cache, hit) = self.cache_for(graph, features, candidates)?;
-        let d = cache.emb.first().map_or(0, Tensor::cols);
-        let mut qm = Tensor::zeros(queries.len(), d);
-        for (r, &row) in rows.iter().enumerate() {
-            qm.set_row(r, cache.emb_row(row));
-        }
+        let qm = cache.gather(&rows);
         let rankings = cache.rank(&qm, queries.iter().copied().map(Some), k);
         self.stats.queries += queries.len() as u64;
         self.stats.cache_hits += if hit { queries.len() as u64 } else { 0 };
@@ -637,6 +663,14 @@ impl<'m> ServeEngine<'m> {
     }
 }
 
+/// What [`ServeEngine::validate`] learned about a feature matrix: its
+/// content key and the content stamp it carried.
+#[derive(Clone, Copy)]
+struct FeatureKey {
+    key: u64,
+    stamp: u64,
+}
+
 /// The typed error for a model with no layer, whose last-layer embeddings
 /// do not exist.
 const NO_LAYERS: ServeError = ServeError::ShapeMismatch {
@@ -673,6 +707,8 @@ fn mix(h: u64, word: u64) -> u64 {
 /// `-0.0` included) always get different keys. The key is an in-memory
 /// cache tag only; persisted fingerprints stay `fnv1a_f32`.
 fn feature_key(xs: &[f32]) -> Result<u64, usize> {
+    #[cfg(test)]
+    KEY_PASSES.with(|c| c.set(c.get() + 1));
     let mut lanes = [0u64; KEY_BLOCK / 2];
     let mut blocks = xs.chunks_exact(KEY_BLOCK);
     let mut offset = 0;
@@ -699,6 +735,13 @@ fn feature_key(xs: &[f32]) -> Result<u64, usize> {
     }
     let h = lanes.into_iter().fold(xs.len() as u64, mix);
     Ok(tail.iter().fold(h, |h, x| mix(h, u64::from(x.to_bits()))))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`feature_key`] passes made on this thread, so a test can check
+    /// which requests read the features.
+    static KEY_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Candidates per block of [`EmbeddingCache::rank`]: a 64-query batch's
@@ -1089,6 +1132,98 @@ mod tests {
                     let want = &full[..k.min(full.len())];
                     assert_eq!(bits(&got), bits(want), "seed {seed} k {k} {exclude:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn warm_queries_read_the_features_only_when_their_stamp_moved() {
+        let (model, ds) = setup();
+        let candidates: Vec<NodeId> = ds.paper_nodes.iter().take(12).copied().collect();
+        let mut eng = ServeEngine::new(&model, 3);
+        // One recommend per case: (key passes, cache hit, rebuilds).
+        let mut run = |features: &Tensor| {
+            let (passes, stats) = (KEY_PASSES.with(|c| c.get()), eng.stats());
+            eng.recommend(&ds.graph, features, &candidates, candidates[1], 3)
+                .unwrap();
+            let after = eng.stats();
+            (
+                KEY_PASSES.with(|c| c.get()) - passes,
+                after.cache_hits - stats.cache_hits,
+                after.cache_rebuilds - stats.cache_rebuilds,
+            )
+        };
+        assert_eq!(run(&ds.features), (1, 0, 1), "cold");
+        assert_eq!(run(&ds.features), (0, 1, 0), "warm hit");
+        let clone = ds.features.clone();
+        assert_eq!(run(&clone), (0, 1, 0), "a clone");
+        let mut same = ds.features.clone();
+        let v = same.as_slice()[5];
+        same.as_mut_slice()[5] = v;
+        assert_eq!(run(&same), (1, 1, 0), "a same-bits write");
+        assert_eq!(run(&same), (0, 1, 0), "its stamp is recorded");
+        let mut edited = ds.features.clone();
+        edited.as_mut_slice()[5] += 1.0;
+        assert_eq!(run(&edited), (1, 0, 1), "a real edit");
+        assert_eq!(run(&edited), (0, 1, 0), "the rebuilt cache");
+        assert_eq!(run(&ds.features), (1, 0, 1), "the old features");
+    }
+
+    #[test]
+    fn blocked_ranking_equals_a_full_sort_across_block_edges() {
+        let d = 20;
+        let mut st = 17u64;
+        let mut values = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|_| (splitmix(&mut st) >> 40) as f32 / (1u64 << 24) as f32 - 0.5)
+                .collect()
+        };
+        let bits = |v: &[Recommendation]| -> Vec<(u32, u32)> {
+            v.iter().map(|r| (r.node.0, r.score.to_bits())).collect()
+        };
+        for n in [2047, 2048, 2049, 4097] {
+            let mut data = values(n * d);
+            // Every 97th candidate repeats candidate 0's embedding, so
+            // equal scores meet the node-id tiebreak across blocks.
+            for r in (97..n).step_by(97) {
+                let (head, tail) = data.split_at_mut(r * d);
+                tail[..d].copy_from_slice(&head[..d]);
+            }
+            let emb = Tensor::from_vec(n, d, data);
+            let candidates: Vec<NodeId> = (0..n).map(|i| NodeId((n - i) as u32 * 3)).collect();
+            let feat = FeatureKey { key: 0, stamp: 0 };
+            let mut cache = EmbeddingCache::new(0, 0, feat, &candidates, emb.clone());
+            for q in [1, 2, 3, 4, 5, 64] {
+                let queries = Tensor::from_vec(q, d, values(q * d));
+                let scores = tensor::tensor::reference::matmul_tb(&queries, &emb);
+                let excludes: Vec<Option<NodeId>> = (0..q)
+                    .map(|r| (r % 2 == 0).then(|| candidates[(r * 31) % n]))
+                    .collect();
+                let full: Vec<Vec<Recommendation>> = scores
+                    .rows_iter()
+                    .zip(&excludes)
+                    .map(|(row, &exclude)| {
+                        let mut all: Vec<Recommendation> = row
+                            .iter()
+                            .zip(&candidates)
+                            .filter(|(_, &node)| Some(node) != exclude)
+                            .map(|(&score, &node)| Recommendation { node, score })
+                            .collect();
+                        all.sort_by(rank_desc);
+                        all
+                    })
+                    .collect();
+                for threads in [1, 2, 4] {
+                    tensor::par::set_num_threads(threads);
+                    for k in [1, 10, n] {
+                        let got = cache.rank(&queries, excludes.iter().copied(), k);
+                        for (r, (got, want)) in got.iter().zip(&full).enumerate() {
+                            let want = &want[..k.min(want.len())];
+                            assert_eq!(bits(got), bits(want), "n {n} q {q}/{r} k {k} t {threads}");
+                        }
+                    }
+                }
+                tensor::par::set_num_threads(0);
             }
         }
     }

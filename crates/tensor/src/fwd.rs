@@ -267,17 +267,18 @@ pub(crate) fn segment_softmax(
         // Same arithmetic as a per-group `softmax_in_place`: per-group
         // max, exp(x - max) accumulated in index order, then normalise.
         let sv = scores.as_slice();
+        let o = out.as_mut_slice();
         for (j, &s) in segments.iter().enumerate() {
             seg_max[s] = seg_max[s].max(sv[j]);
         }
         for (j, &s) in segments.iter().enumerate() {
             let e = (sv[j] - seg_max[s]).exp();
-            out.as_mut_slice()[j] = e;
+            o[j] = e;
             seg_sum[s] += e;
         }
         for (j, &s) in segments.iter().enumerate() {
             if seg_sum[s] > 0.0 {
-                out.as_mut_slice()[j] /= seg_sum[s];
+                o[j] /= seg_sum[s];
             }
         }
     }

@@ -1474,7 +1474,7 @@ fn backward_op(
         }
         &Op::TileRow(row) => sink.emit_with(row, &mut |out| col_sums_into(g, out)),
         &Op::MulRow(a, row) => {
-            let (n, m) = values[a.idx()].shape();
+            let n = values[a.idx()].rows();
             let (av, rv) = (&values[a.idx()], &values[row.idx()]);
             sink.emit_with(a, &mut |out| {
                 out.as_mut_slice().copy_from_slice(g.as_slice());
@@ -1486,11 +1486,10 @@ fn backward_op(
             });
             sink.emit_with(row, &mut |out| {
                 out.fill(0.0);
+                let o = out.as_mut_slice();
                 for r in 0..n {
-                    let grow = g.row(r);
-                    let arow = av.row(r);
-                    for c in 0..m {
-                        out.as_mut_slice()[c] += grow[c] * arow[c];
+                    for ((d, &gc), &ac) in o.iter_mut().zip(g.row(r)).zip(av.row(r)) {
+                        *d += gc * ac;
                     }
                 }
             });
@@ -1508,8 +1507,8 @@ fn backward_op(
                 }
             });
             sink.emit_with(col, &mut |out| {
-                for r in 0..n {
-                    out.as_mut_slice()[r] = dot(g.row(r), av.row(r));
+                for (r, o) in out.as_mut_slice().iter_mut().enumerate() {
+                    *o = dot(g.row(r), av.row(r));
                 }
             });
         }
@@ -1526,9 +1525,9 @@ fn backward_op(
                 }
             });
             sink.emit_with(col, &mut |out| {
-                for r in 0..n {
+                for (r, o) in out.as_mut_slice().iter_mut().enumerate() {
                     let s = cv.as_slice()[r];
-                    out.as_mut_slice()[r] = -dot(g.row(r), av.row(r)) / (s * s);
+                    *o = -dot(g.row(r), av.row(r)) / (s * s);
                 }
             });
         }
@@ -1674,13 +1673,13 @@ fn backward_op(
         &Op::SoftmaxRows(a) => {
             let y = &values[i];
             sink.emit_with(a, &mut |out| {
-                let (n, m) = out.shape();
+                let n = out.rows();
                 for r in 0..n {
                     let yr = y.row(r);
                     let gr = g.row(r);
                     let s = dot(yr, gr);
-                    for c in 0..m {
-                        out.row_mut(r)[c] = yr[c] * (gr[c] - s);
+                    for ((o, &yc), &gc) in out.row_mut(r).iter_mut().zip(yr).zip(gr) {
+                        *o = yc * (gc - s);
                     }
                 }
             });
@@ -1737,8 +1736,9 @@ fn backward_op(
                 sdot[s] += y[j] * gs[j];
             }
             sink.emit_with(*a, &mut |out| {
+                let o = out.as_mut_slice();
                 for (j, &s) in segments.iter().enumerate() {
-                    out.as_mut_slice()[j] = y[j] * (gs[j] - sdot[s]);
+                    o[j] = y[j] * (gs[j] - sdot[s]);
                 }
             });
             sink.scratch().give(sdot);
@@ -1746,20 +1746,20 @@ fn backward_op(
         &Op::RowwiseDot(a, b) => {
             let (av, bv) = (&values[a.idx()], &values[b.idx()]);
             sink.emit_with(a, &mut |out| {
-                let (n, m) = out.shape();
+                let n = out.rows();
                 for r in 0..n {
                     let gv = g.as_slice()[r];
-                    for c in 0..m {
-                        out.row_mut(r)[c] = gv * bv.get(r, c);
+                    for (o, &x) in out.row_mut(r).iter_mut().zip(bv.row(r)) {
+                        *o = gv * x;
                     }
                 }
             });
             sink.emit_with(b, &mut |out| {
-                let (n, m) = out.shape();
+                let n = out.rows();
                 for r in 0..n {
                     let gv = g.as_slice()[r];
-                    for c in 0..m {
-                        out.row_mut(r)[c] = gv * av.get(r, c);
+                    for (o, &x) in out.row_mut(r).iter_mut().zip(av.row(r)) {
+                        *o = gv * x;
                     }
                 }
             });
@@ -1796,7 +1796,7 @@ fn backward_op(
             // (i, k, c)-ascending loop — the per-entry sums visit terms in
             // the same order as a single fused loop would.
             let (av, bv) = (&values[a.idx()], &values[b.idx()]);
-            let (n, d) = av.shape();
+            let n = av.rows();
             let k = bv.rows();
             sink.emit_with(a, &mut |out| {
                 out.fill(0.0);
@@ -1806,8 +1806,9 @@ fn backward_op(
                         if gv == 0.0 {
                             continue;
                         }
-                        for c in 0..d {
-                            out.row_mut(i_)[c] += gv * (av.get(i_, c) - bv.get(k_, c));
+                        let (arow, brow) = (av.row(i_), bv.row(k_));
+                        for ((o, &x), &c) in out.row_mut(i_).iter_mut().zip(arow).zip(brow) {
+                            *o += gv * (x - c);
                         }
                     }
                 }
@@ -1820,8 +1821,9 @@ fn backward_op(
                         if gv == 0.0 {
                             continue;
                         }
-                        for c in 0..d {
-                            out.row_mut(k_)[c] -= gv * (av.get(i_, c) - bv.get(k_, c));
+                        let (arow, brow) = (av.row(i_), bv.row(k_));
+                        for ((o, &x), &c) in out.row_mut(k_).iter_mut().zip(arow).zip(brow) {
+                            *o -= gv * (x - c);
                         }
                     }
                 }
@@ -1844,9 +1846,10 @@ fn backward_op(
         &Op::ColSlice(a, j) => {
             sink.emit_with(a, &mut |out| {
                 out.fill(0.0);
-                let n = out.rows();
+                let (n, m) = out.shape();
+                let o = out.as_mut_slice();
                 for r in 0..n {
-                    out.row_mut(r)[j] = g.as_slice()[r];
+                    o[r * m + j] = g.as_slice()[r];
                 }
             });
         }

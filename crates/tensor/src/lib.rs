@@ -52,6 +52,7 @@ pub mod optim;
 pub mod par;
 pub mod params;
 pub mod pool;
+mod stamped;
 #[allow(clippy::module_inception)] // `tensor::tensor::Tensor` is re-exported flat below
 pub mod tensor;
 

@@ -2,27 +2,33 @@
 //! kernels that do not participate in automatic differentiation.
 //!
 //! [`Tensor`] is deliberately minimal: a shape `(rows, cols)` and a flat
-//! `Vec<f32>`. Vectors are represented as `n x 1` (column) or `1 x n` (row)
-//! tensors. All differentiable computation lives in [`crate::graph`], which
-//! stores its node values as `Tensor`s and calls back into these kernels.
+//! `Vec<f32>` under a content stamp. Vectors are represented as `n x 1`
+//! (column) or `1 x n` (row) tensors. All differentiable computation lives
+//! in [`crate::graph`], which stores its node values as `Tensor`s and
+//! calls back into these kernels.
 
 use std::fmt;
 
 use crate::par;
+use crate::stamped::Stamped;
 
 /// A dense, row-major, 2-dimensional `f32` tensor.
+///
+/// Every tensor carries a [content stamp](Tensor::content_stamp): equal
+/// stamps imply equal content, so a consumer can revalidate a cached
+/// result without reading the data.
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    data: Stamped,
 }
 
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor({}x{})", self.rows, self.cols)?;
         if self.len() <= 16 {
-            write!(f, " {:?}", self.data)?;
+            write!(f, " {:?}", self.as_slice())?;
         }
         Ok(())
     }
@@ -34,7 +40,7 @@ impl Tensor {
         Tensor {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: Stamped::new(vec![0.0; rows * cols]),
         }
     }
 
@@ -43,7 +49,7 @@ impl Tensor {
         Tensor {
             rows,
             cols,
-            data: vec![value; rows * cols],
+            data: Stamped::new(vec![value; rows * cols]),
         }
     }
 
@@ -63,7 +69,11 @@ impl Tensor {
             "buffer length {} != {rows}x{cols}",
             data.len()
         );
-        Tensor { rows, cols, data }
+        Tensor {
+            rows,
+            cols,
+            data: Stamped::new(data),
+        }
     }
 
     /// Builds a column vector (`n x 1`).
@@ -72,7 +82,7 @@ impl Tensor {
         Tensor {
             rows: n,
             cols: 1,
-            data,
+            data: Stamped::new(data),
         }
     }
 
@@ -82,7 +92,7 @@ impl Tensor {
         Tensor {
             rows: 1,
             cols: n,
-            data,
+            data: Stamped::new(data),
         }
     }
 
@@ -98,15 +108,16 @@ impl Tensor {
         Tensor {
             rows: r,
             cols: c,
-            data,
+            data: Stamped::new(data),
         }
     }
 
     /// The identity matrix of size `n`.
     pub fn eye(n: usize) -> Self {
         let mut t = Self::zeros(n, n);
+        let data = t.as_mut_slice();
         for i in 0..n {
-            t.data[i * n + i] = 1.0;
+            data[i * n + i] = 1.0;
         }
         t
     }
@@ -152,7 +163,19 @@ impl Tensor {
 
     /// Consumes the tensor, returning the flat buffer.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        self.data.into_vec()
+    }
+
+    /// Identifies this tensor's content state, as
+    /// `HetGraph::sampling_stamp` does for a graph: two tensors report
+    /// the same stamp only if one is a clone of the other and neither
+    /// has been borrowed mutably since, so equal stamps imply equal
+    /// content. Every construction and every mutable borrow of the data
+    /// (including ones that write the same bits back) draws a fresh
+    /// stamp. Equality and serde ignore it.
+    #[inline]
+    pub fn content_stamp(&self) -> u64 {
+        self.data.stamp()
     }
 
     /// Element access.
@@ -203,13 +226,13 @@ impl Tensor {
         let data = self
             .data
             .iter()
-            .zip(&other.data)
+            .zip(other.data.iter())
             .map(|(&a, &b)| f(a, b))
             .collect();
         Tensor {
             rows: self.rows,
             cols: self.cols,
-            data,
+            data: Stamped::new(data),
         }
     }
 
@@ -236,7 +259,7 @@ impl Tensor {
     /// In-place `self += other`.
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape(), other.shape(), "shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += b;
         }
     }
@@ -244,7 +267,7 @@ impl Tensor {
     /// In-place `self += alpha * other` (axpy).
     pub fn add_scaled(&mut self, other: &Tensor, alpha: f32) {
         assert_eq!(self.shape(), other.shape(), "shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += alpha * b;
         }
     }
@@ -256,7 +279,7 @@ impl Tensor {
 
     /// In-place multiplication by a scalar.
     pub fn scale_assign(&mut self, alpha: f32) {
-        for a in &mut self.data {
+        for a in self.data.iter_mut() {
             *a *= alpha;
         }
     }
@@ -266,13 +289,13 @@ impl Tensor {
         Tensor {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            data: Stamped::new(self.data.iter().map(|&x| f(x)).collect()),
         }
     }
 
     /// Applies `f` to every element in place.
     pub fn map_assign(&mut self, f: impl Fn(f32) -> f32) {
-        for a in &mut self.data {
+        for a in self.data.iter_mut() {
             *a = f(*a);
         }
     }
@@ -326,7 +349,7 @@ impl Tensor {
         Tensor {
             rows: self.rows,
             cols: 1,
-            data,
+            data: Stamped::new(data),
         }
     }
 
@@ -341,7 +364,7 @@ impl Tensor {
         Tensor {
             rows: 1,
             cols: self.cols,
-            data: out,
+            data: Stamped::new(out),
         }
     }
 
@@ -382,7 +405,7 @@ impl Tensor {
         Tensor {
             rows: n,
             cols: m,
-            data: out,
+            data: Stamped::new(out),
         }
     }
 
@@ -405,7 +428,7 @@ impl Tensor {
         Tensor {
             rows: n,
             cols: m,
-            data: out,
+            data: Stamped::new(out),
         }
     }
 
@@ -428,7 +451,7 @@ impl Tensor {
         Tensor {
             rows: n,
             cols: m,
-            data: out,
+            data: Stamped::new(out),
         }
     }
 
@@ -565,7 +588,7 @@ impl Tensor {
         Tensor {
             rows: self.cols,
             cols: self.rows,
-            data: out,
+            data: Stamped::new(out),
         }
     }
 
@@ -579,9 +602,10 @@ impl Tensor {
             self.cols,
             self.rows
         );
+        let dst = out.as_mut_slice();
         for r in 0..self.rows {
             for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+                dst[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
     }
@@ -600,7 +624,7 @@ impl Tensor {
         Tensor {
             rows: indices.len(),
             cols: self.cols,
-            data,
+            data: Stamped::new(data),
         }
     }
 
@@ -616,19 +640,19 @@ impl Tensor {
         Tensor {
             rows: self.rows,
             cols,
-            data,
+            data: Stamped::new(data),
         }
     }
 
     /// Vertical concatenation `[self; other]`.
     pub fn concat_rows(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.cols, "concat_rows col mismatch");
-        let mut data = self.data.clone();
+        let mut data = self.data.to_vec();
         data.extend_from_slice(&other.data);
         Tensor {
             rows: self.rows + other.rows,
             cols: self.cols,
-            data,
+            data: Stamped::new(data),
         }
     }
 
@@ -1446,6 +1470,74 @@ mod tests {
         assert!((n.row(0)[0] - 0.6).abs() < 1e-6);
         assert!((n.row(0)[1] - 0.8).abs() < 1e-6);
         assert_eq!(n.row(1), &[0.0, 0.0]); // zero row untouched
+    }
+
+    #[test]
+    fn content_stamp_changes_on_every_mutation_path() {
+        let base = Tensor::from_rows(&[&[1.0, -2.0], &[0.5, 4.0]]);
+        let twin = Tensor::from_rows(&[&[1.0, -2.0], &[0.5, 4.0]]);
+        assert_ne!(base.content_stamp(), twin.content_stamp(), "fresh tensors");
+        assert_ne!(
+            Tensor::zeros(2, 2).content_stamp(),
+            Tensor::zeros(2, 2).content_stamp()
+        );
+        assert_eq!(base.content_stamp(), base.content_stamp(), "reads");
+        let other = twin.clone();
+        type Mutation<'a> = (&'a str, &'a dyn Fn(&mut Tensor));
+        let mutations: [Mutation; 15] = [
+            ("as_mut_slice", &|t| {
+                let v = t.get(0, 0);
+                t.as_mut_slice()[0] = v; // the same bits
+            }),
+            ("row_mut", &|t| t.row_mut(1)[0] = 3.0),
+            ("set", &|t| t.set(0, 1, 7.0)),
+            ("set_row", &|t| t.set_row(0, &[0.0, 1.0])),
+            ("fill", &|t| t.fill(2.0)),
+            ("map_assign", &|t| t.map_assign(|x| x)),
+            ("add_assign", &|t| t.add_assign(&other)),
+            ("add_scaled", &|t| t.add_scaled(&other, 0.0)),
+            ("scale_assign", &|t| t.scale_assign(1.0)),
+            ("matmul_into", &|t| other.matmul_into(&other, t)),
+            ("matmul_tb_into", &|t| other.matmul_tb_into(&other, t)),
+            ("matmul_ta_into", &|t| other.matmul_ta_into(&other, t)),
+            ("matmul_grads_into da", &|t| {
+                other.matmul_grads_into(&other, &other, t, &mut Tensor::zeros(2, 2))
+            }),
+            ("matmul_grads_into db", &|t| {
+                other.matmul_grads_into(&other, &other, &mut Tensor::zeros(2, 2), t)
+            }),
+            ("transpose_into", &|t| other.transpose_into(t)),
+        ];
+        for (name, mutate) in mutations {
+            // A clone shares the stamp until either side is mutated, and
+            // mutating one side leaves the other's stamp alone.
+            let mut t = base.clone();
+            assert_eq!(t.content_stamp(), base.content_stamp(), "{name}: clone");
+            mutate(&mut t);
+            assert_ne!(t.content_stamp(), base.content_stamp(), "{name}");
+            let kept = t.clone();
+            let stamp = t.content_stamp();
+            mutate(&mut t);
+            assert_ne!(t.content_stamp(), stamp, "{name}: second mutation");
+            assert_eq!(kept.content_stamp(), stamp, "{name}: untouched clone");
+        }
+        assert_eq!(base.content_stamp(), base.clone().content_stamp());
+    }
+
+    #[test]
+    fn equality_and_serde_ignore_the_content_stamp() {
+        let a = Tensor::from_rows(&[&[1.0, -0.0], &[f32::MIN_POSITIVE, 4.0]]);
+        let b = Tensor::from_vec(2, 2, a.as_slice().to_vec());
+        assert_ne!(a.content_stamp(), b.content_stamp());
+        assert_eq!(a, b);
+        let json = serde_json::to_string(&a).unwrap();
+        let mut other = a.clone();
+        other.as_mut_slice();
+        assert_eq!(json, serde_json::to_string(&other).unwrap());
+        let back: Tensor = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, a);
+        assert_ne!(back.content_stamp(), a.content_stamp(), "fresh on load");
+        assert_ne!(back.content_stamp(), other.content_stamp());
     }
 
     #[test]

@@ -32,7 +32,8 @@
 #      suite and the serving suite (the `catehgn` crate's `infer_serve`
 #      integration tests and `serve::` unit tests: tape-free equivalence,
 #      cache staleness, degraded reload, typed errors and the accounting
-#      proptest), which tier-1's root-package run never reaches.
+#      proptest) with the `tensor` unit tests behind its content-stamp
+#      cache check, which tier-1's root-package run never reaches.
 #      Next come the owning-crate suites behind the timing gates and the
 #      scale path: pooled, serial and branch-parallel tape equivalence,
 #      lane and prefetch determinism across thread counts, sublinear
@@ -61,6 +62,7 @@ RUSTFMT_RATCHET=(
     crates/tensor/src/par/mod.rs
     crates/tensor/src/par/pool.rs
     crates/tensor/src/tensor.rs
+    crates/tensor/src/stamped.rs
     crates/tensor/tests/prop_pool.rs
     crates/tensor/tests/prop_parallel.rs
     crates/tensor/tests/prop_parallel_backward.rs
@@ -158,10 +160,12 @@ cargo test -q -p catehgn --test resilience
 
 # The serving engine lives in the `catehgn` crate, which tier-1's
 # root-package run never tests: run its integration suite and its
-# in-module unit tests here.
+# in-module unit tests here, plus the `tensor` unit tests, which pin the
+# content-stamp contract the engine's cache check relies on.
 echo "== serving suite (ServeEngine: equivalence, cache, typed errors, accounting) =="
 cargo test -q -p catehgn --test infer_serve
 cargo test -q -p catehgn --lib serve::
+cargo test -q -p tensor --lib
 
 # The deterministic halves of the timing gates below, and the scale
 # path's checks, live in the suites of the crates that own the code;
