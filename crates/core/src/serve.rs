@@ -51,6 +51,23 @@ pub struct Recommendation {
     pub score: f32,
 }
 
+/// The first id in `nodes` that is `>= n`. A warm request pays only a
+/// branch-free max over the ids; the search that names the first
+/// offender runs once that max is out of range.
+fn first_out_of_range(nodes: &[NodeId], n: usize) -> Option<NodeId> {
+    let max = nodes.iter().fold(0, |m, v| m.max(v.0));
+    if (max as usize) < n {
+        return None;
+    }
+    nodes.iter().copied().find(|v| v.index() >= n)
+}
+
+/// `a == b` for id lists, as one xor-or fold with no early exit, so a
+/// cache-hit check over many candidates runs at vector speed.
+fn same_ids(a: &[NodeId], b: &[NodeId]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).fold(0, |acc, (x, y)| acc | (x.0 ^ y.0)) == 0
+}
+
 /// Deterministic total order for ranked candidates: descending score under
 /// [`f32::total_cmp`], ascending node id as the tiebreak. Equal or NaN
 /// scores can never reorder output across runs or thread counts.
@@ -350,7 +367,7 @@ impl<'m> ServeEngine<'m> {
                 got: cols,
                 want: width,
             }
-        } else if let Some(&node) = nodes.iter().find(|s| s.index() >= n) {
+        } else if let Some(node) = first_out_of_range(nodes, n) {
             ServeError::UnknownNode { node, what }
         } else {
             let stamp = features.content_stamp();
@@ -399,7 +416,7 @@ impl<'m> ServeEngine<'m> {
             // Features that matched by key lend the cache their stamp, so
             // the next request with them skips the key pass.
             Some(mut c)
-                if c.candidates == candidates
+                if same_ids(&c.candidates, candidates)
                     && c.feat_fp == feat.key
                     && (c.stamp == graph.sampling_stamp()
                         || c.content_fp == graph.content_fingerprint()) =>
@@ -1039,6 +1056,20 @@ mod tests {
             .recommend(&ds.graph, &ds.features, &candidates, candidates[0], 3)
             .unwrap();
         assert_eq!(ok.len(), 3);
+        // Several out-of-range candidates: the error names the first one
+        // in request order, not the largest or the smallest id.
+        let past = ds.graph.num_nodes() as u32;
+        let mut stray = candidates.clone();
+        stray.insert(3, NodeId(past + 2));
+        stray.push(NodeId(past + 9));
+        stray.push(NodeId(past));
+        match eng.ensure_cache(&ds.graph, &ds.features, &stray) {
+            Err(ServeError::UnknownNode { node, what }) => {
+                assert_eq!(node, NodeId(past + 2));
+                assert_eq!(what, "candidate");
+            }
+            other => panic!("expected UnknownNode, got {other:?}"),
+        }
         // A model with no layer has no last-layer embeddings: every entry
         // point returns one typed error instead of indexing a missing layer.
         let flat = CateHgn::new(

@@ -76,9 +76,10 @@ pub fn sample_blocks_traced<R: Rng>(
 ) -> (Vec<Block>, Vec<LinkTypeId>) {
     let mut blocks = Vec::with_capacity(hops);
     let mut consulted = vec![false; g.schema().num_link_types()];
-    let mut frontier: Vec<NodeId> = dedup_preserve_order(seeds);
+    let mut index = vec![ABSENT; g.num_nodes()];
+    let mut frontier: Vec<NodeId> = dedup_preserve_order(seeds, &mut index);
     for _ in 0..hops {
-        let block = sample_one_hop(g, &frontier, fanout, rng, &mut consulted);
+        let block = sample_one_hop(g, &frontier, fanout, rng, &mut consulted, &mut index);
         frontier = block.src_nodes.clone();
         blocks.push(block);
     }
@@ -91,28 +92,56 @@ pub fn sample_blocks_traced<R: Rng>(
     (blocks, types)
 }
 
+/// Empty slot of the sampler's dense membership index.
+const ABSENT: u32 = u32::MAX;
+
+/// Position of `v` in `list`, appending it first when its `index` slot is
+/// [`ABSENT`]. An id outside the index (a seed beyond the graph) is
+/// appended every time; the sampler's `node_type` read rejects it.
+#[inline]
+fn intern(index: &mut [u32], list: &mut Vec<NodeId>, v: NodeId) -> u32 {
+    match index.get_mut(v.index()) {
+        Some(slot) if *slot != ABSENT => *slot,
+        slot => {
+            let pos = list.len() as u32;
+            list.push(v);
+            if let Some(slot) = slot {
+                *slot = pos;
+            }
+            pos
+        }
+    }
+}
+
+/// Returns every slot of `nodes` to [`ABSENT`], so clearing costs what
+/// filling did rather than one pass over the whole graph.
+fn clear_slots(index: &mut [u32], nodes: &[NodeId]) {
+    for v in nodes {
+        if let Some(slot) = index.get_mut(v.index()) {
+            *slot = ABSENT;
+        }
+    }
+}
+
 fn sample_one_hop<R: Rng>(
     g: &HetGraph,
     dst: &[NodeId],
     fanout: usize,
     rng: &mut R,
     consulted: &mut [bool],
+    index: &mut [u32],
 ) -> Block {
     let n_link_types = g.schema().num_link_types();
     let mut src_nodes: Vec<NodeId> = Vec::with_capacity(dst.len() * 2);
-    // Membership-only map (never iterated — output order comes from the
-    // `src_nodes` push order), so the BTreeMap swap from the old HashMap
-    // is bitwise-invisible; it just keeps the crate free of
-    // nondeterministic-iteration containers.
-    let mut src_index: BTreeMap<NodeId, u32> = BTreeMap::new();
-    // Destinations first so dst_in_src is the identity prefix.
-    for &v in dst {
-        src_index.entry(v).or_insert_with(|| {
-            src_nodes.push(v);
-            (src_nodes.len() - 1) as u32
-        });
-    }
-    let dst_in_src: Vec<u32> = dst.iter().map(|v| src_index[v]).collect();
+    // `index` maps a node id to its position in `src_nodes` (one slot per
+    // graph node, `ABSENT` when not yet sampled this hop). It is only read
+    // and written per id, never iterated, so output order is the
+    // `src_nodes` push order. Destinations go first, so `dst_in_src` is
+    // the identity prefix.
+    let dst_in_src: Vec<u32> = dst
+        .iter()
+        .map(|&v| intern(index, &mut src_nodes, v))
+        .collect();
 
     let mut edges_by_type = vec![Vec::new(); n_link_types];
     for (dst_pos, &v) in dst.iter().enumerate() {
@@ -129,34 +158,26 @@ fn sample_one_hop<R: Rng>(
             if nbrs.is_empty() {
                 continue;
             }
-            let push = |edges: &mut Vec<BlockEdge>,
-                        src_nodes: &mut Vec<NodeId>,
-                        src_index: &mut BTreeMap<NodeId, u32>,
-                        u: u32,
-                        w: f32| {
-                let uid = NodeId(u);
-                let src_pos = *src_index.entry(uid).or_insert_with(|| {
-                    src_nodes.push(uid);
-                    (src_nodes.len() - 1) as u32
-                });
+            let edges = &mut edges_by_type[lt.0 as usize];
+            let mut push = |u: u32, w: f32| {
                 edges.push(BlockEdge {
-                    src_pos,
+                    src_pos: intern(index, &mut src_nodes, NodeId(u)),
                     dst_pos: dst_pos as u32,
                     weight: w,
                 });
             };
-            let edges = &mut edges_by_type[lt.0 as usize];
             if nbrs.len() <= fanout {
                 for (&u, &w) in nbrs.iter().zip(ws) {
-                    push(edges, &mut src_nodes, &mut src_index, u, w);
+                    push(u, w);
                 }
             } else {
                 for i in index_sample(rng, nbrs.len(), fanout) {
-                    push(edges, &mut src_nodes, &mut src_index, nbrs[i], ws[i]);
+                    push(nbrs[i], ws[i]);
                 }
             }
         }
     }
+    clear_slots(index, &src_nodes);
     Block {
         dst_nodes: dst.to_vec(),
         src_nodes,
@@ -330,15 +351,13 @@ fn hash_seeds(seeds: &[NodeId]) -> u64 {
     h
 }
 
-fn dedup_preserve_order(nodes: &[NodeId]) -> Vec<NodeId> {
-    // Membership set only; output order is the input's first-seen order.
-    let mut seen = std::collections::BTreeSet::new();
+/// `nodes` without repeats, in first-seen order; leaves `index` clear.
+fn dedup_preserve_order(nodes: &[NodeId], index: &mut [u32]) -> Vec<NodeId> {
     let mut out = Vec::with_capacity(nodes.len());
     for &v in nodes {
-        if seen.insert(v) {
-            out.push(v);
-        }
+        intern(index, &mut out, v);
     }
+    clear_slots(index, &out);
     out
 }
 
@@ -468,6 +487,154 @@ mod tests {
                     && x.dst_in_src == y.dst_in_src
                     && x.edges_by_type == y.edges_by_type
             })
+    }
+
+    /// The sampler as it was before the dense index: a `BTreeMap`
+    /// membership map per hop and a `BTreeSet` seed dedup. Kept as the
+    /// oracle for the equivalence test below.
+    fn reference_sample_blocks<R: Rng>(
+        g: &HetGraph,
+        seeds: &[NodeId],
+        hops: usize,
+        fanout: usize,
+        rng: &mut R,
+    ) -> (Vec<Block>, Vec<LinkTypeId>) {
+        let mut consulted = vec![false; g.schema().num_link_types()];
+        let mut seen = std::collections::BTreeSet::new();
+        let mut frontier: Vec<NodeId> = seeds.iter().copied().filter(|&v| seen.insert(v)).collect();
+        let mut blocks = Vec::new();
+        for _ in 0..hops {
+            let mut src_nodes: Vec<NodeId> = Vec::new();
+            let mut src_index: BTreeMap<NodeId, u32> = BTreeMap::new();
+            let mut pos_of = |src_nodes: &mut Vec<NodeId>, v: NodeId| {
+                *src_index.entry(v).or_insert_with(|| {
+                    src_nodes.push(v);
+                    (src_nodes.len() - 1) as u32
+                })
+            };
+            let dst_in_src: Vec<u32> = frontier
+                .iter()
+                .map(|&v| pos_of(&mut src_nodes, v))
+                .collect();
+            let mut edges_by_type = vec![Vec::new(); g.schema().num_link_types()];
+            for (dst_pos, &v) in frontier.iter().enumerate() {
+                for lt in g.schema().link_type_ids() {
+                    if g.schema().link_type(lt).src != g.node_type(v) {
+                        continue;
+                    }
+                    consulted[lt.0 as usize] = true;
+                    let (nbrs, ws) = (g.neighbors(v, lt), g.weights(v, lt));
+                    if nbrs.is_empty() {
+                        continue;
+                    }
+                    let picks: Vec<usize> = if nbrs.len() <= fanout {
+                        (0..nbrs.len()).collect()
+                    } else {
+                        index_sample(rng, nbrs.len(), fanout).into_iter().collect()
+                    };
+                    for i in picks {
+                        let src_pos = pos_of(&mut src_nodes, NodeId(nbrs[i]));
+                        edges_by_type[lt.0 as usize].push(BlockEdge {
+                            src_pos,
+                            dst_pos: dst_pos as u32,
+                            weight: ws[i],
+                        });
+                    }
+                }
+            }
+            let block = Block {
+                dst_nodes: frontier.clone(),
+                src_nodes,
+                dst_in_src,
+                edges_by_type,
+            };
+            frontier = block.src_nodes.clone();
+            blocks.push(block);
+        }
+        let types = (0..consulted.len())
+            .filter(|&i| consulted[i])
+            .map(|i| LinkTypeId(i as u8))
+            .collect();
+        (blocks, types)
+    }
+
+    /// Random publication graph with `isolated` link-free nodes of every
+    /// type mixed in.
+    fn random_graph(seed: u64, isolated: usize) -> HetGraph {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut s = Schema::new();
+        let paper = s.add_node_type("paper");
+        let author = s.add_node_type("author");
+        let term = s.add_node_type("term");
+        let cites = s.add_link_type("cites", paper, paper);
+        let (writes, _) = s.add_link_type_pair("writes", "written_by", author, paper);
+        let (contains, _) = s.add_link_type_pair("contains", "contained_in", paper, term);
+        let mut b = HetGraphBuilder::new(s);
+        let papers = b.add_nodes(paper, 40);
+        b.add_nodes(paper, isolated);
+        let authors = b.add_nodes(author, 15);
+        b.add_nodes(author, isolated);
+        let terms = b.add_nodes(term, 10);
+        b.add_nodes(term, isolated);
+        for &p in &papers {
+            for _ in 0..rng.gen_range(0..12) {
+                let q = papers[rng.gen_range(0..papers.len())];
+                b.add_link(cites, p, q, rng.gen_range(0.1f32..2.0));
+            }
+            for _ in 0..rng.gen_range(0..4) {
+                let a = authors[rng.gen_range(0..authors.len())];
+                b.add_link_with_reverse(writes, a, p, 1.0);
+            }
+            for _ in 0..rng.gen_range(0..6) {
+                let t = terms[rng.gen_range(0..terms.len())];
+                b.add_link_with_reverse(contains, p, t, rng.gen_range(0.1f32..1.0));
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn dense_index_sampler_matches_btreemap_reference() {
+        for graph_seed in 0..4u64 {
+            let g = random_graph(graph_seed, graph_seed as usize * 3);
+            let n = g.num_nodes() as u32;
+            let mut pick = ChaCha8Rng::seed_from_u64(100 + graph_seed);
+            for case in 0..24u64 {
+                // Duplicate seeds on purpose: ids drawn with replacement,
+                // and the first seed repeated at the end.
+                let mut seeds: Vec<NodeId> = (0..pick.gen_range(1..9))
+                    .map(|_| NodeId(pick.gen_range(0..n)))
+                    .collect();
+                seeds.push(seeds[0]);
+                let hops = 1 + (case % 3) as usize;
+                // Below, around and above the typical degree.
+                let fanout = [1, 2, 3, 5, 8, 64][(case % 6) as usize];
+                let mut r_ref = ChaCha8Rng::seed_from_u64(case);
+                let mut r_new = ChaCha8Rng::seed_from_u64(case);
+                let (want, want_types) =
+                    reference_sample_blocks(&g, &seeds, hops, fanout, &mut r_ref);
+                let (got, got_types) = sample_blocks_traced(&g, &seeds, hops, fanout, &mut r_new);
+                assert!(blocks_eq(&want, &got), "graph {graph_seed} case {case}");
+                assert_eq!(want_types, got_types, "consulted types");
+                let words = |r: &mut ChaCha8Rng| [r.next_u32(), r.next_u32(), r.next_u32()];
+                assert_eq!(words(&mut r_ref), words(&mut r_new), "RNG state");
+
+                // Through the cache: a miss, then a hit from the same state.
+                let mut cache = BlockCache::new(4);
+                for expect in [(0, 1), (1, 1)] {
+                    let mut r_ref = ChaCha8Rng::seed_from_u64(case);
+                    let mut r_c = ChaCha8Rng::seed_from_u64(case);
+                    let (want, _) = reference_sample_blocks(&g, &seeds, hops, fanout, &mut r_ref);
+                    let got = cache.sample(&g, &seeds, hops, fanout, &mut r_c);
+                    assert!(
+                        blocks_eq(&want, &got),
+                        "cached graph {graph_seed} case {case}"
+                    );
+                    assert_eq!(words(&mut r_ref), words(&mut r_c), "cached RNG state");
+                    assert_eq!(cache.stats(), expect);
+                }
+            }
+        }
     }
 
     #[test]

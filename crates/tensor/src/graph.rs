@@ -2040,6 +2040,44 @@ mod tests {
     }
 
     #[test]
+    fn circ_corr_forward_and_gradients_match_one_dot_per_output() {
+        use crate::tensor::tests::{conv_windowed_ref, corr_windowed_ref, kernel_rows};
+        for d in [8, 16, 32, 33, 100] {
+            // Random rows only: the specials would make the loss NaN.
+            let rows: Vec<Vec<f32>> = kernel_rows(d, 7 * d as u64).into_iter().take(3).collect();
+            let stack = |rot: usize| {
+                let data = (0..rows.len())
+                    .flat_map(|r| rows[(r + rot) % rows.len()].clone())
+                    .collect();
+                Tensor::from_vec(rows.len(), d, data)
+            };
+            let (at, bt, up) = (stack(0), stack(1), stack(2));
+            let mut g = Graph::new();
+            let a = g.input(at.clone());
+            let b = g.input(bt.clone());
+            let c = g.circ_corr(a, b);
+            // d loss / d c = `up` exactly: sum_all seeds ones, mul_const
+            // scales them by `up`.
+            let weighted = g.mul_const(c, &up);
+            let loss = g.sum_all(weighted);
+            g.backward(loss);
+            let mut win = vec![0.0; 2 * d - 1];
+            let (mut fwd, mut da, mut db) = (vec![0.0; d], vec![0.0; d], vec![0.0; d]);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for r in 0..rows.len() {
+                fill_corr_window(bt.row(r), &mut win);
+                corr_windowed_ref(at.row(r), &win, &mut fwd);
+                corr_windowed_ref(up.row(r), &win, &mut da);
+                fill_conv_window(at.row(r), &mut win);
+                conv_windowed_ref(up.row(r), &win, &mut db);
+                assert_eq!(bits(g.value(c).row(r)), bits(&fwd), "forward d={d}");
+                assert_eq!(bits(g.grad(a).unwrap().row(r)), bits(&da), "da d={d}");
+                assert_eq!(bits(g.grad(b).unwrap().row(r)), bits(&db), "db d={d}");
+            }
+        }
+    }
+
+    #[test]
     fn backward_requires_scalar() {
         let mut g = Graph::new();
         let a = g.input(Tensor::zeros(2, 2));

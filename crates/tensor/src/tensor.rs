@@ -1269,31 +1269,87 @@ pub fn circular_correlation(a: &[f32], b: &[f32], out: &mut [f32]) {
 
 /// [`circular_correlation`] against a pre-doubled window: `win` must hold
 /// `b` followed by `b[..d-1]` (length `2d - 1`), so every rotation of `b`
-/// is a contiguous slice and the inner sum becomes a branch-free [`dot`].
+/// is a contiguous slice and output `k` is `dot(a, win[k..k + d])`.
+///
+/// Outputs are computed in blocks of 16 (then 8, then one at a time).
+/// For term `i` of the block starting at output `k0`, the window slice
+/// `win[k0 + i..][..16]` is contiguous, so one broadcast of `a[i]` feeds
+/// 16 independent outputs and the adds no longer wait on each other. Each
+/// output still accumulates exactly [`dot`]'s terms in [`dot`]'s order,
+/// so every bit matches.
 pub fn circular_correlation_windowed(a: &[f32], win: &[f32], out: &mut [f32]) {
     let d = a.len();
     debug_assert_eq!(win.len(), 2 * d.max(1) - 1);
     debug_assert_eq!(out.len(), d);
-    // `windows(d)` yields exactly `d` starts (0..=d-1): rotation `k` of
-    // `b` is the window at offset `k`.
-    for (o, w) in out.iter_mut().zip(win.windows(d.max(1))) {
-        *o = dot(a, w);
-    }
+    windowed_dots(a, win, out);
 }
 
 /// [`circular_convolution`](crate::circular_convolution) against a
 /// pre-reversed doubled window: `win[i] = a[(d - 1 - i).rem_euclid(d)]`
 /// (length `2d - 1`), i.e. `rev(a)` followed by `rev(a)[..d-1]`. Each
 /// output then reads `out[m] = dot(g, win[d-1-m .. 2d-1-m])`.
+///
+/// Blocked like [`circular_correlation_windowed`], over window starts
+/// `s` ascending; the dot at start `s` lands in `out[d - 1 - s]`.
 pub fn circular_convolution_windowed(g: &[f32], win: &[f32], out: &mut [f32]) {
     let d = g.len();
     debug_assert_eq!(win.len(), 2 * d.max(1) - 1);
     debug_assert_eq!(out.len(), d);
-    // Output `m` reads the window starting at `d - 1 - m`, i.e. the
-    // windows in reverse order.
-    for (o, w) in out.iter_mut().zip(win.windows(d.max(1)).rev()) {
-        *o = dot(g, w);
+    // Window starts ascending are the outputs descending: fill position
+    // `s` with the dot at start `s`, then reverse into `out[d - 1 - s]`.
+    windowed_dots(g, win, out);
+    out.reverse();
+}
+
+/// `out[s] = dot(x, win[s..s + d])` for every `s`, in blocks of 16
+/// outputs, then one of 8, then one [`dot`] per output.
+#[inline(always)]
+fn windowed_dots(x: &[f32], win: &[f32], out: &mut [f32]) {
+    let mut s0 = 0;
+    let mut wide = out.chunks_exact_mut(16);
+    for block in wide.by_ref() {
+        windowed_dots_n::<16>(x, win.get(s0..).unwrap_or_default(), block);
+        s0 += 16;
     }
+    let mut narrow = wide.into_remainder().chunks_exact_mut(8);
+    for block in narrow.by_ref() {
+        windowed_dots_n::<8>(x, win.get(s0..).unwrap_or_default(), block);
+        s0 += 8;
+    }
+    let rest = win.windows(x.len().max(1)).skip(s0);
+    for (o, w) in narrow.into_remainder().iter_mut().zip(rest) {
+        *o = dot(x, w);
+    }
+}
+
+/// `out[s] = dot(x, win[s..s + d])` for the `B` starts of one block,
+/// bitwise equal to [`dot`]: term `i` of every output goes to lane
+/// `i % 4`, the lanes combine as `(s0 + s1) + (s2 + s3)`, and the `d % 4`
+/// tail terms follow in order.
+#[inline(always)]
+fn windowed_dots_n<const B: usize>(x: &[f32], win: &[f32], out: &mut [f32]) {
+    let mut lanes = [[0.0f32; B]; 4];
+    let mut x4 = x.chunks_exact(4);
+    // Chunk `c` reads the `B`-wide slices starting at `4c .. 4c + 3`.
+    for (cx, w) in x4.by_ref().zip(win.windows(B + 3).step_by(4)) {
+        for ((lane, &xi), wi) in lanes.iter_mut().zip(cx).zip(w.windows(B)) {
+            for (acc, &y) in lane.iter_mut().zip(wi) {
+                *acc += xi * y;
+            }
+        }
+    }
+    let [l0, l1, l2, l3] = &lanes;
+    let mut s = [0.0f32; B];
+    for (v, (((p0, p1), p2), p3)) in s.iter_mut().zip(l0.iter().zip(l1).zip(l2).zip(l3)) {
+        *v = (p0 + p1) + (p2 + p3);
+    }
+    let tail = x4.remainder();
+    for (&xi, w) in tail.iter().zip(win.windows(B).skip(x.len() - tail.len())) {
+        for (v, &y) in s.iter_mut().zip(w) {
+            *v += xi * y;
+        }
+    }
+    out.copy_from_slice(&s);
 }
 
 /// Fills `win` (length `2d - 1`) with `b` doubled for
@@ -1322,7 +1378,7 @@ pub fn fill_conv_window(a: &[f32], win: &mut [f32]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1551,6 +1607,82 @@ mod tests {
             out,
             [4.0 + 10.0 + 18.0, 5.0 + 12.0 + 12.0, 6.0 + 8.0 + 15.0]
         );
+    }
+
+    /// One-`dot`-per-output reference for [`circular_correlation_windowed`].
+    pub(crate) fn corr_windowed_ref(a: &[f32], win: &[f32], out: &mut [f32]) {
+        let d = a.len();
+        for (o, w) in out.iter_mut().zip(win.windows(d.max(1))) {
+            *o = dot(a, w);
+        }
+    }
+
+    /// One-`dot`-per-output reference for [`circular_convolution_windowed`].
+    pub(crate) fn conv_windowed_ref(g: &[f32], win: &[f32], out: &mut [f32]) {
+        let d = g.len();
+        for (o, w) in out.iter_mut().zip(win.windows(d.max(1)).rev()) {
+            *o = dot(g, w);
+        }
+    }
+
+    /// Rows for kernel equality checks: random values, then the same rows
+    /// salted with signed zeros, NaN, infinities and subnormals.
+    pub(crate) fn kernel_rows(d: usize, seed: u64) -> Vec<Vec<f32>> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let specials = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 8.0,
+            -f32::MIN_POSITIVE / 3.0,
+            f32::MAX,
+        ];
+        let mut rows = Vec::new();
+        for r in 0..6 {
+            let mut row: Vec<f32> = (0..d).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            if r >= 3 {
+                for (j, v) in row.iter_mut().enumerate() {
+                    if (j + r) % 3 == 0 {
+                        *v = specials[(j * 7 + r) % specials.len()];
+                    }
+                }
+            }
+            rows.push(row);
+        }
+        // All-signed-zero rows pin the sign of a zero sum.
+        rows.push(vec![-0.0; d]);
+        rows.push(
+            (0..d)
+                .map(|j| if j % 2 == 0 { -0.0 } else { 0.0 })
+                .collect(),
+        );
+        rows
+    }
+
+    #[test]
+    fn blocked_windowed_kernels_are_bitwise_equal_to_one_dot_per_output() {
+        let dims = (1..=40).chain([64, 100, 128]);
+        for d in dims {
+            let rows = kernel_rows(d, d as u64);
+            let mut win = vec![0.0; 2 * d - 1];
+            let (mut got, mut want) = (vec![0.0; d], vec![0.0; d]);
+            for a in &rows {
+                for b in &rows {
+                    fill_corr_window(b, &mut win);
+                    circular_correlation_windowed(a, &win, &mut got);
+                    corr_windowed_ref(a, &win, &mut want);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "correlation d={d}");
+                    fill_conv_window(b, &mut win);
+                    circular_convolution_windowed(a, &win, &mut got);
+                    conv_windowed_ref(a, &win, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "convolution d={d}");
+                }
+            }
+        }
     }
 }
 

@@ -37,8 +37,9 @@
 #      Next come the owning-crate suites behind the timing gates and the
 #      scale path: pooled, serial and branch-parallel tape equivalence,
 #      lane and prefetch determinism across thread counts, sublinear
-#      generator memory, shard round-trip and selective load, and
-#      per-link-type cache invalidation.
+#      generator memory, shard round-trip and selective load,
+#      per-link-type cache invalidation, and the sampler's unit tests
+#      (blocks and RNG state equal to the ordered-map reference sampler).
 #      Between tier-1 and the timing gates, three CLI smokes drill the
 #      resilience path end to end: halt/resume fingerprint equality, a
 #      real `kill -TERM` mid-training with bitwise resume, and the shard
@@ -91,6 +92,7 @@ RUSTFMT_RATCHET=(
     crates/hetgraph/src/sampling.rs
     crates/hetgraph/src/shard.rs
     crates/hetgraph/tests/prop_shard.rs
+    crates/hetgraph/tests/prop_graph.rs
     crates/bench/src/bin/bench_gates.rs
     crates/bench/tests/alloc_ratio.rs
     crates/lint/src/allowlist.rs
@@ -175,6 +177,7 @@ cargo test -q -p catehgn --test pool_equivalence --test batch_parallel --test pr
 cargo test -q -p dblp-sim --test prop_stream
 cargo test -q -p hetgraph --test prop_graph
 cargo test -q -p hetgraph --lib shard::
+cargo test -q -p hetgraph --lib sampling::
 
 # Kill-and-resume drill through the real CLI: a run halted at step 20 and
 # resumed in a fresh process must print the same params/report
