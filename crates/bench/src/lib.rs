@@ -1,33 +1,19 @@
-//! # bench — Criterion benchmarks, one per paper table/figure
+//! # bench — shared fixtures for the timing gates
 //!
-//! Each bench target regenerates a miniature version of its experiment so
-//! `cargo bench` exercises the exact code path behind every reported
-//! number, and measures the dominant computational kernel of that
-//! experiment:
-//!
-//! | Target | Paper artifact | What is measured |
-//! |---|---|---|
-//! | `table1_datasets` | Table I | dataset generation + assembly per variant |
-//! | `table2_main` | Table II | one training step of each model family |
-//! | `fig4_ablation` | Fig. 4(a) | forward+backward per ablation variant |
-//! | `fig4_hparams` | Fig. 4(b,c) | CA/TE cost vs `K` and `kappa` |
-//! | `table3_casestudy` | Table III | impact-and-cluster readout |
-//! | `fig5_termmining` | Fig. 5 | MLM bootstrap + voting refinement |
-//! | `components` | Sec. III-F analysis | compositions, sampling, attention, params |
-//!
-//! The shared fixtures live here so every bench sees the same world.
+//! `bench_gates` (the timing floors `scripts/ci.sh` ends in) and the
+//! `alloc_ratio` allocation gate both build their world from these
+//! fixtures, so every gate sees the same dataset and model shape.
 
-use baselines::GnnConfig;
 use catehgn::{CateHgn, ModelConfig};
 use dblp_sim::{Dataset, WorldConfig};
 
-/// The dataset used by all benches: small enough for Criterion iteration,
+/// The dataset used by all gates: small enough to time many repetitions,
 /// large enough to exercise real sampling fan-outs.
 pub fn bench_dataset() -> Dataset {
     Dataset::full(&WorldConfig::tiny(), 16)
 }
 
-/// A reduced model configuration for per-step benchmarks.
+/// A reduced model configuration for per-step timing.
 pub fn bench_model_cfg(ds: &Dataset) -> ModelConfig {
     ModelConfig {
         dim: 16,
@@ -37,17 +23,6 @@ pub fn bench_model_cfg(ds: &Dataset) -> ModelConfig {
         heads_node: 2,
         heads_link: 2,
         ..ModelConfig::default()
-    }
-}
-
-/// A reduced GNN baseline configuration.
-pub fn bench_gnn_cfg() -> GnnConfig {
-    GnnConfig {
-        dim: 16,
-        fanout: 6,
-        batch_size: 64,
-        steps: 1,
-        ..GnnConfig::default()
     }
 }
 

@@ -789,6 +789,43 @@ mod tests {
         assert_eq!(m1.num_weights(), m2.num_weights());
         assert!(m1.num_weights() > 0);
     }
+
+    #[test]
+    fn shared_transformation_keeps_per_link_type_cost_below_rgcn() {
+        // The counterpart of R-GCN's per-relation claim
+        // (`rgcn::tests::per_relation_weights_dominate_parameter_count`):
+        // an eighth link type costs R-GCN one d x d matrix per layer, but
+        // CATE-HGN only its link encoder (one d x d + bias, shared by all
+        // layers) and `heads_node` attention vectors of 3d per layer.
+        fn growth(cfg: &ModelConfig) -> usize {
+            let weights =
+                |n_link_types| CateHgn::new(cfg.clone(), 8, 4, n_link_types).num_weights();
+            weights(8) - weights(7)
+        }
+        // d = 16 with two heads is the timing fixtures' model; d = 100 with
+        // ten heads is the paper's.
+        for (d, heads_node) in [(16, 2), (100, 10)] {
+            let cfg = ModelConfig {
+                dim: d,
+                heads_node,
+                ..ModelConfig::default()
+            };
+            let layers = cfg.layers;
+            let per_layer = heads_node * 3 * d;
+            assert_eq!(growth(&cfg), d * d + d + layers * per_layer);
+            assert!(
+                growth(&cfg) < layers * d * d,
+                "d = {d}, heads = {heads_node}"
+            );
+            // Each extra layer adds a term linear in d per link type,
+            // where R-GCN adds another d x d matrix.
+            let deeper = ModelConfig {
+                layers: layers + 1,
+                ..cfg.clone()
+            };
+            assert_eq!(growth(&deeper) - growth(&cfg), per_layer);
+        }
+    }
 }
 
 #[cfg(test)]

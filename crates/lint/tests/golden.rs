@@ -356,7 +356,12 @@ fn classify_scope_matrix() {
         classify("crates/lint/tests/fixtures/panic_viol.rs"),
         FileClass::Skip
     );
-    assert_eq!(classify("vendor/criterion/src/lib.rs"), FileClass::Skip);
+    // A benches dir is audited like tests and examples.
+    assert_eq!(
+        classify("crates/bench/benches/kernels.rs"),
+        FileClass::Support
+    );
+    assert_eq!(classify("vendor/proptest/src/lib.rs"), FileClass::Skip);
     assert_eq!(classify("target/debug/build/out.rs"), FileClass::Skip);
     assert_eq!(classify("crates/core/README.md"), FileClass::Skip);
 }
