@@ -121,27 +121,22 @@ impl Cart {
     pub fn predict(&self, x: &Tensor) -> Vec<f32> {
         (0..x.rows()).map(|r| self.predict_row(x.row(r))).collect()
     }
+}
 
-    /// Number of tree nodes (for complexity checks).
-    pub fn size(&self) -> usize {
-        self.nodes.len()
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    /// Tree depth.
-    pub fn depth(&self) -> usize {
+    /// Depth of the fitted tree, in node levels.
+    fn depth(t: &Cart) -> usize {
         fn d(nodes: &[Node], i: usize) -> usize {
             match &nodes[i] {
                 Node::Leaf(_) => 1,
                 Node::Split { left, right, .. } => 1 + d(nodes, *left).max(d(nodes, *right)),
             }
         }
-        if self.nodes.is_empty() { 0 } else { d(&self.nodes, 0) }
+        if t.nodes.is_empty() { 0 } else { d(&t.nodes, 0) }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn fits_a_step_function_exactly() {
@@ -155,7 +150,7 @@ mod tests {
         let rmse = catehgn::rmse(&preds, &y);
         assert!(rmse < 0.5, "rmse {rmse}");
         // max_depth split levels yield at most max_depth + 1 node levels.
-        assert!(t.depth() <= 4);
+        assert!(depth(&t) <= 4);
     }
 
     #[test]
@@ -165,7 +160,7 @@ mod tests {
         let y: Vec<f32> = (0..n).map(|i| (i % 7) as f32).collect();
         let x = Tensor::from_vec(n, 1, xs);
         let t = Cart::fit(&x, &y, CartConfig { max_depth: 2, min_leaf: 4, n_thresholds: 8 });
-        assert!(t.depth() <= 3);
+        assert!(depth(&t) <= 3);
     }
 
     #[test]
@@ -173,7 +168,7 @@ mod tests {
         let x = Tensor::from_vec(20, 2, (0..40).map(|i| i as f32).collect());
         let y = vec![5.0; 20];
         let t = Cart::fit(&x, &y, CartConfig::default());
-        assert_eq!(t.size(), 1);
+        assert_eq!(t.nodes.len(), 1);
         assert_eq!(t.predict_row(&[0.0, 0.0]), 5.0);
     }
 

@@ -14,7 +14,6 @@ pub struct Mlp {
     pub params: Params,
     weights: Vec<ParamId>,
     biases: Vec<ParamId>,
-    dims: Vec<usize>,
 }
 
 impl Mlp {
@@ -42,12 +41,7 @@ impl Mlp {
                 &mut rng,
             ));
         }
-        Mlp { params, weights, biases, dims: dims.to_vec() }
-    }
-
-    /// Input feature width.
-    pub fn in_dim(&self) -> usize {
-        self.dims[0]
+        Mlp { params, weights, biases }
     }
 
     /// Builds the forward computation for a batch `x` (`n x in_dim`).
@@ -146,7 +140,6 @@ mod tests {
     #[test]
     fn shapes_and_determinism() {
         let mlp = Mlp::new(&[4, 8, 8, 1], 7);
-        assert_eq!(mlp.in_dim(), 4);
         let x = Tensor::ones(3, 4);
         let (a, b) = (mlp.predict(&x), mlp.predict(&x));
         assert_eq!(a.len(), 3);

@@ -58,8 +58,9 @@ impl Rgcn {
         Rgcn { cfg, params, w_in, b_in, w_rel, w_self, w_out, b_out }
     }
 
-    /// Number of scalar weights — used by the params/memory contrast bench
-    /// against CATE-HGN's shared transformation.
+    /// Number of scalar weights — the per-relation cost the test
+    /// `model::tests::shared_transformation_keeps_per_link_type_cost_below_rgcn`
+    /// holds CATE-HGN's shared transformation under.
     pub fn num_weights(&self) -> usize {
         self.params.num_weights()
     }

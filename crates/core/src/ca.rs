@@ -42,10 +42,6 @@ impl CaParams {
             .collect();
         CaParams { centers, masks }
     }
-
-    pub fn n_clusters(&self, params: &Params) -> usize {
-        params.value(self.centers[0]).rows()
-    }
 }
 
 /// Eq. 16: Student-t soft assignment of every row of `h` to each center.

@@ -153,11 +153,6 @@ impl ModelConfig {
         Self::default()
     }
 
-    /// Config for the CA-HGN variant.
-    pub fn ca_hgn() -> Self {
-        ModelConfig { ablation: Ablation::ca_hgn(), ..Self::default() }
-    }
-
     /// Config for the plain HGN variant.
     pub fn hgn() -> Self {
         ModelConfig { ablation: Ablation::hgn_only(), ..Self::default() }
@@ -190,8 +185,8 @@ mod tests {
     fn variants_flip_expected_flags() {
         let full = ModelConfig::cate_hgn();
         assert!(full.ablation.ca && full.ablation.te && full.ablation.mi);
-        let ca = ModelConfig::ca_hgn();
-        assert!(ca.ablation.ca && !ca.ablation.te);
+        let ca = Ablation::ca_hgn();
+        assert!(ca.ca && !ca.te);
         let hgn = ModelConfig::hgn();
         assert!(!hgn.ablation.ca && !hgn.ablation.te);
         assert!(hgn.ablation.mi && hgn.ablation.attention);

@@ -54,7 +54,7 @@ pub mod train;
 
 pub use config::{Ablation, Composition, ModelConfig};
 pub use model::{CateHgn, ForwardOut};
-pub use predict::{case_study, cluster_domain_agreement, CaseStudy, RankedNode};
+pub use predict::{case_study, CaseStudy, RankedNode};
 pub use incremental::{adapt, rolling_update, IncrementalReport};
 pub use resilience::{
     params_fingerprint, report_fingerprint, CheckpointError, CheckpointManager, Fault, FaultPlan,

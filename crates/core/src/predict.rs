@@ -100,41 +100,6 @@ pub fn case_study(model: &CateHgn, ds: &Dataset, top_n: usize) -> CaseStudy {
     }
 }
 
-/// Cluster-to-domain agreement score: for nodes whose ground-truth domain
-/// is known (authors: primary domain; venues: domain; quality terms: their
-/// domain), the fraction whose learned cluster matches the majority cluster
-/// of their domain. 1.0 = perfectly domain-aligned clustering.
-pub fn cluster_domain_agreement(model: &CateHgn, ds: &Dataset) -> f32 {
-    let mut used_venues: Vec<usize> = ds.papers.iter().map(|p| p.venue).collect();
-    used_venues.sort_unstable();
-    used_venues.dedup();
-    let readout =
-        model.impact_and_cluster(&ds.graph, &ds.features, &ds.venue_nodes, model.cfg.seed);
-    let n_domains = ds.world.config.n_domains;
-    let k = model.cfg.n_clusters;
-    // Majority cluster per domain.
-    let mut counts = vec![vec![0usize; k]; n_domains];
-    for (&v, (_, c)) in used_venues.iter().zip(&readout) {
-        counts[ds.world.venues[v].domain][(*c).min(k - 1)] += 1;
-    }
-    let majority: Vec<usize> = counts
-        .iter()
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .max_by_key(|(_, &c)| c)
-                .map_or(0, |(i, _)| i)
-        })
-        .collect();
-    let mut hit = 0usize;
-    for (&v, (_, c)) in used_venues.iter().zip(&readout) {
-        if *c == majority[ds.world.venues[v].domain] {
-            hit += 1;
-        }
-    }
-    hit as f32 / used_venues.len().max(1) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,18 +127,5 @@ mod tests {
                 assert!(pair[0].impact >= pair[1].impact, "ranked descending");
             }
         }
-    }
-
-    #[test]
-    fn agreement_is_a_fraction() {
-        let ds = Dataset::full(&WorldConfig::tiny(), 8);
-        let model = CateHgn::new(
-            ModelConfig::test_tiny(),
-            ds.features.cols(),
-            ds.graph.schema().num_node_types(),
-            ds.graph.schema().num_link_types(),
-        );
-        let a = cluster_domain_agreement(&model, &ds);
-        assert!((0.0..=1.0).contains(&a));
     }
 }

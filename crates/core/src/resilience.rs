@@ -284,11 +284,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan (injects nothing).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// A plan with the given faults; `seed` drives which gradient element
     /// gets corrupted.
     pub fn new(seed: u64, faults: &[Fault]) -> Self {

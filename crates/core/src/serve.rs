@@ -33,9 +33,6 @@
 //! graph resident and the embedding cache warm, flips the engine into
 //! degraded mode, and surfaces the failure in [`ServeStats`] — stale but
 //! internally consistent answers, clearly flagged, instead of an outage.
-//! A bounded admission queue ([`ServeEngine::submit`] /
-//! [`ServeEngine::drain`]) sheds load deterministically by rejecting the
-//! newest request with [`ServeError::Overloaded`].
 
 use crate::model::CateHgn;
 use hetgraph::{HetGraph, NodeId, NodeTypeId, ShardError, ShardStore};
@@ -89,8 +86,6 @@ pub enum ServeError {
         got: usize,
         want: usize,
     },
-    /// The bounded admission queue is full; the newest request is shed.
-    Overloaded { capacity: usize, submitted: usize },
     /// A resident-data API was called before [`ServeEngine::install_resident`].
     NoResidentGraph,
     /// A shard reload failed; the engine keeps serving the previous graph
@@ -109,16 +104,6 @@ impl fmt::Display for ServeError {
             }
             ServeError::ShapeMismatch { what, got, want } => {
                 write!(f, "shape mismatch: {what} is {got}, expected {want}")
-            }
-            ServeError::Overloaded {
-                capacity,
-                submitted,
-            } => {
-                write!(
-                    f,
-                    "admission queue overloaded: capacity {capacity}, submitted {submitted}; \
-                     newest request shed"
-                )
             }
             ServeError::NoResidentGraph => {
                 write!(
@@ -151,8 +136,6 @@ pub struct ServeStats {
     pub queries: u64,
     /// Typed errors returned to callers.
     pub errors: u64,
-    /// Requests shed by the bounded admission queue.
-    pub shed: u64,
     /// Resident-graph reloads that failed (engine went/stayed degraded).
     pub reload_failures: u64,
     /// Queries answered while the engine was in degraded mode.
@@ -279,9 +262,6 @@ pub struct ServeEngine<'m> {
     /// rebuild of unchanged data is bitwise-reproducible.
     seed: u64,
     stats: ServeStats,
-    /// Admission bound for the submit/drain queue and for one batch.
-    capacity: Option<usize>,
-    pending: Vec<NodeId>,
     resident: Option<Resident>,
     degraded: bool,
 }
@@ -294,20 +274,9 @@ impl<'m> ServeEngine<'m> {
             cache: None,
             seed,
             stats: ServeStats::default(),
-            capacity: None,
-            pending: Vec::new(),
             resident: None,
             degraded: false,
         }
-    }
-
-    /// An engine with a bounded admission queue: at most `capacity`
-    /// requests may be pending (or arrive in one batch); excess requests
-    /// are rejected newest-first with [`ServeError::Overloaded`].
-    pub fn with_capacity(model: &'m CateHgn, seed: u64, capacity: usize) -> Self {
-        let mut eng = Self::new(model, seed);
-        eng.capacity = Some(capacity.max(1));
-        eng
     }
 
     pub fn stats(&self) -> ServeStats {
@@ -318,11 +287,6 @@ impl<'m> ServeEngine<'m> {
     /// reload.
     pub fn degraded(&self) -> bool {
         self.degraded
-    }
-
-    /// Requests waiting in the admission queue.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
     }
 
     /// Counts a typed error where it is raised and returns it.
@@ -462,8 +426,7 @@ impl<'m> ServeEngine<'m> {
     /// cached last-layer embeddings, computed as a batched
     /// `Q x d * (n x d)^T` product through the worker pool, one block of
     /// candidates at a time; each query's own row is excluded from its
-    /// ranking. A query outside the candidate
-    /// set, malformed features, or a batch beyond the admission capacity
+    /// ranking. A query outside the candidate set or malformed features
     /// is a typed error — nothing panics on request data.
     pub fn recommend_batch(
         &mut self,
@@ -473,15 +436,6 @@ impl<'m> ServeEngine<'m> {
         queries: &[NodeId],
         k: usize,
     ) -> Result<Vec<Vec<Recommendation>>, ServeError> {
-        if let Some(capacity) = self.capacity {
-            if queries.len() > capacity {
-                self.stats.shed += (queries.len() - capacity) as u64;
-                return self.fail(ServeError::Overloaded {
-                    capacity,
-                    submitted: queries.len(),
-                });
-            }
-        }
         // Resolve every query's row before touching the cache, so a bad
         // batch has no side effects.
         let rows: Result<Vec<usize>, ServeError> = queries
@@ -566,44 +520,6 @@ impl<'m> ServeEngine<'m> {
         self.stats.queries += 1;
         self.stats.cache_hits += u64::from(hit);
         Ok(ranking)
-    }
-
-    // ----- bounded admission queue -------------------------------------
-
-    /// Enqueues one query. When the queue is at capacity the *newest*
-    /// request — this one — is rejected with [`ServeError::Overloaded`]
-    /// and counted as shed; already-admitted requests are never dropped.
-    pub fn submit(&mut self, query: NodeId) -> Result<(), ServeError> {
-        let capacity = self.capacity.unwrap_or(usize::MAX);
-        if self.pending.len() >= capacity {
-            self.stats.shed += 1;
-            return self.fail(ServeError::Overloaded {
-                capacity,
-                submitted: self.pending.len() + 1,
-            });
-        }
-        self.pending.push(query);
-        Ok(())
-    }
-
-    /// Answers and clears every admitted request, in admission order. On a
-    /// validation error the queue is left intact so the caller can repair
-    /// the request data and drain again.
-    pub fn drain(
-        &mut self,
-        graph: &HetGraph,
-        features: &Tensor,
-        candidates: &[NodeId],
-        k: usize,
-    ) -> Result<Vec<(NodeId, Vec<Recommendation>)>, ServeError> {
-        let queries = std::mem::take(&mut self.pending);
-        match self.recommend_batch(graph, features, candidates, &queries, k) {
-            Ok(rankings) => Ok(queries.into_iter().zip(rankings).collect()),
-            Err(e) => {
-                self.pending = queries;
-                Err(e)
-            }
-        }
     }
 
     // ----- resident data & degraded-mode reload ------------------------
@@ -1025,17 +941,13 @@ mod tests {
             width(eng.recommend(&ds.graph, &bad, &candidates, candidates[0], 3));
             width(eng.recommend_batch(&ds.graph, &bad, &candidates, pair, 3));
             width(eng.cold_start(&ds.graph, &bad, &candidates, paper_type, &row, 3));
-            eng.submit(candidates[0]).unwrap();
-            width(eng.drain(&ds.graph, &bad, &candidates, 3));
-            assert_eq!(eng.pending(), 1, "a failed drain keeps the queue");
-            eng.drain(&ds.graph, &ds.features, &candidates, 3).unwrap();
             width(eng.install_resident(ds.graph.clone(), bad));
             assert_eq!(
                 eng.recommend_batch_resident(&candidates, pair, 3),
                 Err(ServeError::NoResidentGraph),
                 "rejected data is never installed"
             );
-            assert_eq!(eng.stats().errors, before + 8, "one error per failed call");
+            assert_eq!(eng.stats().errors, before + 7, "one error per failed call");
         }
         // A failed `ensure_cache` counts one error, and a failed batch or
         // cold start counts one, not one more for its cache check.
@@ -1091,10 +1003,8 @@ mod tests {
         layers(eng.recommend(g, f, &candidates, candidates[0], 3));
         layers(eng.recommend_batch(g, f, &candidates, pair, 3));
         layers(eng.cold_start(g, f, &candidates, paper_type, &row, 3));
-        eng.submit(candidates[0]).unwrap();
-        layers(eng.drain(g, f, &candidates, 3));
         layers(eng.install_resident(ds.graph.clone(), ds.features.clone()));
-        assert_eq!(eng.stats().errors, 7, "one error per failed call");
+        assert_eq!(eng.stats().errors, 6, "one error per failed call");
         assert_eq!(eng.stats().queries, 0);
     }
 
@@ -1284,45 +1194,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn admission_queue_sheds_newest_deterministically() {
-        let (model, ds) = setup();
-        let candidates: Vec<NodeId> = ds.paper_nodes.iter().take(10).copied().collect();
-        let mut eng = ServeEngine::with_capacity(&model, 4, 2);
-        eng.submit(candidates[0]).unwrap();
-        eng.submit(candidates[1]).unwrap();
-        match eng.submit(candidates[2]) {
-            Err(ServeError::Overloaded {
-                capacity: 2,
-                submitted: 3,
-            }) => {}
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        assert_eq!(eng.pending(), 2, "admitted requests are never dropped");
-        assert_eq!(eng.stats().shed, 1);
-        let answers = eng.drain(&ds.graph, &ds.features, &candidates, 3).unwrap();
-        assert_eq!(answers.len(), 2);
-        assert_eq!(answers[0].0, candidates[0]);
-        assert_eq!(answers[1].0, candidates[1]);
-        assert_eq!(eng.pending(), 0);
-        // Oversized direct batches are rejected whole, counted as shed.
-        let big: Vec<NodeId> = candidates.iter().take(5).copied().collect();
-        match eng.recommend_batch(&ds.graph, &ds.features, &candidates, &big, 2) {
-            Err(ServeError::Overloaded { .. }) => {}
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn drain_keeps_queue_on_validation_failure() {
-        let (model, ds) = setup();
-        let candidates: Vec<NodeId> = ds.paper_nodes.iter().take(10).copied().collect();
-        let mut eng = ServeEngine::with_capacity(&model, 4, 4);
-        eng.submit(candidates[0]).unwrap();
-        eng.submit(ds.paper_nodes[30]).unwrap(); // not in candidates
-        assert!(eng.drain(&ds.graph, &ds.features, &candidates, 3).is_err());
-        assert_eq!(eng.pending(), 2, "failed drain re-queues everything");
     }
 }

@@ -50,11 +50,6 @@ impl TextEnhancer {
         }
     }
 
-    /// Read-only access to the oracle.
-    pub fn simbert(&self) -> &SimBert {
-        &self.simbert
-    }
-
     /// Cluster-oriented term initialisation (Sec. III-E1): bootstrap the
     /// top-`kappa` MLM predictions for each domain name.
     pub fn bootstrap(&mut self, kappa: usize) {

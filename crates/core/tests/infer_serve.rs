@@ -460,8 +460,6 @@ enum Call {
     /// Type id, feature-row width choice, NaN in the row.
     Cold(u8, usize, bool),
     Ensure(Feats),
-    Submit(bool, usize),
-    Drain(Feats),
 }
 
 impl Feats {
@@ -499,11 +497,14 @@ fn candidate_set(papers: &[NodeId], seed: u64, size: usize) -> Vec<NodeId> {
     set
 }
 
+/// Batches reach 23 queries, and four of seven are drawn with every query
+/// in the candidate set, so batches of any size must come back `Ok`.
 fn call() -> impl Strategy<Value = Call> {
-    let nodes = collection::vec((0u8..5, 0usize..64), 0..10);
-    (0u8..6, 0u8..7, 0usize..64, nodes).prop_map(|(kind, d, i, nodes)| {
+    let nodes = collection::vec((0u8..5, 0usize..64), 0..24);
+    (0u8..4, 0u8..7, 0usize..64, nodes).prop_map(|(kind, d, i, nodes)| {
         let nodes: Vec<(bool, usize)> = nodes.into_iter().map(node).collect();
         match kind {
+            0 if d < 4 => Call::Batch(nodes.into_iter().map(|(_, i)| (true, i)).collect(), i % 6),
             0 => Call::Batch(nodes, i % 6),
             1 => Call::Predict(if nodes.is_empty() {
                 vec![(d != 0, i)]
@@ -511,9 +512,7 @@ fn call() -> impl Strategy<Value = Call> {
                 nodes
             }),
             2 => Call::Cold(d, i % 4, i % 5 == 0),
-            3 => Call::Ensure(Feats::from_draw(d)),
-            4 => Call::Submit(d % 5 != 0, i),
-            _ => Call::Drain(Feats::from_draw(d)),
+            _ => Call::Ensure(Feats::from_draw(d)),
         }
     })
 }
@@ -523,11 +522,9 @@ proptest! {
 
     /// Every call returns `Ok` or a typed error, exactly when the request
     /// data is valid, and the engine's counters account for every call:
-    /// one error per `Err`, one query per ranking returned, and one shed
-    /// request per request an `Overloaded` rejection turned away.
+    /// one error per `Err` and one query per ranking returned.
     #[test]
     fn serve_accounting_matches_the_calls_made(
-        capacity in 0usize..=8,
         calls in collection::vec((call(), 0u64..u64::MAX, 0usize..usize::MAX), 1..14),
     ) {
         let (model, ds) = fixture();
@@ -543,14 +540,8 @@ proptest! {
             (Feats::Nan, nan),
         ];
         let matrix = |f: Feats| &variants.iter().find(|v| v.0 == f).unwrap().1;
-        // Capacity 0 draws an unbounded engine.
-        let (mut eng, cap) = match capacity {
-            0 => (ServeEngine::new(model, 7), usize::MAX),
-            c => (ServeEngine::with_capacity(model, 7, c), c),
-        };
-        let (mut errors, mut answers, mut shed) = (0u64, 0u64, 0u64);
-        // The admitted requests, mirroring the engine queue.
-        let mut pending: Vec<NodeId> = Vec::new();
+        let mut eng = ServeEngine::new(model, 7);
+        let (mut errors, mut answers) = (0u64, 0u64);
 
         for (c, set_seed, set_size) in &calls {
             let candidates = candidate_set(&ds.paper_nodes, *set_seed, *set_size);
@@ -570,7 +561,7 @@ proptest! {
             let (ok, answered, err) = match c {
                 Call::Batch(qs, k) => {
                     let queries: Vec<NodeId> = qs.iter().map(|&q| pick(q)).collect();
-                    let want = qs.len() <= cap && qs.iter().all(|q| q.0);
+                    let want = qs.iter().all(|q| q.0);
                     let r = eng.recommend_batch(&ds.graph, &ds.features, &candidates, &queries, *k);
                     if let Ok(v) = &r {
                         prop_assert_eq!(v.len(), queries.len());
@@ -611,38 +602,13 @@ proptest! {
                     let r = eng.ensure_cache(&ds.graph, matrix(*f), &candidates);
                     (*f == Feats::Good, 0, r.err())
                 }
-                Call::Submit(in_set, i) => {
-                    let want = pending.len() < cap;
-                    let query = pick((*in_set, *i));
-                    let r = eng.submit(query);
-                    if r.is_ok() {
-                        pending.push(query);
-                    }
-                    (want, 0, r.err())
-                }
-                Call::Drain(f) => {
-                    let want = *f == Feats::Good && pending.iter().all(|q| candidates.contains(q));
-                    let r = eng.drain(&ds.graph, matrix(*f), &candidates, 3);
-                    if let Ok(v) = &r {
-                        prop_assert_eq!(v.len(), pending.len());
-                        pending.clear();
-                    }
-                    (want, r.as_ref().map_or(0, Vec::len), r.err())
-                }
             };
             prop_assert_eq!(err.is_none(), ok, "{:?} returned {:?}", c, err);
             answers += answered as u64;
-            if let Some(e) = err {
-                errors += 1;
-                if let ServeError::Overloaded { capacity, submitted } = e {
-                    shed += (submitted - capacity) as u64;
-                }
-            }
+            errors += u64::from(err.is_some());
             let s = eng.stats();
             prop_assert_eq!(s.errors, errors, "errors after {:?}", c);
             prop_assert_eq!(s.queries, answers, "queries after {:?}", c);
-            prop_assert_eq!(s.shed, shed, "shed after {:?}", c);
-            prop_assert_eq!(eng.pending(), pending.len());
         }
     }
 }

@@ -150,8 +150,8 @@ pub(crate) fn pick_true_terms<W: WorldView>(
 ) -> Vec<usize> {
     let cfg = world.config();
     // `gen_terms` lays quality terms out contiguously per domain, so slot
-    // arithmetic replaces the old linear `quality_terms_of` scan — same
-    // draws, same indices, no per-paper allocation of the pool.
+    // arithmetic replaces a linear scan of the term list — same draws,
+    // same indices, no per-paper allocation of the pool.
     let pool_len = cfg.quality_terms_per_domain;
     let n = (3 + sample_poisson(rng, 1.5)).min(pool_len);
     let mut out = Vec::with_capacity(n);

@@ -386,11 +386,6 @@ impl<'w, W: WorldView> PaperStream<'w, W> {
         }
     }
 
-    /// Number of papers this stream will emit in total.
-    pub fn total_papers(&self) -> usize {
-        self.world.config().n_papers
-    }
-
     /// Approximate live heap footprint of the generator working set
     /// (year histogram + author tables + citation pools). The
     /// `prop_stream` test `generator_memory_grows_sublinearly_across_scale_tiers`

@@ -184,24 +184,6 @@ impl LatentWorld {
         let venues = gen_venues(config, &mut rng);
         LatentWorld { config: config.clone(), terms, authors, venues }
     }
-
-    /// Indices of the quality terms of one domain.
-    pub fn quality_terms_of(&self, domain: usize) -> Vec<usize> {
-        self.terms
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.kind == TermKind::Quality { domain })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Index of the domain-name term of one domain.
-    pub fn domain_name_term(&self, domain: usize) -> usize {
-        self.terms
-            .iter()
-            .position(|t| t.kind == TermKind::DomainName { domain })
-            .expect("every domain has a name term")
-    }
 }
 
 /// Heavy-tailed positive sample: `exp(sigma * N(0,1))`, normalised to have
@@ -282,9 +264,11 @@ mod tests {
         assert_eq!(w.authors.len(), cfg.n_authors);
         assert_eq!(w.venues.len(), cfg.n_venues);
         // Every domain has its name term and the right count of quality terms.
-        for k in 0..cfg.n_domains {
-            assert_eq!(w.terms[w.domain_name_term(k)].text, cfg.domain_name(k));
-            assert_eq!(w.quality_terms_of(k).len(), cfg.quality_terms_per_domain);
+        for domain in 0..cfg.n_domains {
+            let name = w.terms.iter().find(|t| t.kind == TermKind::DomainName { domain });
+            assert_eq!(name.map(|t| t.text.as_str()), Some(cfg.domain_name(domain)));
+            let quality = w.terms.iter().filter(|t| t.kind == TermKind::Quality { domain });
+            assert_eq!(quality.count(), cfg.quality_terms_per_domain);
         }
     }
 

@@ -2,7 +2,7 @@
 //! hyper-parameter sensitivity sweeps over the cluster count `K` and the
 //! relevant-term cut-off `kappa`.
 
-use crate::harness::{run_catehgn_variant, ExperimentConfig};
+use crate::harness::{clusters_for, run_catehgn_variant, ExperimentConfig};
 use crate::metrics::rmse;
 use catehgn::{Ablation, Composition, ModelConfig};
 use dblp_sim::Dataset;
@@ -81,11 +81,14 @@ pub fn run_ablation(cfg: &ExperimentConfig, ds: &Dataset, verbose: bool) -> Vec<
 /// One point of a hyper-parameter sweep.
 #[derive(Clone, Debug)]
 pub struct SweepPoint {
+    /// The swept value; for `K`, the count the run trained with.
     pub value: usize,
     pub rmse: f32,
 }
 
-/// Fig. 4(b): sweep the cluster count `K`.
+/// Fig. 4(b): sweep the cluster count `K`. Each point records the `K` its
+/// run trained with: a request above the dataset's domains + 1 is clamped
+/// to it, so two requests can land on the same point.
 pub fn sweep_clusters(
     cfg: &ExperimentConfig,
     ds: &Dataset,
@@ -98,10 +101,11 @@ pub fn sweep_clusters(
             let merged = ModelConfig { n_clusters: k, ..cfg.model.clone() };
             let (preds, _) = run_catehgn_variant(ds, &merged, merged.ablation);
             let r = rmse(&preds, &truth);
+            let used = clusters_for(ds, k);
             if verbose {
-                eprintln!("[fig4b] K={k}: RMSE {r:.4}");
+                eprintln!("[fig4b] K={used} (requested {k}): RMSE {r:.4}");
             }
-            SweepPoint { value: k, rmse: r }
+            SweepPoint { value: used, rmse: r }
         })
         .collect()
 }

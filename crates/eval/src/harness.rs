@@ -89,8 +89,9 @@ pub fn build_datasets(cfg: &ExperimentConfig) -> (Dataset, Dataset, Dataset) {
     (full, single, random)
 }
 
-/// The number of clusters usable on a dataset (bounded by its domains+1).
-fn clusters_for(ds: &Dataset, requested: usize) -> usize {
+/// The number of clusters usable on a dataset (bounded by its domains+1):
+/// the `K` a run requesting `requested` clusters actually trains with.
+pub(crate) fn clusters_for(ds: &Dataset, requested: usize) -> usize {
     requested.min(ds.world.config.n_domains + 1).max(2)
 }
 
@@ -255,6 +256,17 @@ mod tests {
         assert_eq!(Scale::parse("tiny"), Some(Scale::Tiny));
         assert_eq!(Scale::parse("full"), Some(Scale::Full));
         assert_eq!(Scale::parse("nope"), None);
+    }
+
+    #[test]
+    fn cluster_count_is_clamped_to_domains_plus_one() {
+        let ds = Dataset::full(&WorldConfig::tiny(), 8);
+        let cap = ds.world.config.n_domains + 1;
+        assert_eq!(clusters_for(&ds, 0), 2, "at least two clusters");
+        assert_eq!(clusters_for(&ds, 2), 2);
+        assert_eq!(clusters_for(&ds, cap), cap);
+        assert_eq!(clusters_for(&ds, cap + 1), cap);
+        assert_eq!(clusters_for(&ds, 20), cap, "Fig. 4b's K = 20");
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod metrics;
 pub use ablation::{ablation_variants, run_ablation, sweep_clusters, sweep_kappa};
 pub use case::{case_study, fig5_trace, render_case_study, score_case_study};
 pub use harness::{build_datasets, run_catehgn_variant, run_table2, ExperimentConfig, Scale};
-pub use metrics::{mae, nmi, paired_ttest_sq_err, pearson, rmse, TTest};
+pub use metrics::{nmi, paired_ttest_sq_err, rmse, TTest};
 
 use std::path::PathBuf;
 

@@ -1,42 +1,9 @@
-//! Evaluation metrics: RMSE (the paper's Table II metric), MAE, paired
+//! Evaluation metrics: RMSE (the paper's Table II metric), paired
 //! t-test for the significance stars, and clustering quality helpers.
 
 /// Root mean squared error.
 pub fn rmse(pred: &[f32], truth: &[f32]) -> f32 {
     catehgn::rmse(pred, truth)
-}
-
-/// Mean absolute error.
-pub fn mae(pred: &[f32], truth: &[f32]) -> f32 {
-    assert_eq!(pred.len(), truth.len());
-    if pred.is_empty() {
-        return 0.0;
-    }
-    pred.iter().zip(truth).map(|(&p, &t)| (p - t).abs()).sum::<f32>() / pred.len() as f32
-}
-
-/// Pearson correlation between predictions and truth.
-pub fn pearson(pred: &[f32], truth: &[f32]) -> f32 {
-    assert_eq!(pred.len(), truth.len());
-    let n = pred.len() as f32;
-    if pred.is_empty() {
-        return 0.0;
-    }
-    let mp = pred.iter().sum::<f32>() / n;
-    let mt = truth.iter().sum::<f32>() / n;
-    let mut cov = 0.0;
-    let mut vp = 0.0;
-    let mut vt = 0.0;
-    for (&p, &t) in pred.iter().zip(truth) {
-        cov += (p - mp) * (t - mt);
-        vp += (p - mp) * (p - mp);
-        vt += (t - mt) * (t - mt);
-    }
-    if vp <= 0.0 || vt <= 0.0 {
-        0.0
-    } else {
-        cov / (vp.sqrt() * vt.sqrt())
-    }
 }
 
 /// Result of a paired t-test on per-sample squared errors.
@@ -144,20 +111,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rmse_and_mae_known_values() {
+    fn rmse_known_values() {
         assert_eq!(rmse(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
         assert!((rmse(&[0.0], &[3.0]) - 3.0).abs() < 1e-6);
-        assert!((mae(&[0.0, 2.0], &[1.0, 0.0]) - 1.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pearson_bounds_and_signs() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y: Vec<f32> = x.iter().map(|v| 2.0 * v + 1.0).collect();
-        assert!((pearson(&x, &y) - 1.0).abs() < 1e-5);
-        let z: Vec<f32> = x.iter().map(|v| -v).collect();
-        assert!((pearson(&x, &z) + 1.0).abs() < 1e-5);
-        assert_eq!(pearson(&x, &[5.0, 5.0, 5.0, 5.0]), 0.0);
     }
 
     #[test]

@@ -201,11 +201,6 @@ impl HetGraph {
         &self.by_type[t.0 as usize]
     }
 
-    /// Number of nodes of one type.
-    pub fn num_nodes_of(&self, t: NodeTypeId) -> usize {
-        self.by_type[t.0 as usize].len()
-    }
-
     /// Typed neighbors of `v` under link type `t` (may be empty).
     #[inline]
     pub fn neighbors(&self, v: NodeId, t: LinkTypeId) -> &[u32] {
@@ -222,11 +217,6 @@ impl HetGraph {
     #[inline]
     pub fn degree(&self, v: NodeId, t: LinkTypeId) -> usize {
         self.adj[t.0 as usize].degree(v.index())
-    }
-
-    /// Total degree of `v` summed over all link types.
-    pub fn total_degree(&self, v: NodeId) -> usize {
-        self.schema.link_type_ids().map(|t| self.degree(v, t)).sum()
     }
 
     /// CSR of one link type (read-only).
@@ -637,7 +627,6 @@ mod tests {
         assert_eq!(g.neighbors(papers[2], written_by), &[authors[1].0]);
         assert_eq!(g.neighbors(papers[0], cites), &[] as &[u32]);
         assert_eq!(g.degree(papers[1], cites), 1);
-        assert_eq!(g.total_degree(papers[0]), 1); // only written_by
     }
 
     #[test]

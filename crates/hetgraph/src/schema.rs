@@ -133,10 +133,6 @@ impl Schema {
         &self.link_types[t.0 as usize]
     }
 
-    pub fn link_type_name(&self, t: LinkTypeId) -> &str {
-        &self.link_types[t.0 as usize].name
-    }
-
     /// Looks up a node type by name.
     pub fn node_type_by_name(&self, name: &str) -> Option<NodeTypeId> {
         self.node_types.iter().position(|n| n == name).map(|i| NodeTypeId(i as u8))
@@ -155,18 +151,6 @@ impl Schema {
     /// All link type ids.
     pub fn link_type_ids(&self) -> impl Iterator<Item = LinkTypeId> {
         (0..self.link_types.len()).map(|i| LinkTypeId(i as u8))
-    }
-
-    /// Link types whose source endpoint is the given node type — the message
-    /// channels arriving at targets of that type come through their
-    /// reverses; this lists the outgoing channels.
-    pub fn link_types_from(&self, t: NodeTypeId) -> Vec<LinkTypeId> {
-        self.link_type_ids().filter(|&l| self.link_type(l).src == t).collect()
-    }
-
-    /// Link types whose destination endpoint is the given node type.
-    pub fn link_types_into(&self, t: NodeTypeId) -> Vec<LinkTypeId> {
-        self.link_type_ids().filter(|&l| self.link_type(l).dst == t).collect()
     }
 }
 
@@ -206,17 +190,6 @@ mod tests {
         assert_eq!(s.link_type(wb).reverse_of, Some(w));
         let c = s.link_type_by_name("cites").unwrap();
         assert_eq!(s.link_type(c).reverse_of, None);
-    }
-
-    #[test]
-    fn endpoint_queries() {
-        let (s, [paper, author, ..]) = publication_schema();
-        let from_author = s.link_types_from(author);
-        assert_eq!(from_author.len(), 1);
-        assert_eq!(s.link_type_name(from_author[0]), "writes");
-        let into_paper = s.link_types_into(paper);
-        // writes, publishes, contained_in, cites
-        assert_eq!(into_paper.len(), 4);
     }
 
     #[test]

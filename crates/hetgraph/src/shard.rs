@@ -363,15 +363,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A single attempt: no retries, no delays.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_delay_ms: 0,
-            backoff: 2,
-        }
-    }
-
     /// Backoff before retrying after the nth failure (1-based).
     pub fn delay_ms(&self, failures: u32) -> u64 {
         if failures == 0 {
@@ -929,11 +920,6 @@ impl ShardStore {
         self.directory[t.0 as usize].n_edges as usize
     }
 
-    /// On-disk byte size of one link type's segment file.
-    pub fn segment_bytes(&self, t: LinkTypeId) -> u64 {
-        SEG_HEADER_LEN + self.directory[t.0 as usize].payload_len()
-    }
-
     /// Total on-disk bytes of the current generation (meta + segments).
     pub fn total_bytes(&self) -> u64 {
         let meta = 4
@@ -1216,7 +1202,6 @@ mod tests {
         assert_eq!(h.num_links_of(cites), 2);
         assert_eq!(h.num_links_of(writes), 0, "unloaded segment is empty");
         assert_eq!(h.csr(cites), g.csr(cites));
-        assert!(store.segment_bytes(cites) < store.total_bytes());
         cleanup(&dir);
     }
 
@@ -1401,7 +1386,6 @@ mod tests {
         assert_eq!(p.delay_ms(1), 3);
         assert_eq!(p.delay_ms(2), 6);
         assert_eq!(p.delay_ms(3), 12);
-        assert_eq!(RetryPolicy::none().max_attempts, 1);
     }
 
     #[test]

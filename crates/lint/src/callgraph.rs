@@ -14,7 +14,9 @@
 //! every same-named workspace fn. Calls into `std` and vendored shims
 //! likewise resolve to nothing and end the walk; macro bodies and
 //! trait-object dispatch are the documented blind spots (DESIGN.md
-//! §Static analysis).
+//! §Static analysis). The dead-pub pass's *lenient* graph resolves an
+//! unmatched lower-case qualifier (`catehgn::train`) like a bare call and
+//! adds an edge for every function named as a value (`map(Tensor::rows)`).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -50,12 +52,14 @@ pub struct CallGraph {
     /// Reverse edges: for each function, `(caller, call line)` pairs.
     pub callers: Vec<Vec<(usize, u32)>>,
     by_name: BTreeMap<String, Vec<usize>>,
+    /// An unmatched lower-case path qualifier resolves like a bare call.
+    lenient: bool,
 }
 
 impl CallGraph {
     /// Build the graph. `views[fns[i].file_idx]` must be the view of the
-    /// file that defines `fns[i]`.
-    pub fn build(fns: Vec<FnItem>, views: &[&SigView]) -> CallGraph {
+    /// file that defines `fns[i]`; `lenient` builds the dead-pub graph.
+    pub fn build(fns: Vec<FnItem>, views: &[&SigView], lenient: bool) -> CallGraph {
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
             by_name.entry(f.name.clone()).or_default().push(i);
@@ -65,6 +69,7 @@ impl CallGraph {
             callers: vec![Vec::new(); fns.len()],
             fns,
             by_name,
+            lenient,
         };
         for caller in 0..graph.fns.len() {
             let Some((open, close)) = graph.fns[caller].body else {
@@ -72,7 +77,7 @@ impl CallGraph {
             };
             let view = views[graph.fns[caller].file_idx];
             let mut edges: BTreeSet<(usize, u32)> = BTreeSet::new();
-            for_each_call_site(view, open + 1, close, &mut |s, name, qual| {
+            for_each_call_site(view, open + 1, close, lenient, &mut |s, name, qual| {
                 for callee in graph.resolve(name, &qual, Some(caller)) {
                     edges.insert((callee, view.line(s)));
                 }
@@ -130,9 +135,13 @@ impl CallGraph {
                 if !by_ty.is_empty() {
                     return by_ty;
                 }
-                visible()
+                let by_mod: Vec<usize> = visible()
                     .filter(|&i| self.fns[i].self_ty.is_none() && self.fns[i].module.contains(&q))
-                    .collect()
+                    .collect();
+                if by_mod.is_empty() && self.lenient && q.starts_with(|c: char| c.is_lowercase()) {
+                    return visible().collect();
+                }
+                by_mod
             }
         }
     }
@@ -233,12 +242,14 @@ fn non_callee(name: &str) -> bool {
 
 /// Invoke `f(sig_pos_of_name, name, qual)` for every syntactic call site
 /// in `view[start..end)`: `name(…)`, `recv.name(…)`, `Q::name(…)`, and
-/// the turbofish form `name::<…>(…)`. Macro invocations (`name!…`) and
-/// `fn` definitions are skipped.
+/// the turbofish form `name::<…>(…)`. With `refs`, also for every name
+/// used as a value: a path `Q::name` or a bare argument `(name)`/`, name,`.
+/// Macro invocations (`name!…`) and `fn` definitions are skipped.
 pub fn for_each_call_site(
     view: &SigView,
     start: usize,
     end: usize,
+    refs: bool,
     f: &mut impl FnMut(usize, &str, Qual),
 ) {
     let mut s = start;
@@ -280,10 +291,12 @@ pub fn for_each_call_site(
                 call_paren = Some(t + 1);
             }
         }
-        let Some(_paren) = call_paren else {
+        let is_ref = refs
+            && (prev == "::" || matches!(prev, "(" | ",") && matches!(view.text(s + 1), ")" | ","));
+        if call_paren.is_none() && !is_ref {
             s += 1;
             continue;
-        };
+        }
         let qual = if prev == "." {
             Qual::Method
         } else if prev == "::" && s >= start + 2 && view.kind(s - 2) == Some(Kind::Ident) {

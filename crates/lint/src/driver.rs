@@ -19,8 +19,9 @@
 //!
 //! The call-graph passes (determinism-taint, panic-reach) run over the
 //! union of library files, so taint and panic reachability cross crate
-//! boundaries. `results/PANIC_SURFACE.md` is written by `--update` and
-//! checked stale-fail (content and ratchet) by the default mode.
+//! boundaries; dead-pub adds the files roots live in, `perfbench/src`
+//! included (read, not linted). `results/PANIC_SURFACE.md` and `DEAD_PUB.md`
+//! are written by `--update` and checked stale-fail by the default mode.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -31,7 +32,7 @@ use crate::allowlist::{Allowlist, Key};
 use crate::callgraph::CallGraph;
 use crate::items;
 use crate::lexer::SigView;
-use crate::passes::{self, panic_reach::RATCHET_MARKER, Finding, PanicSurface, UnsafeSite};
+use crate::passes::{self, DeadPub, Finding, PanicSurface, UnsafeSite};
 use crate::scanner::{self, Scanned};
 use crate::taint;
 
@@ -62,8 +63,8 @@ pub enum Mode {
 pub struct Options {
     pub root: PathBuf,
     pub mode: Mode,
-    /// Write/verify `results/UNSAFE_AUDIT.md` and
-    /// `results/PANIC_SURFACE.md` (disabled in the fixture tests, which
+    /// Write/verify `results/UNSAFE_AUDIT.md`, `results/PANIC_SURFACE.md`
+    /// and `results/DEAD_PUB.md` (disabled in the fixture tests, which
     /// run against synthetic roots without a results/ directory).
     pub write_report: bool,
 }
@@ -78,6 +79,8 @@ pub struct Outcome {
     /// The panic-surface analysis (always computed; gated on disk only
     /// when `write_report` is set).
     pub panic_surface: PanicSurface,
+    /// The dead-public-API analysis (likewise).
+    pub dead_pub: DeadPub,
 }
 
 /// How each discovered file participates in the passes.
@@ -128,11 +131,12 @@ pub fn classify(rel: &str) -> FileClass {
     }
 }
 
-/// Recursively collect workspace `.rs` files, sorted for deterministic
-/// finding order (and therefore deterministic ratchet counts).
-fn collect_files(root: &Path) -> Result<Vec<String>, String> {
+/// Recursively collect the `.rs` files under the `tops` directories of
+/// `root`, sorted for deterministic finding order (and therefore
+/// deterministic ratchet counts).
+fn collect_files(root: &Path, tops: &[&str]) -> Result<Vec<String>, String> {
     let mut out = Vec::new();
-    for top in ["crates", "src", "tests", "examples"] {
+    for top in tops {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(&dir, root, &mut out)?;
@@ -181,7 +185,7 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
     let mut findings: Vec<Finding> = Vec::new();
     let mut unsafe_sites: Vec<UnsafeSite> = Vec::new();
     let mut loaded: Vec<Loaded> = Vec::new();
-    for rel in collect_files(&opts.root)? {
+    for rel in collect_files(&opts.root, &["crates", "src", "tests", "examples"])? {
         let class = classify(&rel);
         if class == FileClass::Skip {
             continue;
@@ -221,7 +225,7 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
         fns.extend(items::extract(&f.rel, idx, &views[idx]));
         per_file_items.push(start..fns.len());
     }
-    let cg = CallGraph::build(fns, &view_refs);
+    let cg = CallGraph::build(fns, &view_refs, false);
     for (idx, f) in lib.iter().enumerate() {
         let rel = f.rel.as_str();
         if !PAR_RUNTIME.contains(&rel) {
@@ -234,6 +238,33 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
     }
     findings.extend(taint::determinism_taint(&cg, &view_refs, &PAR_RUNTIME));
     let panic_surface = passes::panic_reach(&cg, &view_refs, &PANIC_SURFACE_SCOPE);
+
+    // Phase 3: dead-pub over the library plus the files roots live in.
+    let mut perf = Vec::new();
+    for rel in collect_files(&opts.root, &["perfbench/src"])? {
+        let src =
+            fs::read_to_string(opts.root.join(&rel)).map_err(|e| format!("read {rel}: {e}"))?;
+        perf.push((rel, scanner::scan(&src)));
+    }
+    let root_files: Vec<(&str, &Scanned)> = loaded
+        .iter()
+        .filter(|f| f.class == FileClass::Support)
+        .filter(|f| !f.rel.split('/').any(|p| p == "tests" || p == "benches"))
+        .map(|f| (f.rel.as_str(), &f.scanned))
+        .chain(perf.iter().map(|(rel, s)| (rel.as_str(), s)))
+        .collect();
+    let root_views: Vec<SigView> = root_files.iter().map(|f| SigView::new(f.1)).collect();
+    let mut fns = cg.fns.clone();
+    for (k, (rel, _)) in root_files.iter().enumerate() {
+        fns.extend(items::extract(rel, lib.len() + k, &root_views[k]));
+    }
+    let all_views: Vec<&SigView> = views.iter().chain(&root_views).collect();
+    let dg = CallGraph::build(fns, &all_views, true);
+    let roots: Vec<usize> = (cg.fns.len()..dg.fns.len())
+        .filter(|&i| !dg.fns[i].in_test)
+        .filter(|&i| dg.fns[i].name == "main" || dg.fns[i].file.starts_with("perfbench/"))
+        .collect();
+    let dead_pub = passes::dead_pub(&dg, &roots, |f| classify(&f.file) == FileClass::Lib);
 
     // Ratchet bookkeeping: observed counts per (pass, rule, file).
     let mut observed: BTreeMap<Key, usize> = BTreeMap::new();
@@ -296,43 +327,33 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
         let path = results.join("UNSAFE_AUDIT.md");
         fs::write(&path, report).map_err(|e| format!("write {}: {e}", path.display()))?;
 
-        // Panic-surface ratchet: `--update` rewrites the committed
-        // report; the default mode fails when it is stale or when the
-        // entry-point count grew.
-        let surface_path = results.join("PANIC_SURFACE.md");
-        match opts.mode {
-            Mode::Update => {
-                fs::write(&surface_path, &panic_surface.report)
-                    .map_err(|e| format!("write {}: {e}", surface_path.display()))?;
+        // Ratcheted reports: `--update` rewrites each committed report;
+        // the default mode fails when one is stale or its count grew.
+        for (pass, name, report) in [
+            ("panic-reach", "PANIC_SURFACE.md", &panic_surface.report),
+            ("dead-pub", "DEAD_PUB.md", &dead_pub.report),
+        ] {
+            let path = results.join(name);
+            if opts.mode == Mode::Update {
+                fs::write(&path, report).map_err(|e| format!("write {}: {e}", path.display()))?;
+                continue;
             }
-            Mode::Check => match fs::read_to_string(&surface_path) {
-                Err(_) => errors.push(
-                    "panic-reach: results/PANIC_SURFACE.md is missing — run \
-                     `cargo run -p lint -- --update` to generate it"
-                        .to_string(),
-                ),
-                Ok(committed) => {
-                    let old = parse_ratchet(&committed);
-                    if let Some((old_reachable, _)) = old {
-                        if panic_surface.entry_reachable > old_reachable {
-                            errors.push(format!(
-                                "panic-reach: entry-point panic surface grew ({old_reachable} \
-                                 -> {} of {}); panic-reachable serving/training entry points \
-                                 may only shrink — fix the new panic path or demote the \
-                                 entry point",
-                                panic_surface.entry_reachable, panic_surface.entry_total
-                            ));
-                        }
-                    }
-                    if committed != panic_surface.report {
-                        errors.push(
-                            "panic-reach: results/PANIC_SURFACE.md is stale — run \
-                             `cargo run -p lint -- --update` to regenerate it"
-                                .to_string(),
-                        );
-                    }
+            let regen = format!("run `cargo run -p lint -- --update` to regenerate results/{name}");
+            let Ok(committed) = fs::read_to_string(&path) else {
+                errors.push(format!("{pass}: results/{name} is missing — {regen}"));
+                continue;
+            };
+            if let (Some(old), Some(new)) = (parse_ratchet(&committed), parse_ratchet(report)) {
+                if new > old {
+                    errors.push(format!(
+                        "{pass}: the count ratcheted in results/{name} grew ({old} -> {new}); \
+                         it may only shrink"
+                    ));
                 }
-            },
+            }
+            if committed != *report {
+                errors.push(format!("{pass}: results/{name} is stale — {regen}"));
+            }
         }
     }
 
@@ -342,15 +363,16 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
         unsafe_sites,
         files_scanned: loaded.len(),
         panic_surface,
+        dead_pub,
     })
 }
 
-/// Parse `(reachable, total)` out of a committed panic-surface report.
-fn parse_ratchet(report: &str) -> Option<(usize, usize)> {
-    let line = report.lines().find(|l| l.starts_with(RATCHET_MARKER))?;
-    let rest = line.strip_prefix(RATCHET_MARKER)?.strip_suffix(" -->")?;
-    let (a, b) = rest.split_once(" of ")?;
-    Some((a.trim().parse().ok()?, b.trim().parse().ok()?))
+/// The ratcheted count `N` of a report's `<!-- ratchet: <what> N of M -->`
+/// line.
+fn parse_ratchet(report: &str) -> Option<usize> {
+    let line = report.lines().find(|l| l.starts_with("<!-- ratchet: "))?;
+    let (head, _) = line.split_once(" of ")?;
+    head.rsplit(' ').next()?.parse().ok()
 }
 
 const ALLOW_HEADER: &str = "\
@@ -473,5 +495,9 @@ pub fn rule_contracts() -> &'static [(&'static str, &'static str, &'static str)]
           transitive panic surface of the core/hetgraph/tensor public API) and ratchets the count \
           of panic-reachable serving/training entry points — the gate fails when the report is \
           stale or the count grows. Regenerate with cargo run -p lint -- --update."),
+        ("dead-pub", "unreachable-pub",
+         "Not a per-site rule: results/DEAD_PUB.md lists the public library functions no binary \
+          or example main and no perfbench function reaches (tests are not roots); the gate fails \
+          when it is stale or its count grows. Delete what it lists unless tests need it."),
     ]
 }

@@ -17,14 +17,16 @@
 //! * **Call-graph passes** walk the workspace-wide graph built by
 //!   [`lexer`] → [`items`] → [`callgraph`]: [`taint`] (nondeterminism
 //!   reaching parallel regions, training steps, or serving entry points,
-//!   with witness call paths) and [`passes::panic_reach`] (the transitive
-//!   panic surface of the public API, `results/PANIC_SURFACE.md`).
+//!   with witness call paths), [`passes::panic_reach`] (the transitive
+//!   panic surface of the public API, `results/PANIC_SURFACE.md`) and
+//!   [`passes::dead_pub`] (public API no root reaches, `results/DEAD_PUB.md`).
 //!
 //! Existing debt is pinned by a ratcheted allowlist ([`allowlist`],
 //! `lint.allow` at the workspace root) that can only shrink; the
-//! panic-surface entry-point count is ratcheted inside its report the
-//! same way. `cargo run -p lint` is the first `scripts/ci.sh` stage,
-//! before clippy and the build. See DESIGN.md §"Static analysis".
+//! panic-surface entry-point count and the dead-pub count are ratcheted
+//! inside their reports the same way. `cargo run -p lint` is the first
+//! `scripts/ci.sh` stage, before clippy and the build. See DESIGN.md
+//! §"Static analysis".
 
 pub mod allowlist;
 pub mod callgraph;

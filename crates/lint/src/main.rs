@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p lint                    # enforce (CI gate; exit 1 on violations)
-//! cargo run -p lint -- --update       # tighten lint.allow + rewrite PANIC_SURFACE.md
+//! cargo run -p lint -- --update       # tighten lint.allow + rewrite PANIC_SURFACE.md, DEAD_PUB.md
 //! cargo run -p lint -- --json         # machine-readable findings + errors
 //! cargo run -p lint -- --explain RULE # print a rule's contract (or `all`)
 //! cargo run -p lint -- --root DIR     # lint another workspace root
@@ -76,12 +76,14 @@ fn main() -> ExitCode {
     let audited = outcome.unsafe_sites.len();
     println!(
         "lint: scanned {} file(s); {} finding(s) pre-allowlist; {} unsafe site(s) audited; \
-         panic surface {}/{} entry point(s)",
+         panic surface {}/{} entry point(s); dead pub {}/{} function(s)",
         outcome.files_scanned,
         outcome.findings.len(),
         audited,
         outcome.panic_surface.entry_reachable,
         outcome.panic_surface.entry_total,
+        outcome.dead_pub.dead.len(),
+        outcome.dead_pub.total,
     );
     if outcome.errors.is_empty() {
         println!("lint: OK");

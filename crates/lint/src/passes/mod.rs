@@ -3,12 +3,14 @@
 //! Per-file passes ([`determinism`], [`unsafe_audit`], [`panic_path`],
 //! [`suppression`], [`par_fold`], [`lock_discipline`]) are pure functions
 //! from a scanned file to findings; the interprocedural passes
-//! ([`crate::taint`], [`panic_reach`]) run over the workspace call graph.
+//! ([`crate::taint`], [`panic_reach`], [`dead_pub`]) run over the
+//! workspace call graph.
 //! File scoping (which crates, which directory kinds) lives in the
 //! driver. All passes match token sequences over the comment-free
 //! stream, so anything inside strings, chars, or comments is invisible
 //! to them by construction.
 
+pub mod dead_pub;
 mod determinism;
 mod lockpark;
 mod panic;
@@ -17,6 +19,7 @@ mod parfold;
 mod suppression;
 mod unsafe_audit;
 
+pub use dead_pub::{dead_pub, DeadPub};
 pub use determinism::determinism;
 pub use lockpark::lock_discipline;
 pub use panic::panic_path;

@@ -214,7 +214,8 @@ pub fn determinism_taint(
             }
             // Calls inside the region that resolve to tainted functions.
             let mut hits: Vec<(usize, u32)> = Vec::new();
-            for_each_call_site(view, region_open + 1, region_close, &mut |p, name, qual| {
+            let region = (region_open + 1, region_close);
+            for_each_call_site(view, region.0, region.1, false, &mut |p, name, qual| {
                 if PAR_PRIMS.contains(&name) {
                     return;
                 }

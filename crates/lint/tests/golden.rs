@@ -177,7 +177,7 @@ fn suppression_fixture_exact_lines() {
 fn single_file_graph<'a>(file: &str, scanned: &'a Scanned) -> (CallGraph, SigView<'a>) {
     let view = SigView::new(scanned);
     let fns = items::extract(file, 0, &view);
-    let cg = CallGraph::build(fns, &[&view]);
+    let cg = CallGraph::build(fns, &[&view], false);
     (cg, view)
 }
 
@@ -631,4 +631,35 @@ fn binary_exit_codes_match_gate() {
     let out = run(&root);
     assert!(out.status.success(), "pinned root must exit zero");
     assert!(String::from_utf8_lossy(&out.stdout).contains("lint: OK"));
+}
+
+/// The dead-pub report lists exactly the public functions no root
+/// reaches: a binary's `main` calls `a`, a unit test calls `b`, and
+/// nothing calls `c`. A stale committed report fails the gate.
+#[test]
+fn dead_pub_lists_what_no_root_reaches() {
+    let root = synth_root(
+        "deadpub",
+        "pub fn a() {}\npub fn b() {}\npub fn c() {}\n\n#[cfg(test)]\nmod tests {\n    \
+         #[test]\n    fn t() {\n        super::b();\n    }\n}\n",
+    );
+    let bin = root.join("crates/foo/src/bin");
+    fs::create_dir_all(&bin).expect("mkdir bin");
+    fs::write(bin.join("app.rs"), "fn main() {\n    foo::a();\n}\n").expect("write bin");
+    let out = run_check(&root);
+    assert_eq!(out.dead_pub.dead, ["b", "c"]);
+    assert!(out.dead_pub.report.contains("dead-pub 2 of 3 -->"));
+
+    // A committed report with a lower count fails as grown and as stale.
+    fs::create_dir_all(root.join("results")).expect("mkdir results");
+    let committed = out.dead_pub.report.replace("2 of 3", "1 of 3");
+    fs::write(root.join("results/DEAD_PUB.md"), committed).expect("write report");
+    let opts = Options {
+        root,
+        mode: Mode::Check,
+        write_report: true,
+    };
+    let errors = driver::run(&opts).expect("driver run").errors.join("\n");
+    assert!(errors.contains("DEAD_PUB.md grew (1 -> 2)"), "{errors}");
+    assert!(errors.contains("DEAD_PUB.md is stale"), "{errors}");
 }

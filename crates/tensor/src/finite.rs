@@ -31,33 +31,6 @@ pub fn is_all_finite(xs: &[f32]) -> bool {
     chunks.remainder().iter().all(|x| x.is_finite())
 }
 
-/// Index and value of the first non-finite element, if any.
-#[must_use]
-pub fn first_non_finite(xs: &[f32]) -> Option<(usize, f32)> {
-    let mut offset = 0;
-    let mut chunks = xs.chunks_exact(LANES);
-    for block in chunks.by_ref() {
-        let mut bad = false;
-        for &x in block {
-            bad |= (x.to_bits() & EXP_MASK) == EXP_MASK;
-        }
-        if bad {
-            for (i, &x) in block.iter().enumerate() {
-                if !x.is_finite() {
-                    return Some((offset + i, x));
-                }
-            }
-        }
-        offset += LANES;
-    }
-    chunks
-        .remainder()
-        .iter()
-        .enumerate()
-        .find(|(_, x)| !x.is_finite())
-        .map(|(i, &x)| (offset + i, x))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,7 +41,6 @@ mod tests {
         assert!(is_all_finite(&[0.0, -1.5, f32::MAX, f32::MIN_POSITIVE]));
         let long: Vec<f32> = (0..1000).map(|i| i as f32 * 0.25 - 100.0).collect();
         assert!(is_all_finite(&long));
-        assert_eq!(first_non_finite(&long), None);
     }
 
     #[test]
@@ -79,18 +51,9 @@ mod tests {
                     let mut xs = vec![1.0f32; len];
                     xs[pos] = bad;
                     assert!(!is_all_finite(&xs), "missed {bad} at {pos}/{len}");
-                    let (idx, val) = first_non_finite(&xs).unwrap();
-                    assert_eq!(idx, pos);
-                    assert_eq!(val.to_bits(), bad.to_bits());
                 }
             }
         }
-    }
-
-    #[test]
-    fn first_hit_wins() {
-        let xs = [1.0, f32::INFINITY, f32::NAN, 2.0];
-        assert_eq!(first_non_finite(&xs).unwrap().0, 1);
     }
 
     #[test]

@@ -92,7 +92,6 @@ enum Op {
     Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
-    Div(Var, Var),
     /// `a (n x m) + row (1 x m)` broadcast over rows.
     AddRow(Var, Var),
     /// `a (n x m) * row (1 x m)` broadcast over rows.
@@ -114,14 +113,12 @@ enum Op {
     Sigmoid(Var),
     Tanh(Var),
     Softplus(Var),
-    Exp(Var),
     /// `ln(max(x, EPS))`.
     Log(Var),
     Square(Var),
     SumAll(Var),
     MeanAll(Var),
     SumRows(Var),
-    SumCols(Var),
     SoftmaxRows(Var),
     ConcatCols(Var, Var),
     /// `[a; b]` vertical concatenation.
@@ -160,7 +157,6 @@ impl Op {
             &Op::Add(a, b)
             | &Op::Sub(a, b)
             | &Op::Mul(a, b)
-            | &Op::Div(a, b)
             | &Op::AddRow(a, b)
             | &Op::MulRow(a, b)
             | &Op::MulCol(a, b)
@@ -184,13 +180,11 @@ impl Op {
             | &Op::Sigmoid(a)
             | &Op::Tanh(a)
             | &Op::Softplus(a)
-            | &Op::Exp(a)
             | &Op::Log(a)
             | &Op::Square(a)
             | &Op::SumAll(a)
             | &Op::MeanAll(a)
             | &Op::SumRows(a)
-            | &Op::SumCols(a)
             | &Op::SoftmaxRows(a)
             | &Op::Recip1p(a)
             | &Op::ColSlice(a, _)
@@ -208,7 +202,6 @@ fn op_name(op: &Op) -> &'static str {
         Op::Add(..) => "Add",
         Op::Sub(..) => "Sub",
         Op::Mul(..) => "Mul",
-        Op::Div(..) => "Div",
         Op::AddRow(..) => "AddRow",
         Op::MulRow(..) => "MulRow",
         Op::TileRow(..) => "TileRow",
@@ -224,13 +217,11 @@ fn op_name(op: &Op) -> &'static str {
         Op::Sigmoid(..) => "Sigmoid",
         Op::Tanh(..) => "Tanh",
         Op::Softplus(..) => "Softplus",
-        Op::Exp(..) => "Exp",
         Op::Log(..) => "Log",
         Op::Square(..) => "Square",
         Op::SumAll(..) => "SumAll",
         Op::MeanAll(..) => "MeanAll",
         Op::SumRows(..) => "SumRows",
-        Op::SumCols(..) => "SumCols",
         Op::SoftmaxRows(..) => "SoftmaxRows",
         Op::ConcatCols(..) => "ConcatCols",
         Op::ConcatRows(..) => "ConcatRows",
@@ -442,13 +433,6 @@ impl Graph {
         self.push(t, Op::Leaf)
     }
 
-    /// Records a `1 x 1` scalar constant.
-    pub fn scalar(&mut self, v: f32) -> Var {
-        let mut t = self.pool.tensor_raw(1, 1);
-        t.as_mut_slice()[0] = v;
-        self.input(t)
-    }
-
     /// Binds a parameter from `params` as a leaf; its gradient is later
     /// collected by the optimizer. Binding the same parameter several times
     /// is allowed — gradients are summed at step time.
@@ -521,16 +505,6 @@ impl Graph {
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let v = fwd::mul(&mut self.pool, &self.values[a.idx()], &self.values[b.idx()]);
         self.push(v, Op::Mul(a, b))
-    }
-
-    pub fn div(&mut self, a: Var, b: Var) -> Var {
-        let v = pooled_zip(
-            &mut self.pool,
-            &self.values[a.idx()],
-            &self.values[b.idx()],
-            |x, y| x / y,
-        );
-        self.push(v, Op::Div(a, b))
     }
 
     /// Adds a `1 x m` row vector to every row of an `n x m` tensor.
@@ -634,11 +608,6 @@ impl Graph {
         self.push(v, Op::Softplus(a))
     }
 
-    pub fn exp(&mut self, a: Var) -> Var {
-        let v = pooled_map(&mut self.pool, &self.values[a.idx()], f32::exp);
-        self.push(v, Op::Exp(a))
-    }
-
     /// Natural log with input clamped to [`LOG_EPS`] for finiteness.
     pub fn log(&mut self, a: Var) -> Var {
         let v = pooled_map(&mut self.pool, &self.values[a.idx()], |x| {
@@ -672,18 +641,6 @@ impl Graph {
     pub fn sum_rows(&mut self, a: Var) -> Var {
         let out = fwd::sum_rows(&mut self.pool, &self.values[a.idx()]);
         self.push(out, Op::SumRows(a))
-    }
-
-    /// Per-column sums, `n x m -> 1 x m`.
-    pub fn sum_cols(&mut self, a: Var) -> Var {
-        let (_n, m) = self.shape(a);
-        let mut out = self.pool.tensor_zeroed(1, m);
-        for r in self.values[a.idx()].rows_iter() {
-            for (o, &x) in out.as_mut_slice().iter_mut().zip(r) {
-                *o += x;
-            }
-        }
-        self.push(out, Op::SumCols(a))
     }
 
     pub fn softmax_rows(&mut self, a: Var) -> Var {
@@ -1449,25 +1406,6 @@ fn backward_op(
                 }
             });
         }
-        &Op::Div(a, b) => {
-            let (av, bv) = (&values[a.idx()], &values[b.idx()]);
-            sink.emit_with(a, &mut |out| {
-                for ((o, &gv), &y) in out
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(g.as_slice())
-                    .zip(bv.as_slice())
-                {
-                    *o = gv / y;
-                }
-            });
-            sink.emit_with(b, &mut |out| {
-                let (gs, avs, bvs) = (g.as_slice(), av.as_slice(), bv.as_slice());
-                for (j, o) in out.as_mut_slice().iter_mut().enumerate() {
-                    *o = -(((gs[j] * avs[j]) / bvs[j]) / bvs[j]);
-                }
-            });
-        }
         &Op::AddRow(a, row) => {
             sink.emit_scaled(a, g, 1.0);
             sink.emit_with(row, &mut |out| col_sums_into(g, out));
@@ -1538,7 +1476,7 @@ fn backward_op(
             let (av, bv) = (&values[a.idx()], &values[b.idx()]);
             // Fused: both products land in one call so the packed kernels
             // share a single parallel region (debt 5a). Bitwise-equal to
-            // the former matmul_tb_into / matmul_ta_into pair.
+            // `reference::matmul_tb` / `reference::matmul_ta`.
             sink.emit_pair_with(a, b, &mut |da, db| g.matmul_grads_into(av, bv, da, db));
         }
         &Op::Transpose(a) => {
@@ -1605,19 +1543,6 @@ fn backward_op(
                 }
             });
         }
-        &Op::Exp(a) => {
-            let yv = &values[i];
-            sink.emit_with(a, &mut |out| {
-                for ((o, &gv), &y) in out
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(g.as_slice())
-                    .zip(yv.as_slice())
-                {
-                    *o = gv * y;
-                }
-            });
-        }
         &Op::Log(a) => {
             let xv = &values[a.idx()];
             sink.emit_with(a, &mut |out| {
@@ -1659,14 +1584,6 @@ fn backward_op(
                 for r in 0..n {
                     let gv = g.as_slice()[r];
                     out.row_mut(r).iter_mut().for_each(|d| *d = gv);
-                }
-            });
-        }
-        &Op::SumCols(a) => {
-            sink.emit_with(a, &mut |out| {
-                let n = out.rows();
-                for r in 0..n {
-                    out.row_mut(r).copy_from_slice(g.as_slice());
                 }
             });
         }
@@ -1896,21 +1813,6 @@ pub fn stable_sigmoid(x: f32) -> f32 {
     }
 }
 
-/// Circular convolution: `out[m] = sum_k a[k] * b[(m - k) mod d]`.
-pub fn circular_convolution(a: &[f32], b: &[f32], out: &mut [f32]) {
-    let d = a.len();
-    debug_assert_eq!(b.len(), d);
-    debug_assert_eq!(out.len(), d);
-    for (m, o) in out.iter_mut().enumerate() {
-        let mut s = 0.0;
-        for (k, &ak) in a.iter().enumerate() {
-            let j = (m + d - (k % d)) % d;
-            s += ak * b[j];
-        }
-        *o = s;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2027,16 +1929,6 @@ mod tests {
         g.backward(loss);
         // d = 2 (p - t) / n = [1.0, 2.0]
         assert_eq!(g.grad(p).unwrap().as_slice(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn circular_convolution_inverts_correlation_grad() {
-        // Check: circconv(g, a)[m] = sum_k g[k] a[(m-k)%d]
-        let g_ = [1.0, 0.0, 0.0];
-        let a = [2.0, 3.0, 4.0];
-        let mut out = [0.0; 3];
-        circular_convolution(&g_, &a, &mut out);
-        assert_eq!(out, [2.0, 3.0, 4.0]);
     }
 
     #[test]

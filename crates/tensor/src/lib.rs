@@ -4,7 +4,7 @@
 //! CATE-HGN reproduction: 2-D `f32` tensors ([`Tensor`]), a tape-based
 //! reverse-mode autodiff engine ([`Graph`]/[`Var`]), parameter storage with
 //! optimizer state ([`Params`]), standard initialisers ([`Initializer`]),
-//! and first-order optimizers ([`Optimizer`]).
+//! and the Adam optimizer ([`Optimizer`]).
 //!
 //! The op vocabulary is chosen for heterogeneous GNN workloads:
 //!
@@ -56,11 +56,11 @@ mod stamped;
 #[allow(clippy::module_inception)] // `tensor::tensor::Tensor` is re-exported flat below
 pub mod tensor;
 
-pub use finite::{first_non_finite, is_all_finite};
+pub use finite::is_all_finite;
 pub use graph::{stable_sigmoid, ConstId, Graph, Var, LOG_EPS};
 pub use infer::{ForwardCtx, InferCtx};
 pub use init::Initializer;
 pub use optim::Optimizer;
 pub use params::{ParamId, Params};
 pub use pool::{BufferPool, PoolStats};
-pub use tensor::{circular_correlation, dot, softmax_in_place, Tensor};
+pub use tensor::{dot, softmax_in_place, Tensor};

@@ -1,29 +1,25 @@
-//! First-order optimizers operating on a [`Params`] store using the
+//! The Adam optimizer, operating on a [`Params`] store using the
 //! gradients recorded in a [`Graph`] after `backward`.
 
 use crate::graph::Graph;
 use crate::params::{ParamId, Params};
 use crate::tensor::Tensor;
 
-/// Optimizer configuration and state.
+/// Adam (Kingma & Ba) configuration and state. `t` counts completed
+/// steps for bias correction.
 #[derive(Clone, Debug)]
-pub enum Optimizer {
-    /// Stochastic gradient descent with classical momentum.
-    Sgd { lr: f32, momentum: f32 },
-    /// Adam (Kingma & Ba). `t` counts completed steps for bias correction.
-    Adam {
-        lr: f32,
-        beta1: f32,
-        beta2: f32,
-        eps: f32,
-        t: u64,
-    },
+pub struct Optimizer {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    t: u64,
 }
 
 impl Optimizer {
     /// Adam with the conventional defaults.
     pub fn adam(lr: f32) -> Self {
-        Optimizer::Adam {
+        Optimizer {
             lr,
             beta1: 0.9,
             beta2: 0.999,
@@ -32,38 +28,24 @@ impl Optimizer {
         }
     }
 
-    /// Plain SGD.
-    pub fn sgd(lr: f32) -> Self {
-        Optimizer::Sgd { lr, momentum: 0.0 }
-    }
-
     /// Current learning rate.
     pub fn lr(&self) -> f32 {
-        match self {
-            Optimizer::Sgd { lr, .. } | Optimizer::Adam { lr, .. } => *lr,
-        }
+        self.lr
     }
 
     /// Overrides the learning rate (e.g. for decay schedules).
     pub fn set_lr(&mut self, new_lr: f32) {
-        match self {
-            Optimizer::Sgd { lr, .. } | Optimizer::Adam { lr, .. } => *lr = new_lr,
-        }
+        self.lr = new_lr;
     }
 
-    /// Completed update steps (Adam's bias-correction counter; 0 for SGD).
+    /// Completed update steps (the bias-correction counter).
     pub fn steps(&self) -> u64 {
-        match self {
-            Optimizer::Sgd { .. } => 0,
-            Optimizer::Adam { t, .. } => *t,
-        }
+        self.t
     }
 
-    /// Restores the step counter (checkpoint resume). No-op for SGD.
+    /// Restores the step counter (checkpoint resume).
     pub fn set_steps(&mut self, steps: u64) {
-        if let Optimizer::Adam { t, .. } = self {
-            *t = steps;
-        }
+        self.t = steps;
     }
 
     /// Collects the gradients of all parameters bound in `graph` (summing
@@ -206,56 +188,39 @@ impl Optimizer {
             Some(m) if norm > m && norm > 0.0 => m / norm,
             _ => 1.0,
         };
-        match self {
-            Optimizer::Sgd { lr, momentum } => {
-                for (id, grad) in grads {
-                    let (value, m, _) = params.moments_mut(id);
-                    if *momentum > 0.0 {
-                        m.scale_assign(*momentum);
-                        m.add_scaled(&grad, clip);
-                        value.add_scaled(m, -*lr);
-                    } else {
-                        value.add_scaled(&grad, -*lr * clip);
-                    }
-                    graph.recycle(grad);
-                }
+        self.t += 1;
+        let Optimizer {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            t,
+        } = *self;
+        let bc1 = 1.0 - beta1.powi(t as i32);
+        let bc2 = 1.0 - beta2.powi(t as i32);
+        for (id, mut grad) in grads {
+            grad.scale_assign(clip);
+            let (value, m, v) = params.moments_mut(id);
+            m.scale_assign(beta1);
+            m.add_scaled(&grad, 1.0 - beta1);
+            v.scale_assign(beta2);
+            // Fused `v += (1 - beta2) * grad^2`: same rounding as
+            // materialising grad^2 first, without the temporary.
+            let c2 = 1.0 - beta2;
+            for (vi, &gi) in v.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+                *vi += c2 * (gi * gi);
             }
-            Optimizer::Adam {
-                lr,
-                beta1,
-                beta2,
-                eps,
-                t,
-            } => {
-                *t += 1;
-                let bc1 = 1.0 - beta1.powi(*t as i32);
-                let bc2 = 1.0 - beta2.powi(*t as i32);
-                for (id, mut grad) in grads {
-                    grad.scale_assign(clip);
-                    let (value, m, v) = params.moments_mut(id);
-                    m.scale_assign(*beta1);
-                    m.add_scaled(&grad, 1.0 - *beta1);
-                    v.scale_assign(*beta2);
-                    // Fused `v += (1 - beta2) * grad^2`: same rounding as
-                    // materialising grad^2 first, without the temporary.
-                    let c2 = 1.0 - *beta2;
-                    for (vi, &gi) in v.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                        *vi += c2 * (gi * gi);
-                    }
-                    let step = *lr;
-                    for ((w, mi), vi) in value
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(m.as_slice())
-                        .zip(v.as_slice())
-                    {
-                        let mhat = mi / bc1;
-                        let vhat = vi / bc2;
-                        *w -= step * mhat / (vhat.sqrt() + *eps);
-                    }
-                    graph.recycle(grad);
-                }
+            for ((w, mi), vi) in value
+                .as_mut_slice()
+                .iter_mut()
+                .zip(m.as_slice())
+                .zip(v.as_slice())
+            {
+                let mhat = mi / bc1;
+                let vhat = vi / bc2;
+                *w -= lr * mhat / (vhat.sqrt() + eps);
             }
+            graph.recycle(grad);
         }
         norm
     }
@@ -283,24 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let w = converge(Optimizer::sgd(0.1), 200);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let w = converge(
-            Optimizer::Sgd {
-                lr: 0.05,
-                momentum: 0.9,
-            },
-            300,
-        );
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let w = converge(Optimizer::adam(0.1), 400);
         assert!((w - 3.0).abs() < 1e-2, "w = {w}");
@@ -318,10 +265,10 @@ mod tests {
         let s2 = g.sum_all(w2);
         let loss = g.add(s1, s2);
         g.backward(loss);
-        let mut opt = Optimizer::sgd(0.5);
-        opt.step(&mut params, &mut g);
-        // w := 1 - 0.5 * 2 = 0
-        assert_eq!(params.value(w).as_slice(), &[0.0, 0.0]);
+        let grads = g.collect_param_grads();
+        assert_eq!(grads.len(), 1, "one entry per parameter, not per binding");
+        assert_eq!(grads[0].0, w);
+        assert_eq!(grads[0].1.as_slice(), &[2.0, 2.0]);
     }
 
     #[test]
@@ -382,19 +329,33 @@ mod tests {
 
     #[test]
     fn clipping_caps_global_norm() {
-        let mut params = Params::new();
-        let w = params.add("w", Tensor::from_vec(1, 1, vec![0.0]));
-        let mut g = Graph::new();
-        let wv = g.param(&params, w);
-        let big = g.scale(wv, 1000.0);
-        let shifted = g.add_scalar(big, -1000.0);
-        let sq = g.square(shifted);
-        let loss = g.sum_all(sq);
-        g.backward(loss);
-        let mut opt = Optimizer::sgd(1e-3);
-        let norm = opt.step_clipped(&mut params, &mut g, Some(1.0));
-        assert!(norm > 1.0); // raw norm was huge
-                             // Applied update magnitude is at most lr * 1.0.
-        assert!(params.value(w).as_slice()[0].abs() <= 1e-3 + 1e-7);
+        // The first moment after one step is `(1 - beta1) * clip * grad`,
+        // so it shows the gradient Adam was handed.
+        let first_moment = |max_norm| {
+            let mut params = Params::new();
+            let w = params.add("w", Tensor::from_vec(1, 2, vec![0.0, 0.0]));
+            let mut g = Graph::new();
+            let wv = g.param(&params, w);
+            let big = g.scale(wv, 1000.0);
+            let shifted = g.add_scalar(big, -1000.0);
+            let sq = g.square(shifted);
+            let loss = g.sum_all(sq);
+            g.backward(loss);
+            let norm = Optimizer::adam(1e-3).step_clipped(&mut params, &mut g, max_norm);
+            (norm, params.moments(w).0.norm_sq().sqrt())
+        };
+        let (raw, unclipped) = first_moment(None);
+        assert!(raw > 1.0, "raw norm was huge: {raw}");
+        assert!((unclipped - 0.1 * raw).abs() <= 1e-3 * raw);
+        let (norm, clipped) = first_moment(Some(1.0));
+        assert_eq!(
+            norm.to_bits(),
+            raw.to_bits(),
+            "the pre-clip norm is returned"
+        );
+        assert!(
+            (clipped - 0.1).abs() < 1e-6,
+            "clipped moment norm {clipped}"
+        );
     }
 }

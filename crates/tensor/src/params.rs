@@ -18,7 +18,7 @@ pub struct ParamId(pub(crate) usize);
 struct Entry {
     name: String,
     value: Tensor,
-    /// First-moment buffer (Adam) / velocity (SGD momentum).
+    /// First-moment buffer (Adam).
     m: Tensor,
     /// Second-moment buffer (Adam).
     v: Tensor,

@@ -86,16 +86,6 @@ impl Tensor {
         }
     }
 
-    /// Builds a row vector (`1 x n`).
-    pub fn row_vec(data: Vec<f32>) -> Self {
-        let n = data.len();
-        Tensor {
-            rows: 1,
-            cols: n,
-            data: Stamped::new(data),
-        }
-    }
-
     /// Builds a tensor from nested slices (handy in tests).
     pub fn from_rows(rows: &[&[f32]]) -> Self {
         let r = rows.len();
@@ -110,16 +100,6 @@ impl Tensor {
             cols: c,
             data: Stamped::new(data),
         }
-    }
-
-    /// The identity matrix of size `n`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(n, n);
-        let data = t.as_mut_slice();
-        for i in 0..n {
-            data[i * n + i] = 1.0;
-        }
-        t
     }
 
     #[inline]
@@ -251,11 +231,6 @@ impl Tensor {
         self.zip_with(other, |a, b| a * b)
     }
 
-    /// Element-wise quotient.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a / b)
-    }
-
     /// In-place `self += other`.
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape(), other.shape(), "shape mismatch");
@@ -290,13 +265,6 @@ impl Tensor {
             rows: self.rows,
             cols: self.cols,
             data: Stamped::new(self.data.iter().map(|&x| f(x)).collect()),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_assign(&mut self, f: impl Fn(f32) -> f32) {
-        for a in self.data.iter_mut() {
-            *a = f(*a);
         }
     }
 
@@ -336,21 +304,6 @@ impl Tensor {
     /// Squared Frobenius norm.
     pub fn norm_sq(&self) -> f32 {
         self.data.iter().map(|&x| x * x).sum()
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.norm_sq().sqrt()
-    }
-
-    /// Per-row sums as an `n x 1` column vector.
-    pub fn row_sums(&self) -> Tensor {
-        let data = self.rows_iter().map(|r| r.iter().sum()).collect();
-        Tensor {
-            rows: self.rows,
-            cols: 1,
-            data: Stamped::new(data),
-        }
     }
 
     /// Per-column sums as a `1 x m` row vector.
@@ -432,29 +385,6 @@ impl Tensor {
         }
     }
 
-    /// Matrix product `self^T * other` without materialising the transpose.
-    ///
-    /// Same tiling and bitwise guarantee as [`Tensor::matmul`], against
-    /// [`reference::matmul_ta`].
-    pub fn matmul_ta(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_ta shape mismatch: ({}x{})^T * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (n, k, m) = (self.cols, self.rows, other.cols);
-        let mut out = vec![0.0f32; n * m];
-        let (a, b) = (&self.data, &other.data);
-        par::par_row_chunks_mut(&mut out, m, k * m, |lo, hi, chunk| {
-            matmul_ta_block(a, b, k, n, m, lo, hi, chunk);
-        });
-        Tensor {
-            rows: n,
-            cols: m,
-            data: Stamped::new(out),
-        }
-    }
-
     /// Writes `self * other` into `out` (which must already be `n x m`),
     /// reusing its storage. Bitwise identical to [`Tensor::matmul`].
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
@@ -489,29 +419,12 @@ impl Tensor {
         });
     }
 
-    /// Writes `self^T * other` into `out`, reusing its storage. Bitwise
-    /// identical to [`Tensor::matmul_ta`].
-    pub fn matmul_ta_into(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_ta shape mismatch: ({}x{})^T * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (n, k, m) = (self.cols, self.rows, other.cols);
-        assert_eq!(out.shape(), (n, m), "matmul_ta_into: out must be {n}x{m}");
-        out.data.fill(0.0);
-        let (a, b) = (&self.data, &other.data);
-        par::par_row_chunks_mut(&mut out.data, m, k * m, |lo, hi, chunk| {
-            matmul_ta_block(a, b, k, n, m, lo, hi, chunk);
-        });
-    }
-
     /// Both gradients of `C = A * B` in one fused dispatch, given
     /// `self = dC` (`n x m`): writes `dA = dC * B^T` into `da` (`n x k`)
     /// and `dB = A^T * dC` into `db` (`k x m`), overwriting both.
     ///
-    /// Bitwise-identical to [`Tensor::matmul_tb_into`] followed by
-    /// [`Tensor::matmul_ta_into`], but the two products share one parallel
+    /// Bitwise-identical to [`reference::matmul_tb`] and
+    /// [`reference::matmul_ta`], but the two products share one parallel
     /// region (one pool dispatch instead of two) and run on the packed
     /// kernels, which reuse each gathered operand panel across all row
     /// blocks — the fusion of the MatMul backward path (carried debt 5a).
@@ -1250,24 +1163,9 @@ pub fn softmax_in_place(x: &mut [f32]) {
     }
 }
 
-/// Circular correlation of two equal-length slices:
-/// `out[k] = sum_i a[i] * b[(i + k) mod d]` (HolE-style composition).
-pub fn circular_correlation(a: &[f32], b: &[f32], out: &mut [f32]) {
-    let d = a.len();
-    debug_assert_eq!(b.len(), d);
-    debug_assert_eq!(out.len(), d);
-    for (k, o) in out.iter_mut().enumerate() {
-        let mut s = 0.0;
-        for (i, &ai) in a.iter().enumerate() {
-            let j = i + k;
-            let j = if j >= d { j - d } else { j };
-            s += ai * b[j];
-        }
-        *o = s;
-    }
-}
-
-/// [`circular_correlation`] against a pre-doubled window: `win` must hold
+/// Circular correlation of two equal-length slices,
+/// `out[k] = sum_i a[i] * b[(i + k) mod d]` (HolE-style composition),
+/// against a pre-doubled window of `b`: `win` must hold
 /// `b` followed by `b[..d-1]` (length `2d - 1`), so every rotation of `b`
 /// is a contiguous slice and output `k` is `dot(a, win[k..k + d])`.
 ///
@@ -1284,8 +1182,8 @@ pub fn circular_correlation_windowed(a: &[f32], win: &[f32], out: &mut [f32]) {
     windowed_dots(a, win, out);
 }
 
-/// [`circular_convolution`](crate::circular_convolution) against a
-/// pre-reversed doubled window: `win[i] = a[(d - 1 - i).rem_euclid(d)]`
+/// Circular convolution, `out[m] = sum_k g[k] * a[(m - k) mod d]`,
+/// against a pre-reversed doubled window: `win[i] = a[(d - 1 - i).rem_euclid(d)]`
 /// (length `2d - 1`), i.e. `rev(a)` followed by `rev(a)[..d-1]`. Each
 /// output then reads `out[m] = dot(g, win[d-1-m .. 2d-1-m])`.
 ///
@@ -1399,21 +1297,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn eye_is_identity_under_matmul() {
-        let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let i = Tensor::eye(2);
-        assert_eq!(a.matmul(&i), a);
-        assert_eq!(i.matmul(&a), a);
-    }
-
-    #[test]
     fn elementwise_ops() {
         let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Tensor::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         assert_eq!(a.add(&b).as_slice(), &[6.0, 8.0, 10.0, 12.0]);
         assert_eq!(b.sub(&a).as_slice(), &[4.0, 4.0, 4.0, 4.0]);
         assert_eq!(a.mul(&b).as_slice(), &[5.0, 12.0, 21.0, 32.0]);
-        assert_eq!(b.div(&a).as_slice(), &[5.0, 3.0, 7.0 / 3.0, 2.0]);
         let mut c = a.clone();
         c.add_scaled(&b, 2.0);
         assert_eq!(c.as_slice(), &[11.0, 14.0, 17.0, 20.0]);
@@ -1434,10 +1323,6 @@ pub(crate) mod tests {
         let b = Tensor::from_rows(&[&[2.0, 1.0, 0.0], &[0.5, -1.0, 3.0]]);
         // a * b^T via matmul_tb must equal a.matmul(b.transpose()).
         assert_eq!(a.matmul_tb(&b), a.matmul(&b.transpose()));
-        // a^T * b via matmul_ta with compatible shapes.
-        let c = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let d = Tensor::from_rows(&[&[1.0], &[0.0], &[-1.0]]);
-        assert_eq!(c.matmul_ta(&d), c.transpose().matmul(&d));
     }
 
     #[test]
@@ -1451,9 +1336,6 @@ pub(crate) mod tests {
         let mut out = Tensor::full(2, 2, f32::NAN);
         a.matmul_tb_into(&c, &mut out);
         assert_eq!(out, a.matmul_tb(&c));
-        let mut out = Tensor::full(3, 3, f32::NAN);
-        a.matmul_ta_into(&c, &mut out);
-        assert_eq!(out, a.matmul_ta(&c));
         let mut out = Tensor::zeros(3, 2);
         a.transpose_into(&mut out);
         assert_eq!(out, a.transpose());
@@ -1475,7 +1357,6 @@ pub(crate) mod tests {
         assert_eq!(a.max(), 4.0);
         assert_eq!(a.min(), -2.0);
         assert_eq!(a.norm_sq(), 1.0 + 4.0 + 9.0 + 16.0);
-        assert_eq!(a.row_sums().as_slice(), &[-1.0, 7.0]);
         assert_eq!(a.col_sums().as_slice(), &[4.0, 2.0]);
         assert_eq!(a.argmax_rows(), vec![0, 1]);
     }
@@ -1540,7 +1421,7 @@ pub(crate) mod tests {
         assert_eq!(base.content_stamp(), base.content_stamp(), "reads");
         let other = twin.clone();
         type Mutation<'a> = (&'a str, &'a dyn Fn(&mut Tensor));
-        let mutations: [Mutation; 15] = [
+        let mutations: [Mutation; 13] = [
             ("as_mut_slice", &|t| {
                 let v = t.get(0, 0);
                 t.as_mut_slice()[0] = v; // the same bits
@@ -1549,13 +1430,11 @@ pub(crate) mod tests {
             ("set", &|t| t.set(0, 1, 7.0)),
             ("set_row", &|t| t.set_row(0, &[0.0, 1.0])),
             ("fill", &|t| t.fill(2.0)),
-            ("map_assign", &|t| t.map_assign(|x| x)),
             ("add_assign", &|t| t.add_assign(&other)),
             ("add_scaled", &|t| t.add_scaled(&other, 0.0)),
             ("scale_assign", &|t| t.scale_assign(1.0)),
             ("matmul_into", &|t| other.matmul_into(&other, t)),
             ("matmul_tb_into", &|t| other.matmul_tb_into(&other, t)),
-            ("matmul_ta_into", &|t| other.matmul_ta_into(&other, t)),
             ("matmul_grads_into da", &|t| {
                 other.matmul_grads_into(&other, &other, t, &mut Tensor::zeros(2, 2))
             }),
@@ -1597,16 +1476,21 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn circular_correlation_known_value() {
-        // d = 3: out[k] = sum_i a[i] b[(i+k)%3]
+    fn circular_correlation_and_convolution_known_values() {
+        // d = 3: corr[k] = sum_i a[i] b[(i+k)%3]
         let a = [1.0, 2.0, 3.0];
         let b = [4.0, 5.0, 6.0];
-        let mut out = [0.0; 3];
-        circular_correlation(&a, &b, &mut out);
+        let (mut win, mut out) = ([0.0; 5], [0.0; 3]);
+        fill_corr_window(&b, &mut win);
+        circular_correlation_windowed(&a, &win, &mut out);
         assert_eq!(
             out,
             [4.0 + 10.0 + 18.0, 5.0 + 12.0 + 12.0, 6.0 + 8.0 + 15.0]
         );
+        // conv[m] = sum_k g[k] a[(m-k)%3]: a unit impulse returns `a`.
+        fill_conv_window(&[2.0, 3.0, 4.0], &mut win);
+        circular_convolution_windowed(&[1.0, 0.0, 0.0], &win, &mut out);
+        assert_eq!(out, [2.0, 3.0, 4.0]);
     }
 
     /// One-`dot`-per-output reference for [`circular_correlation_windowed`].

@@ -13,7 +13,7 @@ const EPS: f32 = 1e-2;
 const TOL: f32 = 2e-2;
 
 /// A small tensor with entries in [-2, 2], nudged away from zero so that
-/// relu/leaky-relu kinks and log/div singularities are avoided.
+/// relu/leaky-relu kinks and log singularities are avoided.
 fn small_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-2.0f32..2.0, rows * cols).prop_map(move |mut v| {
         for x in &mut v {
@@ -71,11 +71,6 @@ proptest! {
     #[test]
     fn grad_mul(a in small_tensor(3, 4), b in small_tensor(3, 4)) {
         assert_grad_binary(&a, &b, |g, x, y| { let s = g.mul(x, y); weighted_sum(g, s) });
-    }
-
-    #[test]
-    fn grad_div(a in small_tensor(2, 3), b in positive_tensor(2, 3)) {
-        assert_grad_binary(&a, &b, |g, x, y| { let s = g.div(x, y); weighted_sum(g, s) });
     }
 
     #[test]
@@ -139,11 +134,6 @@ proptest! {
     }
 
     #[test]
-    fn grad_exp(a in small_tensor(2, 3)) {
-        assert_grad_unary(&a, |g, x| { let s = g.exp(x); weighted_sum(g, s) });
-    }
-
-    #[test]
     fn grad_log(a in positive_tensor(2, 3)) {
         assert_grad_unary(&a, |g, x| { let s = g.log(x); weighted_sum(g, s) });
     }
@@ -156,11 +146,6 @@ proptest! {
     #[test]
     fn grad_sum_rows(a in small_tensor(3, 4)) {
         assert_grad_unary(&a, |g, x| { let s = g.sum_rows(x); weighted_sum(g, s) });
-    }
-
-    #[test]
-    fn grad_sum_cols(a in small_tensor(3, 4)) {
-        assert_grad_unary(&a, |g, x| { let s = g.sum_cols(x); weighted_sum(g, s) });
     }
 
     #[test]

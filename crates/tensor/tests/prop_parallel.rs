@@ -92,25 +92,6 @@ proptest! {
         par::set_num_threads(0);
     }
 
-    /// `A^T (k x n) * B (k x m)` bitwise-matches the reference.
-    #[test]
-    fn matmul_ta_matches_reference_at_all_thread_counts(
-        (n, k, m) in (dim(), dim(), dim()),
-        seed in 0.0f32..64.0,
-    ) {
-        let mut state = seed + 0.25;
-        let at = fill(k, n, &mut state);
-        let b = fill(k, m, &mut state);
-        let want = reference::matmul_ta(&at, &b);
-        let _guard = THREADS.lock().unwrap();
-        for t in THREAD_COUNTS {
-            par::set_num_threads(t);
-            let got = at.matmul_ta(&b);
-            assert_bitwise("matmul_ta", &got, &want, t);
-        }
-        par::set_num_threads(0);
-    }
-
     /// The fused backward pair `dA = dC * B^T`, `dB = A^T * dC`
     /// ([`Tensor::matmul_grads_into`], one pool region for both products)
     /// bitwise-matches the two separate reference products at every
@@ -347,8 +328,6 @@ fn degenerate_shapes_are_safe_at_all_thread_counts() {
             assert_eq!(a.matmul(&b).shape(), (n, m));
             let bt = Tensor::zeros(m, k);
             assert_eq!(a.matmul_tb(&bt).shape(), (n, m));
-            let at = Tensor::zeros(k, n);
-            assert_eq!(at.matmul_ta(&b).shape(), (n, m));
         }
     }
     par::set_num_threads(0);

@@ -8,7 +8,6 @@
 //! models rely on — with a single cheap pass over the corpus.
 
 use crate::vocab::TokenId;
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tensor::{init::gaussian, Tensor};
@@ -69,10 +68,6 @@ impl WordEmbeddings {
         WordEmbeddings { dim, table: table.l2_normalize_rows() }
     }
 
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     pub fn vocab_size(&self) -> usize {
         self.table.rows()
     }
@@ -108,17 +103,6 @@ impl WordEmbeddings {
     }
 }
 
-/// Deterministic random feature vector for arbitrary entities (venues,
-/// link types) keyed by `(seed, key)` — used where no text is available.
-pub fn hashed_feature(seed: u64, key: u64, dim: usize) -> Vec<f32> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let n: f32 = v.iter().map(|&x| x * x).sum::<f32>().sqrt();
-    if n > 1e-12 {
-        v.iter_mut().for_each(|x| *x /= n);
-    }
-    v
-}
 
 #[cfg(test)]
 mod tests {
@@ -171,17 +155,6 @@ mod tests {
         assert!(emb.aggregate(&[]).iter().all(|&x| x == 0.0));
         let agg = emb.aggregate(&[t(0), t(1)]);
         let n: f32 = agg.iter().map(|&x| x * x).sum::<f32>().sqrt();
-        assert!((n - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn hashed_feature_is_deterministic_and_distinct() {
-        let a = hashed_feature(1, 42, 16);
-        let b = hashed_feature(1, 42, 16);
-        let c = hashed_feature(1, 43, 16);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        let n: f32 = a.iter().map(|&x| x * x).sum::<f32>().sqrt();
         assert!((n - 1.0).abs() < 1e-4);
     }
 }

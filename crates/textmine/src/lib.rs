@@ -16,7 +16,7 @@ pub mod simbert;
 pub mod tfidf;
 pub mod vocab;
 
-pub use embed::{hashed_feature, WordEmbeddings};
+pub use embed::WordEmbeddings;
 pub use simbert::SimBert;
 pub use tfidf::TfIdf;
 pub use vocab::{tokenize, TokenId, Vocab, STOPWORDS};

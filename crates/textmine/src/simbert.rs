@@ -40,13 +40,6 @@ impl SimBert {
         SimBert { emb, log_freq, temperature: 0.1, freq_weight: 0.05 }
     }
 
-    /// Builds an oracle around pre-trained embeddings.
-    pub fn from_embeddings(emb: WordEmbeddings, freqs: &[u64]) -> Self {
-        assert_eq!(emb.vocab_size(), freqs.len());
-        let log_freq = freqs.iter().map(|&f| ((1 + f) as f32).ln()).collect();
-        SimBert { emb, log_freq, temperature: 0.1, freq_weight: 0.05 }
-    }
-
     pub fn vocab_size(&self) -> usize {
         self.emb.vocab_size()
     }

@@ -32,11 +32,6 @@ impl TfIdf {
         TfIdf { doc_freq, n_docs: docs.len() }
     }
 
-    /// Number of fitted documents.
-    pub fn n_docs(&self) -> usize {
-        self.n_docs
-    }
-
     /// `n(u)`: number of documents containing `term`.
     pub fn doc_freq(&self, term: TokenId) -> u32 {
         self.doc_freq.get(&term).copied().unwrap_or(0)
@@ -71,15 +66,6 @@ impl TfIdf {
             .map(|(t, c)| (t, (c as f32 / total) * self.idf(t)))
             .collect()
     }
-
-    /// TF-IDF weight for one `(doc, term)` pair.
-    pub fn weight(&self, doc: &[TokenId], term: TokenId) -> f32 {
-        let c = doc.iter().filter(|&&t| t == term).count();
-        if c == 0 || doc.is_empty() {
-            return 0.0;
-        }
-        (c as f32 / doc.len() as f32) * self.idf(term)
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +97,6 @@ mod tests {
         assert_eq!(w.len(), 2);
         assert!((w[0].1 - (2.0 / 3.0) * (2.0f32).ln()).abs() < 1e-6);
         assert_eq!(w[1].1, 0.0);
-        assert_eq!(m.weight(&docs[0], t(0)), w[0].1);
     }
 
     #[test]
@@ -126,6 +111,5 @@ mod tests {
         let m = TfIdf::fit(&[]);
         assert_eq!(m.idf(t(0)), 0.0);
         assert!(m.weights(&[]).is_empty());
-        assert_eq!(m.weight(&[], t(0)), 0.0);
     }
 }

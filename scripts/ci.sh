@@ -13,10 +13,12 @@
 #   2. cargo run -p lint — the workspace invariant linter: per-file
 #      passes (determinism, unsafe-audit, panic-path, suppression) plus
 #      the call-graph passes (determinism-taint with witness paths,
-#      panic-reach, parallel-fold, lock-discipline; DESIGN.md §Static
-#      analysis). Debt is pinned in lint.allow and may only shrink; the
-#      same run stale-fails when results/PANIC_SURFACE.md is out of date
-#      with --update output or its entry-point ratchet grows.
+#      panic-reach, parallel-fold, lock-discipline, dead-pub; DESIGN.md
+#      §Static analysis). Debt is pinned in lint.allow and may only
+#      shrink; the same run stale-fails when results/PANIC_SURFACE.md or
+#      results/DEAD_PUB.md (public functions no binary, example or
+#      perfbench function reaches) is out of date with --update output,
+#      or when the count either report ratchets grows.
 #   3. cargo clippy -D warnings across the whole workspace (all targets),
 #      with the clippy.toml disallowed-types/-methods backstop.
 #   4. cargo build --release --workspace (every binary the later stages
@@ -102,6 +104,7 @@ RUSTFMT_RATCHET=(
     crates/lint/src/lexer.rs
     crates/lint/src/lib.rs
     crates/lint/src/main.rs
+    crates/lint/src/passes/dead_pub.rs
     crates/lint/src/passes/determinism.rs
     crates/lint/src/passes/lockpark.rs
     crates/lint/src/passes/mod.rs
@@ -124,9 +127,10 @@ rustfmt --edition 2021 --check "${RUSTFMT_RATCHET[@]}"
 # debug build of the zero-dependency lint crate, so a new unwrap, a
 # missing SAFETY comment, or a nondeterminism source leaking through a
 # helper into a parallel region fails in seconds, not after the release
-# build. The same run checks results/PANIC_SURFACE.md against the
-# current workspace and fails if it is stale or its ratcheted
-# entry-point count grew (regenerate with `cargo run -p lint -- --update`).
+# build. The same run checks results/PANIC_SURFACE.md and
+# results/DEAD_PUB.md against the current workspace and fails if either
+# is stale or its ratcheted count grew (regenerate with
+# `cargo run -p lint -- --update`).
 echo "== invariant lint (cargo run -p lint) =="
 cargo run -q -p lint
 
