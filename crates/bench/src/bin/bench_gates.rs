@@ -6,14 +6,13 @@
 //! | no-tape serving | per-query taped `predict` | one batched `ServeEngine::predict` | 3x |
 //! | warm cache hit | cold engine per query (full re-embed) | warm-cache `recommend` (stamp check + scan + rank) | 10x |
 //! | lanes | `train_with`, 1 data lane | 2 and 4 data lanes | 0.95x |
-//! | prefetch pipeline | `train_with`, serial loop | `prefetch = 4` | 1.0x |
 //!
 //! Every gate uses one estimator: [`PAIRS`] pairs, each arm timed as the
 //! fastest of [`RUNS`] calls (scheduler noise on a shared host only ever
 //! inflates a call) with the two arms' calls interleaved and the leading
 //! arm alternating, and the gate reads the median pair ratio. The arms'
 //! bitwise equivalence is the owning crates' tests' job (`infer_serve`,
-//! `batch_parallel`, `prop_pipeline`); this binary only checks time,
+//! `batch_parallel`); this binary only checks time,
 //! takes no flags and writes no files. It prints one line per gate and
 //! exits non-zero if any gate fails.
 //!
@@ -188,24 +187,6 @@ fn main() {
         passed &= gate(&format!("lanes ({n} vs 1)"), &speedup, 0.95);
     }
 
-    // ---- Prefetch pipeline vs the serial loop, at one tensor thread so
-    // the overlap measured is sampling vs compute, not kernel parallelism.
-    // 2 x 120 steps: a shorter run cannot resolve the overlap from noise.
-    par::set_num_threads(1);
-    let cfg = ModelConfig {
-        outer_iters: 2,
-        mini_iters: 120,
-        ..ModelConfig::test_tiny()
-    };
-    let prefetch = |prefetch| TrainOptions {
-        prefetch,
-        ..TrainOptions::default()
-    };
-    let pipeline = pair_speedups(
-        || train_secs(&ds, &cfg, &prefetch(0)),
-        || train_secs(&ds, &cfg, &prefetch(4)),
-    );
-    passed &= gate("prefetch pipeline", &pipeline, 1.0);
     par::set_num_threads(0);
 
     if !passed {

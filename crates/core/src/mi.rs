@@ -19,9 +19,10 @@ type EdgeSegment<'a> = (&'a [hetgraph::BlockEdge], &'a mut [(usize, usize, f32)]
 /// The RNG draws one layer transition's [`mi_loss`] would make: the
 /// subsample swap targets (empty when the block fits under `max_edges`)
 /// and the negative source rows. Pre-drawing them decouples the loss's
-/// stochastic choices from the tape construction, which is what lets a
-/// prefetching producer thread draw them ahead of time while staying
-/// bitwise-identical to the historical serial loop.
+/// stochastic choices from the tape construction: a training step makes
+/// all of its draws before its forward pass, and a data lane draws its
+/// plan from a private stream, while the one-lane loop stays
+/// bitwise-identical to drawing inside the loss.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MiDraw {
     /// `swap_js[i]` is the `gen_range(i..total)` target of subsample swap

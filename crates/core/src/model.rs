@@ -267,7 +267,7 @@ impl CateHgn {
 
     /// Draws the [`MiPlan`] of one step for `blocks` — exactly the RNG
     /// consumption [`CateHgn::hgn_loss`] performs, decoupled from the tape
-    /// so a prefetching producer can draw it ahead of the forward pass.
+    /// so a step can make all of its draws before its forward pass.
     pub fn plan_hgn<R: Rng>(&self, blocks: &[Block], rng: &mut R) -> MiPlan {
         plan_mi(blocks, self.cfg.ablation.mi, self.cfg.mi_max_edges, rng)
     }
@@ -289,7 +289,8 @@ impl CateHgn {
     }
 
     /// [`CateHgn::hgn_loss`] with the stochastic choices supplied by a
-    /// pre-drawn [`MiPlan`] — the prefetched-pipeline entry point.
+    /// pre-drawn [`MiPlan`] — the training loop's entry point, since it
+    /// draws each step's batch, blocks and plan before building the tape.
     pub fn hgn_loss_planned(
         &self,
         g: &mut Graph,

@@ -25,6 +25,7 @@
 //! one, and a resumed run is bitwise-identical to an uninterrupted one.
 
 use crate::train::{TeRound, TrainReport};
+use hetgraph::shard::fnv1a;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -399,17 +400,6 @@ pub struct TrainOptions {
     /// worker pool, and averages their gradients in fixed lane order —
     /// results depend on the lane count but never on the thread count.
     pub data_lanes: usize,
-    /// Minibatch prefetch depth. `0` or `1` runs the historical serial
-    /// loop; `n > 1` moves batch drawing, neighborhood sampling, and MI
-    /// planning onto a producer thread that keeps up to `n` assembled
-    /// steps queued ahead of the optimizer. The producer pre-draws every
-    /// stochastic choice in serial order and ships the post-step RNG
-    /// state with each payload, so losses, parameters, and checkpoints
-    /// are bitwise-identical to the serial loop at any depth — `prefetch`
-    /// is deliberately *not* recorded in [`TrainState`], and a checkpoint
-    /// can be resumed under a different depth. Composes with
-    /// `data_lanes`: the producer draws each lane's step in lane order.
-    pub prefetch: usize,
 }
 
 // -------------------------------------------------------------------
@@ -595,16 +585,6 @@ pub fn restore_values(params: &mut Params, snaps: &[ValueSnap]) -> Result<(), Ch
 // -------------------------------------------------------------------
 // Binary codec.
 // -------------------------------------------------------------------
-
-/// FNV-1a 64-bit over raw bytes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// [`fnv1a`] over the exact bit patterns of an `f32` slice (little-endian
 /// byte order), without reinterpreting memory. Bit-exact: `-0.0` and `0.0`

@@ -1,15 +1,14 @@
 //! Algorithm 1: iterative training of HGN mini-iterations, CA center
 //! updates, and TE term refreshes.
 //!
-//! [`train_with`] runs every step through one *step driver*: a step source
-//! yields `Payload`s — drawn inline, or ahead of time by the prefetch
-//! producer — and one consumer evaluates each group of them (on the one
-//! tape, or on lane tapes folded in fixed order), takes the guarded
-//! optimizer step, accounts it, and checkpoints or halts. Both sources
-//! consume the main RNG in the same order, so the source never changes a
-//! number, and a run resumed from a checkpoint at any step boundary
-//! reproduces the uninterrupted run bitwise. Non-finite steps are handled
-//! by a [`RecoveryPolicy`]; [`train`] runs with all of this off.
+//! [`train_with`] runs every step through one *step driver*: `Draws`
+//! yields `Payload`s in the main RNG's order — batch, blocks, MI plan —
+//! and the driver evaluates each group of them (on the one tape, or on
+//! lane tapes folded in fixed order), takes the guarded optimizer step,
+//! accounts it, and checkpoints or halts. A run resumed from a checkpoint
+//! at any step boundary reproduces the uninterrupted run bitwise.
+//! Non-finite steps are handled by a [`RecoveryPolicy`]; [`train`] runs
+//! with all of this off.
 
 use crate::config::ModelConfig;
 use crate::mi::{plan_mi, MiPlan};
@@ -113,9 +112,7 @@ impl Pos {
     }
 }
 
-/// One drawn training step. The inline source and the prefetch producer
-/// build it with the same code in the same RNG order, so a consumer
-/// cannot tell them apart. CA steps carry no labels and an empty plan.
+/// One drawn training step. CA steps carry no labels and an empty plan.
 struct Payload {
     /// Global step position (the fault-injection key).
     step: u64,
@@ -124,14 +121,16 @@ struct Payload {
     labels: Vec<f32>,
     blocks: Vec<Block>,
     plan: MiPlan,
-    /// Main-RNG state after all of this step's draws; the consumer adopts
-    /// it for every step it consumes.
+    /// Main-RNG state after all of this step's draws; the step driver
+    /// adopts it for every group it takes.
     rng_words: [u32; 27],
 }
 
 /// The step source of one phase segment: yields the phase's remaining
 /// steps, consuming a private copy of the main RNG in serial order —
-/// batch, blocks, then the MI plan.
+/// batch, blocks, then the MI plan. Owning the copy (rather than
+/// borrowing `Run::rng`) leaves the step driver free to borrow `Run`
+/// mutably while the draws are live.
 struct Draws<'a> {
     ds: &'a Dataset,
     cfg: &'a ModelConfig,
@@ -198,7 +197,7 @@ struct Lane {
 }
 
 /// How a step segment ended. Recovery, which may need `&mut Dataset`,
-/// runs after the segment (and any producer thread) has finished.
+/// runs after the segment has finished.
 enum Segment {
     /// The phase's steps for this round have all landed.
     Done,
@@ -338,12 +337,14 @@ impl Run<'_> {
     }
 
     /// Runs the current phase from `pos` to its end, a halt, or a failed
-    /// step. `prefetch` alone picks the step source; both draw from a copy
-    /// of the main RNG, and the consumer adopts the state of each step it
-    /// consumes, so unconsumed prefetched draws are simply discarded.
+    /// step: evaluates groups of drawn payloads — one step per group, or
+    /// up to `lanes` HGN steps sharing one optimizer step — and runs the
+    /// post-step block after each landed group. The draws consume a copy
+    /// of the main RNG, and the loop adopts the state of each group it
+    /// takes.
     fn segment(&mut self, ds: &Dataset) -> Result<Segment, TrainError> {
         let start = self.pos.global(self.cfg);
-        let draws = Draws {
+        let mut draws = Draws {
             ds,
             cfg: self.cfg,
             hgn: matches!(self.pos, Pos::Hgn { .. }),
@@ -351,31 +352,6 @@ impl Run<'_> {
             rng: self.rng.clone(),
             steps: start..start + self.pos.left(self.cfg) as u64,
         };
-        if self.opts.prefetch > 1 {
-            let producer = move |tx: &tensor::par::PipeSender<'_, Payload>| {
-                for p in draws {
-                    if !tx.send(p) {
-                        return; // the consumer stopped the segment early
-                    }
-                }
-            };
-            tensor::par::run_with_producer(self.opts.prefetch, producer, |rx| {
-                self.consume(ds, || rx.recv())
-            })
-        } else {
-            let mut draws = draws;
-            self.consume(ds, || draws.next())
-        }
-    }
-
-    /// The one consumer: evaluates groups of payloads from `src` — one
-    /// step per group, or up to `lanes` HGN steps sharing one optimizer
-    /// step — and runs the post-step block after each landed group.
-    fn consume(
-        &mut self,
-        ds: &Dataset,
-        mut src: impl FnMut() -> Option<Payload>,
-    ) -> Result<Segment, TrainError> {
         let cfg = self.cfg;
         let mut batch: Vec<Payload> = Vec::with_capacity(self.lanes);
         loop {
@@ -384,7 +360,7 @@ impl Run<'_> {
                 Pos::Ca { .. } => self.pos.left(cfg).min(1),
             };
             batch.clear();
-            batch.extend(std::iter::from_fn(&mut src).take(group));
+            batch.extend(draws.by_ref().take(group));
             let Some(last) = batch.last() else {
                 return Ok(Segment::Done);
             };
@@ -608,12 +584,12 @@ fn step_labels(p: &mut Payload, faults: &mut FaultPlan) -> Tensor {
 }
 
 /// [`train`] with checkpoint/resume, non-finite recovery, fault injection,
-/// batch-level data parallelism, and minibatch prefetch. See
-/// `crate::resilience` for the option types.
+/// and batch-level data parallelism. See `crate::resilience` for the
+/// option types.
 ///
 /// Determinism contract: on a clean run (no faults, no non-finite values)
 /// this performs arithmetic bitwise-identical to the historical loop
-/// regardless of checkpoint and prefetch options, and a run resumed from a
+/// regardless of checkpoint options, and a run resumed from a
 /// checkpoint continues bitwise-identical to the uninterrupted run.
 pub fn train_with(
     model: &mut CateHgn,
@@ -1028,35 +1004,6 @@ mod tests {
         let labels = Tensor::col_vec(vec![1.0, 2.0, 9.0]);
         let out = dedup_labels(&seeds, &deduped, &labels);
         assert_eq!(out.as_slice(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn prefetch_pipeline_is_bitwise_identical_to_serial() {
-        let mut cfg = ModelConfig::test_tiny();
-        cfg.outer_iters = 2;
-        cfg.mini_iters = 6;
-        let world = WorldConfig::tiny();
-        let run = |prefetch: usize| {
-            let mut ds = Dataset::full(&world, 8);
-            let mut model = CateHgn::new(
-                cfg.clone(),
-                ds.features.cols(),
-                ds.graph.schema().num_node_types(),
-                ds.graph.schema().num_link_types(),
-            );
-            let mut opts = TrainOptions {
-                prefetch,
-                ..TrainOptions::default()
-            };
-            let report = train_with(&mut model, &mut ds, &mut opts).unwrap();
-            (report, snapshot_params(&model.params))
-        };
-        let (r_serial, p_serial) = run(0);
-        for depth in [1, 2, 4] {
-            let (r, p) = run(depth);
-            assert_eq!(r_serial, r, "report diverged at prefetch {depth}");
-            assert_eq!(p_serial, p, "params diverged at prefetch {depth}");
-        }
     }
 
     #[test]

@@ -164,48 +164,6 @@ fn ca_phase_resume_reproduces_uninterrupted_run_bitwise() {
     par::set_num_threads(0);
 }
 
-/// The CA prefetch pipeline honours CA-phase halts the same way the
-/// serial loop does: halt inside the prefetched CA segment, resume a
-/// prefetched run, land bitwise on the uninterrupted prefetched run.
-#[test]
-fn ca_phase_resume_is_bitwise_under_prefetch() {
-    let cfg = tiny_cfg();
-    let pristine = Dataset::full(&WorldConfig::tiny(), 8);
-    let _guard = THREADS.lock().unwrap();
-    par::set_num_threads(1);
-    let reference = run_uninterrupted(&cfg, &pristine);
-    let path = ckpt_path("ca-prefetch");
-    {
-        let (mut model, mut ds) = build(&cfg, &pristine);
-        let mut opts = TrainOptions {
-            checkpoint_path: Some(path.clone()),
-            halt_after_ca: Some(3),
-            prefetch: 2,
-            ..TrainOptions::default()
-        };
-        train_with(&mut model, &mut ds, &mut opts).unwrap();
-    }
-    let (mut model, mut ds) = build(&cfg, &pristine);
-    let mut opts = TrainOptions {
-        checkpoint_path: Some(path.clone()),
-        resume: true,
-        prefetch: 2,
-        ..TrainOptions::default()
-    };
-    let report = train_with(&mut model, &mut ds, &mut opts).unwrap();
-    cleanup(&path);
-    assert_eq!(
-        reference,
-        (
-            params_fingerprint(&model.params),
-            report_fingerprint(&report),
-            report
-        ),
-        "prefetched CA halt/resume diverged"
-    );
-    par::set_num_threads(0);
-}
-
 /// Graceful shutdown is a first-class halt: a requested shutdown lands
 /// one final atomic checkpoint at the next step boundary and returns the
 /// partial report cleanly; chained interrupted resumes still finish
@@ -475,15 +433,15 @@ fn rollback_aborts_when_retries_are_exhausted() {
     }
 }
 
-/// Recovery does not depend on where the steps come from: the same fault
-/// schedule lands on the same fingerprints whether batches are drawn
-/// inline or by the prefetch producer, serially or in lane groups.
+/// Recovery does not depend on how the steps are scheduled: the same
+/// fault schedule lands on the same fingerprints at one and at four
+/// tensor threads, on the one-tape loop and in lane groups of two.
 #[test]
 fn recovery_is_bitwise_across_step_schedules() {
     let cfg = tiny_cfg();
     let pristine = Dataset::full(&WorldConfig::tiny(), 8);
     // `(params_fingerprint, report_fingerprint, skipped, rollbacks)`.
-    let run = |policy: RecoveryPolicy, lanes: usize, prefetch: usize| {
+    let run = |policy: RecoveryPolicy, lanes: usize| {
         let (mut model, mut ds) = build(&cfg, &pristine);
         let mut opts = TrainOptions {
             checkpoint_every: Some(2),
@@ -496,7 +454,6 @@ fn recovery_is_bitwise_across_step_schedules() {
             ),
             policy,
             data_lanes: lanes,
-            prefetch,
             ..TrainOptions::default()
         };
         let report = train_with(&mut model, &mut ds, &mut opts).unwrap();
@@ -508,6 +465,7 @@ fn recovery_is_bitwise_across_step_schedules() {
             report.rollbacks,
         )
     };
+    let _guard = THREADS.lock().unwrap();
     for policy in [
         RecoveryPolicy::SkipBatch { max_consecutive: 2 },
         RecoveryPolicy::Rollback {
@@ -515,23 +473,22 @@ fn recovery_is_bitwise_across_step_schedules() {
             max_retries: 2,
         },
     ] {
-        let serial = run(policy, 1, 0);
-        assert!(serial.2 + serial.3 > 0, "{policy:?}: no recovery fired");
-        for prefetch in [2, 4] {
+        for lanes in [1, 2] {
+            par::set_num_threads(1);
+            let serial = run(policy, lanes);
+            assert!(
+                serial.2 + serial.3 > 0,
+                "{policy:?}: no recovery fired at lanes={lanes}"
+            );
+            par::set_num_threads(4);
             assert_eq!(
                 serial,
-                run(policy, 1, prefetch),
-                "{policy:?}: prefetch {prefetch} diverged from the serial run"
+                run(policy, lanes),
+                "{policy:?}: lanes={lanes} diverged between 1 and 4 tensor threads"
             );
         }
-        let lanes = run(policy, 2, 0);
-        assert!(lanes.2 + lanes.3 > 0, "{policy:?}: no lane recovery fired");
-        assert_eq!(
-            lanes,
-            run(policy, 2, 2),
-            "{policy:?}: lanes=2 with prefetch 2 diverged from lanes=2"
-        );
     }
+    par::set_num_threads(0);
 }
 
 #[test]

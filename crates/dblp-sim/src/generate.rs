@@ -9,9 +9,9 @@
 
 use crate::config::WorldConfig;
 use crate::stream::PaperStream;
-use crate::world::{layout, WorldView};
+use crate::world::{layout, LatentWorld};
 #[cfg(test)]
-use crate::world::{LatentWorld, TermKind};
+use crate::world::TermKind;
 use rand::Rng;
 use tensor::init::gaussian;
 
@@ -51,7 +51,7 @@ impl Corpus {
     /// config seed. Implemented as a full drain of the bounded-memory
     /// [`PaperStream`] in exact mode, so the in-memory and streaming
     /// generators cannot diverge (they are the same code).
-    pub fn generate<W: WorldView>(world: &W) -> Self {
+    pub fn generate(world: &LatentWorld) -> Self {
         Corpus { papers: PaperStream::exact(world).collect() }
     }
 
@@ -72,22 +72,22 @@ pub(crate) struct AuthorPicker {
 }
 
 impl AuthorPicker {
-    pub(crate) fn new<W: WorldView>(world: &W) -> Self {
-        let k = world.config().n_domains;
+    pub(crate) fn new(world: &LatentWorld) -> Self {
+        let k = world.config.n_domains;
         let mut tables = Vec::with_capacity(k);
         for d in 0..k {
             let mut ids = Vec::new();
             let mut cum = Vec::new();
             let mut acc = 0.0f32;
-            for i in 0..world.n_authors() {
-                let aff = if world.author_primary(i) == d {
+            for (i, a) in world.authors.iter().enumerate() {
+                let aff = if a.primary == d {
                     1.0
-                } else if world.author_secondary(i) == d {
+                } else if a.secondary == d {
                     0.4
                 } else {
                     0.02
                 };
-                acc += world.author_productivity(i) * aff;
+                acc += a.productivity * aff;
                 ids.push(i);
                 cum.push(acc);
             }
@@ -126,16 +126,16 @@ impl AuthorPicker {
     }
 }
 
-pub(crate) fn pick_venue<W: WorldView>(world: &W, domain: usize, rng: &mut impl Rng) -> usize {
-    let candidates: Vec<usize> = (0..world.n_venues())
-        .filter(|&i| world.venue_domain(i) == domain)
+pub(crate) fn pick_venue(world: &LatentWorld, domain: usize, rng: &mut impl Rng) -> usize {
+    let candidates: Vec<usize> = (0..world.venues.len())
+        .filter(|&i| world.venues[i].domain == domain)
         .collect();
     assert!(!candidates.is_empty(), "every domain must own at least one venue");
     // Authority-weighted choice: stronger venues publish more.
-    let total: f32 = candidates.iter().map(|&i| world.venue_authority(i)).sum();
+    let total: f32 = candidates.iter().map(|&i| world.venues[i].authority).sum();
     let mut u = rng.gen_range(0.0..total);
     for &i in &candidates {
-        u -= world.venue_authority(i);
+        u -= world.venues[i].authority;
         if u <= 0.0 {
             return i;
         }
@@ -143,12 +143,12 @@ pub(crate) fn pick_venue<W: WorldView>(world: &W, domain: usize, rng: &mut impl 
     *candidates.last().unwrap()
 }
 
-pub(crate) fn pick_true_terms<W: WorldView>(
-    world: &W,
+pub(crate) fn pick_true_terms(
+    world: &LatentWorld,
     domain: usize,
     rng: &mut impl Rng,
 ) -> Vec<usize> {
-    let cfg = world.config();
+    let cfg = &world.config;
     // `gen_terms` lays quality terms out contiguously per domain, so slot
     // arithmetic replaces a linear scan of the term list — same draws,
     // same indices, no per-paper allocation of the pool.
@@ -166,13 +166,13 @@ pub(crate) fn pick_true_terms<W: WorldView>(
     out
 }
 
-pub(crate) fn pick_keywords<W: WorldView>(
-    world: &W,
+pub(crate) fn pick_keywords(
+    world: &LatentWorld,
     domain: usize,
     true_terms: &[usize],
     rng: &mut impl Rng,
 ) -> Vec<usize> {
-    let cfg = world.config();
+    let cfg = &world.config;
     let n = (1 + sample_poisson(rng, cfg.keywords_per_paper as f64 - 1.0)).max(2);
     let pool_len = cfg.quality_terms_per_domain;
     let generic_start = layout::generic_start(cfg);
@@ -198,13 +198,13 @@ pub(crate) fn pick_keywords<W: WorldView>(
     out
 }
 
-pub(crate) fn make_title<W: WorldView>(
-    world: &W,
+pub(crate) fn make_title(
+    world: &LatentWorld,
     domain: usize,
     true_terms: &[usize],
     rng: &mut impl Rng,
 ) -> Vec<usize> {
-    let cfg = world.config();
+    let cfg = &world.config;
     let mut title = true_terms.to_vec();
     let generic_start = layout::generic_start(cfg);
     for _ in 0..rng.gen_range(1..3usize) {
@@ -217,23 +217,23 @@ pub(crate) fn make_title<W: WorldView>(
 }
 
 /// The citation-rate model: domain-conditioned author/venue/term factors.
-pub fn citation_rate<W: WorldView>(
-    world: &W,
+pub fn citation_rate(
+    world: &LatentWorld,
     domain: usize,
     authors: &[usize],
     venue: usize,
     true_terms: &[usize],
 ) -> f32 {
-    let cfg = world.config();
+    let cfg = &world.config;
     let best_prestige = authors
         .iter()
-        .map(|&a| world.author_prestige_in(a, domain))
+        .map(|&a| world.authors[a].prestige_in(domain))
         .fold(0.0f32, f32::max);
-    let authority = world.venue_authority_in(venue, domain);
+    let authority = world.venues[venue].authority_in(domain);
     let t_mean = if true_terms.is_empty() {
         0.0
     } else {
-        true_terms.iter().map(|&t| world.term_impact(t)).sum::<f32>() / true_terms.len() as f32
+        true_terms.iter().map(|&t| world.terms[t].impact).sum::<f32>() / true_terms.len() as f32
     };
     // Multiplicative interaction of the three factors: impact compounds
     // (a strong paper at a strong venue by a strong group), which yields the

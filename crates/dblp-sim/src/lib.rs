@@ -29,5 +29,5 @@ pub use dataset::{
 };
 pub use generate::{citation_rate, sample_poisson, Corpus, Paper};
 pub use stats::DatasetStats;
-pub use stream::{BoundedPool, CompactWorld, PaperStream};
-pub use world::{AuthorProfile, LatentWorld, Term, TermKind, VenueProfile, WorldView};
+pub use stream::{BoundedPool, PaperStream};
+pub use world::{AuthorProfile, LatentWorld, Term, TermKind, VenueProfile};

@@ -7,21 +7,15 @@
 //! are either exact (the historical unbounded cumulative table) or
 //! windowed into a fixed-capacity Fenwick ring. `Corpus::generate` is a
 //! full drain of the exact-mode stream, so the streaming and in-memory
-//! generators are the same code and cannot diverge.
-//!
-//! [`CompactWorld`] is the string-free struct-of-arrays twin of
-//! [`LatentWorld`]: it consumes the identical RNG draw sequence, so a
-//! stream over either world view yields bitwise-identical papers
-//! (proptested in `tests/prop_stream.rs`).
+//! generators are the same code and cannot diverge. The stream reads
+//! the [`LatentWorld`] it is given and holds no copy of it.
 
 use crate::config::WorldConfig;
 use crate::generate::{
     citation_rate, make_title, observe_label, pick_keywords, pick_true_terms, pick_venue,
     sample_poisson, AuthorPicker, Paper,
 };
-#[cfg(test)]
 use crate::world::LatentWorld;
-use crate::world::{layout, lognormal, WorldView};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -190,140 +184,11 @@ fn pick_citations(
     out
 }
 
-/// String-free struct-of-arrays view of the latent world, for generation
-/// at scales where per-entity `String` names are dead weight. Sampled
-/// from the exact RNG draw sequence of [`LatentWorld::generate`].
-#[derive(Clone, Debug)]
-pub struct CompactWorld {
-    pub config: WorldConfig,
-    /// Impact per quality term, domain-major (`n_domains * qtpd`).
-    quality_impact: Vec<f32>,
-    author_primary: Vec<u16>,
-    author_secondary: Vec<u16>,
-    author_prestige: Vec<f32>,
-    author_discount: Vec<f32>,
-    author_productivity: Vec<f32>,
-    venue_authority: Vec<f32>,
-}
-
-impl CompactWorld {
-    /// Samples the compact world (deterministic in the config seed;
-    /// bitwise-identical latent values to [`LatentWorld::generate`]).
-    pub fn generate(config: &WorldConfig) -> Self {
-        assert!(config.n_domains <= u16::MAX as usize, "domain ids are u16");
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        // gen_terms draw order: only quality terms consume the RNG.
-        let quality_impact: Vec<f32> = (0..config.n_domains * config.quality_terms_per_domain)
-            .map(|_| rng.gen_range(0.5..1.5))
-            .collect();
-        // gen_authors draw order.
-        let n = config.n_authors;
-        let mut author_primary = Vec::with_capacity(n);
-        let mut author_secondary = Vec::with_capacity(n);
-        let mut author_prestige = Vec::with_capacity(n);
-        let mut author_discount = Vec::with_capacity(n);
-        let mut author_productivity = Vec::with_capacity(n);
-        for _ in 0..n {
-            let primary = rng.gen_range(0..config.n_domains);
-            let mut secondary = rng.gen_range(0..config.n_domains);
-            if secondary == primary {
-                secondary = (secondary + 1) % config.n_domains;
-            }
-            author_primary.push(primary as u16);
-            author_secondary.push(secondary as u16);
-            author_prestige.push(lognormal(&mut rng, 1.0));
-            author_discount.push(rng.gen_range(0.05..0.5));
-            author_productivity.push(lognormal(&mut rng, 0.8));
-        }
-        // gen_venues draw order.
-        let venue_authority: Vec<f32> = (0..config.n_venues)
-            .map(|_| lognormal(&mut rng, 0.9))
-            .collect();
-        CompactWorld {
-            config: config.clone(),
-            quality_impact,
-            author_primary,
-            author_secondary,
-            author_prestige,
-            author_discount,
-            author_productivity,
-            venue_authority,
-        }
-    }
-
-    /// Approximate live heap footprint of the world columns.
-    pub fn heap_bytes(&self) -> usize {
-        self.quality_impact.capacity() * 4
-            + self.author_primary.capacity() * 2
-            + self.author_secondary.capacity() * 2
-            + self.author_prestige.capacity() * 4
-            + self.author_discount.capacity() * 4
-            + self.author_productivity.capacity() * 4
-            + self.venue_authority.capacity() * 4
-    }
-}
-
-impl WorldView for CompactWorld {
-    fn config(&self) -> &WorldConfig {
-        &self.config
-    }
-    fn n_authors(&self) -> usize {
-        self.author_prestige.len()
-    }
-    fn author_primary(&self, a: usize) -> usize {
-        self.author_primary[a] as usize
-    }
-    fn author_secondary(&self, a: usize) -> usize {
-        self.author_secondary[a] as usize
-    }
-    fn author_productivity(&self, a: usize) -> f32 {
-        self.author_productivity[a]
-    }
-    fn author_prestige_in(&self, a: usize, domain: usize) -> f32 {
-        let p = self.author_prestige[a];
-        if domain == self.author_primary[a] as usize {
-            p
-        } else if domain == self.author_secondary[a] as usize {
-            p * self.author_discount[a]
-        } else {
-            0.05 * p
-        }
-    }
-    fn n_venues(&self) -> usize {
-        self.venue_authority.len()
-    }
-    fn venue_domain(&self, v: usize) -> usize {
-        // gen_venues assigns domains round-robin.
-        v % self.config.n_domains
-    }
-    fn venue_authority(&self, v: usize) -> f32 {
-        self.venue_authority[v]
-    }
-    fn venue_authority_in(&self, v: usize, domain: usize) -> f32 {
-        let a = self.venue_authority[v];
-        if domain == self.venue_domain(v) {
-            a
-        } else {
-            0.1 * a
-        }
-    }
-    fn term_impact(&self, t: usize) -> f32 {
-        let cfg = &self.config;
-        if t < cfg.n_domains {
-            0.15 // domain-name terms
-        } else if t < layout::generic_start(cfg) {
-            self.quality_impact[t - cfg.n_domains]
-        } else {
-            0.0 // generic / noise terms
-        }
-    }
-}
-
 /// Streaming corpus generator: yields papers in ascending-year order from
 /// a bounded working set. Exact mode reproduces the historical in-memory
 /// generator bitwise; windowed mode caps citation-pool memory.
-pub struct PaperStream<'w, W: WorldView> {
-    world: &'w W,
+pub struct PaperStream<'w> {
+    world: &'w LatentWorld,
     rng: ChaCha8Rng,
     /// Papers per year offset — the histogram form of the historical
     /// draw-then-sort year vector. The sorted vector is fully determined
@@ -338,23 +203,23 @@ pub struct PaperStream<'w, W: WorldView> {
     next_paper: usize,
 }
 
-impl<'w, W: WorldView> PaperStream<'w, W> {
+impl<'w> PaperStream<'w> {
     /// Exact mode: bitwise-identical to the historical in-memory
     /// generator (`Corpus::generate` is defined as this stream,
     /// collected).
-    pub fn exact(world: &'w W) -> Self {
+    pub fn exact(world: &'w LatentWorld) -> Self {
         Self::new(world, None)
     }
 
     /// Windowed mode: citation pools hold only the `window` most recent
     /// papers per domain (bounded memory; a documented deterministic
     /// approximation).
-    pub fn windowed(world: &'w W, window: usize) -> Self {
+    pub fn windowed(world: &'w LatentWorld, window: usize) -> Self {
         Self::new(world, Some(window))
     }
 
-    fn new(world: &'w W, cite_window: Option<usize>) -> Self {
-        let cfg = world.config();
+    fn new(world: &'w LatentWorld, cite_window: Option<usize>) -> Self {
+        let cfg = &world.config;
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed.wrapping_add(0xC0FFEE));
         // Year histogram: pdf(t) proportional to (1 + t), inverse-CDF
         // sampled — the exact per-paper draws of the historical
@@ -397,11 +262,11 @@ impl<'w, W: WorldView> PaperStream<'w, W> {
     }
 }
 
-impl<W: WorldView> Iterator for PaperStream<'_, W> {
+impl Iterator for PaperStream<'_> {
     type Item = Paper;
 
     fn next(&mut self) -> Option<Paper> {
-        let cfg = self.world.config();
+        let cfg = &self.world.config;
         if self.next_paper >= cfg.n_papers {
             return None;
         }
@@ -441,7 +306,7 @@ impl<W: WorldView> Iterator for PaperStream<'_, W> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.world.config().n_papers - self.next_paper;
+        let left = self.world.config.n_papers - self.next_paper;
         (left, Some(left))
     }
 }
@@ -449,7 +314,6 @@ impl<W: WorldView> Iterator for PaperStream<'_, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::Corpus;
 
     fn assert_papers_eq(a: &Paper, b: &Paper) {
         assert_eq!(a.domain, b.domain);
@@ -465,57 +329,9 @@ mod tests {
     }
 
     #[test]
-    fn compact_world_matches_latent_world() {
-        let cfg = WorldConfig::tiny();
-        let full = LatentWorld::generate(&cfg);
-        let compact = CompactWorld::generate(&cfg);
-        assert_eq!(full.n_authors(), compact.n_authors());
-        assert_eq!(full.n_venues(), compact.n_venues());
-        for a in 0..full.n_authors() {
-            assert_eq!(full.author_primary(a), compact.author_primary(a));
-            assert_eq!(full.author_secondary(a), compact.author_secondary(a));
-            assert_eq!(
-                full.author_productivity(a).to_bits(),
-                compact.author_productivity(a).to_bits()
-            );
-            for d in 0..cfg.n_domains {
-                assert_eq!(
-                    full.author_prestige_in(a, d).to_bits(),
-                    compact.author_prestige_in(a, d).to_bits()
-                );
-            }
-        }
-        for v in 0..full.n_venues() {
-            assert_eq!(full.venue_domain(v), compact.venue_domain(v));
-            assert_eq!(
-                full.venue_authority(v).to_bits(),
-                compact.venue_authority(v).to_bits()
-            );
-        }
-        for t in 0..cfg.total_terms() {
-            assert_eq!(
-                full.term_impact(t).to_bits(),
-                compact.term_impact(t).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_over_compact_world_matches_in_memory_corpus() {
-        let cfg = WorldConfig::tiny();
-        let in_memory = Corpus::generate(&LatentWorld::generate(&cfg));
-        let compact = CompactWorld::generate(&cfg);
-        let streamed: Vec<Paper> = PaperStream::exact(&compact).collect();
-        assert_eq!(in_memory.papers.len(), streamed.len());
-        for (a, b) in in_memory.papers.iter().zip(&streamed) {
-            assert_papers_eq(a, b);
-        }
-    }
-
-    #[test]
     fn windowed_stream_is_deterministic_and_backward_citing() {
         let cfg = WorldConfig::tiny();
-        let world = CompactWorld::generate(&cfg);
+        let world = LatentWorld::generate(&cfg);
         let a: Vec<Paper> = PaperStream::windowed(&world, 32).collect();
         let b: Vec<Paper> = PaperStream::windowed(&world, 32).collect();
         assert_eq!(a.len(), cfg.n_papers);
@@ -539,8 +355,8 @@ mod tests {
             n_papers: 5000,
             ..WorldConfig::tiny()
         };
-        let ws = CompactWorld::generate(&small);
-        let wb = CompactWorld::generate(&big);
+        let ws = LatentWorld::generate(&small);
+        let wb = LatentWorld::generate(&big);
         let mut ss = PaperStream::windowed(&ws, 64);
         let mut sb = PaperStream::windowed(&wb, 64);
         ss.by_ref().for_each(drop);

@@ -82,27 +82,6 @@ impl VenueProfile {
     }
 }
 
-/// Read access to the latent quantities the paper generator draws on.
-///
-/// [`LatentWorld`] implements it by profile lookup; the string-free
-/// [`crate::stream::CompactWorld`] implements it over struct-of-arrays
-/// columns. Both are sampled from the same RNG draw sequence, so the
-/// generator produces bitwise-identical corpora over either view
-/// (proptested in `stream.rs`).
-pub trait WorldView {
-    fn config(&self) -> &WorldConfig;
-    fn n_authors(&self) -> usize;
-    fn author_primary(&self, a: usize) -> usize;
-    fn author_secondary(&self, a: usize) -> usize;
-    fn author_productivity(&self, a: usize) -> f32;
-    fn author_prestige_in(&self, a: usize, domain: usize) -> f32;
-    fn n_venues(&self) -> usize;
-    fn venue_domain(&self, v: usize) -> usize;
-    fn venue_authority(&self, v: usize) -> f32;
-    fn venue_authority_in(&self, v: usize, domain: usize) -> f32;
-    fn term_impact(&self, t: usize) -> f32;
-}
-
 /// Term-layout helpers: `gen_terms` lays the inventory out as
 /// `[domain names | per-domain quality terms | generic | noise]`, so slot
 /// arithmetic replaces linear scans on the hot generator path.
@@ -139,42 +118,6 @@ pub struct LatentWorld {
     pub venues: Vec<VenueProfile>,
 }
 
-impl WorldView for LatentWorld {
-    fn config(&self) -> &WorldConfig {
-        &self.config
-    }
-    fn n_authors(&self) -> usize {
-        self.authors.len()
-    }
-    fn author_primary(&self, a: usize) -> usize {
-        self.authors[a].primary
-    }
-    fn author_secondary(&self, a: usize) -> usize {
-        self.authors[a].secondary
-    }
-    fn author_productivity(&self, a: usize) -> f32 {
-        self.authors[a].productivity
-    }
-    fn author_prestige_in(&self, a: usize, domain: usize) -> f32 {
-        self.authors[a].prestige_in(domain)
-    }
-    fn n_venues(&self) -> usize {
-        self.venues.len()
-    }
-    fn venue_domain(&self, v: usize) -> usize {
-        self.venues[v].domain
-    }
-    fn venue_authority(&self, v: usize) -> f32 {
-        self.venues[v].authority
-    }
-    fn venue_authority_in(&self, v: usize, domain: usize) -> f32 {
-        self.venues[v].authority_in(domain)
-    }
-    fn term_impact(&self, t: usize) -> f32 {
-        self.terms[t].impact
-    }
-}
-
 impl LatentWorld {
     /// Samples the latent world from a config (deterministic in the seed).
     pub fn generate(config: &WorldConfig) -> Self {
@@ -188,7 +131,7 @@ impl LatentWorld {
 
 /// Heavy-tailed positive sample: `exp(sigma * N(0,1))`, normalised to have
 /// roughly unit median.
-pub(crate) fn lognormal<R: Rng>(rng: &mut R, sigma: f32) -> f32 {
+fn lognormal<R: Rng>(rng: &mut R, sigma: f32) -> f32 {
     (sigma * gaussian(rng)).exp()
 }
 

@@ -1,11 +1,9 @@
-//! Property tests for the streaming generator: the string-free
-//! [`CompactWorld`] must be draw-for-draw interchangeable with
-//! [`LatentWorld`], `Corpus::generate` must equal a full exact-stream
-//! drain, and the windowed scale mode must diverge from exact mode in the
-//! citation lists *only* (every other paper field is on the same RNG
-//! stream and stays bitwise-identical).
+//! Property tests for the streaming generator: `Corpus::generate` must
+//! equal a full exact-stream drain, and the windowed scale mode must
+//! diverge from exact mode in the citation lists *only* (every other
+//! paper field is on the same RNG stream and stays bitwise-identical).
 
-use dblp_sim::{CompactWorld, Corpus, LatentWorld, PaperStream, WorldConfig};
+use dblp_sim::{Corpus, LatentWorld, PaperStream, WorldConfig};
 use proptest::prelude::*;
 
 /// A miniature world sized for per-case generation inside proptest.
@@ -22,35 +20,6 @@ fn small_cfg(n_papers: usize, n_domains: usize, seed: u64) -> WorldConfig {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The compact world view consumes the identical RNG draw sequence as
-    /// the string-backed one, so streams over either are bitwise-equal —
-    /// the property `stream.rs` promises in its module docs.
-    #[test]
-    fn compact_world_stream_matches_latent_world_stream(
-        n_papers in 1usize..120,
-        n_domains in 1usize..5,
-        seed in 0u64..1000,
-    ) {
-        let cfg = small_cfg(n_papers, n_domains, seed);
-        let latent = LatentWorld::generate(&cfg);
-        let compact = CompactWorld::generate(&cfg);
-        let from_latent: Vec<_> = PaperStream::exact(&latent).collect();
-        let from_compact: Vec<_> = PaperStream::exact(&compact).collect();
-        prop_assert_eq!(from_latent.len(), from_compact.len());
-        for (a, b) in from_latent.iter().zip(&from_compact) {
-            prop_assert_eq!(a.domain, b.domain);
-            prop_assert_eq!(a.year, b.year);
-            prop_assert_eq!(&a.authors, &b.authors);
-            prop_assert_eq!(a.venue, b.venue);
-            prop_assert_eq!(&a.true_terms, &b.true_terms);
-            prop_assert_eq!(&a.keywords, &b.keywords);
-            prop_assert_eq!(&a.title_terms, &b.title_terms);
-            prop_assert_eq!(&a.cites, &b.cites);
-            prop_assert_eq!(a.rate.to_bits(), b.rate.to_bits());
-            prop_assert_eq!(a.label.to_bits(), b.label.to_bits());
-        }
-    }
 
     /// The in-memory corpus is *defined* as an exact-stream drain; pin
     /// that equality so a refactor cannot silently fork the two paths.
@@ -81,7 +50,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let cfg = small_cfg(n_papers, 3, seed);
-        let world = CompactWorld::generate(&cfg);
+        let world = LatentWorld::generate(&cfg);
         let exact: Vec<_> = PaperStream::exact(&world).collect();
         let windowed: Vec<_> = PaperStream::windowed(&world, window).collect();
         prop_assert_eq!(exact.len(), windowed.len());
@@ -117,7 +86,7 @@ proptest! {
     ) {
         let heap_after = |n_papers: usize| {
             let cfg = small_cfg(n_papers, 2, seed);
-            let world = CompactWorld::generate(&cfg);
+            let world = LatentWorld::generate(&cfg);
             let mut s = PaperStream::windowed(&world, window);
             for _ in &mut s {}
             s.heap_bytes()
@@ -130,20 +99,20 @@ proptest! {
     }
 }
 
-/// Generator memory (world columns + windowed stream working set) grows
-/// sublinearly in the paper count: `WorldConfig::at_scale` grows entity
-/// tables ~sqrt(papers) and the citation pools saturate at the window
-/// (the `ScaleOptions::at_scale` one), so a 10x larger corpus may cost at
-/// most half of 10x the heap. The 10k -> 100k tiers measure ~2.7x.
+/// The windowed stream's working set (year histogram, author tables and
+/// citation pools) grows sublinearly in the paper count:
+/// `WorldConfig::at_scale` grows the author tables ~sqrt(papers) and the
+/// citation pools saturate at the window (the `ScaleOptions::at_scale`
+/// one), so a 10x larger corpus may cost at most half of 10x the heap.
 #[test]
 fn generator_memory_grows_sublinearly_across_scale_tiers() {
     const WINDOW: usize = 4096;
     let heap = |n_papers: usize| {
-        let world = CompactWorld::generate(&WorldConfig::at_scale(n_papers));
+        let world = LatentWorld::generate(&WorldConfig::at_scale(n_papers));
         let mut stream = PaperStream::windowed(&world, WINDOW);
         let emitted = (&mut stream).count();
         assert_eq!(emitted, n_papers, "stream must emit every configured paper");
-        world.heap_bytes() + stream.heap_bytes()
+        stream.heap_bytes()
     };
     let (small, large) = (10_000, 100_000);
     let paper_ratio = large as f64 / small as f64;

@@ -6,6 +6,7 @@ use crate::harness::{clusters_for, run_catehgn_variant, ExperimentConfig};
 use crate::metrics::rmse;
 use catehgn::{Ablation, Composition, ModelConfig};
 use dblp_sim::Dataset;
+use std::collections::BTreeSet;
 
 /// One ablation bar: the variant label and its test RMSE.
 #[derive(Clone, Debug)]
@@ -86,9 +87,28 @@ pub struct SweepPoint {
     pub rmse: f32,
 }
 
-/// Fig. 4(b): sweep the cluster count `K`. Each point records the `K` its
-/// run trained with: a request above the dataset's domains + 1 is clamped
-/// to it, so two requests can land on the same point.
+/// The requests of `ks` that train a new `K`, each with the `K` it trains
+/// with. A request above the dataset's domains + 1 is clamped to it, so a
+/// later request can land on a `K` already trained; it is logged when
+/// `verbose` and dropped.
+fn distinct_cluster_requests(ds: &Dataset, ks: &[usize], verbose: bool) -> Vec<(usize, usize)> {
+    let mut trained = BTreeSet::new();
+    ks.iter()
+        .filter_map(|&k| {
+            let used = clusters_for(ds, k);
+            if trained.insert(used) {
+                return Some((k, used));
+            }
+            if verbose {
+                eprintln!("[fig4b] K={used} (requested {k}): already trained, skipped");
+            }
+            None
+        })
+        .collect()
+}
+
+/// Fig. 4(b): sweep the cluster count `K`, training each distinct `K`
+/// once. Each point records the `K` its run trained with.
 pub fn sweep_clusters(
     cfg: &ExperimentConfig,
     ds: &Dataset,
@@ -96,12 +116,12 @@ pub fn sweep_clusters(
     verbose: bool,
 ) -> Vec<SweepPoint> {
     let truth = ds.labels_of(&ds.split.test);
-    ks.iter()
-        .map(|&k| {
+    distinct_cluster_requests(ds, ks, verbose)
+        .into_iter()
+        .map(|(k, used)| {
             let merged = ModelConfig { n_clusters: k, ..cfg.model.clone() };
             let (preds, _) = run_catehgn_variant(ds, &merged, merged.ablation);
             let r = rmse(&preds, &truth);
-            let used = clusters_for(ds, k);
             if verbose {
                 eprintln!("[fig4b] K={used} (requested {k}): RMSE {r:.4}");
             }
@@ -135,6 +155,14 @@ pub fn sweep_kappa(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cluster_sweep_trains_each_clamped_k_once() {
+        let ds = Dataset::full(&dblp_sim::WorldConfig::tiny(), 8);
+        let cap = ds.world.config.n_domains + 1;
+        let requests = distinct_cluster_requests(&ds, &[2, cap, cap + 1, 2, 20], false);
+        assert_eq!(requests, [(2, 2), (cap, cap)]);
+    }
 
     #[test]
     fn variant_grid_matches_figure_4a() {

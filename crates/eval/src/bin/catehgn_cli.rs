@@ -48,7 +48,7 @@ fn usage() -> ! {
          [--scale tiny|small|full] [--variant hgn|ca-hgn|cate-hgn] \
          [--model FILE] [--out FILE] [--top N] \
          [--checkpoint FILE] [--checkpoint-every N] [--resume] [--halt-after N] \
-         [--halt-after-ca N] [--lanes N] [--prefetch N] [--papers N] \
+         [--halt-after-ca N] [--lanes N] [--papers N] \
          [--batch N] [--paper I] [--cold] [--shard DIR] [--chaos SEED]\n       \
          catehgn_cli shard <write|verify|repair> --dir DIR [--scale ...]"
     );
@@ -173,7 +173,6 @@ fn main() {
                 halt_after_steps: arg("--halt-after").and_then(|s| s.parse().ok()),
                 halt_after_ca: arg("--halt-after-ca").and_then(|s| s.parse().ok()),
                 data_lanes: arg("--lanes").and_then(|s| s.parse().ok()).unwrap_or(1),
-                prefetch: arg("--prefetch").and_then(|s| s.parse().ok()).unwrap_or(0),
                 shutdown,
                 ..TrainOptions::default()
             };

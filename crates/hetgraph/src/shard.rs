@@ -49,8 +49,9 @@ const META_MAGIC: &[u8; 4] = b"HGS2";
 const SEG_MAGIC: &[u8; 4] = b"HSG2";
 const META_FILE: &str = "meta.hgs";
 
-/// FNV-1a 64-bit over raw bytes (same constants as `catehgn::resilience`).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over raw bytes: the checksum of shard segments and
+/// metadata, and of `catehgn`'s checkpoints and fingerprints.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;

@@ -14,9 +14,10 @@
 //! every same-named workspace fn. Calls into `std` and vendored shims
 //! likewise resolve to nothing and end the walk; macro bodies and
 //! trait-object dispatch are the documented blind spots (DESIGN.md
-//! §Static analysis). The dead-pub pass's *lenient* graph resolves an
-//! unmatched lower-case qualifier (`catehgn::train`) like a bare call and
-//! adds an edge for every function named as a value (`map(Tensor::rows)`).
+//! §Static analysis). A crate is named by its directory and by its
+//! package (`core` and `catehgn`), so `catehgn::train(…)` resolves as a
+//! module path. The dead-pub pass's graph also adds an edge for every
+//! function named as a value (`map(Tensor::rows)`).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -52,14 +53,13 @@ pub struct CallGraph {
     /// Reverse edges: for each function, `(caller, call line)` pairs.
     pub callers: Vec<Vec<(usize, u32)>>,
     by_name: BTreeMap<String, Vec<usize>>,
-    /// An unmatched lower-case path qualifier resolves like a bare call.
-    lenient: bool,
 }
 
 impl CallGraph {
     /// Build the graph. `views[fns[i].file_idx]` must be the view of the
-    /// file that defines `fns[i]`; `lenient` builds the dead-pub graph.
-    pub fn build(fns: Vec<FnItem>, views: &[&SigView], lenient: bool) -> CallGraph {
+    /// file that defines `fns[i]`; `refs` adds the value-reference edges
+    /// of the dead-pub graph (see [`for_each_call_site`]).
+    pub fn build(fns: Vec<FnItem>, views: &[&SigView], refs: bool) -> CallGraph {
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
             by_name.entry(f.name.clone()).or_default().push(i);
@@ -69,7 +69,6 @@ impl CallGraph {
             callers: vec![Vec::new(); fns.len()],
             fns,
             by_name,
-            lenient,
         };
         for caller in 0..graph.fns.len() {
             let Some((open, close)) = graph.fns[caller].body else {
@@ -77,7 +76,7 @@ impl CallGraph {
             };
             let view = views[graph.fns[caller].file_idx];
             let mut edges: BTreeSet<(usize, u32)> = BTreeSet::new();
-            for_each_call_site(view, open + 1, close, lenient, &mut |s, name, qual| {
+            for_each_call_site(view, open + 1, close, refs, &mut |s, name, qual| {
                 for callee in graph.resolve(name, &qual, Some(caller)) {
                     edges.insert((callee, view.line(s)));
                 }
@@ -135,13 +134,9 @@ impl CallGraph {
                 if !by_ty.is_empty() {
                     return by_ty;
                 }
-                let by_mod: Vec<usize> = visible()
+                visible()
                     .filter(|&i| self.fns[i].self_ty.is_none() && self.fns[i].module.contains(&q))
-                    .collect();
-                if by_mod.is_empty() && self.lenient && q.starts_with(|c: char| c.is_lowercase()) {
-                    return visible().collect();
-                }
-                by_mod
+                    .collect()
             }
         }
     }

@@ -163,6 +163,37 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Package names of the workspace crates, keyed by directory under
+/// `crates/` (`core` → `catehgn`): the `name` of each `Cargo.toml`'s
+/// `[package]` table. A crate without a readable manifest is left out.
+fn package_names(root: &Path) -> BTreeMap<String, String> {
+    let mut names = BTreeMap::new();
+    let Ok(dirs) = fs::read_dir(root.join("crates")) else {
+        return names;
+    };
+    for dir in dirs.flatten() {
+        let Ok(toml) = fs::read_to_string(dir.path().join("Cargo.toml")) else {
+            continue;
+        };
+        let mut in_package = false;
+        for line in toml.lines().map(str::trim) {
+            if line.starts_with('[') {
+                in_package = line == "[package]";
+                continue;
+            }
+            let Some((key, value)) = line.split_once('=') else {
+                continue;
+            };
+            if in_package && key.trim() == "name" {
+                let name = value.trim().trim_matches('"').to_string();
+                names.insert(dir.file_name().to_string_lossy().into_owned(), name);
+                break;
+            }
+        }
+    }
+    names
+}
+
 /// One loaded workspace file.
 struct Loaded {
     rel: String,
@@ -218,11 +249,16 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
         .collect();
     let views: Vec<SigView> = lib.iter().map(|f| SigView::new(&f.scanned)).collect();
     let view_refs: Vec<&SigView> = views.iter().collect();
+    let packages = package_names(&opts.root);
+    let package_of = |rel: &str| {
+        let dir = rel.strip_prefix("crates/")?.split('/').next()?;
+        packages.get(dir).map(String::as_str)
+    };
     let mut fns = Vec::new();
     let mut per_file_items: Vec<std::ops::Range<usize>> = Vec::new();
     for (idx, f) in lib.iter().enumerate() {
         let start = fns.len();
-        fns.extend(items::extract(&f.rel, idx, &views[idx]));
+        fns.extend(items::extract(&f.rel, idx, &views[idx], package_of(&f.rel)));
         per_file_items.push(start..fns.len());
     }
     let cg = CallGraph::build(fns, &view_refs, false);
@@ -256,7 +292,12 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
     let root_views: Vec<SigView> = root_files.iter().map(|f| SigView::new(f.1)).collect();
     let mut fns = cg.fns.clone();
     for (k, (rel, _)) in root_files.iter().enumerate() {
-        fns.extend(items::extract(rel, lib.len() + k, &root_views[k]));
+        fns.extend(items::extract(
+            rel,
+            lib.len() + k,
+            &root_views[k],
+            package_of(rel),
+        ));
     }
     let all_views: Vec<&SigView> = views.iter().chain(&root_views).collect();
     let dg = CallGraph::build(fns, &all_views, true);

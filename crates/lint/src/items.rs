@@ -47,11 +47,13 @@ impl FnItem {
 
 /// Extract every `fn` item in `view`. The module path is seeded from the
 /// file's location (`crates/hetgraph/src/sampling.rs` → `hetgraph`,
-/// `sampling`) so `module::helper(…)` call sites resolve against
-/// file-level modules, then extended by inline `mod` blocks.
-pub fn extract(file: &str, file_idx: usize, view: &SigView) -> Vec<FnItem> {
+/// `sampling`) and from `package`, the name in the crate's `Cargo.toml`
+/// when it differs from the directory (`crates/core` → `catehgn`), so
+/// `module::helper(…)` and `package::item(…)` call sites resolve against
+/// file-level modules; inline `mod` blocks extend it.
+pub fn extract(file: &str, file_idx: usize, view: &SigView, package: Option<&str>) -> Vec<FnItem> {
     let mut out = Vec::new();
-    let mut mods = file_modules(file);
+    let mut mods = file_modules(file, package);
     walk(
         file,
         file_idx,
@@ -65,8 +67,9 @@ pub fn extract(file: &str, file_idx: usize, view: &SigView) -> Vec<FnItem> {
     out
 }
 
-/// Module-path segments implied by a workspace-relative file path.
-fn file_modules(file: &str) -> Vec<String> {
+/// Module-path segments implied by a workspace-relative file path and
+/// its crate's package name.
+fn file_modules(file: &str, package: Option<&str>) -> Vec<String> {
     let mut mods = Vec::new();
     let parts: Vec<&str> = file.split('/').collect();
     let after_src = match parts.iter().position(|&p| p == "src") {
@@ -74,7 +77,10 @@ fn file_modules(file: &str) -> Vec<String> {
             if parts.first() == Some(&"crates") {
                 if let Some(krate) = i.checked_sub(1).and_then(|k| parts.get(k)) {
                     // Crate names use dashes; module paths use underscores.
-                    mods.push(krate.replace('-', "_"));
+                    let dir = krate.replace('-', "_");
+                    let package = package.map(|p| p.replace('-', "_")).filter(|p| *p != dir);
+                    mods.push(dir);
+                    mods.extend(package);
                 }
             }
             parts.get(i + 1..).unwrap_or(&[])

@@ -176,7 +176,7 @@ fn suppression_fixture_exact_lines() {
 /// pretending it lives at `file` in the workspace.
 fn single_file_graph<'a>(file: &str, scanned: &'a Scanned) -> (CallGraph, SigView<'a>) {
     let view = SigView::new(scanned);
-    let fns = items::extract(file, 0, &view);
+    let fns = items::extract(file, 0, &view, None);
     let cg = CallGraph::build(fns, &[&view], false);
     (cg, view)
 }
@@ -256,7 +256,7 @@ fn panic_reach_fixture_counts_and_witness() {
 fn par_fold_fixture_flags_captured_accumulator_only() {
     let scanned = scanner::scan(&fixture("par_fold_viol.rs"));
     let view = SigView::new(&scanned);
-    let fns = items::extract("f.rs", 0, &view);
+    let fns = items::extract("f.rs", 0, &view, None);
     let found = passes::par_fold("f.rs", &view, &fns);
 
     // `acc` in bad_fold is captured; the identical accumulation inside
@@ -662,4 +662,21 @@ fn dead_pub_lists_what_no_root_reaches() {
     let errors = driver::run(&opts).expect("driver run").errors.join("\n");
     assert!(errors.contains("DEAD_PUB.md grew (1 -> 2)"), "{errors}");
     assert!(errors.contains("DEAD_PUB.md is stale"), "{errors}");
+}
+
+/// A crate is named by its package as well as by its directory: a root's
+/// `foo_pkg::used()` reaches `used` in `crates/foo` when `crates/foo`'s
+/// manifest names the package `foo-pkg`, so only `unused` is listed dead.
+#[test]
+fn dead_pub_follows_package_qualified_calls() {
+    let root = synth_root("deadpub-package", "pub fn used() {}\npub fn unused() {}\n");
+    fs::write(
+        root.join("crates/foo/Cargo.toml"),
+        "[package]\nname = \"foo-pkg\"\nversion = \"0.1.0\"\n",
+    )
+    .expect("write manifest");
+    let bin = root.join("crates/foo/src/bin");
+    fs::create_dir_all(&bin).expect("mkdir bin");
+    fs::write(bin.join("app.rs"), "fn main() {\n    foo_pkg::used();\n}\n").expect("write bin");
+    assert_eq!(run_check(&root).dead_pub.dead, ["unused"]);
 }

@@ -30,7 +30,7 @@
 
 mod pool;
 
-pub use pool::{run_region, run_with_producer, PipeReceiver, PipeSender};
+pub use pool::run_region;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -275,145 +275,6 @@ pub fn run_region<F: Fn(usize) + Sync>(n: usize, f: F) {
     }
 }
 
-// -------------------------------------------------------------------
-// Producer/consumer pipeline.
-// -------------------------------------------------------------------
-
-/// State of a bounded SPSC pipeline queue.
-struct PipeState<T> {
-    items: std::collections::VecDeque<T>,
-    /// Producer finished (ran out of items or observed a stop).
-    producer_done: bool,
-    /// Consumer requested shutdown; sends fail fast from here on.
-    stopped: bool,
-}
-
-/// Bounded deterministic handoff queue between exactly one producer and
-/// one consumer. Items arrive in send order; the bound is what keeps a
-/// fast producer's memory in check.
-struct Pipe<T> {
-    state: Mutex<PipeState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    cap: usize,
-}
-
-impl<T> Pipe<T> {
-    fn new(cap: usize) -> Self {
-        Pipe {
-            state: Mutex::new(PipeState {
-                items: std::collections::VecDeque::new(),
-                producer_done: false,
-                stopped: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-}
-
-/// Producer-side handle of [`run_with_producer`]'s queue.
-pub struct PipeSender<'a, T>(&'a Pipe<T>);
-
-impl<T> PipeSender<'_, T> {
-    /// Blocks until the queue has room, then enqueues `item`. Returns
-    /// `false` (dropping `item`) once the consumer has stopped — the
-    /// producer should return promptly when it sees that.
-    pub fn send(&self, item: T) -> bool {
-        let mut st = lock(&self.0.state);
-        loop {
-            if st.stopped {
-                return false;
-            }
-            if st.items.len() < self.0.cap {
-                st.items.push_back(item);
-                drop(st);
-                self.0.not_empty.notify_one();
-                return true;
-            }
-            st = self.0.not_full.wait(st).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-}
-
-/// Consumer-side handle of [`run_with_producer`]'s queue.
-pub struct PipeReceiver<'a, T>(&'a Pipe<T>);
-
-impl<T> PipeReceiver<'_, T> {
-    /// Blocks until an item is available and dequeues it; `None` once the
-    /// producer has finished and the queue drained.
-    pub fn recv(&self) -> Option<T> {
-        let mut st = lock(&self.0.state);
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                drop(st);
-                self.0.not_full.notify_one();
-                return Some(item);
-            }
-            if st.producer_done || st.stopped {
-                return None;
-            }
-            st = self.0.not_empty.wait(st).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Requests early shutdown: pending and future sends fail, queued
-    /// items are dropped, and `recv` returns `None`.
-    pub fn stop(&self) {
-        let mut st = lock(&self.0.state);
-        st.stopped = true;
-        st.items.clear();
-        drop(st);
-        self.0.not_full.notify_all();
-        self.0.not_empty.notify_all();
-    }
-}
-
-/// Runs `producer` on a dedicated scoped thread feeding a bounded queue of
-/// `cap` items, while `consumer` drains it on the calling thread; returns
-/// the consumer's result once both sides have finished.
-///
-/// Determinism contract: the queue preserves send order and the bound only
-/// throttles *when* items are produced, never *what* — so a pipeline whose
-/// producer pre-draws all stochastic state is bitwise-identical to the
-/// serial interleaving at any `cap` and any thread count. The consumer may
-/// call [`PipeReceiver::stop`] to shut the producer down early (e.g. on a
-/// non-finite loss); a panic on either side propagates to the caller after
-/// the other side has been unblocked.
-pub fn run_with_producer<T, R, P, C>(cap: usize, producer: P, consumer: C) -> R
-where
-    T: Send,
-    P: FnOnce(&PipeSender<'_, T>) + Send,
-    C: FnOnce(&PipeReceiver<'_, T>) -> R,
-{
-    let pipe = Pipe::new(cap);
-    std::thread::scope(|s| {
-        let pipe_ref = &pipe;
-        s.spawn(move || {
-            // Mark producer_done even on panic so the consumer's `recv`
-            // cannot block forever; the scope re-raises the panic after
-            // the consumer returns.
-            let result = catch_unwind(AssertUnwindSafe(|| producer(&PipeSender(pipe_ref))));
-            let mut st = lock(&pipe_ref.state);
-            st.producer_done = true;
-            drop(st);
-            pipe_ref.not_empty.notify_all();
-            if let Err(payload) = result {
-                resume_unwind(payload);
-            }
-        });
-        let out = catch_unwind(AssertUnwindSafe(|| consumer(&PipeReceiver(pipe_ref))));
-        // Unblock a producer still waiting on a full queue before the
-        // scope joins it, whether the consumer finished or panicked.
-        PipeReceiver(pipe_ref).stop();
-        match out {
-            Ok(r) => r,
-            Err(payload) => resume_unwind(payload),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,96 +328,6 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn pipeline_preserves_order_and_bound() {
-        let peak = AtomicU32::new(0);
-        let got: Vec<u32> = run_with_producer(
-            3,
-            |tx| {
-                for i in 0..100u32 {
-                    assert!(tx.send(i), "consumer never stops in this test");
-                }
-            },
-            |rx| {
-                let mut out = Vec::new();
-                while let Some(x) = rx.recv() {
-                    out.push(x);
-                }
-                out
-            },
-        );
-        assert_eq!(got, (0..100).collect::<Vec<_>>(), "FIFO order preserved");
-        let _ = peak;
-    }
-
-    #[test]
-    fn pipeline_stop_unblocks_producer() {
-        let sent = AtomicU32::new(0);
-        let consumed = run_with_producer(
-            2,
-            |tx| {
-                let mut i = 0u32;
-                while tx.send(i) {
-                    sent.fetch_add(1, Ordering::Relaxed);
-                    i += 1;
-                }
-            },
-            |rx| {
-                let mut n = 0;
-                for _ in 0..5 {
-                    if rx.recv().is_some() {
-                        n += 1;
-                    }
-                }
-                rx.stop();
-                n
-            },
-        );
-        assert_eq!(consumed, 5);
-        // The producer observed the stop and exited; the queue bound keeps
-        // its overshoot to at most the in-flight capacity.
-        assert!(sent.load(Ordering::Relaxed) >= 5);
-    }
-
-    #[test]
-    fn pipeline_producer_panic_reaches_caller() {
-        let caught = std::panic::catch_unwind(|| {
-            run_with_producer(
-                2,
-                |tx: &PipeSender<'_, u32>| {
-                    tx.send(1);
-                    panic!("producer exploded");
-                },
-                |rx| {
-                    while rx.recv().is_some() {}
-                },
-            );
-        });
-        assert!(caught.is_err(), "producer panic must propagate");
-    }
-
-    #[test]
-    fn pipeline_consumer_panic_does_not_deadlock() {
-        let caught = std::panic::catch_unwind(|| {
-            run_with_producer(
-                1,
-                |tx: &PipeSender<'_, u32>| {
-                    let mut i = 0;
-                    while tx.send(i) {
-                        i += 1;
-                    }
-                },
-                |rx| {
-                    let _ = rx.recv();
-                    panic!("consumer exploded");
-                },
-            );
-        });
-        let payload = caught.expect_err("consumer panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
-        assert_eq!(msg, "consumer exploded");
     }
 
     #[test]

@@ -38,10 +38,10 @@
 #      cache check, which tier-1's root-package run never reaches.
 #      Next come the owning-crate suites behind the timing gates and the
 #      scale path: pooled, serial and branch-parallel tape equivalence,
-#      lane and prefetch determinism across thread counts, sublinear
-#      generator memory, shard round-trip and selective load,
-#      per-link-type cache invalidation, and the sampler's unit tests
-#      (blocks and RNG state equal to the ordered-map reference sampler).
+#      lane determinism across thread counts, sublinear generator
+#      memory, shard round-trip and selective load, per-link-type cache
+#      invalidation, and the sampler's unit tests (blocks and RNG state
+#      equal to the ordered-map reference sampler).
 #      Between tier-1 and the timing gates, three CLI smokes drill the
 #      resilience path end to end: halt/resume fingerprint equality, a
 #      real `kill -TERM` mid-training with bitwise resume, and the shard
@@ -50,10 +50,9 @@
 #   6. bench_gates — the timing gates, each the median over alternating
 #      pairs of fastest-of-3 runs: batched tape-free serving >= 3x faster
 #      than per-query tape-based predict, embedding-cache hit >= 10x
-#      faster than recompute, batch-parallel lanes >= 0.95x serial
-#      throughput, and the prefetch pipeline no slower than the serial
-#      loop. It writes no files; the determinism claims behind the arms
-#      are tests in the owning crates.
+#      faster than recompute, and batch-parallel lanes >= 0.95x serial
+#      throughput. It writes no files; the determinism claims behind the
+#      arms are tests in the owning crates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,7 +85,6 @@ RUSTFMT_RATCHET=(
     crates/core/tests/infer_serve.rs
     crates/core/tests/pool_equivalence.rs
     crates/core/tests/resilience.rs
-    crates/core/tests/prop_pipeline.rs
     crates/dblp-sim/src/stream.rs
     crates/dblp-sim/tests/prop_stream.rs
     crates/eval/src/bin/catehgn_cli.rs
@@ -177,7 +175,7 @@ cargo test -q -p tensor --lib
 # path's checks, live in the suites of the crates that own the code;
 # tier-1 never reaches them.
 echo "== training, generator and storage determinism suites =="
-cargo test -q -p catehgn --test pool_equivalence --test batch_parallel --test prop_pipeline
+cargo test -q -p catehgn --test pool_equivalence --test batch_parallel
 cargo test -q -p dblp-sim --test prop_stream
 cargo test -q -p hetgraph --test prop_graph
 cargo test -q -p hetgraph --lib shard::
@@ -274,7 +272,7 @@ echo "shard chaos: rankings bitwise-stable through faults, corruption, repair"
 
 # Timing gates, self-asserted by the binary (one line per gate on
 # stdout); the deterministic checks behind its arms ran above.
-echo "== bench_gates (serving, cache, lanes and pipeline timing gates) =="
+echo "== bench_gates (serving, cache and lanes timing gates) =="
 ./target/release/bench_gates
 
 if [[ "${1:-}" == "--full" ]]; then
