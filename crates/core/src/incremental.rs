@@ -10,7 +10,7 @@
 //! cluster centers keep evolving through the same CA phase.
 
 use crate::config::ModelConfig;
-use crate::model::CateHgn;
+use crate::model::{CateHgn, Reads};
 use dblp_sim::Dataset;
 use hetgraph::sample_blocks;
 use rand::Rng;
@@ -65,7 +65,7 @@ pub fn adapt<R: Rng>(
             Tensor::col_vec(blocks[0].dst_nodes.iter().map(|n| first[n]).collect())
         };
         g.reset();
-        let fw = model.forward(&mut g, &ds.graph, &ds.features, &blocks, false);
+        let fw = model.forward(&mut g, &ds.graph, &ds.features, &blocks, Reads::HGN_STEP);
         let (loss, sup, _) = model.hgn_loss(&mut g, &fw, &blocks, &labels, rng);
         total += sup;
         g.backward(loss);

@@ -8,11 +8,13 @@
 //! (Eq. 14) and link-wise softmax across types (Eq. 15), both multi-head
 //! (head-averaged). With attention disabled (ablation), aggregation is
 //! uniform within and across types, which is Eq. 3's plain form normalised
-//! for stability.
+//! for stability. The per-type products run through the `ForwardCtx`
+//! composites `edge_messages` and `link_attention`, which the tape-free
+//! context computes with less work for the same bits.
 
 use crate::config::{Composition, ModelConfig};
 use hetgraph::Block;
-use tensor::{ForwardCtx, ParamId, Params, Tensor, Var};
+use tensor::{ForwardCtx, ParamId, Params, Tensor, TypeEdges, TypeSlots, Var};
 
 /// Trainable parameters of one HGN layer.
 #[derive(Clone, Debug)]
@@ -103,7 +105,8 @@ pub struct LayerOut {
     pub h_edge_next: Vec<Var>,
 }
 
-/// Runs one HGN layer over a sampled [`Block`].
+/// Runs one HGN layer over a sampled [`Block`]: [`node_update`], then
+/// [`link_update`].
 ///
 /// `h_src` holds previous-layer embeddings for `block.src_nodes`; `h_edge`
 /// holds the previous-layer link embedding per link type.
@@ -116,6 +119,38 @@ pub fn layer_forward<F: ForwardCtx>(
     h_src: Var,
     h_edge: &[Var],
 ) -> LayerOut {
+    let h_next = node_update(g, params, lp, cfg, block, h_src, h_edge);
+    let h_edge_next = link_update(g, params, lp, h_edge);
+    LayerOut {
+        h_next,
+        h_edge_next,
+    }
+}
+
+/// Eq. 4: the next layer's link embeddings `h_e W_b`, one per link type.
+pub fn link_update<F: ForwardCtx>(
+    g: &mut F,
+    params: &Params,
+    lp: &LayerParams,
+    h_edge: &[Var],
+) -> Vec<Var> {
+    let w_b = g.param(params, lp.w_b);
+    let h_edge_next = h_edge.iter().map(|&he| g.matmul(he, w_b)).collect();
+    g.free(w_b);
+    h_edge_next
+}
+
+/// The layer's `n_dst x d` node embeddings (Eqs. 3, 14 and 15 plus the
+/// self-connection).
+pub fn node_update<F: ForwardCtx>(
+    g: &mut F,
+    params: &Params,
+    lp: &LayerParams,
+    cfg: &ModelConfig,
+    block: &Block,
+    h_src: Var,
+    h_edge: &[Var],
+) -> Var {
     let n_dst = block.dst_nodes.len();
     let w_a = g.param(params, lp.w_a);
     let attn = cfg.ablation.attention;
@@ -186,65 +221,35 @@ pub fn layer_forward<F: ForwardCtx>(
         }
     });
 
-    // Per-type aggregation results awaiting cross-type combination.
-    struct TypeAgg {
-        active_dst: Vec<usize>,
-        active_prev: Vec<usize>,
-        agg_active: Var,
-        h_e: Var,
-    }
-    let mut per_type: Vec<TypeAgg> = Vec::new();
+    // Per-type aggregates awaiting cross-type combination, and their
+    // destination positions: the segment ids of the Eq. 15 softmax.
+    let mut per_type: Vec<TypeSlots> = Vec::new();
+    let mut segments = g.scratch_idx();
 
     for ti in type_idx {
-        let m = ti.src_idx.len();
-        let h_u = g.gather_rows(h_src, ti.src_idx);
-        let h_v_prev = g.gather_rows(h_src, ti.prev_idx);
-        let e_tiled = g.tile_row(h_edge[ti.lt], m);
-
-        // Eq. 3: message = W_a (phi(h_u, h_e) concat h_v).
-        let phi = compose(g, h_u, e_tiled, cfg.composition);
-        let msg_in = g.concat_cols(phi, h_v_prev);
-        g.free(phi);
-        let msg = g.matmul(msg_in, w_a);
-        g.free(msg_in);
-
-        // Eq. 14 node-wise attention within this type, or uniform weights.
-        let alpha = if attn {
-            let hv_he = g.concat_cols(h_v_prev, e_tiled);
-            let feat = g.concat_cols(hv_he, h_u);
-            g.free(hv_he);
-            let mut acc: Option<Var> = None;
-            for &aid in &lp.a_node[ti.lt] {
-                let a = g.param(params, aid);
-                let s0 = g.matmul(feat, a);
-                g.free(a);
-                let s = g.leaky_relu(s0, 0.2);
-                g.free(s0);
-                let seg = g.scratch_idx_from(&ti.dst_idx);
-                let sm = g.segment_softmax(s, seg);
-                g.free(s);
-                acc = Some(match acc {
-                    Some(prev) => {
-                        let next = g.add(prev, sm);
-                        g.free(prev);
-                        g.free(sm);
-                        next
-                    }
-                    None => sm,
-                });
-            }
-            let summed = acc.expect("at least one head");
-            g.free(feat);
-            let scaled = g.scale(summed, 1.0 / lp.a_node[ti.lt].len().max(1) as f32);
-            g.free(summed);
-            scaled
-        } else {
-            g.input(Tensor::col_vec(ti.uniform_w))
+        // Eq. 3 messages and Eq. 14 node-wise attention within this type,
+        // or uniform weights.
+        let edges = TypeEdges {
+            src: &ti.src_idx,
+            dst_prev: &ti.prev_idx,
+            dst: &ti.dst_idx,
+            slot: &ti.local_seg,
+            slot_prev: &ti.active_prev,
         };
+        let heads = attn.then_some(lp.a_node[ti.lt].as_slice());
+        let (msg, alpha) = g.edge_messages(
+            params,
+            h_src,
+            h_edge[ti.lt],
+            &edges,
+            w_a,
+            |g, h_u, e_tiled| compose(g, h_u, e_tiled, cfg.composition),
+            heads,
+        );
+        let alpha = alpha.unwrap_or_else(|| g.input(Tensor::col_vec(ti.uniform_w)));
+        g.recycle_idx(ti.src_idx);
+        g.recycle_idx(ti.prev_idx);
         g.recycle_idx(ti.dst_idx);
-        g.free(h_u);
-        g.free(h_v_prev);
-        g.free(e_tiled);
         let weighted = g.mul_col(msg, alpha);
         g.free(msg);
         g.free(alpha);
@@ -254,13 +259,15 @@ pub fn layer_forward<F: ForwardCtx>(
         let agg_active = g.segment_sum(weighted, ti.local_seg, ti.active_dst.len());
         g.free(weighted);
 
-        per_type.push(TypeAgg {
-            active_dst: ti.active_dst,
-            active_prev: ti.active_prev,
-            agg_active,
+        segments.extend_from_slice(&ti.active_dst);
+        g.recycle_idx(ti.active_dst);
+        per_type.push(TypeSlots {
             h_e: h_edge[ti.lt],
+            prev: ti.active_prev,
+            agg: agg_active,
         });
     }
+    g.free(w_a);
 
     // Self-connection (the `I` of Eq. 1's `A + I`): every node's own
     // previous-layer embedding contributes alongside its typed neighbors,
@@ -273,107 +280,41 @@ pub fn layer_forward<F: ForwardCtx>(
     g.free(h_prev_dst);
     g.free(w_self);
 
-    let h_next = if per_type.is_empty() {
+    if per_type.is_empty() {
+        g.recycle_idx(segments);
         let out = g.relu(self_term);
         g.free(self_term);
-        out
-    } else {
-        // Eq. 15 link-wise attention across types. Stack all (v, t) slots
-        // vertically; the segment id is the dst position, so the softmax
-        // normalises across the types present at each node.
-        let mut stacked_agg: Option<Var> = None;
-        let mut stacked_feat: Option<Var> = None;
-        let mut segments = g.scratch_idx();
-        for ta in per_type {
-            let h_v = g.gather_rows(h_src, ta.active_prev);
-            let e_tiled = g.tile_row(ta.h_e, ta.active_dst.len());
-            let hv_he = g.concat_cols(h_v, e_tiled);
-            g.free(h_v);
-            g.free(e_tiled);
-            let feat = g.concat_cols(hv_he, ta.agg_active);
-            g.free(hv_he);
-            stacked_agg = Some(match stacked_agg {
-                Some(prev) => {
-                    let next = g.concat_rows(prev, ta.agg_active);
-                    g.free(prev);
-                    g.free(ta.agg_active);
-                    next
-                }
-                None => ta.agg_active,
-            });
-            stacked_feat = Some(match stacked_feat {
-                Some(prev) => {
-                    let next = g.concat_rows(prev, feat);
-                    g.free(prev);
-                    g.free(feat);
-                    next
-                }
-                None => feat,
-            });
-            segments.extend(ta.active_dst.iter().copied());
-            g.recycle_idx(ta.active_dst);
-        }
-        let stacked_agg = stacked_agg.expect("non-empty per_type");
-        let stacked_feat = stacked_feat.expect("non-empty per_type");
-
-        let beta = if attn {
-            let mut acc: Option<Var> = None;
-            for &aid in &lp.a_link {
-                let a = g.param(params, aid);
-                let s0 = g.matmul(stacked_feat, a);
-                g.free(a);
-                let s = g.leaky_relu(s0, 0.2);
-                g.free(s0);
-                let seg = g.scratch_idx_from(&segments);
-                let sm = g.segment_softmax(s, seg);
-                g.free(s);
-                acc = Some(match acc {
-                    Some(prev) => {
-                        let next = g.add(prev, sm);
-                        g.free(prev);
-                        g.free(sm);
-                        next
-                    }
-                    None => sm,
-                });
-            }
-            let summed = acc.expect("at least one head");
-            let scaled = g.scale(summed, 1.0 / lp.a_link.len().max(1) as f32);
-            g.free(summed);
-            scaled
-        } else {
-            // Uniform across the types present at each node.
-            let mut cnt = vec![0.0f32; n_dst];
-            for &s in &segments {
-                cnt[s] += 1.0;
-            }
-            let w: Vec<f32> = segments.iter().map(|&s| 1.0 / cnt[s]).collect();
-            g.input(Tensor::col_vec(w))
-        };
-        g.free(stacked_feat);
-        let weighted = g.mul_col(stacked_agg, beta);
-        g.free(stacked_agg);
-        g.free(beta);
-        let agg = g.segment_sum(weighted, segments, n_dst);
-        g.free(weighted);
-        let combined = g.add(agg, self_term);
-        g.free(agg);
-        g.free(self_term);
-        let out = g.relu(combined);
-        g.free(combined);
-        out
-    };
-
-    // Eq. 4: link embedding update.
-    let w_b = g.param(params, lp.w_b);
-    let h_edge_next = h_edge.iter().map(|&he| g.matmul(he, w_b)).collect();
-    g.free(w_b);
-    g.free(w_a);
-
-    LayerOut {
-        h_next,
-        h_edge_next,
+        return out;
     }
+
+    // Eq. 15 link-wise attention across types. Stack all (v, t) slots
+    // vertically; the segment id is the dst position, so the softmax
+    // normalises across the types present at each node.
+    let heads = attn.then_some(lp.a_link.as_slice());
+    let (stacked_agg, beta) = g.link_attention(params, h_src, &per_type, heads, &segments);
+    for ts in per_type {
+        g.recycle_idx(ts.prev);
+    }
+    let beta = beta.unwrap_or_else(|| {
+        // Uniform across the types present at each node.
+        let mut cnt = vec![0.0f32; n_dst];
+        for &s in &segments {
+            cnt[s] += 1.0;
+        }
+        let w: Vec<f32> = segments.iter().map(|&s| 1.0 / cnt[s]).collect();
+        g.input(Tensor::col_vec(w))
+    });
+    let weighted = g.mul_col(stacked_agg, beta);
+    g.free(stacked_agg);
+    g.free(beta);
+    let agg = g.segment_sum(weighted, segments, n_dst);
+    g.free(weighted);
+    let combined = g.add(agg, self_term);
+    g.free(agg);
+    g.free(self_term);
+    let out = g.relu(combined);
+    g.free(combined);
+    out
 }
 
 #[cfg(test)]

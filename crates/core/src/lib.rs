@@ -53,7 +53,7 @@ pub mod temporal;
 pub mod train;
 
 pub use config::{Ablation, Composition, ModelConfig};
-pub use model::{CateHgn, ForwardOut};
+pub use model::{CateHgn, ForwardOut, Reads};
 pub use predict::{case_study, CaseStudy, RankedNode};
 pub use incremental::{adapt, rolling_update, IncrementalReport};
 pub use resilience::{

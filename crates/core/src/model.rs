@@ -5,7 +5,7 @@
 use crate::ca::{self, CaParams};
 use crate::config::ModelConfig;
 use crate::encoder::{encode_links, encode_nodes, EncoderParams};
-use crate::layer::{layer_forward, LayerParams};
+use crate::layer::{link_update, node_update, LayerParams};
 use crate::mi::{mi_loss_planned, plan_mi, MiPlan};
 use hetgraph::{Block, BlockCache, HetGraph, NodeId};
 use rand::Rng;
@@ -75,6 +75,40 @@ pub struct ForwardOut {
     /// Per layer transition: (block index, MI source var) — the source is
     /// the masked previous-layer embedding, per Algorithm 1 line 7.
     pub transitions: Vec<(usize, Var)>,
+}
+
+/// What the caller of [`CateHgn::forward`] reads, which bounds the work
+/// the pass does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reads {
+    /// A training step: the losses read the CA outputs of every row (MI
+    /// reads the masked embeddings of the whole frontier). `bind_centers`
+    /// makes the cluster centers trainable (CA phase) rather than
+    /// constants (HGN phase).
+    Train { bind_centers: bool },
+    /// Predictions and clusters of the first `n` rows, the deduped seed
+    /// prefix (`predict`, `impact_and_cluster`): CA runs on those rows
+    /// only, with constant centers. `h_masked` and `q_layers` hold `n`
+    /// rows.
+    Seeds(usize),
+    /// Layer embeddings only (`embed`): no CA, and `h_masked` equals
+    /// `h_layers`.
+    Embeddings,
+}
+
+impl Reads {
+    /// An HGN-phase training step: constant centers.
+    pub const HGN_STEP: Reads = Reads::Train {
+        bind_centers: false,
+    };
+    /// A CA-phase training step: the centers train.
+    pub const CA_STEP: Reads = Reads::Train { bind_centers: true };
+}
+
+impl From<bool> for Reads {
+    fn from(bind_centers: bool) -> Self {
+        Reads::Train { bind_centers }
+    }
 }
 
 impl CateHgn {
@@ -177,17 +211,17 @@ impl CateHgn {
         Ok(model)
     }
 
-    /// Runs the model over pre-sampled blocks. `bind_centers` controls
-    /// whether cluster centers participate as trainable parameters (CA
-    /// phase) or as constants (HGN phase / inference).
+    /// Runs the model over pre-sampled blocks, doing the work that `reads`
+    /// asks for (a bare `bool` is [`Reads::Train`]'s `bind_centers`).
     pub fn forward<F: ForwardCtx>(
         &self,
         g: &mut F,
         graph: &HetGraph,
         features: &Tensor,
         blocks: &[Block],
-        bind_centers: bool,
+        reads: impl Into<Reads>,
     ) -> ForwardOut {
+        let reads = reads.into();
         let l_total = blocks.len();
         assert_eq!(l_total, self.cfg.layers, "one block per layer");
         let deep = &blocks[l_total - 1].src_nodes;
@@ -204,7 +238,7 @@ impl CateHgn {
         for l in 1..=l_total {
             let block_idx = l_total - l;
             let lp = &self.layers[l - 1];
-            let out = layer_forward(
+            let h_next = node_update(
                 g,
                 &self.params,
                 lp,
@@ -213,22 +247,43 @@ impl CateHgn {
                 h_cur,
                 &h_edges,
             );
+            // Nothing reads the link embeddings after the last layer; the
+            // training tape keeps their update so its nodes stay as they
+            // always were.
+            if l < l_total || matches!(reads, Reads::Train { .. }) {
+                h_edges = link_update(g, &self.params, lp, &h_edges);
+            }
             transitions.push((block_idx, src_for_mi));
-            h_edges = out.h_edge_next;
-            let h_next = out.h_next;
 
-            let hm = if self.cfg.ablation.ca {
-                let centers = if bind_centers {
-                    g.param(&self.params, self.ca.centers[l - 1])
-                } else {
-                    g.input_from(self.params.value(self.ca.centers[l - 1]))
-                };
-                let q = ca::soft_assign(g, h_next, centers);
-                g.free(centers);
-                q_layers.push(q);
-                ca::masked_embedding(g, &self.params, h_next, q, &self.ca.masks[l - 1])
-            } else {
-                h_next
+            let ca_rows = match reads {
+                _ if !self.cfg.ablation.ca => None,
+                Reads::Train { bind_centers } => Some((h_next, bind_centers)),
+                Reads::Seeds(n) if n < g.shape(h_next).0 => {
+                    let mut rows = g.scratch_idx();
+                    rows.extend(0..n);
+                    Some((g.gather_rows(h_next, rows), false))
+                }
+                Reads::Seeds(_) => Some((h_next, false)),
+                Reads::Embeddings => None,
+            };
+            let hm = match ca_rows {
+                Some((h, bind_centers)) => {
+                    let id = self.ca.centers[l - 1];
+                    let centers = if bind_centers {
+                        g.param(&self.params, id)
+                    } else {
+                        g.input_from(self.params.value(id))
+                    };
+                    let q = ca::soft_assign(g, h, centers);
+                    g.free(centers);
+                    q_layers.push(q);
+                    let hm = ca::masked_embedding(g, &self.params, h, q, &self.ca.masks[l - 1]);
+                    if h != h_next {
+                        g.free(h);
+                    }
+                    hm
+                }
+                None => h_next,
             };
             h_layers.push(h_next);
             h_masked.push(hm);
@@ -458,7 +513,7 @@ impl CateHgn {
                 let blocks = self.sample_cached(graph, chunk, self.cfg.fanout * 2, &mut rng);
                 let n = deduped_len(chunk, &blocks);
                 g.reset();
-                let fw = self.forward(g, graph, features, &blocks, false);
+                let fw = self.forward(g, graph, features, &blocks, Reads::Seeds(n));
                 // Eq. 6 trains a regressor at every layer; averaging the
                 // per-layer predictions is the natural deep-supervision
                 // ensemble read-out.
@@ -517,7 +572,7 @@ impl CateHgn {
             let blocks = self.sample_cached(graph, chunk, self.cfg.fanout * 2, &mut rng);
             let n = deduped_len(chunk, &blocks);
             g.reset();
-            let fw = self.forward(g, graph, features, &blocks, false);
+            let fw = self.forward(g, graph, features, &blocks, Reads::Seeds(n));
             let pred = self.predict_rows(g, &fw, self.cfg.layers, n);
             let preds = g.value(pred).as_slice().to_vec();
             let clusters: Vec<usize> = if let Some(&q) = fw.q_layers.last() {
@@ -585,7 +640,7 @@ impl CateHgn {
             // seed to its row in the deduped frontier prefix.
             let rows = per_seed(chunk, (0..deduped_len(chunk, &blocks)).collect());
             g.reset();
-            let fw = self.forward(g, graph, features, &blocks, false);
+            let fw = self.forward(g, graph, features, &blocks, Reads::Embeddings);
             for (layer, &h) in per_layer.iter_mut().zip(&fw.h_layers) {
                 let hv = g.value(h);
                 for &r in &rows {

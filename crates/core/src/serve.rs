@@ -374,6 +374,10 @@ impl<'m> ServeEngine<'m> {
         candidates: &[NodeId],
     ) -> Result<(&mut EmbeddingCache, bool), ServeError> {
         let feat = self.validate(graph, features, candidates, "candidate")?;
+        // Hashed at most once per call: by the guard when the stamp moved,
+        // reused by the rebuild that follows a real mutation.
+        let content_fp = std::cell::OnceCell::new();
+        let content_fp = || *content_fp.get_or_init(|| graph.content_fingerprint());
         let (cache, hit) = match self.cache.take() {
             // A changed stamp falls back to content equality: a reload of
             // identical data keeps the cache, a real mutation does not.
@@ -382,8 +386,7 @@ impl<'m> ServeEngine<'m> {
             Some(mut c)
                 if same_ids(&c.candidates, candidates)
                     && c.feat_fp == feat.key
-                    && (c.stamp == graph.sampling_stamp()
-                        || c.content_fp == graph.content_fingerprint()) =>
+                    && (c.stamp == graph.sampling_stamp() || c.content_fp == content_fp()) =>
             {
                 c.feat_stamp = feat.stamp;
                 (c, true)
@@ -398,7 +401,7 @@ impl<'m> ServeEngine<'m> {
                 self.stats.cache_rebuilds += 1;
                 let cache = EmbeddingCache::new(
                     graph.sampling_stamp(),
-                    graph.content_fingerprint(),
+                    content_fp(),
                     feat,
                     candidates,
                     emb,

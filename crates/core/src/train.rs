@@ -12,7 +12,7 @@
 
 use crate::config::ModelConfig;
 use crate::mi::{plan_mi, MiPlan};
-use crate::model::CateHgn;
+use crate::model::{CateHgn, Reads};
 use crate::resilience::{
     restore_params, restore_values, snapshot_params, snapshot_values, CheckpointError,
     CheckpointManager, FaultPlan, NonFiniteSource, RecoveryPolicy, TrainError, TrainOptions,
@@ -421,7 +421,7 @@ impl Run<'_> {
                 let labels = step_labels(p, &mut self.opts.faults);
                 let (model, g): (&CateHgn, _) = (self.model, &mut self.g);
                 g.reset();
-                let fw = model.forward(g, &ds.graph, &ds.features, &p.blocks, false);
+                let fw = model.forward(g, &ds.graph, &ds.features, &p.blocks, Reads::HGN_STEP);
                 let (loss, sup, _mi) = model.hgn_loss_planned(g, &fw, &p.blocks, &labels, &p.plan);
                 let loss_val = g.value(loss).as_slice()[0];
                 if !loss_val.is_finite() {
@@ -453,7 +453,13 @@ impl Run<'_> {
                 return;
             };
             lane.g.reset();
-            let fw = model.forward(&mut lane.g, &ds.graph, &ds.features, &p.blocks, false);
+            let fw = model.forward(
+                &mut lane.g,
+                &ds.graph,
+                &ds.features,
+                &p.blocks,
+                Reads::HGN_STEP,
+            );
             let (loss, sup, _mi) =
                 model.hgn_loss_planned(&mut lane.g, &fw, &p.blocks, labels, &p.plan);
             lane.sup = sup;
@@ -504,7 +510,7 @@ impl Run<'_> {
         self.landed.clear();
         let (model, g): (&CateHgn, _) = (self.model, &mut self.g);
         g.reset();
-        let fw = model.forward(g, &ds.graph, &ds.features, &p.blocks, true);
+        let fw = model.forward(g, &ds.graph, &ds.features, &p.blocks, Reads::CA_STEP);
         let Some(loss) = model.ca_loss(g, &fw) else {
             return Ok(());
         };

@@ -3,7 +3,7 @@
 //! at every thread count, and the serving embedding cache must never
 //! answer from stale state.
 
-use catehgn::config::ModelConfig;
+use catehgn::config::{Composition, ModelConfig};
 use catehgn::model::CateHgn;
 use catehgn::serve::{rank_desc, Recommendation, ServeEngine, ServeError};
 use dblp_sim::{Dataset, WorldConfig};
@@ -72,6 +72,134 @@ fn tape_free_paths_match_tape_bitwise_across_thread_counts() {
         let ib: Vec<(u32, usize)> = inf.iter().map(|&(y, c)| (y.to_bits(), c)).collect();
         let tb: Vec<(u32, usize)> = tap.iter().map(|&(y, c)| (y.to_bits(), c)).collect();
         assert_eq!(ib, tb, "impact_and_cluster diverged at {threads} threads");
+    }
+    tensor::par::set_num_threads(0);
+}
+
+/// A model of `cfg` whose readout heads are non-zero, so predictions
+/// depend on the embeddings (the zero-init heads would read 0 everywhere).
+fn model_with_live_heads(cfg: ModelConfig, ds: &Dataset) -> CateHgn {
+    let mut model = CateHgn::new(
+        cfg,
+        ds.features.cols(),
+        ds.graph.schema().num_node_types(),
+        ds.graph.schema().num_link_types(),
+    );
+    for lp in model.layers.clone() {
+        let w = model.params.value_mut(lp.w_y);
+        for (i, x) in w.as_mut_slice().iter_mut().enumerate() {
+            *x = (i % 5) as f32 * 0.25 - 0.5;
+        }
+    }
+    model
+}
+
+/// Every tape-free read-out against its tape reference, bit for bit.
+fn assert_tape_free_matches_tape(model: &CateHgn, ds: &Dataset, seeds: &[NodeId], what: &str) {
+    let free = model.predict(&ds.graph, &ds.features, seeds, 5);
+    let taped = model.predict_taped(&ds.graph, &ds.features, seeds, 5);
+    assert_eq!(bits(&free), bits(&taped), "predict diverged: {what}");
+
+    let ef = model.embed(&ds.graph, &ds.features, seeds, 5);
+    let et = model.embed_taped(&ds.graph, &ds.features, seeds, 5);
+    assert_eq!(ef.len(), et.len());
+    for (a, b) in ef.iter().zip(&et) {
+        assert_eq!(
+            bits(a.as_slice()),
+            bits(b.as_slice()),
+            "embed diverged: {what}"
+        );
+    }
+
+    let inf = model.impact_and_cluster(&ds.graph, &ds.features, seeds, 5);
+    let tap = model.impact_and_cluster_taped(&ds.graph, &ds.features, seeds, 5);
+    let ib: Vec<(u32, usize)> = inf.iter().map(|&(y, c)| (y.to_bits(), c)).collect();
+    let tb: Vec<(u32, usize)> = tap.iter().map(|&(y, c)| (y.to_bits(), c)).collect();
+    assert_eq!(ib, tb, "impact_and_cluster diverged: {what}");
+}
+
+/// The tape-free composites (per-source composition, prefix-split
+/// products, CA on the seed rows only) across the layer's shapes: every
+/// composition, attention off, one and three heads, and the default
+/// d = 32 with four heads, which crosses the narrow kernel's row blocks
+/// and the full product tiles. Each runs on the full graph and on one
+/// whose term links are gone (link types with no sampled edges), over
+/// seeds with duplicates, at 1, 2 and 4 threads.
+#[test]
+fn tape_free_composites_match_tape_across_model_shapes() {
+    let (_, base) = fixture();
+    let mut no_terms = owned_dataset();
+    no_terms
+        .graph
+        .replace_links(no_terms.link_types.contains, &[]);
+    no_terms
+        .graph
+        .replace_links(no_terms.link_types.contained_in, &[]);
+
+    let tiny = ModelConfig::test_tiny();
+    let mut variants: Vec<(&str, ModelConfig)> = [
+        ("sub", Composition::Sub),
+        ("mult", Composition::Mult),
+        ("circ-corr", Composition::CircCorr),
+    ]
+    .into_iter()
+    .map(|(name, composition)| {
+        (
+            name,
+            ModelConfig {
+                composition,
+                ..tiny.clone()
+            },
+        )
+    })
+    .collect();
+    let mut uniform = tiny.clone();
+    uniform.ablation.attention = false;
+    variants.push(("attention off", uniform));
+    variants.push((
+        "one head",
+        ModelConfig {
+            heads_node: 1,
+            heads_link: 1,
+            ..tiny.clone()
+        },
+    ));
+    variants.push((
+        "three heads",
+        ModelConfig {
+            heads_node: 3,
+            heads_link: 3,
+            ..tiny.clone()
+        },
+    ));
+    let default = ModelConfig::default();
+    variants.push((
+        "default d and heads",
+        ModelConfig {
+            dim: default.dim,
+            heads_node: default.heads_node,
+            heads_link: default.heads_link,
+            composition: default.composition,
+            ..tiny.clone()
+        },
+    ));
+
+    let _guard = THREADS
+        .lock()
+        .expect("no test panics while holding the lock");
+    for (name, cfg) in variants {
+        let model = model_with_live_heads(cfg, base);
+        for (graph_name, ds) in [("full graph", base), ("no term links", &no_terms)] {
+            let p = &ds.paper_nodes;
+            let mut seeds = vec![p[3], p[0], p[3], p[7], p[0]];
+            seeds.extend(ds.term_nodes.iter().take(4).copied());
+            seeds.push(p[7]);
+            for threads in [1usize, 2, 4] {
+                tensor::par::set_num_threads(threads);
+                let what = format!("{name}, {graph_name}, {threads} threads");
+                assert_tape_free_matches_tape(&model, ds, &seeds, &what);
+            }
+        }
     }
     tensor::par::set_num_threads(0);
 }

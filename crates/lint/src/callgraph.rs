@@ -35,6 +35,9 @@ pub enum Qual {
     /// Path syntax `Q::name(…)` with `Q` the last path segment before
     /// the callee name.
     Path(String),
+    /// A bare name used as a value, `(name)` or `, name,`: a free
+    /// function or a local, never a method or associated function.
+    Value,
 }
 
 /// One resolved edge out of a function body.
@@ -99,8 +102,11 @@ impl CallGraph {
     /// resolves to nothing — `Q` names a foreign type (`Condvar::new`),
     /// so keeping all same-named workspace fns would only produce false
     /// edges. `recv.name(…)` narrows to methods (`has_self`), again with
-    /// no fallback: a bare fn cannot be a method callee. Test-only items
-    /// never resolve for non-test callers.
+    /// no fallback: a bare fn cannot be a method callee. A bare value
+    /// (`zip(name)`) resolves to free functions only: Rust cannot name a
+    /// method or associated function without a path, so a local called
+    /// `l2` must not keep `Graph::l2` alive. Test-only items never
+    /// resolve for non-test callers.
     pub fn resolve(&self, name: &str, qual: &Qual, caller: Option<usize>) -> Vec<usize> {
         let Some(all) = self.by_name.get(name) else {
             return Vec::new();
@@ -113,6 +119,9 @@ impl CallGraph {
         };
         match qual {
             Qual::None => visible().collect(),
+            Qual::Value => visible()
+                .filter(|&i| self.fns[i].self_ty.is_none())
+                .collect(),
             Qual::Method => visible().filter(|&i| self.fns[i].has_self).collect(),
             // `crate::`/`super::`/`self::` carry position, not identity —
             // treat them as bare calls.
@@ -292,7 +301,9 @@ pub fn for_each_call_site(
             s += 1;
             continue;
         }
-        let qual = if prev == "." {
+        let qual = if call_paren.is_none() && prev != "::" {
+            Qual::Value
+        } else if prev == "." {
             Qual::Method
         } else if prev == "::" && s >= start + 2 && view.kind(s - 2) == Some(Kind::Ident) {
             Qual::Path(view.text(s - 2).to_string())

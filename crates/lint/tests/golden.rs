@@ -680,3 +680,23 @@ fn dead_pub_follows_package_qualified_calls() {
     fs::write(bin.join("app.rs"), "fn main() {\n    foo_pkg::used();\n}\n").expect("write bin");
     assert_eq!(run_check(&root).dead_pub.dead, ["unused"]);
 }
+
+/// A bare value names a free function or a local, never a method: a
+/// binary passing its local `l2` to `zip(l2)` keeps the free `l2` alive
+/// but not the method `Graph::l2`.
+#[test]
+fn dead_pub_bare_value_does_not_resolve_to_a_method() {
+    let root = synth_root(
+        "deadpub-value",
+        "pub struct Graph;\nimpl Graph {\n    pub fn l2(&self) {}\n}\npub fn l2() {}\n",
+    );
+    let bin = root.join("crates/foo/src/bin");
+    fs::create_dir_all(&bin).expect("mkdir bin");
+    fs::write(
+        bin.join("app.rs"),
+        "fn main() {\n    let l2 = [1];\n    let _ = [0].iter().zip(l2);\n    let _ = \
+         [0].map(l2);\n}\n",
+    )
+    .expect("write bin");
+    assert_eq!(run_check(&root).dead_pub.dead, ["Graph::l2"]);
+}

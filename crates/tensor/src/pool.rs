@@ -102,7 +102,26 @@ impl BufferPool {
             Some(buf)
         } else {
             self.misses += 1;
+            self.evict_superseded(n);
             None
+        }
+    }
+
+    /// On a miss for `n`, drops the largest parked buffer in `[n / 2, n)`.
+    /// Request sizes drift upward over a run (a batch's edge counts grow
+    /// with the corpus), and each new largest size misses. Without this,
+    /// every superseded size class stays parked, and the pool's footprint
+    /// grows with the number of misses rather than with the working set.
+    fn evict_superseded(&mut self, n: usize) {
+        if let Some((&cap, bucket)) = self
+            .buckets
+            .range_mut(n / 2..n)
+            .rev()
+            .find(|(_, bucket)| !bucket.is_empty())
+        {
+            drop(bucket.pop());
+            self.held_buffers -= 1;
+            self.held_bytes -= cap * std::mem::size_of::<f32>();
         }
     }
 
@@ -253,6 +272,24 @@ mod tests {
         assert_eq!(pool.stats().misses, 1);
         assert_eq!(buf.len(), 4);
         assert_eq!(pool.stats().held_buffers, 1, "big buffer stays parked");
+    }
+
+    /// Sizes that drift upward keep one parked buffer per live request,
+    /// not one per size ever seen; a miss far above every parked size
+    /// leaves them alone.
+    #[test]
+    fn upward_drifting_sizes_do_not_accumulate() {
+        let mut pool = BufferPool::new();
+        for n in (1000..1400).step_by(10) {
+            let a = pool.take_raw(n);
+            let b = pool.take_raw(n);
+            pool.give(a);
+            pool.give(b);
+        }
+        assert_eq!(pool.stats().held_buffers, 2);
+        let big = pool.take_raw(10_000);
+        assert_eq!(big.len(), 10_000);
+        assert_eq!(pool.stats().held_buffers, 2);
     }
 
     #[test]

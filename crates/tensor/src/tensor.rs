@@ -402,6 +402,28 @@ impl Tensor {
         });
     }
 
+    /// Continues `out += self * other[rows, :]` from whatever `out` holds.
+    ///
+    /// `self` is `n x k` with `k = rows.len()`, and `out` is `n x m`. The
+    /// kernel sums each output from its current value in ascending `p`,
+    /// multiply then add, exactly as [`Tensor::matmul_into`] sums from
+    /// `+0.0`. So for `A = [A1 | A2]` split at column `k1`, zeroing `out`,
+    /// then calling `A1.matmul_acc(B, 0..k1, out)` and
+    /// `A2.matmul_acc(B, k1..k, out)` gives the bits of `A.matmul(B)`.
+    pub fn matmul_acc(&self, other: &Tensor, rows: std::ops::Range<usize>, out: &mut Tensor) {
+        let (n, k, m) = (self.rows, self.cols, other.cols);
+        assert!(
+            rows.len() == k && rows.end <= other.rows,
+            "matmul_acc shape mismatch: {n}x{k} * rows {rows:?} of {}x{m}",
+            other.rows
+        );
+        assert_eq!(out.shape(), (n, m), "matmul_acc: out must be {n}x{m}");
+        let (a, b) = (&self.data, window(&other.data, rows.start * m, k * m));
+        par::par_row_chunks_mut(&mut out.data, m, k * m, |lo, hi, chunk| {
+            matmul_block(a, b, k, m, lo, hi, chunk);
+        });
+    }
+
     /// Writes `self * other^T` into `out`, reusing its storage. Bitwise
     /// identical to [`Tensor::matmul_tb`].
     pub fn matmul_tb_into(&self, other: &Tensor, out: &mut Tensor) {
@@ -677,9 +699,13 @@ fn window_mut(s: &mut [f32], start: usize, len: usize) -> &mut [f32] {
 /// C[lo..hi, :] += A[lo..hi, :] * B for row-major A (n x k) and B (k x m);
 /// `out` holds rows `lo..hi` of C and arrives zeroed.
 fn matmul_block(a: &[f32], b: &[f32], k: usize, m: usize, lo: usize, hi: usize, out: &mut [f32]) {
-    if m == 1 {
-        matvec_block(a, b, k, lo, hi, out);
-        return;
+    match m {
+        1 => return matvec_block(a, b, k, lo, hi, out),
+        2 => return few_cols_block::<2>(a, b, k, m, lo, hi, out),
+        3 => return few_cols_block::<3>(a, b, k, m, lo, hi, out),
+        4 => return few_cols_block::<4>(a, b, k, m, lo, hi, out),
+        5..=8 => return few_cols_block::<8>(a, b, k, m, lo, hi, out),
+        _ => {}
     }
     // Every hot-loop index goes through a slice whose length the
     // optimiser can see, so no bounds checks survive in the k loop.
@@ -970,6 +996,70 @@ fn matvec_block(a: &[f32], b: &[f32], k: usize, lo: usize, hi: usize, out: &mut 
             acc += x * bp;
         }
         *o = acc;
+    }
+}
+
+/// C[lo..hi, :] += A[lo..hi, :] · B for B with `m <= W` columns (`m > 1`):
+/// the few-column case of [`matmul_block`], whose edge path would reload
+/// every output on every k step. [`NV`] rows keep a `W`-wide register
+/// accumulator each, so `out[r, c]` continues from its value on entry in
+/// ascending p, multiply then add, exactly as the tiled paths do. With
+/// `W > m` only the first `m` lanes of each accumulator are used.
+fn few_cols_block<const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    m: usize,
+    lo: usize,
+    hi: usize,
+    out: &mut [f32],
+) {
+    if k == 0 {
+        return;
+    }
+    let b = window(b, 0, k * m);
+    let rows = window(a, lo * k, (hi - lo) * k);
+    let mut blocks = rows.chunks_exact(NV * k);
+    let mut outs = out.chunks_exact_mut(NV * m);
+    for (blk, o) in blocks.by_ref().zip(outs.by_ref()) {
+        let r: [&[f32]; NV] = std::array::from_fn(|q| window(blk, q * k, k));
+        let mut acc = [[0.0f32; W]; NV];
+        for (acc_q, o_q) in acc.iter_mut().zip(o.chunks_exact(m)) {
+            for (x, &y) in acc_q.iter_mut().zip(o_q) {
+                *x = y;
+            }
+        }
+        for (p, bp) in b.chunks_exact(m).enumerate() {
+            for q in 0..NV {
+                let av = r[q][p];
+                for (x, &bv) in acc[q].iter_mut().zip(bp) {
+                    *x += av * bv;
+                }
+            }
+        }
+        for (acc_q, o_q) in acc.iter().zip(o.chunks_exact_mut(m)) {
+            for (y, &x) in o_q.iter_mut().zip(acc_q) {
+                *y = x;
+            }
+        }
+    }
+    for (row, o) in blocks
+        .remainder()
+        .chunks_exact(k)
+        .zip(outs.into_remainder().chunks_exact_mut(m))
+    {
+        let mut acc = [0.0f32; W];
+        for (x, &y) in acc.iter_mut().zip(o.iter()) {
+            *x = y;
+        }
+        for (&av, bp) in row.iter().zip(b.chunks_exact(m)) {
+            for (x, &bv) in acc.iter_mut().zip(bp) {
+                *x += av * bv;
+            }
+        }
+        for (y, &x) in o.iter_mut().zip(&acc) {
+            *y = x;
+        }
     }
 }
 
@@ -1339,6 +1429,51 @@ pub(crate) mod tests {
         let mut out = Tensor::zeros(3, 2);
         a.transpose_into(&mut out);
         assert_eq!(out, a.transpose());
+    }
+
+    /// Splitting the reduction anywhere and continuing the accumulator
+    /// with `matmul_acc` gives the bits of the one-pass product: the
+    /// narrow (`m == 1`) and few-column kernels, the edge path and the
+    /// full tiles, with row counts across the `NV` and `MR` blocks.
+    #[test]
+    fn matmul_acc_continues_a_split_reduction_bitwise() {
+        let mut state = 0x2545_f491u32;
+        let mut next = move || {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            if state >> 29 == 0 {
+                0.0
+            } else {
+                (state >> 8) as f32 / (1u32 << 23) as f32 - 1.0
+            }
+        };
+        for (n, k, m) in [
+            (1, 1, 1),
+            (7, 5, 1),
+            (9, 96, 1),
+            (17, 64, 3),
+            (13, 33, 4),
+            (11, 40, 2),
+            (19, 17, 6),
+            (8, 8, 8),
+            (5, 70, 33),
+            (300, 64, 32),
+            (0, 6, 2),
+        ] {
+            let a = Tensor::from_vec(n, k, (0..n * k).map(|_| next()).collect());
+            let b = Tensor::from_vec(k, m, (0..k * m).map(|_| next()).collect());
+            let want = reference::matmul(&a, &b);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for k1 in [0, 1, k / 3, k / 2, k - 1, k] {
+                let cols = |lo: usize, hi: usize| {
+                    let data = (0..n).flat_map(|r| a.row(r)[lo..hi].to_vec()).collect();
+                    Tensor::from_vec(n, hi - lo, data)
+                };
+                let mut out = Tensor::zeros(n, m);
+                cols(0, k1).matmul_acc(&b, 0..k1, &mut out);
+                cols(k1, k).matmul_acc(&b, k1..k, &mut out);
+                assert_eq!(bits(&out), bits(&want), "n={n} k={k} m={m} split at {k1}");
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,9 @@
 #      resilience path end to end: halt/resume fingerprint equality, a
 #      real `kill -TERM` mid-training with bitwise resume, and the shard
 #      chaos loop (fault-injected serving, corruption, quarantine-and-
-#      repair — rankings fingerprint stable throughout).
+#      repair — rankings fingerprint stable throughout). The tiny
+#      train and serve fingerprints are also pinned to committed
+#      constants, so bits that move in every run alike still fail.
 #   6. bench_gates — the timing gates, each the median over alternating
 #      pairs of fastest-of-3 runs: batched tape-free serving >= 3x faster
 #      than per-query tape-based predict, embedding-cache hit >= 10x
@@ -71,6 +73,7 @@ RUSTFMT_RATCHET=(
     crates/tensor/tests/prop_gradients.rs
     crates/tensor/src/fwd.rs
     crates/tensor/src/infer.rs
+    crates/tensor/src/composite.rs
     crates/core/src/ca.rs
     crates/core/src/encoder.rs
     crates/core/src/layer.rs
@@ -203,6 +206,28 @@ if ! diff "$SMOKE_DIR/ref.txt" "$SMOKE_DIR/res.txt"; then
     exit 1
 fi
 echo "kill-and-resume: bitwise-equal"
+
+# Pinned bits. The drills above compare run against run, so a change
+# that moves the tape's bits (training) or the tape-free path's bits
+# (validation inside training, serving) in every run alike would pass
+# them. These constants fail it instead; moving them is a deliberate
+# fingerprint rebase, stated as such in CHANGES.md.
+echo "== pinned fingerprints (catehgn_cli train / serve, --scale tiny) =="
+printf '%s\n' 'params_fingerprint=0x17997e4e7147054f' \
+    'report_fingerprint=0xf6c3122401ca3cdd' > "$SMOKE_DIR/pinned-train.txt"
+if ! diff "$SMOKE_DIR/pinned-train.txt" "$SMOKE_DIR/ref.txt"; then
+    echo "pinned fingerprints FAILED: training bits moved" >&2
+    exit 1
+fi
+printf '%s\n' 'test RMSE: 7.2254' 'rankings_fingerprint=0x93ab15cf1b4d0da3' \
+    > "$SMOKE_DIR/pinned-serve.txt"
+"$CLI" serve --scale tiny --model "$SMOKE_DIR/ref.json" 2>/dev/null \
+    | grep -E '^(test RMSE|rankings_fingerprint)' > "$SMOKE_DIR/serve-pinned.txt"
+if ! diff "$SMOKE_DIR/pinned-serve.txt" "$SMOKE_DIR/serve-pinned.txt"; then
+    echo "pinned fingerprints FAILED: serving bits moved" >&2
+    exit 1
+fi
+echo "pinned fingerprints: unchanged"
 
 # Real-signal drill: SIGTERM a checkpointed training process mid-run. The
 # installed handler makes the loop land one final atomic snapshot and exit
