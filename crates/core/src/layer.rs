@@ -8,13 +8,12 @@
 //! (Eq. 14) and link-wise softmax across types (Eq. 15), both multi-head
 //! (head-averaged). With attention disabled (ablation), aggregation is
 //! uniform within and across types, which is Eq. 3's plain form normalised
-//! for stability. The per-type products run through the `ForwardCtx`
-//! composites `edge_messages` and `link_attention`, which the tape-free
-//! context computes with less work for the same bits.
+//! for stability. Every product over a concatenation runs split at the
+//! concat boundaries, once per row it depends on (see [`node_update`]).
 
 use crate::config::{Composition, ModelConfig};
 use hetgraph::Block;
-use tensor::{ForwardCtx, ParamId, Params, Tensor, TypeEdges, TypeSlots, Var};
+use tensor::{ForwardCtx, ParamId, Params, Tensor, Var};
 
 /// Trainable parameters of one HGN layer.
 #[derive(Clone, Debug)]
@@ -140,8 +139,105 @@ pub fn link_update<F: ForwardCtx>(
     h_edge_next
 }
 
+/// LeakyReLU slope of the attention scores (GAT's 0.2).
+const ATTENTION_SLOPE: f32 = 0.2;
+
+/// The attention vectors of `heads` (each `3d x 1`) side by side and cut
+/// at the concat boundaries of `[h_v ‖ h_e ‖ h_u]`: the `d x H` blocks
+/// `(A_v, A_e, A_u)`.
+fn head_blocks<F: ForwardCtx>(g: &mut F, params: &Params, heads: &[ParamId], d: usize) -> [Var; 3] {
+    let first = g.param(params, heads[0]);
+    let stacked = heads.iter().skip(1).fold(first, |acc, &id| {
+        let a = g.param(params, id);
+        let next = g.concat_cols(acc, a);
+        g.free(acc);
+        g.free(a);
+        next
+    });
+    let blocks = [0, 1, 2].map(|i| rows(g, stacked, i * d, (i + 1) * d));
+    g.free(stacked);
+    blocks
+}
+
+/// Head-averaged attention from an `m x H` score matrix: per head
+/// `softmax(leaky_relu(s_h))` within each `segments` group, summed in head
+/// order and scaled by `1 / H`.
+fn head_mean<F: ForwardCtx>(g: &mut F, scores: Var, segments: &[usize]) -> Var {
+    let s = g.leaky_relu(scores, ATTENTION_SLOPE);
+    g.free(scores);
+    let h = g.shape(s).1;
+    let head = |g: &mut F, j: usize| {
+        let col = g.col_slice(s, j);
+        let seg = g.scratch_idx_from(segments);
+        let sm = g.segment_softmax(col, seg);
+        g.free(col);
+        sm
+    };
+    let first = head(g, 0);
+    let summed = (1..h).fold(first, |prev, j| {
+        let sm = head(g, j);
+        let next = g.add(prev, sm);
+        g.free(prev);
+        g.free(sm);
+        next
+    });
+    g.free(s);
+    let mean = g.scale(summed, 1.0 / h as f32);
+    g.free(summed);
+    mean
+}
+
+/// Rows `start..end` of `a`, where a weight is cut at a concat boundary.
+/// The index list comes from the scratch pool, like every other list here.
+fn rows<F: ForwardCtx>(g: &mut F, a: Var, start: usize, end: usize) -> Var {
+    let mut idx = g.scratch_idx();
+    idx.extend(start..end);
+    g.gather_rows(a, idx)
+}
+
+/// `a + b`, freeing both operands.
+fn add_freeing<F: ForwardCtx>(g: &mut F, a: Var, b: Var) -> Var {
+    let sum = g.add(a, b);
+    g.free(a);
+    g.free(b);
+    sum
+}
+
+/// `vars` stacked vertically in order, freeing each one once stacked.
+fn stack_rows<F: ForwardCtx>(g: &mut F, vars: &[Var]) -> Var {
+    vars.iter().skip(1).fold(vars[0], |acc, &v| {
+        let next = g.concat_rows(acc, v);
+        g.free(acc);
+        g.free(v);
+        next
+    })
+}
+
+/// `a · b`, freeing `b` (a weight block read once).
+fn matmul_freeing_rhs<F: ForwardCtx>(g: &mut F, a: Var, b: Var) -> Var {
+    let out = g.matmul(a, b);
+    g.free(b);
+    out
+}
+
 /// The layer's `n_dst x d` node embeddings (Eqs. 3, 14 and 15 plus the
-/// self-connection).
+/// self-connection), in per-node form. Each product over a concatenation
+/// splits at its concat boundaries, and each part runs once per row it
+/// depends on:
+///
+/// * Eq. 3: `W_a(φ ‖ h_v) = φ·W_a[:d] + h_v·W_a[d:]`. The first term runs
+///   once per distinct (type, source) row, the second once per
+///   destination, since `W_a` is shared across types.
+/// * Eq. 14: `[h_v ‖ h_e ‖ h_u]·a = h_v·a_v + h_e·a_e + h_u·a_u`, with a
+///   type's heads stacked into `d x H` blocks: once per active slot, once
+///   per type and once per distinct source.
+/// * Eq. 15: the same split over `[h_v ‖ h_e ‖ agg]`, with `h_v·A_v` once
+///   per destination, `h_e·A_e` once per type, and `agg·A_u` per slot.
+///
+/// Per edge only gathers, element-wise ops, the segment softmax and the
+/// segment sum run, so per-edge work is `O(d)`, not `O(d²)`. Everything
+/// is a `ForwardCtx` op, so the tape and the tape-free context run the
+/// same op sequence.
 pub fn node_update<F: ForwardCtx>(
     g: &mut F,
     params: &Params,
@@ -152,7 +248,7 @@ pub fn node_update<F: ForwardCtx>(
     h_edge: &[Var],
 ) -> Var {
     let n_dst = block.dst_nodes.len();
-    let w_a = g.param(params, lp.w_a);
+    let d = g.shape(h_src).1;
     let attn = cfg.ablation.attention;
 
     // Per-type index preparation is pure bookkeeping over the block. Every
@@ -163,15 +259,16 @@ pub fn node_update<F: ForwardCtx>(
     // itself is independent per link type and runs on the worker pool.
     struct TypeIdx {
         lt: usize,
-        src_idx: Vec<usize>,
+        /// Per edge: its destination's position in the block.
         dst_idx: Vec<usize>,
-        prev_idx: Vec<usize>,
+        /// Sorted, deduped source rows of this type's edges.
+        distinct_src: Vec<usize>,
+        /// Per edge: its source's position in `distinct_src`.
+        src_of_edge: Vec<usize>,
         /// Sorted, deduped dst positions with >=1 edge of this type.
         active_dst: Vec<usize>,
-        /// `dst_idx` remapped to positions in `active_dst`.
+        /// Per edge: its destination's position in `active_dst`.
         local_seg: Vec<usize>,
-        /// `dst_in_src` of each `active_dst` entry (cross-type features).
-        active_prev: Vec<usize>,
         /// Uniform within-type weights `1 / deg_t(v)` (attention off).
         uniform_w: Vec<f32>,
     }
@@ -182,23 +279,28 @@ pub fn node_update<F: ForwardCtx>(
         }
         type_idx.push(TypeIdx {
             lt,
-            src_idx: g.scratch_idx(),
             dst_idx: g.scratch_idx(),
-            prev_idx: g.scratch_idx(),
+            distinct_src: g.scratch_idx(),
+            src_of_edge: g.scratch_idx(),
             active_dst: g.scratch_idx(),
             local_seg: g.scratch_idx(),
-            active_prev: g.scratch_idx(),
             uniform_w: Vec::new(),
         });
     }
     tensor::par::par_for_each_mut(&mut type_idx, |_, ti| {
         let edges = &block.edges_by_type[ti.lt];
-        ti.src_idx.extend(edges.iter().map(|e| e.src_pos as usize));
         ti.dst_idx.extend(edges.iter().map(|e| e.dst_pos as usize));
-        ti.prev_idx.extend(
+        ti.distinct_src
+            .extend(edges.iter().map(|e| e.src_pos as usize));
+        ti.distinct_src.sort_unstable();
+        ti.distinct_src.dedup();
+        // Every edge's source and destination are in the sorted lists, so
+        // each one's position is the count of entries below it.
+        let distinct = &ti.distinct_src;
+        ti.src_of_edge.extend(
             edges
                 .iter()
-                .map(|e| block.dst_in_src[e.dst_pos as usize] as usize),
+                .map(|e| distinct.partition_point(|&s| s < e.src_pos as usize)),
         );
         ti.active_dst.extend_from_slice(&ti.dst_idx);
         ti.active_dst.sort_unstable();
@@ -207,10 +309,8 @@ pub fn node_update<F: ForwardCtx>(
         ti.local_seg.extend(
             ti.dst_idx
                 .iter()
-                .map(|d| active_dst.binary_search(d).expect("dst present")),
+                .map(|&d| active_dst.partition_point(|&a| a < d)),
         );
-        ti.active_prev
-            .extend(ti.active_dst.iter().map(|&d| block.dst_in_src[d] as usize));
         if !attn {
             let mut deg = vec![0.0f32; n_dst];
             for &d in &ti.dst_idx {
@@ -221,54 +321,6 @@ pub fn node_update<F: ForwardCtx>(
         }
     });
 
-    // Per-type aggregates awaiting cross-type combination, and their
-    // destination positions: the segment ids of the Eq. 15 softmax.
-    let mut per_type: Vec<TypeSlots> = Vec::new();
-    let mut segments = g.scratch_idx();
-
-    for ti in type_idx {
-        // Eq. 3 messages and Eq. 14 node-wise attention within this type,
-        // or uniform weights.
-        let edges = TypeEdges {
-            src: &ti.src_idx,
-            dst_prev: &ti.prev_idx,
-            dst: &ti.dst_idx,
-            slot: &ti.local_seg,
-            slot_prev: &ti.active_prev,
-        };
-        let heads = attn.then_some(lp.a_node[ti.lt].as_slice());
-        let (msg, alpha) = g.edge_messages(
-            params,
-            h_src,
-            h_edge[ti.lt],
-            &edges,
-            w_a,
-            |g, h_u, e_tiled| compose(g, h_u, e_tiled, cfg.composition),
-            heads,
-        );
-        let alpha = alpha.unwrap_or_else(|| g.input(Tensor::col_vec(ti.uniform_w)));
-        g.recycle_idx(ti.src_idx);
-        g.recycle_idx(ti.prev_idx);
-        g.recycle_idx(ti.dst_idx);
-        let weighted = g.mul_col(msg, alpha);
-        g.free(msg);
-        g.free(alpha);
-
-        // Aggregate into *active-dst-local* slots to keep the cross-type
-        // softmax free of phantom zero rows.
-        let agg_active = g.segment_sum(weighted, ti.local_seg, ti.active_dst.len());
-        g.free(weighted);
-
-        segments.extend_from_slice(&ti.active_dst);
-        g.recycle_idx(ti.active_dst);
-        per_type.push(TypeSlots {
-            h_e: h_edge[ti.lt],
-            prev: ti.active_prev,
-            agg: agg_active,
-        });
-    }
-    g.free(w_a);
-
     // Self-connection (the `I` of Eq. 1's `A + I`): every node's own
     // previous-layer embedding contributes alongside its typed neighbors,
     // and keeps isolated nodes represented.
@@ -276,42 +328,134 @@ pub fn node_update<F: ForwardCtx>(
     prev_idx.extend(block.dst_in_src.iter().map(|&p| p as usize));
     let h_prev_dst = g.gather_rows(h_src, prev_idx);
     let w_self = g.param(params, lp.w_self);
-    let self_term = g.matmul(h_prev_dst, w_self);
-    g.free(h_prev_dst);
-    g.free(w_self);
+    let self_term = matmul_freeing_rhs(g, h_prev_dst, w_self);
 
-    if per_type.is_empty() {
-        g.recycle_idx(segments);
+    if type_idx.is_empty() {
+        g.free(h_prev_dst);
         let out = g.relu(self_term);
         g.free(self_term);
         return out;
     }
 
-    // Eq. 15 link-wise attention across types. Stack all (v, t) slots
-    // vertically; the segment id is the dst position, so the softmax
-    // normalises across the types present at each node.
-    let heads = attn.then_some(lp.a_link.as_slice());
-    let (stacked_agg, beta) = g.link_attention(params, h_src, &per_type, heads, &segments);
-    for ts in per_type {
-        g.recycle_idx(ts.prev);
-    }
-    let beta = beta.unwrap_or_else(|| {
-        // Uniform across the types present at each node.
-        let mut cnt = vec![0.0f32; n_dst];
-        for &s in &segments {
-            cnt[s] += 1.0;
+    // Eq. 3's destination term `h_v · W_a[d:]`, once per destination.
+    let w_a = g.param(params, lp.w_a);
+    let w_top = rows(g, w_a, 0, d);
+    let w_bot = rows(g, w_a, d, 2 * d);
+    g.free(w_a);
+    let msg_dst = matmul_freeing_rhs(g, h_prev_dst, w_bot);
+
+    // Eq. 15's link heads, cut into `d x H` blocks.
+    let link_heads = attn.then(|| head_blocks(g, params, &lp.a_link, d));
+
+    // Per-type aggregates at their active destinations, in type order:
+    // the (type, destination) slots of Eq. 15. `segments` holds each
+    // slot's destination, `slot_type` its type's position among the types
+    // with edges, and `type_scores` each such type's `h_e · A_e` (1 x H).
+    let mut aggs = Vec::with_capacity(type_idx.len());
+    let mut type_scores = Vec::with_capacity(type_idx.len());
+    let mut segments = g.scratch_idx();
+    let mut slot_type = g.scratch_idx();
+
+    for (k, ti) in type_idx.into_iter().enumerate() {
+        let h_e = h_edge[ti.lt];
+        let n_distinct = ti.distinct_src.len();
+        let h_u = g.gather_rows(h_src, ti.distinct_src);
+
+        // Eq. 3: message = φ(h_u, h_e)·W_a[:d] + h_v·W_a[d:], the first
+        // term once per distinct source.
+        let e_tiled = g.tile_row(h_e, n_distinct);
+        let phi = compose(g, h_u, e_tiled, cfg.composition);
+        g.free(e_tiled);
+        let msg_src = g.matmul(phi, w_top);
+        g.free(phi);
+        let idx = g.scratch_idx_from(&ti.src_of_edge);
+        let per_edge_src = g.gather_rows(msg_src, idx);
+        g.free(msg_src);
+        let idx = g.scratch_idx_from(&ti.dst_idx);
+        let per_edge_dst = g.gather_rows(msg_dst, idx);
+        let msg = add_freeing(g, per_edge_src, per_edge_dst);
+
+        // Eq. 14: node-wise attention within the type, or uniform weights.
+        let alpha = if attn {
+            let [a_v, a_e, a_u] = head_blocks(g, params, &lp.a_node[ti.lt], d);
+            let idx = g.scratch_idx_from(&ti.active_dst);
+            let h_v = g.gather_rows(h_prev_dst, idx);
+            let s_slot = matmul_freeing_rhs(g, h_v, a_v);
+            g.free(h_v);
+            let s_src = matmul_freeing_rhs(g, h_u, a_u);
+            let s_type = matmul_freeing_rhs(g, h_e, a_e);
+            let idx = g.scratch_idx_from(&ti.local_seg);
+            let s_slot_e = g.gather_rows(s_slot, idx);
+            g.free(s_slot);
+            let idx = g.scratch_idx_from(&ti.src_of_edge);
+            let s_src_e = g.gather_rows(s_src, idx);
+            g.free(s_src);
+            let s = add_freeing(g, s_slot_e, s_src_e);
+            let scores = g.add_row(s, s_type);
+            g.free(s);
+            g.free(s_type);
+            head_mean(g, scores, &ti.local_seg)
+        } else {
+            g.input(Tensor::col_vec(ti.uniform_w))
+        };
+        g.free(h_u);
+        g.recycle_idx(ti.src_of_edge);
+        g.recycle_idx(ti.dst_idx);
+        let weighted = g.mul_col(msg, alpha);
+        g.free(msg);
+        g.free(alpha);
+
+        // Aggregate into *active-dst-local* slots to keep the cross-type
+        // softmax free of phantom zero rows.
+        let agg = g.segment_sum(weighted, ti.local_seg, ti.active_dst.len());
+        g.free(weighted);
+        segments.extend_from_slice(&ti.active_dst);
+        slot_type.extend(std::iter::repeat_n(k, ti.active_dst.len()));
+        g.recycle_idx(ti.active_dst);
+        aggs.push(agg);
+        if let Some([_, a_e, _]) = link_heads {
+            type_scores.push(g.matmul(h_e, a_e));
         }
-        let w: Vec<f32> = segments.iter().map(|&s| 1.0 / cnt[s]).collect();
-        g.input(Tensor::col_vec(w))
-    });
+    }
+    g.free(w_top);
+    g.free(msg_dst);
+    let stacked_agg = stack_rows(g, &aggs);
+
+    // Eq. 15: link-wise attention across the types present at each node:
+    // `h_v · A_v` once per destination and `agg · A_u` per slot.
+    let beta = match link_heads {
+        Some([a_v, a_e, a_u]) => {
+            g.free(a_e);
+            let s_dst = matmul_freeing_rhs(g, h_prev_dst, a_v);
+            let s_agg = matmul_freeing_rhs(g, stacked_agg, a_u);
+            let idx = g.scratch_idx_from(&segments);
+            let s_dst_slot = g.gather_rows(s_dst, idx);
+            g.free(s_dst);
+            let s_types = stack_rows(g, &type_scores);
+            let s_type_slot = g.gather_rows(s_types, slot_type);
+            g.free(s_types);
+            let s = add_freeing(g, s_dst_slot, s_agg);
+            let scores = add_freeing(g, s, s_type_slot);
+            head_mean(g, scores, &segments)
+        }
+        None => {
+            g.recycle_idx(slot_type);
+            // Uniform across the types present at each node.
+            let mut cnt = vec![0.0f32; n_dst];
+            for &s in &segments {
+                cnt[s] += 1.0;
+            }
+            let w: Vec<f32> = segments.iter().map(|&s| 1.0 / cnt[s]).collect();
+            g.input(Tensor::col_vec(w))
+        }
+    };
+    g.free(h_prev_dst);
     let weighted = g.mul_col(stacked_agg, beta);
     g.free(stacked_agg);
     g.free(beta);
     let agg = g.segment_sum(weighted, segments, n_dst);
     g.free(weighted);
-    let combined = g.add(agg, self_term);
-    g.free(agg);
-    g.free(self_term);
+    let combined = add_freeing(g, agg, self_term);
     let out = g.relu(combined);
     g.free(combined);
     out

@@ -118,15 +118,15 @@ fn assert_tape_free_matches_tape(model: &CateHgn, ds: &Dataset, seeds: &[NodeId]
     assert_eq!(ib, tb, "impact_and_cluster diverged: {what}");
 }
 
-/// The tape-free composites (per-source composition, prefix-split
-/// products, CA on the seed rows only) across the layer's shapes: every
-/// composition, attention off, one and three heads, and the default
-/// d = 32 with four heads, which crosses the narrow kernel's row blocks
-/// and the full product tiles. Each runs on the full graph and on one
-/// whose term links are gone (link types with no sampled edges), over
-/// seeds with duplicates, at 1, 2 and 4 threads.
+/// The tape-free forward (the per-node layer, CA on the seed rows only)
+/// against the tape across the layer's shapes: every composition,
+/// attention off, one and three heads, and the default d = 32 with four
+/// heads, which crosses the narrow kernels' row blocks and the full
+/// product tiles. Each runs on the full graph and on one whose term links
+/// are gone (link types with no sampled edges), over seeds with
+/// duplicates, at 1, 2 and 4 threads.
 #[test]
-fn tape_free_composites_match_tape_across_model_shapes() {
+fn tape_free_forward_matches_tape_across_model_shapes() {
     let (_, base) = fixture();
     let mut no_terms = owned_dataset();
     no_terms

@@ -5,9 +5,7 @@
 //! ([`crate::infer::InferCtx`]) — computes its forward value through exactly
 //! one function in this module. That single-source-of-truth layout is what
 //! makes the no-tape path bitwise-identical to the tape by construction
-//! for every primitive op. The HGN composites of [`crate::composite`] are
-//! the exception: their tape-free override reorganises the work, and the
-//! model crate's `infer_serve` tests hold it to the tape bit for bit.
+//! for every op.
 //!
 //! All kernels take their output storage from a [`BufferPool`] and fully
 //! overwrite (or zero-fill) it before use, so pooled execution matches
@@ -286,48 +284,6 @@ pub(crate) fn segment_softmax(
     }
     pool.give(seg_max);
     pool.give(seg_sum);
-    out
-}
-
-/// Head-averaged attention weights from an `m x H` score matrix: per
-/// column `segment_softmax(leaky_relu(s, slope))`, summed in head order
-/// and scaled by `1 / H`. The same arithmetic as running [`leaky_relu`],
-/// [`segment_softmax`], [`add`] and [`scale`] head by head on `m x 1`
-/// columns.
-pub(crate) fn head_softmax_mean(
-    pool: &mut BufferPool,
-    scores: &Tensor,
-    segments: &[usize],
-    slope: f32,
-) -> Tensor {
-    let (m, h) = scores.shape();
-    assert!(h > 0, "at least one head");
-    let mut col = pool.tensor_raw(m, 1);
-    let mut out = pool.tensor_raw(m, 1);
-    for head in 0..h {
-        for (c, row) in col
-            .as_mut_slice()
-            .iter_mut()
-            .zip(scores.as_slice().chunks_exact(h))
-        {
-            let x = row[head];
-            *c = if x > 0.0 { x } else { slope * x };
-        }
-        let sm = segment_softmax(pool, &col, segments);
-        if head == 0 {
-            out.as_mut_slice().copy_from_slice(sm.as_slice());
-        } else {
-            for (o, &x) in out.as_mut_slice().iter_mut().zip(sm.as_slice()) {
-                *o += x;
-            }
-        }
-        pool.recycle(sm);
-    }
-    pool.recycle(col);
-    let alpha = 1.0 / h as f32;
-    for o in out.as_mut_slice() {
-        *o *= alpha;
-    }
     out
 }
 

@@ -4,12 +4,8 @@
 //! passes need, so one generic forward implementation can run either on the
 //! recording autodiff tape ([`Graph`]) or on the no-tape [`InferCtx`]. Both
 //! implementations compute every primitive op through the same
-//! [`crate::fwd`] kernel. The HGN layer's composites
-//! ([`ForwardCtx::edge_messages`], [`ForwardCtx::link_attention`]) are the
-//! one place with two implementations: the tape records the primitive ops,
-//! and [`InferCtx`] computes the same bits with less work (see
-//! [`crate::composite`]). Both modes are held bitwise-identical by the
-//! model crate's `infer_serve` tests.
+//! [`crate::fwd`] kernel, so a generic forward pass gives the same bits on
+//! both (the model crate's `infer_serve` tests check it end to end).
 //!
 //! [`InferCtx`] is the inference fast path: it keeps only forward values
 //! over a capacity-keyed [`BufferPool`] — no op records, no gradient slots,
@@ -19,7 +15,6 @@
 //! return dead intermediates to the pool mid-pass (a no-op on the tape,
 //! which must keep every node for backward).
 
-use crate::composite::{self, TypeEdges, TypeSlots};
 use crate::fwd;
 use crate::graph::{Graph, Var};
 use crate::params::{ParamId, Params};
@@ -30,9 +25,8 @@ use crate::tensor::Tensor;
 /// tape-free inference context.
 ///
 /// Implementations must be value-equivalent: running the same op sequence
-/// on any two implementations yields bitwise-identical tensors. Every
-/// primitive op forwards to the shared kernels in [`crate::fwd`]; a
-/// composite's override must give the bits of its default.
+/// on any two implementations yields bitwise-identical tensors. Every op
+/// forwards to the shared kernels in [`crate::fwd`].
 pub trait ForwardCtx {
     /// Clears all recorded values for reuse, recycling their storage.
     fn reset(&mut self);
@@ -99,49 +93,6 @@ pub trait ForwardCtx {
     fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
         let xw = self.matmul(x, w);
         self.add_row(xw, b)
-    }
-
-    /// One link type's Eq. 3 messages `W_a(phi(h_u, h_e) ‖ h_v)`
-    /// (`edges x d`) and, given node-attention heads, their Eq. 14 weights
-    /// (`edges x 1`): per head `softmax_v(leaky_relu([h_v ‖ h_e ‖ h_u] · a))`
-    /// within each destination, averaged over heads. `phi` composes
-    /// `(h_u rows, h_e tiled to as many rows)` through this context's ops.
-    /// The default records the primitive ops (`tensor::composite`).
-    #[allow(clippy::too_many_arguments)] // the composite's operands, one each
-    fn edge_messages(
-        &mut self,
-        params: &Params,
-        h_src: Var,
-        h_e: Var,
-        edges: &TypeEdges<'_>,
-        w_a: Var,
-        phi: impl FnOnce(&mut Self, Var, Var) -> Var,
-        heads: Option<&[ParamId]>,
-    ) -> (Var, Option<Var>)
-    where
-        Self: Sized,
-    {
-        composite::primitive_edge_messages(self, params, h_src, h_e, edges, w_a, phi, heads)
-    }
-
-    /// Eq. 15 over a layer's (type, destination) slots: the types'
-    /// aggregates stacked in order (`slots x d`) and, given link-attention
-    /// heads, the head-averaged `softmax_v(leaky_relu([h_v ‖ h_e ‖ agg] · a))`
-    /// per slot (`slots x 1`), normalised within each `segments` group.
-    /// Takes ownership of every `agg`. The default records the primitive
-    /// ops (`tensor::composite`).
-    fn link_attention(
-        &mut self,
-        params: &Params,
-        h_src: Var,
-        types: &[TypeSlots],
-        heads: Option<&[ParamId]>,
-        segments: &[usize],
-    ) -> (Var, Option<Var>)
-    where
-        Self: Sized,
-    {
-        composite::primitive_link_attention(self, params, h_src, types, heads, segments)
     }
 }
 
@@ -265,8 +216,8 @@ impl ForwardCtx for Graph {
 /// pool instead of a cold heap.
 #[derive(Default)]
 pub struct InferCtx {
-    pub(crate) values: Vec<Tensor>,
-    pub(crate) pool: BufferPool,
+    values: Vec<Tensor>,
+    pool: BufferPool,
 }
 
 /// Placeholder stored in a freed slot; reading it fails shape asserts.
@@ -293,7 +244,7 @@ impl InferCtx {
         self.pool.stats()
     }
 
-    pub(crate) fn push(&mut self, value: Tensor) -> Var {
+    fn push(&mut self, value: Tensor) -> Var {
         self.values.push(value);
         Var::from_index(self.values.len() - 1)
     }
@@ -462,28 +413,6 @@ impl ForwardCtx for InferCtx {
     fn col_slice(&mut self, a: Var, j: usize) -> Var {
         let v = fwd::col_slice(&mut self.pool, &self.values[a.idx()], j);
         self.push(v)
-    }
-    fn edge_messages(
-        &mut self,
-        params: &Params,
-        h_src: Var,
-        h_e: Var,
-        edges: &TypeEdges<'_>,
-        w_a: Var,
-        phi: impl FnOnce(&mut Self, Var, Var) -> Var,
-        heads: Option<&[ParamId]>,
-    ) -> (Var, Option<Var>) {
-        self.fused_edge_messages(params, h_src, h_e, edges, w_a, phi, heads)
-    }
-    fn link_attention(
-        &mut self,
-        params: &Params,
-        h_src: Var,
-        types: &[TypeSlots],
-        heads: Option<&[ParamId]>,
-        segments: &[usize],
-    ) -> (Var, Option<Var>) {
-        self.fused_link_attention(params, h_src, types, heads, segments)
     }
 }
 

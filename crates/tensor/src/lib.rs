@@ -42,7 +42,6 @@
 //! assert!((learned[0] - 2.0).abs() < 0.05 && (learned[1] - 1.0).abs() < 0.05);
 //! ```
 
-pub mod composite;
 pub mod finite;
 pub(crate) mod fwd;
 pub mod gradcheck;
@@ -57,7 +56,6 @@ mod stamped;
 #[allow(clippy::module_inception)] // `tensor::tensor::Tensor` is re-exported flat below
 pub mod tensor;
 
-pub use composite::{TypeEdges, TypeSlots};
 pub use finite::is_all_finite;
 pub use graph::{stable_sigmoid, ConstId, Graph, Var, LOG_EPS};
 pub use infer::{ForwardCtx, InferCtx};

@@ -402,28 +402,6 @@ impl Tensor {
         });
     }
 
-    /// Continues `out += self * other[rows, :]` from whatever `out` holds.
-    ///
-    /// `self` is `n x k` with `k = rows.len()`, and `out` is `n x m`. The
-    /// kernel sums each output from its current value in ascending `p`,
-    /// multiply then add, exactly as [`Tensor::matmul_into`] sums from
-    /// `+0.0`. So for `A = [A1 | A2]` split at column `k1`, zeroing `out`,
-    /// then calling `A1.matmul_acc(B, 0..k1, out)` and
-    /// `A2.matmul_acc(B, k1..k, out)` gives the bits of `A.matmul(B)`.
-    pub fn matmul_acc(&self, other: &Tensor, rows: std::ops::Range<usize>, out: &mut Tensor) {
-        let (n, k, m) = (self.rows, self.cols, other.cols);
-        assert!(
-            rows.len() == k && rows.end <= other.rows,
-            "matmul_acc shape mismatch: {n}x{k} * rows {rows:?} of {}x{m}",
-            other.rows
-        );
-        assert_eq!(out.shape(), (n, m), "matmul_acc: out must be {n}x{m}");
-        let (a, b) = (&self.data, window(&other.data, rows.start * m, k * m));
-        par::par_row_chunks_mut(&mut out.data, m, k * m, |lo, hi, chunk| {
-            matmul_block(a, b, k, m, lo, hi, chunk);
-        });
-    }
-
     /// Writes `self * other^T` into `out`, reusing its storage. Bitwise
     /// identical to [`Tensor::matmul_tb`].
     pub fn matmul_tb_into(&self, other: &Tensor, out: &mut Tensor) {
@@ -1431,51 +1409,6 @@ pub(crate) mod tests {
         assert_eq!(out, a.transpose());
     }
 
-    /// Splitting the reduction anywhere and continuing the accumulator
-    /// with `matmul_acc` gives the bits of the one-pass product: the
-    /// narrow (`m == 1`) and few-column kernels, the edge path and the
-    /// full tiles, with row counts across the `NV` and `MR` blocks.
-    #[test]
-    fn matmul_acc_continues_a_split_reduction_bitwise() {
-        let mut state = 0x2545_f491u32;
-        let mut next = move || {
-            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            if state >> 29 == 0 {
-                0.0
-            } else {
-                (state >> 8) as f32 / (1u32 << 23) as f32 - 1.0
-            }
-        };
-        for (n, k, m) in [
-            (1, 1, 1),
-            (7, 5, 1),
-            (9, 96, 1),
-            (17, 64, 3),
-            (13, 33, 4),
-            (11, 40, 2),
-            (19, 17, 6),
-            (8, 8, 8),
-            (5, 70, 33),
-            (300, 64, 32),
-            (0, 6, 2),
-        ] {
-            let a = Tensor::from_vec(n, k, (0..n * k).map(|_| next()).collect());
-            let b = Tensor::from_vec(k, m, (0..k * m).map(|_| next()).collect());
-            let want = reference::matmul(&a, &b);
-            let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            for k1 in [0, 1, k / 3, k / 2, k - 1, k] {
-                let cols = |lo: usize, hi: usize| {
-                    let data = (0..n).flat_map(|r| a.row(r)[lo..hi].to_vec()).collect();
-                    Tensor::from_vec(n, hi - lo, data)
-                };
-                let mut out = Tensor::zeros(n, m);
-                cols(0, k1).matmul_acc(&b, 0..k1, &mut out);
-                cols(k1, k).matmul_acc(&b, k1..k, &mut out);
-                assert_eq!(bits(&out), bits(&want), "n={n} k={k} m={m} split at {k1}");
-            }
-        }
-    }
-
     #[test]
     fn transpose_round_trip() {
         let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
@@ -1681,6 +1614,10 @@ pub(crate) mod tests {
         rows
     }
 
+    /// Every non-NaN output bitwise equal, and NaN exactly where the
+    /// reference has NaN. Rust leaves the sign and payload of a NaN that
+    /// an operation produces unspecified (RFC 3514), and optimised builds
+    /// do flip the sign bit, so no kernel can promise those bits.
     #[test]
     fn blocked_windowed_kernels_are_bitwise_equal_to_one_dot_per_output() {
         let dims = (1..=40).chain([64, 100, 128]);
@@ -1693,7 +1630,11 @@ pub(crate) mod tests {
                     fill_corr_window(b, &mut win);
                     circular_correlation_windowed(a, &win, &mut got);
                     corr_windowed_ref(a, &win, &mut want);
-                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let bits = |v: &[f32]| {
+                        v.iter()
+                            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+                            .collect::<Vec<_>>()
+                    };
                     assert_eq!(bits(&got), bits(&want), "correlation d={d}");
                     fill_conv_window(b, &mut win);
                     circular_convolution_windowed(a, &win, &mut got);
