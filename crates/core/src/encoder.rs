@@ -89,41 +89,29 @@ pub fn encode_nodes<F: ForwardCtx>(
         groups[graph.node_type(v).0 as usize].push(pos);
     }
     // Encode each non-empty group in type order, remembering where each
-    // row lands in the stacked output. Callers never pass an empty
-    // frontier (empty seed sets are rejected upstream), so at least one
-    // group is populated and the concat can seed from it directly — no
-    // Option accumulator, no panic path.
-    let nonempty: Vec<usize> = (0..n_types).filter(|&t| !groups[t].is_empty()).collect();
+    // row lands in the stacked output.
     let mut landing = vec![0usize; frontier.len()];
     let mut offset = 0usize;
-    let first = encode_group(
-        g,
-        params,
-        enc,
-        features,
-        frontier,
-        nonempty[0],
-        &groups[nonempty[0]],
-        &mut landing,
-        &mut offset,
-    );
-    let stacked = nonempty.iter().skip(1).fold(first, |prev, &t| {
-        let h = encode_group(
-            g,
-            params,
-            enc,
-            features,
-            frontier,
-            t,
-            &groups[t],
-            &mut landing,
-            &mut offset,
-        );
-        let next = g.concat_rows(prev, h);
-        g.free(prev);
+    let encoded: Vec<Var> = (0..n_types)
+        .filter(|&t| !groups[t].is_empty())
+        .map(|t| {
+            encode_group(
+                g,
+                params,
+                enc,
+                features,
+                frontier,
+                t,
+                &groups[t],
+                &mut landing,
+                &mut offset,
+            )
+        })
+        .collect();
+    let stacked = g.stack_rows(&encoded);
+    for &h in &encoded {
         g.free(h);
-        next
-    });
+    }
     // Restore frontier order.
     let out = g.gather_rows(stacked, landing);
     g.free(stacked);

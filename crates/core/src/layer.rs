@@ -13,7 +13,7 @@
 
 use crate::config::{Composition, ModelConfig};
 use hetgraph::Block;
-use tensor::{ForwardCtx, ParamId, Params, Tensor, Var};
+use tensor::{EdgeRows, ForwardCtx, ParamId, Params, Var};
 
 /// Trainable parameters of one HGN layer.
 #[derive(Clone, Debug)]
@@ -159,34 +159,6 @@ fn head_blocks<F: ForwardCtx>(g: &mut F, params: &Params, heads: &[ParamId], d: 
     blocks
 }
 
-/// Head-averaged attention from an `m x H` score matrix: per head
-/// `softmax(leaky_relu(s_h))` within each `segments` group, summed in head
-/// order and scaled by `1 / H`.
-fn head_mean<F: ForwardCtx>(g: &mut F, scores: Var, segments: &[usize]) -> Var {
-    let s = g.leaky_relu(scores, ATTENTION_SLOPE);
-    g.free(scores);
-    let h = g.shape(s).1;
-    let head = |g: &mut F, j: usize| {
-        let col = g.col_slice(s, j);
-        let seg = g.scratch_idx_from(segments);
-        let sm = g.segment_softmax(col, seg);
-        g.free(col);
-        sm
-    };
-    let first = head(g, 0);
-    let summed = (1..h).fold(first, |prev, j| {
-        let sm = head(g, j);
-        let next = g.add(prev, sm);
-        g.free(prev);
-        g.free(sm);
-        next
-    });
-    g.free(s);
-    let mean = g.scale(summed, 1.0 / h as f32);
-    g.free(summed);
-    mean
-}
-
 /// Rows `start..end` of `a`, where a weight is cut at a concat boundary.
 /// The index list comes from the scratch pool, like every other list here.
 fn rows<F: ForwardCtx>(g: &mut F, a: Var, start: usize, end: usize) -> Var {
@@ -203,14 +175,13 @@ fn add_freeing<F: ForwardCtx>(g: &mut F, a: Var, b: Var) -> Var {
     sum
 }
 
-/// `vars` stacked vertically in order, freeing each one once stacked.
-fn stack_rows<F: ForwardCtx>(g: &mut F, vars: &[Var]) -> Var {
-    vars.iter().skip(1).fold(vars[0], |acc, &v| {
-        let next = g.concat_rows(acc, v);
-        g.free(acc);
+/// `vars` stacked vertically in order, freeing each one.
+fn stack_freeing<F: ForwardCtx>(g: &mut F, vars: &[Var]) -> Var {
+    let out = g.stack_rows(vars);
+    for &v in vars {
         g.free(v);
-        next
-    })
+    }
+    out
 }
 
 /// `a · b`, freeing `b` (a weight block read once).
@@ -218,6 +189,48 @@ fn matmul_freeing_rhs<F: ForwardCtx>(g: &mut F, a: Var, b: Var) -> Var {
     let out = g.matmul(a, b);
     g.free(b);
     out
+}
+
+/// Writes the sorted distinct values of `keys` (each below `n`) to
+/// `distinct` and each key's position in that list to `rank_of`, through
+/// a dense rank map over `0..n` kept in `rank`: `O(len + n)`, no sort.
+fn dense_ranks(
+    keys: impl Iterator<Item = usize> + Clone,
+    n: usize,
+    rank: &mut Vec<usize>,
+    distinct: &mut Vec<usize>,
+    rank_of: &mut Vec<usize>,
+) {
+    const ABSENT: usize = usize::MAX;
+    rank.clear();
+    rank.resize(n, ABSENT);
+    for k in keys.clone() {
+        rank[k] = 0;
+    }
+    for (v, r) in rank.iter_mut().enumerate() {
+        if *r != ABSENT {
+            *r = distinct.len();
+            distinct.push(v);
+        }
+    }
+    rank_of.extend(keys.map(|k| rank[k]));
+}
+
+/// A pooled `m x 1` leaf of uniform weights: `1 / |group|` for each entry
+/// of `groups`, a list of group ids below `n_groups`.
+fn uniform_weights<F: ForwardCtx>(g: &mut F, groups: &[usize], n_groups: usize) -> Var {
+    let mut count = g.scratch_idx();
+    count.resize(n_groups, 0);
+    for &s in groups {
+        count[s] += 1;
+    }
+    let w = g.input_with(groups.len(), 1, |w| {
+        for (o, &s) in w.iter_mut().zip(groups) {
+            *o = 1.0 / count[s] as f32;
+        }
+    });
+    g.recycle_idx(count);
+    w
 }
 
 /// The layer's `n_dst x d` node embeddings (Eqs. 3, 14 and 15 plus the
@@ -234,10 +247,13 @@ fn matmul_freeing_rhs<F: ForwardCtx>(g: &mut F, a: Var, b: Var) -> Var {
 /// * Eq. 15: the same split over `[h_v ‖ h_e ‖ agg]`, with `h_v·A_v` once
 ///   per destination, `h_e·A_e` once per type, and `agg·A_u` per slot.
 ///
-/// Per edge only gathers, element-wise ops, the segment softmax and the
-/// segment sum run, so per-edge work is `O(d)`, not `O(d²)`. Everything
-/// is a `ForwardCtx` op, so the tape and the tape-free context run the
-/// same op sequence.
+/// Per edge only two fused kernels run: `edge_softmax` assembles each
+/// edge's scores from those rows and turns them into head-averaged
+/// attention, and `edge_aggregate` sums each edge's weighted message
+/// `(φ·W_a[:d])[src] + (h_v·W_a[d:])[dst]` into its slot. Per-edge work is
+/// `O(d)`, and no per-edge `m x d` tensor exists. Everything is a
+/// `ForwardCtx` op, so the tape and the tape-free context run the same op
+/// sequence.
 pub fn node_update<F: ForwardCtx>(
     g: &mut F,
     params: &Params,
@@ -248,15 +264,13 @@ pub fn node_update<F: ForwardCtx>(
     h_edge: &[Var],
 ) -> Var {
     let n_dst = block.dst_nodes.len();
-    let d = g.shape(h_src).1;
+    let (n_src, d) = g.shape(h_src);
     let attn = cfg.ablation.attention;
 
     // Per-type index preparation is pure bookkeeping over the block. Every
     // list is checked out of the graph's scratch pool and either handed to
     // an op (reclaimed by the next `reset`) or recycled below, so the
-    // steady-state step rebuilds all of it without touching the heap. The
-    // (single-threaded) pool checkout happens on the tape thread; the fill
-    // itself is independent per link type and runs on the worker pool.
+    // steady-state step rebuilds all of it without touching the heap.
     struct TypeIdx {
         lt: usize,
         /// Per edge: its destination's position in the block.
@@ -269,57 +283,35 @@ pub fn node_update<F: ForwardCtx>(
         active_dst: Vec<usize>,
         /// Per edge: its destination's position in `active_dst`.
         local_seg: Vec<usize>,
-        /// Uniform within-type weights `1 / deg_t(v)` (attention off).
-        uniform_w: Vec<f32>,
     }
     let mut type_idx: Vec<TypeIdx> = Vec::with_capacity(block.edges_by_type.len());
-    for lt in 0..block.edges_by_type.len() {
-        if block.edges_by_type[lt].is_empty() {
+    let mut rank = g.scratch_idx();
+    for (lt, edges) in block.edges_by_type.iter().enumerate() {
+        if edges.is_empty() {
             continue;
         }
-        type_idx.push(TypeIdx {
+        let mut ti = TypeIdx {
             lt,
             dst_idx: g.scratch_idx(),
             distinct_src: g.scratch_idx(),
             src_of_edge: g.scratch_idx(),
             active_dst: g.scratch_idx(),
             local_seg: g.scratch_idx(),
-            uniform_w: Vec::new(),
-        });
-    }
-    tensor::par::par_for_each_mut(&mut type_idx, |_, ti| {
-        let edges = &block.edges_by_type[ti.lt];
+        };
         ti.dst_idx.extend(edges.iter().map(|e| e.dst_pos as usize));
-        ti.distinct_src
-            .extend(edges.iter().map(|e| e.src_pos as usize));
-        ti.distinct_src.sort_unstable();
-        ti.distinct_src.dedup();
-        // Every edge's source and destination are in the sorted lists, so
-        // each one's position is the count of entries below it.
-        let distinct = &ti.distinct_src;
-        ti.src_of_edge.extend(
-            edges
-                .iter()
-                .map(|e| distinct.partition_point(|&s| s < e.src_pos as usize)),
+        let src = edges.iter().map(|e| e.src_pos as usize);
+        dense_ranks(
+            src,
+            n_src,
+            &mut rank,
+            &mut ti.distinct_src,
+            &mut ti.src_of_edge,
         );
-        ti.active_dst.extend_from_slice(&ti.dst_idx);
-        ti.active_dst.sort_unstable();
-        ti.active_dst.dedup();
-        let active_dst = &ti.active_dst;
-        ti.local_seg.extend(
-            ti.dst_idx
-                .iter()
-                .map(|&d| active_dst.partition_point(|&a| a < d)),
-        );
-        if !attn {
-            let mut deg = vec![0.0f32; n_dst];
-            for &d in &ti.dst_idx {
-                deg[d] += 1.0;
-            }
-            ti.uniform_w
-                .extend(ti.dst_idx.iter().map(|&d| 1.0 / deg[d]));
-        }
-    });
+        let dst = ti.dst_idx.iter().copied();
+        dense_ranks(dst, n_dst, &mut rank, &mut ti.active_dst, &mut ti.local_seg);
+        type_idx.push(ti);
+    }
+    g.recycle_idx(rank);
 
     // Self-connection (the `I` of Eq. 1's `A + I`): every node's own
     // previous-layer embedding contributes alongside its typed neighbors,
@@ -359,21 +351,16 @@ pub fn node_update<F: ForwardCtx>(
     for (k, ti) in type_idx.into_iter().enumerate() {
         let h_e = h_edge[ti.lt];
         let n_distinct = ti.distinct_src.len();
+        let n_active = ti.active_dst.len();
         let h_u = g.gather_rows(h_src, ti.distinct_src);
 
-        // Eq. 3: message = φ(h_u, h_e)·W_a[:d] + h_v·W_a[d:], the first
-        // term once per distinct source.
+        // Eq. 3's source term φ(h_u, h_e)·W_a[:d], once per distinct
+        // source.
         let e_tiled = g.tile_row(h_e, n_distinct);
         let phi = compose(g, h_u, e_tiled, cfg.composition);
         g.free(e_tiled);
         let msg_src = g.matmul(phi, w_top);
         g.free(phi);
-        let idx = g.scratch_idx_from(&ti.src_of_edge);
-        let per_edge_src = g.gather_rows(msg_src, idx);
-        g.free(msg_src);
-        let idx = g.scratch_idx_from(&ti.dst_idx);
-        let per_edge_dst = g.gather_rows(msg_dst, idx);
-        let msg = add_freeing(g, per_edge_src, per_edge_dst);
 
         // Eq. 14: node-wise attention within the type, or uniform weights.
         let alpha = if attn {
@@ -384,33 +371,44 @@ pub fn node_update<F: ForwardCtx>(
             g.free(h_v);
             let s_src = matmul_freeing_rhs(g, h_u, a_u);
             let s_type = matmul_freeing_rhs(g, h_e, a_e);
-            let idx = g.scratch_idx_from(&ti.local_seg);
-            let s_slot_e = g.gather_rows(s_slot, idx);
+            let slot_rows = EdgeRows::Gather(g.scratch_idx_from(&ti.local_seg));
+            let src_rows = EdgeRows::Gather(g.scratch_idx_from(&ti.src_of_edge));
+            let seg = g.scratch_idx_from(&ti.local_seg);
+            let alpha = g.edge_softmax(
+                s_slot,
+                slot_rows,
+                s_src,
+                src_rows,
+                s_type,
+                EdgeRows::Broadcast,
+                seg,
+                n_active,
+                ATTENTION_SLOPE,
+            );
             g.free(s_slot);
-            let idx = g.scratch_idx_from(&ti.src_of_edge);
-            let s_src_e = g.gather_rows(s_src, idx);
             g.free(s_src);
-            let s = add_freeing(g, s_slot_e, s_src_e);
-            let scores = g.add_row(s, s_type);
-            g.free(s);
             g.free(s_type);
-            head_mean(g, scores, &ti.local_seg)
+            alpha
         } else {
-            g.input(Tensor::col_vec(ti.uniform_w))
+            uniform_weights(g, &ti.local_seg, n_active)
         };
         g.free(h_u);
-        g.recycle_idx(ti.src_of_edge);
-        g.recycle_idx(ti.dst_idx);
-        let weighted = g.mul_col(msg, alpha);
-        g.free(msg);
-        g.free(alpha);
 
-        // Aggregate into *active-dst-local* slots to keep the cross-type
-        // softmax free of phantom zero rows.
-        let agg = g.segment_sum(weighted, ti.local_seg, ti.active_dst.len());
-        g.free(weighted);
+        // Eq. 3's weighted sum, into *active-dst-local* slots to keep the
+        // cross-type softmax free of phantom zero rows.
+        let agg = g.edge_aggregate(
+            msg_src,
+            ti.src_of_edge,
+            msg_dst,
+            ti.dst_idx,
+            alpha,
+            ti.local_seg,
+            n_active,
+        );
+        g.free(msg_src);
+        g.free(alpha);
         segments.extend_from_slice(&ti.active_dst);
-        slot_type.extend(std::iter::repeat_n(k, ti.active_dst.len()));
+        slot_type.extend(std::iter::repeat_n(k, n_active));
         g.recycle_idx(ti.active_dst);
         aggs.push(agg);
         if let Some([_, a_e, _]) = link_heads {
@@ -419,7 +417,7 @@ pub fn node_update<F: ForwardCtx>(
     }
     g.free(w_top);
     g.free(msg_dst);
-    let stacked_agg = stack_rows(g, &aggs);
+    let stacked_agg = stack_freeing(g, &aggs);
 
     // Eq. 15: link-wise attention across the types present at each node:
     // `h_v · A_v` once per destination and `agg · A_u` per slot.
@@ -428,25 +426,29 @@ pub fn node_update<F: ForwardCtx>(
             g.free(a_e);
             let s_dst = matmul_freeing_rhs(g, h_prev_dst, a_v);
             let s_agg = matmul_freeing_rhs(g, stacked_agg, a_u);
-            let idx = g.scratch_idx_from(&segments);
-            let s_dst_slot = g.gather_rows(s_dst, idx);
+            let s_types = stack_freeing(g, &type_scores);
+            let dst_rows = EdgeRows::Gather(g.scratch_idx_from(&segments));
+            let seg = g.scratch_idx_from(&segments);
+            let beta = g.edge_softmax(
+                s_dst,
+                dst_rows,
+                s_agg,
+                EdgeRows::Own,
+                s_types,
+                EdgeRows::Gather(slot_type),
+                seg,
+                n_dst,
+                ATTENTION_SLOPE,
+            );
             g.free(s_dst);
-            let s_types = stack_rows(g, &type_scores);
-            let s_type_slot = g.gather_rows(s_types, slot_type);
+            g.free(s_agg);
             g.free(s_types);
-            let s = add_freeing(g, s_dst_slot, s_agg);
-            let scores = add_freeing(g, s, s_type_slot);
-            head_mean(g, scores, &segments)
+            beta
         }
         None => {
             g.recycle_idx(slot_type);
             // Uniform across the types present at each node.
-            let mut cnt = vec![0.0f32; n_dst];
-            for &s in &segments {
-                cnt[s] += 1.0;
-            }
-            let w: Vec<f32> = segments.iter().map(|&s| 1.0 / cnt[s]).collect();
-            g.input(Tensor::col_vec(w))
+            uniform_weights(g, &segments, n_dst)
         }
     };
     g.free(h_prev_dst);
@@ -467,7 +469,7 @@ mod tests {
     use hetgraph::{sample_blocks, HetGraphBuilder, Schema};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use tensor::Graph;
+    use tensor::{Graph, Tensor};
 
     fn toy_setup() -> (hetgraph::HetGraph, Vec<hetgraph::NodeId>) {
         let mut s = Schema::new();

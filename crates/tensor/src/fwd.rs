@@ -11,6 +11,7 @@
 //! overwrite (or zero-fill) it before use, so pooled execution matches
 //! fresh allocation bit for bit.
 
+use crate::graph::Var;
 use crate::pool::BufferPool;
 use crate::tensor::{circular_correlation_windowed, fill_corr_window, softmax_in_place, Tensor};
 
@@ -206,18 +207,6 @@ pub(crate) fn concat_cols(pool: &mut BufferPool, a: &Tensor, b: &Tensor) -> Tens
     out
 }
 
-/// `[a; b]` vertical concatenation.
-pub(crate) fn concat_rows(pool: &mut BufferPool, a: &Tensor, b: &Tensor) -> Tensor {
-    let (na, m) = a.shape();
-    let (nb, mb) = b.shape();
-    assert_eq!(m, mb, "concat_rows col mismatch");
-    let mut out = pool.tensor_raw(na + nb, m);
-    let (top, bottom) = out.as_mut_slice().split_at_mut(na * m);
-    top.copy_from_slice(a.as_slice());
-    bottom.copy_from_slice(b.as_slice());
-    out
-}
-
 /// Gathers rows of `a` by `indices` (duplicates allowed).
 pub(crate) fn gather_rows(pool: &mut BufferPool, a: &Tensor, indices: &[usize]) -> Tensor {
     let (n, m) = a.shape();
@@ -348,6 +337,187 @@ pub(crate) fn input_rows(pool: &mut BufferPool, src: &Tensor, rows: &[usize]) ->
     let mut out = pool.tensor_raw(rows.len(), m);
     for (r, &i) in rows.iter().enumerate() {
         out.row_mut(r).copy_from_slice(src.row(i));
+    }
+    out
+}
+
+/// Which row of an [`edge_softmax`](crate::Graph::edge_softmax) score
+/// operand feeds each edge.
+#[derive(Clone, Debug)]
+pub enum EdgeRows {
+    /// Row `e` feeds edge `e`: the operand holds one row per edge.
+    Own,
+    /// Row `idx[e]` feeds edge `e`, as `gather_rows` would pick it. The
+    /// list is pooled like every other index list an op takes.
+    Gather(Vec<usize>),
+    /// Row 0 feeds every edge: a `1 x H` row broadcast like `add_row`.
+    Broadcast,
+}
+
+impl EdgeRows {
+    /// The operand row edge `e` reads.
+    #[inline]
+    pub(crate) fn row(&self, e: usize) -> usize {
+        match self {
+            EdgeRows::Own => e,
+            EdgeRows::Gather(idx) => idx[e],
+            EdgeRows::Broadcast => 0,
+        }
+    }
+
+    /// Panics unless every edge's row exists in an `n_rows`-row operand.
+    fn check(&self, n_rows: usize, m: usize, what: &str) {
+        let ok = match self {
+            EdgeRows::Own => n_rows == m,
+            EdgeRows::Gather(idx) => idx.len() == m && idx.iter().all(|&i| i < n_rows),
+            EdgeRows::Broadcast => n_rows == 1,
+        };
+        assert!(
+            ok,
+            "edge_softmax: operand {what} ({n_rows} rows) does not cover {m} edges"
+        );
+    }
+}
+
+/// The fused attention of one edge set: per edge `e` and head `h`,
+/// `s = leaky_relu((a[ia_e] + b[ib_e]) + c[ic_e])`, a per-head softmax of
+/// `s` within each of the `n_seg` segments, and the heads' mean (summed in
+/// head order, then scaled by `1 / H`). Returns the `m x 1` mean and the
+/// `m x H` per-head weights that backward reads.
+///
+/// Per (segment, head) every max, exponential sum and division runs in
+/// edge order, so each value is bitwise equal to the chain `gather_rows`,
+/// `add`, `add_row`, `leaky_relu`, `col_slice`, `segment_softmax`, `add`,
+/// `scale` that it replaces.
+pub(crate) fn edge_softmax(
+    pool: &mut BufferPool,
+    [a, b, c]: [&Tensor; 3],
+    [ia, ib, ic]: [&EdgeRows; 3],
+    segments: &[usize],
+    n_seg: usize,
+    slope: f32,
+) -> (Tensor, Tensor) {
+    let m = segments.len();
+    let h = a.cols();
+    assert!(h >= 1, "edge_softmax: needs at least one head");
+    assert!(
+        b.cols() == h && c.cols() == h,
+        "edge_softmax: head counts differ ({h}, {}, {})",
+        b.cols(),
+        c.cols()
+    );
+    ia.check(a.rows(), m, "a");
+    ib.check(b.rows(), m, "b");
+    ic.check(c.rows(), m, "c");
+    assert!(
+        segments.iter().all(|&s| s < n_seg),
+        "edge_softmax: segment id out of range ({n_seg} segments)"
+    );
+    let (av, bv, cv) = (a.as_slice(), b.as_slice(), c.as_slice());
+    let mut probs = pool.tensor_raw(m, h);
+    let mut seg_max = pool.take_raw(n_seg * h);
+    let mut seg_sum = pool.take_zeroed(n_seg * h);
+    seg_max.fill(f32::NEG_INFINITY);
+    {
+        let p = probs.as_mut_slice();
+        for (e, &s) in segments.iter().enumerate() {
+            let (ra, rb, rc) = (ia.row(e) * h, ib.row(e) * h, ic.row(e) * h);
+            for j in 0..h {
+                let x = (av[ra + j] + bv[rb + j]) + cv[rc + j];
+                let y = if x > 0.0 { x } else { slope * x };
+                p[e * h + j] = y;
+                seg_max[s * h + j] = seg_max[s * h + j].max(y);
+            }
+        }
+        for (e, &s) in segments.iter().enumerate() {
+            for j in 0..h {
+                let ex = (p[e * h + j] - seg_max[s * h + j]).exp();
+                p[e * h + j] = ex;
+                seg_sum[s * h + j] += ex;
+            }
+        }
+        for (e, &s) in segments.iter().enumerate() {
+            for j in 0..h {
+                if seg_sum[s * h + j] > 0.0 {
+                    p[e * h + j] /= seg_sum[s * h + j];
+                }
+            }
+        }
+    }
+    pool.give(seg_max);
+    pool.give(seg_sum);
+    let inv = 1.0 / h as f32;
+    let mut out = pool.tensor_raw(m, 1);
+    for (o, row) in out
+        .as_mut_slice()
+        .iter_mut()
+        .zip(probs.as_slice().chunks_exact(h))
+    {
+        // Head 0 starts the sum, as the chain's first head did.
+        let sum = row.iter().copied().reduce(|acc, y| acc + y).unwrap_or(0.0);
+        *o = sum * inv;
+    }
+    (out, probs)
+}
+
+/// The fused weighted aggregation of one edge set:
+/// `out[seg_e] += (x[xi_e] + y[yi_e]) * w_e` over the edges in order, into
+/// `n_seg x d` zeros. Bitwise equal to the chain `gather_rows` (twice),
+/// `add`, `mul_col`, `segment_sum` it replaces, without its `m x d`
+/// intermediates.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn edge_aggregate(
+    pool: &mut BufferPool,
+    x: &Tensor,
+    xi: &[usize],
+    y: &Tensor,
+    yi: &[usize],
+    w: &Tensor,
+    segments: &[usize],
+    n_seg: usize,
+) -> Tensor {
+    let m = segments.len();
+    let d = x.cols();
+    assert_eq!(y.cols(), d, "edge_aggregate: x and y widths differ");
+    assert_eq!(w.shape(), (m, 1), "edge_aggregate: w must be {m} x 1");
+    assert!(
+        xi.len() == m && yi.len() == m,
+        "edge_aggregate: one x and one y row per edge"
+    );
+    assert!(
+        xi.iter().all(|&i| i < x.rows()) && yi.iter().all(|&i| i < y.rows()),
+        "edge_aggregate: row index out of bounds"
+    );
+    assert!(
+        segments.iter().all(|&s| s < n_seg),
+        "edge_aggregate: segment id out of range ({n_seg} segments)"
+    );
+    let mut out = pool.tensor_zeroed(n_seg, d);
+    for (e, &s) in segments.iter().enumerate() {
+        let wv = w.as_slice()[e];
+        let (xr, yr) = (x.row(xi[e]), y.row(yi[e]));
+        for ((o, &xv), &yv) in out.row_mut(s).iter_mut().zip(xr).zip(yr) {
+            *o += (xv + yv) * wv;
+        }
+    }
+    out
+}
+
+/// The `values` of `parts` stacked vertically in order: one copy per part.
+pub(crate) fn stack_rows(pool: &mut BufferPool, values: &[Tensor], parts: &[Var]) -> Tensor {
+    let part = |p: &Var| &values[p.idx()];
+    let m = parts.first().map_or(0, |p| part(p).cols());
+    assert!(
+        parts.iter().all(|p| part(p).cols() == m),
+        "stack_rows: column counts differ"
+    );
+    let n = parts.iter().map(|p| part(p).rows()).sum();
+    let mut out = pool.tensor_raw(n, m);
+    let mut rest = out.as_mut_slice();
+    for t in parts.iter().map(part) {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(t.len());
+        head.copy_from_slice(t.as_slice());
+        rest = tail;
     }
     out
 }

@@ -121,8 +121,6 @@ enum Op {
     SumRows(Var),
     SoftmaxRows(Var),
     ConcatCols(Var, Var),
-    /// `[a; b]` vertical concatenation.
-    ConcatRows(Var, Var),
     GatherRows(Var, Vec<usize>),
     /// Sums rows of `a` into output rows keyed by `segments`.
     SegmentSum(Var, Vec<usize>),
@@ -144,6 +142,31 @@ enum Op {
     MulConst(Var, ConstId),
     /// Mean squared error against an interned constant target; `1 x 1`.
     Mse(Var, ConstId),
+    /// Fused edge attention ([`Graph::edge_softmax`]): the score operands
+    /// `a, b, c` and how their rows meet the edges, each edge's segment,
+    /// the segment count, the LeakyReLU slope, and the `m x H` per-head
+    /// softmax weights that backward reads.
+    EdgeSoftmax {
+        parents: [Var; 3],
+        rows: [EdgeRows; 3],
+        segments: Vec<usize>,
+        n_seg: usize,
+        slope: f32,
+        probs: Tensor,
+    },
+    /// Fused weighted aggregation ([`Graph::edge_aggregate`]) of the rows
+    /// `x[xi]` and `y[yi]` with per-edge weights `w` into segments.
+    EdgeAggregate {
+        x: Var,
+        xi: Vec<usize>,
+        y: Var,
+        yi: Vec<usize>,
+        w: Var,
+        segments: Vec<usize>,
+    },
+    /// Vertical stack of any number of parents, whose node ids the pooled
+    /// list holds in stack order.
+    StackRows(Vec<usize>),
 }
 
 impl Op {
@@ -163,7 +186,6 @@ impl Op {
             | &Op::DivCol(a, b)
             | &Op::MatMul(a, b)
             | &Op::ConcatCols(a, b)
-            | &Op::ConcatRows(a, b)
             | &Op::RowwiseDot(a, b)
             | &Op::CircCorr(a, b)
             | &Op::PairwiseSqDist(a, b) => {
@@ -191,6 +213,13 @@ impl Op {
             | &Op::MulConst(a, _)
             | &Op::Mse(a, _) => f(a),
             Op::GatherRows(a, _) | Op::SegmentSum(a, _) | Op::SegmentSoftmax(a, _) => f(*a),
+            Op::EdgeSoftmax { parents, .. } => parents.iter().for_each(|&p| f(p)),
+            &Op::EdgeAggregate { x, y, w, .. } => {
+                f(x);
+                f(y);
+                f(w);
+            }
+            Op::StackRows(parts) => parts.iter().for_each(|&p| f(Var::from_index(p))),
         }
     }
 }
@@ -224,7 +253,6 @@ fn op_name(op: &Op) -> &'static str {
         Op::SumRows(..) => "SumRows",
         Op::SoftmaxRows(..) => "SoftmaxRows",
         Op::ConcatCols(..) => "ConcatCols",
-        Op::ConcatRows(..) => "ConcatRows",
         Op::GatherRows(..) => "GatherRows",
         Op::SegmentSum(..) => "SegmentSum",
         Op::SegmentSoftmax(..) => "SegmentSoftmax",
@@ -235,6 +263,9 @@ fn op_name(op: &Op) -> &'static str {
         Op::ColSlice(..) => "ColSlice",
         Op::MulConst(..) => "MulConst",
         Op::Mse(..) => "Mse",
+        Op::EdgeSoftmax { .. } => "EdgeSoftmax",
+        Op::EdgeAggregate { .. } => "EdgeAggregate",
+        Op::StackRows(..) => "StackRows",
     }
 }
 
@@ -287,7 +318,7 @@ pub struct Graph {
     plan: BackwardPlan,
 }
 
-use crate::fwd::{self, pooled_map, pooled_zip};
+use crate::fwd::{self, pooled_map, pooled_zip, EdgeRows};
 
 impl Graph {
     pub fn new() -> Self {
@@ -318,8 +349,30 @@ impl Graph {
         }
         for op in self.ops.drain(..) {
             match op {
-                Op::GatherRows(_, idx) | Op::SegmentSum(_, idx) | Op::SegmentSoftmax(_, idx) => {
-                    self.pool.give_idx(idx)
+                Op::GatherRows(_, idx)
+                | Op::SegmentSum(_, idx)
+                | Op::SegmentSoftmax(_, idx)
+                | Op::StackRows(idx) => self.pool.give_idx(idx),
+                Op::EdgeSoftmax {
+                    rows,
+                    segments,
+                    probs,
+                    ..
+                } => {
+                    for r in rows {
+                        if let EdgeRows::Gather(idx) = r {
+                            self.pool.give_idx(idx);
+                        }
+                    }
+                    self.pool.give_idx(segments);
+                    self.pool.give(probs.into_vec());
+                }
+                Op::EdgeAggregate {
+                    xi, yi, segments, ..
+                } => {
+                    self.pool.give_idx(xi);
+                    self.pool.give_idx(yi);
+                    self.pool.give_idx(segments);
                 }
                 _ => {}
             }
@@ -654,10 +707,92 @@ impl Graph {
         self.push(out, Op::ConcatCols(a, b))
     }
 
-    /// `[a; b]` vertical concatenation.
+    /// `[a; b]` vertical concatenation: [`Graph::stack_rows`] of two.
     pub fn concat_rows(&mut self, a: Var, b: Var) -> Var {
-        let out = fwd::concat_rows(&mut self.pool, &self.values[a.idx()], &self.values[b.idx()]);
-        self.push(out, Op::ConcatRows(a, b))
+        self.stack_rows(&[a, b])
+    }
+
+    /// `parts` stacked vertically in order; each part's gradient is its
+    /// slice of the output's, copied once.
+    pub fn stack_rows(&mut self, parts: &[Var]) -> Var {
+        let out = fwd::stack_rows(&mut self.pool, &self.values, parts);
+        let mut ids = self.pool.take_idx();
+        ids.extend(parts.iter().map(|p| p.idx()));
+        self.push(out, Op::StackRows(ids))
+    }
+
+    /// Fused edge attention, `m x 1`: per edge `e` and head `h` the score
+    /// `leaky_relu((a[ia_e] + b[ib_e]) + c[ic_e], slope)`, softmaxed per
+    /// head within each of the `n_seg` segments, then averaged over the
+    /// `H` heads (the operands' common width). Value and gradients are
+    /// bitwise equal to the chain of gathers, adds, `leaky_relu`,
+    /// `col_slice`, `segment_softmax` and `scale` it replaces.
+    #[allow(clippy::too_many_arguments)]
+    pub fn edge_softmax(
+        &mut self,
+        a: Var,
+        ia: EdgeRows,
+        b: Var,
+        ib: EdgeRows,
+        c: Var,
+        ic: EdgeRows,
+        segments: Vec<usize>,
+        n_seg: usize,
+        slope: f32,
+    ) -> Var {
+        let (out, probs) = fwd::edge_softmax(
+            &mut self.pool,
+            [a, b, c].map(|p| &self.values[p.idx()]),
+            [&ia, &ib, &ic],
+            &segments,
+            n_seg,
+            slope,
+        );
+        let op = Op::EdgeSoftmax {
+            parents: [a, b, c],
+            rows: [ia, ib, ic],
+            segments,
+            n_seg,
+            slope,
+            probs,
+        };
+        self.push(out, op)
+    }
+
+    /// Fused weighted aggregation, `n_seg x d`: `out[seg_e] += (x[xi_e] +
+    /// y[yi_e]) * w_e` over the edges in order. Value and gradients are
+    /// bitwise equal to `gather_rows` (twice), `add`, `mul_col` and
+    /// `segment_sum`, with no per-edge `m x d` tensor.
+    #[allow(clippy::too_many_arguments)]
+    pub fn edge_aggregate(
+        &mut self,
+        x: Var,
+        xi: Vec<usize>,
+        y: Var,
+        yi: Vec<usize>,
+        w: Var,
+        segments: Vec<usize>,
+        n_seg: usize,
+    ) -> Var {
+        let out = fwd::edge_aggregate(
+            &mut self.pool,
+            &self.values[x.idx()],
+            &xi,
+            &self.values[y.idx()],
+            &yi,
+            &self.values[w.idx()],
+            &segments,
+            n_seg,
+        );
+        let op = Op::EdgeAggregate {
+            x,
+            xi,
+            y,
+            yi,
+            w,
+            segments,
+        };
+        self.push(out, op)
     }
 
     /// Gathers rows of `a` by `indices` (duplicates allowed).
@@ -1615,15 +1750,6 @@ fn backward_op(
                 }
             });
         }
-        &Op::ConcatRows(a, b) => {
-            let split = values[a.idx()].len();
-            sink.emit_with(a, &mut |out| {
-                out.as_mut_slice().copy_from_slice(&g.as_slice()[..split]);
-            });
-            sink.emit_with(b, &mut |out| {
-                out.as_mut_slice().copy_from_slice(&g.as_slice()[split..]);
-            });
-        }
         Op::GatherRows(a, indices) => {
             sink.emit_with(*a, &mut |out| {
                 out.fill(0.0);
@@ -1797,6 +1923,119 @@ fn backward_op(
                     *o = (p - t) * scale;
                 }
             });
+        }
+        Op::EdgeSoftmax {
+            parents,
+            rows,
+            segments,
+            n_seg,
+            slope,
+            probs,
+        } => {
+            // The replaced chain's backward, step for step: `scale` by
+            // `1 / H`; per head the segment-softmax Jacobian with `sdot`
+            // summed in edge order; the sum of the heads' `col_slice`
+            // gradients, whose zero-filled columns add `+0.0` once H >= 2
+            // (a `-0.0` comes out `+0.0`); `leaky_relu` at the recomputed
+            // score; then per operand the gradient of the add (`Own`) or
+            // of the gather (`Gather`, `Broadcast`: zeros, then
+            // scatter-adds in edge order, which for a broadcast row is
+            // `add_row`'s column sum).
+            let (m, h) = probs.shape();
+            let inv = 1.0 / h as f32;
+            let (p, gs) = (probs.as_slice(), g.as_slice());
+            let mut sdot = sink.scratch().take_zeroed(n_seg * h);
+            for (e, &s) in segments.iter().enumerate() {
+                let ge = gs[e] * inv;
+                for j in 0..h {
+                    sdot[s * h + j] += p[e * h + j] * ge;
+                }
+            }
+            let [av, bv, cv] = parents.map(|v| values[v.idx()].as_slice());
+            let [ia, ib, ic] = rows;
+            let mut gx = sink.scratch().tensor_raw(m, h);
+            for (e, (&s, o)) in segments
+                .iter()
+                .zip(gx.as_mut_slice().chunks_exact_mut(h))
+                .enumerate()
+            {
+                let ge = gs[e] * inv;
+                let (ra, rb, rc) = (ia.row(e) * h, ib.row(e) * h, ic.row(e) * h);
+                for (j, o) in o.iter_mut().enumerate() {
+                    let mut d = p[e * h + j] * (ge - sdot[s * h + j]);
+                    if h > 1 {
+                        d += 0.0;
+                    }
+                    if (av[ra + j] + bv[rb + j]) + cv[rc + j] <= 0.0 {
+                        d *= slope;
+                    }
+                    *o = d;
+                }
+            }
+            for (&v, r) in parents.iter().zip(rows) {
+                match r {
+                    EdgeRows::Own => sink.emit_scaled(v, &gx, 1.0),
+                    _ => sink.emit_with(v, &mut |out| {
+                        out.fill(0.0);
+                        for (e, ge) in gx.rows_iter().enumerate() {
+                            for (d, &x) in out.row_mut(r.row(e)).iter_mut().zip(ge) {
+                                *d += x;
+                            }
+                        }
+                    }),
+                }
+            }
+            let scratch = sink.scratch();
+            scratch.give(sdot);
+            scratch.give(gx.into_vec());
+        }
+        Op::EdgeAggregate {
+            x,
+            xi,
+            y,
+            yi,
+            w,
+            segments,
+        } => {
+            // As the replaced chain: `segment_sum` hands edge `e` the row
+            // `g[seg_e]`, `mul_col` scales it by `w_e` and dots it with the
+            // message `x[xi_e] + y[yi_e]` (recomputed here), and each
+            // gather scatter-adds from zeros in edge order.
+            let (xv, yv, wv) = (
+                &values[x.idx()],
+                &values[y.idx()],
+                values[w.idx()].as_slice(),
+            );
+            for (p, idx) in [(*x, xi), (*y, yi)] {
+                sink.emit_with(p, &mut |out| {
+                    out.fill(0.0);
+                    for (e, (&r, &s)) in idx.iter().zip(segments).enumerate() {
+                        for (d, &gv) in out.row_mut(r).iter_mut().zip(g.row(s)) {
+                            *d += gv * wv[e];
+                        }
+                    }
+                });
+            }
+            let mut msg = sink.scratch().take_raw(xv.cols());
+            sink.emit_with(*w, &mut |out| {
+                for (e, o) in out.as_mut_slice().iter_mut().enumerate() {
+                    for ((m, &a), &b) in msg.iter_mut().zip(xv.row(xi[e])).zip(yv.row(yi[e])) {
+                        *m = a + b;
+                    }
+                    *o = dot(g.row(segments[e]), &msg);
+                }
+            });
+            sink.scratch().give(msg);
+        }
+        Op::StackRows(parts) => {
+            let mut rest = g.as_slice();
+            for &p in parts {
+                let (head, tail) = rest.split_at(values[p].len());
+                sink.emit_with(Var::from_index(p), &mut |out| {
+                    out.as_mut_slice().copy_from_slice(head)
+                });
+                rest = tail;
+            }
         }
     }
 }

@@ -15,7 +15,7 @@
 //! return dead intermediates to the pool mid-pass (a no-op on the tape,
 //! which must keep every node for backward).
 
-use crate::fwd;
+use crate::fwd::{self, EdgeRows};
 use crate::graph::{Graph, Var};
 use crate::params::{ParamId, Params};
 use crate::pool::{BufferPool, PoolStats};
@@ -74,20 +74,46 @@ pub trait ForwardCtx {
     fn div_col(&mut self, a: Var, col: Var) -> Var;
     fn scale(&mut self, a: Var, alpha: f32) -> Var;
     fn relu(&mut self, a: Var) -> Var;
-    fn leaky_relu(&mut self, a: Var, slope: f32) -> Var;
     fn sigmoid(&mut self, a: Var) -> Var;
     fn softplus(&mut self, a: Var) -> Var;
     fn matmul(&mut self, a: Var, b: Var) -> Var;
     fn gather_rows(&mut self, a: Var, indices: Vec<usize>) -> Var;
     fn concat_cols(&mut self, a: Var, b: Var) -> Var;
-    fn concat_rows(&mut self, a: Var, b: Var) -> Var;
     fn segment_sum(&mut self, a: Var, segments: Vec<usize>, n_segments: usize) -> Var;
-    fn segment_softmax(&mut self, scores: Var, segments: Vec<usize>) -> Var;
     fn circ_corr(&mut self, a: Var, b: Var) -> Var;
     fn pairwise_sq_dist(&mut self, a: Var, b: Var) -> Var;
     fn recip1p(&mut self, a: Var) -> Var;
     fn sum_rows(&mut self, a: Var) -> Var;
     fn col_slice(&mut self, a: Var, j: usize) -> Var;
+    /// `parts` stacked vertically in order (see [`Graph::stack_rows`]).
+    fn stack_rows(&mut self, parts: &[Var]) -> Var;
+    /// Fused edge attention, `m x 1` (see [`Graph::edge_softmax`]).
+    #[allow(clippy::too_many_arguments)]
+    fn edge_softmax(
+        &mut self,
+        a: Var,
+        ia: EdgeRows,
+        b: Var,
+        ib: EdgeRows,
+        c: Var,
+        ic: EdgeRows,
+        segments: Vec<usize>,
+        n_seg: usize,
+        slope: f32,
+    ) -> Var;
+    /// Fused weighted aggregation, `n_seg x d` (see
+    /// [`Graph::edge_aggregate`]).
+    #[allow(clippy::too_many_arguments)]
+    fn edge_aggregate(
+        &mut self,
+        x: Var,
+        xi: Vec<usize>,
+        y: Var,
+        yi: Vec<usize>,
+        w: Var,
+        segments: Vec<usize>,
+        n_seg: usize,
+    ) -> Var;
 
     /// `x W + b` for a batch `x: n x d_in`, `w: d_in x d_out`, `b: 1 x d_out`.
     fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
@@ -163,9 +189,6 @@ impl ForwardCtx for Graph {
     fn relu(&mut self, a: Var) -> Var {
         Graph::relu(self, a)
     }
-    fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        Graph::leaky_relu(self, a, slope)
-    }
     fn sigmoid(&mut self, a: Var) -> Var {
         Graph::sigmoid(self, a)
     }
@@ -181,14 +204,8 @@ impl ForwardCtx for Graph {
     fn concat_cols(&mut self, a: Var, b: Var) -> Var {
         Graph::concat_cols(self, a, b)
     }
-    fn concat_rows(&mut self, a: Var, b: Var) -> Var {
-        Graph::concat_rows(self, a, b)
-    }
     fn segment_sum(&mut self, a: Var, segments: Vec<usize>, n_segments: usize) -> Var {
         Graph::segment_sum(self, a, segments, n_segments)
-    }
-    fn segment_softmax(&mut self, scores: Var, segments: Vec<usize>) -> Var {
-        Graph::segment_softmax(self, scores, segments)
     }
     fn circ_corr(&mut self, a: Var, b: Var) -> Var {
         Graph::circ_corr(self, a, b)
@@ -204,6 +221,35 @@ impl ForwardCtx for Graph {
     }
     fn col_slice(&mut self, a: Var, j: usize) -> Var {
         Graph::col_slice(self, a, j)
+    }
+    fn stack_rows(&mut self, parts: &[Var]) -> Var {
+        Graph::stack_rows(self, parts)
+    }
+    fn edge_softmax(
+        &mut self,
+        a: Var,
+        ia: EdgeRows,
+        b: Var,
+        ib: EdgeRows,
+        c: Var,
+        ic: EdgeRows,
+        segments: Vec<usize>,
+        n_seg: usize,
+        slope: f32,
+    ) -> Var {
+        Graph::edge_softmax(self, a, ia, b, ib, c, ic, segments, n_seg, slope)
+    }
+    fn edge_aggregate(
+        &mut self,
+        x: Var,
+        xi: Vec<usize>,
+        y: Var,
+        yi: Vec<usize>,
+        w: Var,
+        segments: Vec<usize>,
+        n_seg: usize,
+    ) -> Var {
+        Graph::edge_aggregate(self, x, xi, y, yi, w, segments, n_seg)
     }
 }
 
@@ -355,10 +401,6 @@ impl ForwardCtx for InferCtx {
         let v = fwd::relu(&mut self.pool, &self.values[a.idx()]);
         self.push(v)
     }
-    fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let v = fwd::leaky_relu(&mut self.pool, &self.values[a.idx()], slope);
-        self.push(v)
-    }
     fn sigmoid(&mut self, a: Var) -> Var {
         let v = fwd::sigmoid(&mut self.pool, &self.values[a.idx()]);
         self.push(v)
@@ -380,17 +422,8 @@ impl ForwardCtx for InferCtx {
         let v = fwd::concat_cols(&mut self.pool, &self.values[a.idx()], &self.values[b.idx()]);
         self.push(v)
     }
-    fn concat_rows(&mut self, a: Var, b: Var) -> Var {
-        let v = fwd::concat_rows(&mut self.pool, &self.values[a.idx()], &self.values[b.idx()]);
-        self.push(v)
-    }
     fn segment_sum(&mut self, a: Var, segments: Vec<usize>, n_segments: usize) -> Var {
         let v = fwd::segment_sum(&mut self.pool, &self.values[a.idx()], &segments, n_segments);
-        self.pool.give_idx(segments);
-        self.push(v)
-    }
-    fn segment_softmax(&mut self, scores: Var, segments: Vec<usize>) -> Var {
-        let v = fwd::segment_softmax(&mut self.pool, &self.values[scores.idx()], &segments);
         self.pool.give_idx(segments);
         self.push(v)
     }
@@ -414,6 +447,64 @@ impl ForwardCtx for InferCtx {
         let v = fwd::col_slice(&mut self.pool, &self.values[a.idx()], j);
         self.push(v)
     }
+    fn stack_rows(&mut self, parts: &[Var]) -> Var {
+        let v = fwd::stack_rows(&mut self.pool, &self.values, parts);
+        self.push(v)
+    }
+    fn edge_softmax(
+        &mut self,
+        a: Var,
+        ia: EdgeRows,
+        b: Var,
+        ib: EdgeRows,
+        c: Var,
+        ic: EdgeRows,
+        segments: Vec<usize>,
+        n_seg: usize,
+        slope: f32,
+    ) -> Var {
+        let (v, probs) = fwd::edge_softmax(
+            &mut self.pool,
+            [a, b, c].map(|p| &self.values[p.idx()]),
+            [&ia, &ib, &ic],
+            &segments,
+            n_seg,
+            slope,
+        );
+        self.pool.give(probs.into_vec());
+        for rows in [ia, ib, ic] {
+            if let EdgeRows::Gather(idx) = rows {
+                self.pool.give_idx(idx);
+            }
+        }
+        self.pool.give_idx(segments);
+        self.push(v)
+    }
+    fn edge_aggregate(
+        &mut self,
+        x: Var,
+        xi: Vec<usize>,
+        y: Var,
+        yi: Vec<usize>,
+        w: Var,
+        segments: Vec<usize>,
+        n_seg: usize,
+    ) -> Var {
+        let v = fwd::edge_aggregate(
+            &mut self.pool,
+            &self.values[x.idx()],
+            &xi,
+            &self.values[y.idx()],
+            &yi,
+            &self.values[w.idx()],
+            &segments,
+            n_seg,
+        );
+        for idx in [xi, yi, segments] {
+            self.pool.give_idx(idx);
+        }
+        self.push(v)
+    }
 }
 
 #[cfg(test)]
@@ -430,8 +521,7 @@ mod tests {
         let s = ctx.add(a, b);
         let m = ctx.mul(s, a);
         let r = ctx.relu(m);
-        let lr = ctx.leaky_relu(m, 0.2);
-        let sg = ctx.sigmoid(lr);
+        let sg = ctx.sigmoid(m);
         let sp = ctx.softplus(sg);
         let cc = ctx.circ_corr(sp, r);
         let col = ctx.sum_rows(cc);
@@ -439,8 +529,22 @@ mod tests {
         let g = ctx.gather_rows(d, vec![1, 0, 1]);
         let seg = ctx.segment_sum(g, vec![0, 1, 0], 2);
         let cs = ctx.col_slice(seg, 1);
-        let sm = ctx.segment_softmax(cs, vec![0, 0]);
-        let mc = ctx.mul_col(seg, sm);
+        let gc = ctx.col_slice(g, 2);
+        let shift = ctx.input(Tensor::from_rows(&[&[-0.4]]));
+        let sm = ctx.edge_softmax(
+            cs,
+            EdgeRows::Gather(vec![0, 1, 1]),
+            gc,
+            EdgeRows::Own,
+            shift,
+            EdgeRows::Broadcast,
+            vec![0, 0, 1],
+            2,
+            0.2,
+        );
+        let agg = ctx.edge_aggregate(seg, vec![0, 1, 1], d, vec![1, 1, 0], sm, vec![1, 0, 1], 2);
+        let stacked = ctx.stack_rows(&[agg, seg]);
+        let mc = ctx.gather_rows(stacked, vec![0, 3]);
         let w = ctx.input(Tensor::from_rows(&[&[0.3], &[-0.7], &[0.9]]));
         let bias = ctx.input(Tensor::from_rows(&[&[0.05]]));
         let out = ctx.linear(mc, w, bias);

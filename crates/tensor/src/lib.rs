@@ -8,9 +8,13 @@
 //!
 //! The op vocabulary is chosen for heterogeneous GNN workloads:
 //!
-//! * `gather_rows` / `segment_sum` — message passing over sampled
-//!   neighborhoods laid out as flat edge lists;
+//! * `gather_rows` / `segment_sum` / `stack_rows` — message passing over
+//!   sampled neighborhoods laid out as flat edge lists;
 //! * `segment_softmax` — attention over variable-size neighbor sets;
+//! * `edge_softmax` / `edge_aggregate` — the fused per-edge kernels of
+//!   attention message passing: edge scores assembled from per-node rows
+//!   ([`EdgeRows`]) and softmaxed per segment and head, then the weighted
+//!   gather-and-sum, each bitwise equal to the primitive chain it fuses;
 //! * `circ_corr` — HolE-style circular-correlation composition of node and
 //!   relation embeddings;
 //! * `pairwise_sq_dist` / `recip1p` / `div_col` — DEC-style Student-t soft
@@ -57,6 +61,7 @@ mod stamped;
 pub mod tensor;
 
 pub use finite::is_all_finite;
+pub use fwd::EdgeRows;
 pub use graph::{stable_sigmoid, ConstId, Graph, Var, LOG_EPS};
 pub use infer::{ForwardCtx, InferCtx};
 pub use init::Initializer;

@@ -24,9 +24,9 @@
 //! The worker count comes from [`set_num_threads`], else the
 //! `TENSOR_NUM_THREADS` environment variable, else
 //! `std::thread::available_parallelism()`. Work smaller than
-//! [`PAR_THRESHOLD`] runs serially on the calling thread: for the tensor
-//! shapes this workspace trains with, even the pool's cheap dispatch is
-//! not worth paying below that size.
+//! [`PAR_THRESHOLD`] runs serially on the calling thread: below that size
+//! the pool's dispatch and the idle worker's spin cost more than the split
+//! saves.
 
 mod pool;
 
@@ -42,8 +42,12 @@ use std::sync::OnceLock;
 pub const ROW_BLOCK: usize = 4;
 
 /// Work size (in f32 multiply-adds) below which [`par_row_chunks_mut`]
-/// stays serial.
-pub const PAR_THRESHOLD: usize = 1 << 16;
+/// and the fused matmul backward stay serial. At `1 << 16` the tape-free
+/// embedding of a 900-paper corpus (about 160 parallel products of
+/// 2^16-2^20 multiply-adds each) ran 20-30% slower at two threads than at
+/// one on a 2-vCPU host whenever the second vCPU was busy; at `1 << 20`
+/// the two thread counts take the same time.
+pub const PAR_THRESHOLD: usize = 1 << 20;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use tensor::gradcheck::{check_binary, check_unary};
-use tensor::{Graph, Tensor, Var};
+use tensor::{EdgeRows, Graph, Tensor, Var};
 
 const EPS: f32 = 1e-2;
 const TOL: f32 = 2e-2;
@@ -312,5 +312,112 @@ proptest! {
     #[test]
     fn grad_concat_rows(a in small_tensor(2, 3), b in small_tensor(4, 3)) {
         assert_grad_binary(&a, &b, |g, x, y| { let s = g.concat_rows(x, y); weighted_sum(g, s) });
+    }
+}
+
+/// Segment of each of the six edges in the fused-kernel checks: a
+/// three-edge segment, a one-edge segment and a two-edge segment.
+const EDGE_SEGMENTS: [usize; 6] = [0, 0, 1, 0, 2, 2];
+/// Source rows of the six edges, with repeats.
+const EDGE_SRC: [usize; 6] = [2, 0, 2, 3, 1, 2];
+
+/// `edge_softmax` over the six edges: `a` (3 x 2) gathered by segment,
+/// `b` (4 x 2) by source and `c` (1 x 2) broadcast, two heads. The output
+/// is scaled up so that gradients of attention weights (all below 1)
+/// stand clear of the check's absolute error floor.
+fn edge_softmax_loss(g: &mut Graph, a: Var, b: Var, c: Var) -> Var {
+    let alpha = g.edge_softmax(
+        a,
+        EdgeRows::Gather(EDGE_SEGMENTS.to_vec()),
+        b,
+        EdgeRows::Gather(EDGE_SRC.to_vec()),
+        c,
+        EdgeRows::Broadcast,
+        EDGE_SEGMENTS.to_vec(),
+        3,
+        0.2,
+    );
+    let alpha = g.scale(alpha, 10.0);
+    weighted_sum(g, alpha)
+}
+
+/// `edge_aggregate` of the six edges: `x` (4 x 3) by source, `y` (3 x 3)
+/// by segment, weights `w` (6 x 1), into three segments.
+fn edge_aggregate_loss(g: &mut Graph, x: Var, y: Var, w: Var) -> Var {
+    let agg = g.edge_aggregate(
+        x,
+        EDGE_SRC.to_vec(),
+        y,
+        EDGE_SEGMENTS.to_vec(),
+        w,
+        EDGE_SEGMENTS.to_vec(),
+        3,
+    );
+    weighted_sum(g, agg)
+}
+
+proptest! {
+    // About half the `grad_edge_softmax` cases land a score near the
+    // LeakyReLU kink and are skipped.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn grad_edge_softmax(
+        a in small_tensor(3, 2),
+        b in small_tensor(4, 2),
+        c in small_tensor(1, 2),
+    ) {
+        // Finite differences must step over no LeakyReLU kink; cases
+        // with a score near zero are skipped.
+        let clear_of_kink = (0..6).all(|e| {
+            (0..2).all(|j| {
+                let s = (a.get(EDGE_SEGMENTS[e], j) + b.get(EDGE_SRC[e], j)) + c.get(0, j);
+                s.abs() > 0.1
+            })
+        });
+        if !clear_of_kink {
+            return;
+        }
+        assert_grad_unary(&a, |g, av| {
+            let (bv, cv) = (g.input(b.clone()), g.input(c.clone()));
+            edge_softmax_loss(g, av, bv, cv)
+        });
+        assert_grad_unary(&b, |g, bv| {
+            let (av, cv) = (g.input(a.clone()), g.input(c.clone()));
+            edge_softmax_loss(g, av, bv, cv)
+        });
+        assert_grad_unary(&c, |g, cv| {
+            let (av, bv) = (g.input(a.clone()), g.input(b.clone()));
+            edge_softmax_loss(g, av, bv, cv)
+        });
+    }
+
+    #[test]
+    fn grad_edge_aggregate(
+        x in small_tensor(4, 3),
+        y in small_tensor(3, 3),
+        w in small_tensor(6, 1),
+    ) {
+        assert_grad_unary(&x, |g, xv| {
+            let (yv, wv) = (g.input(y.clone()), g.input(w.clone()));
+            edge_aggregate_loss(g, xv, yv, wv)
+        });
+        assert_grad_unary(&y, |g, yv| {
+            let (xv, wv) = (g.input(x.clone()), g.input(w.clone()));
+            edge_aggregate_loss(g, xv, yv, wv)
+        });
+        assert_grad_unary(&w, |g, wv| {
+            let (xv, yv) = (g.input(x.clone()), g.input(y.clone()));
+            edge_aggregate_loss(g, xv, yv, wv)
+        });
+    }
+
+    #[test]
+    fn grad_stack_rows(a in small_tensor(2, 3), b in small_tensor(1, 3), c in small_tensor(3, 3)) {
+        assert_grad_binary(&a, &b, |g, x, y| {
+            let z = g.input(c.clone());
+            let s = g.stack_rows(&[x, z, y]);
+            weighted_sum(g, s)
+        });
     }
 }

@@ -37,7 +37,9 @@
 #      proptest) with the `tensor` unit tests behind its content-stamp
 #      cache check, which tier-1's root-package run never reaches; those
 #      unit tests run again in a release build, and the HGN layer is
-#      checked against its concat-form reference (`layer_reference`).
+#      checked against its concat-form reference (`layer_reference`) and
+#      its fused edge kernels against the op chains they replace
+#      (`edge_kernels`).
 #      Next come the owning-crate suites behind the timing gates and the
 #      scale path: pooled, serial and branch-parallel tape equivalence,
 #      lane determinism across thread counts, sublinear generator
@@ -73,6 +75,7 @@ RUSTFMT_RATCHET=(
     crates/tensor/tests/prop_parallel.rs
     crates/tensor/tests/prop_parallel_backward.rs
     crates/tensor/tests/prop_gradients.rs
+    crates/tensor/tests/edge_kernels.rs
     crates/tensor/src/fwd.rs
     crates/tensor/src/infer.rs
     crates/core/src/ca.rs
@@ -179,8 +182,11 @@ cargo test -q -p tensor --lib
 # must hold for the code the release binaries run, not only for debug.
 cargo test -q --release -p tensor --lib
 # The per-node HGN layer against the concat-form reference of the paper's
-# equations: output and gradients within a relative tolerance.
+# equations: output and gradients within a relative tolerance. Its fused
+# edge kernels against the primitive op chains they replace: value and
+# every gradient bit for bit, serial and branch-parallel backward.
 cargo test -q -p catehgn --test layer_reference
+cargo test -q -p tensor --test edge_kernels
 
 # The deterministic halves of the timing gates below, and the scale
 # path's checks, live in the suites of the crates that own the code;
