@@ -1,14 +1,17 @@
 //! Shared infrastructure for the compared systems: the [`CitationModel`]
 //! interface the experiment harness drives, a generic mini-batch regression
-//! trainer for the GNN baselines, and graph helpers (merged homogeneous
-//! edges, self-loops, meta-path neighbor sampling).
+//! trainer for the GNN baselines, graph helpers (merged homogeneous
+//! edges, self-loops, meta-path neighbor sampling), the split-form
+//! attention the GAT, HAN, MAGNN and HetGNN rows share, and the one
+//! meta-path model body behind HAN and MAGNN.
 
 use dblp_sim::Dataset;
-use hetgraph::{sample_blocks, Block, BlockEdge, NodeId};
+use hetgraph::{sample_blocks, Block, BlockEdge, LinkTypeId, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tensor::{Graph, Optimizer, Params, Tensor, Var};
+use std::marker::PhantomData;
+use tensor::{EdgeRows, Graph, Initializer, Optimizer, ParamId, Params, Tensor, Var};
 
 /// Uniform interface every compared system implements for Table II.
 pub trait CitationModel {
@@ -51,12 +54,22 @@ impl Default for GnnConfig {
 impl GnnConfig {
     /// Small config for unit tests.
     pub fn test_tiny() -> Self {
-        GnnConfig { dim: 8, fanout: 4, batch_size: 32, steps: 25, ..Self::default() }
+        GnnConfig {
+            dim: 8,
+            fanout: 4,
+            batch_size: 32,
+            steps: 25,
+            ..Self::default()
+        }
     }
 }
 
-/// A GNN baseline that can score a batch of papers in one graph.
+/// A GNN baseline that can score a batch of papers in one graph. Each
+/// one is a [`CitationModel`], fitted by [`train_regressor`] and queried
+/// by [`predict_regressor`].
 pub trait BatchRegressor {
+    /// Display name matching the paper's Table II row.
+    const NAME: &'static str;
     fn cfg(&self) -> &GnnConfig;
     fn params_mut(&mut self) -> &mut Params;
     /// Builds the computation producing a `B x 1` prediction column for the
@@ -68,6 +81,20 @@ pub trait BatchRegressor {
         papers: &[usize],
         rng: &mut R,
     ) -> Var;
+}
+
+impl<M: BatchRegressor> CitationModel for M {
+    fn name(&self) -> String {
+        M::NAME.into()
+    }
+
+    fn fit(&mut self, ds: &Dataset) {
+        train_regressor(self, ds);
+    }
+
+    fn predict(&self, ds: &Dataset, papers: &[usize]) -> Vec<f32> {
+        predict_regressor(self, ds, papers)
+    }
 }
 
 /// Generic supervised training loop: mini-batch MSE regression on the
@@ -112,11 +139,7 @@ pub fn train_regressor<M: BatchRegressor>(model: &mut M, ds: &Dataset) -> Vec<f3
 }
 
 /// Generic batched inference for a [`BatchRegressor`].
-pub fn predict_regressor<M: BatchRegressor>(
-    model: &M,
-    ds: &Dataset,
-    papers: &[usize],
-) -> Vec<f32> {
+pub fn predict_regressor<M: BatchRegressor>(model: &M, ds: &Dataset, papers: &[usize]) -> Vec<f32> {
     let cfg = model.cfg();
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed.wrapping_add(0xEBA1));
     let mut out = Vec::with_capacity(papers.len());
@@ -163,8 +186,9 @@ pub fn build_batch<R: Rng>(
 }
 
 /// Pooled per-link-type edge index lists. Move the buffers into
-/// `gather_rows` / `segment_sum` / `segment_softmax` ops — the tape hands
-/// them back to the pool on [`Graph::reset`].
+/// `gather_rows`, into `EdgeRows::Gather` rows, or into the segments of
+/// `edge_softmax` / `edge_aggregate` — the tape hands them back to the
+/// pool on [`Graph::reset`].
 pub struct EdgeIdx {
     /// Source position of each edge.
     pub src: Vec<usize>,
@@ -184,7 +208,11 @@ pub fn edge_idx(g: &mut Graph, block: &Block, edges: &[BlockEdge]) -> EdgeIdx {
     let mut dst = g.scratch_idx();
     dst.extend(edges.iter().map(|e| e.dst_pos as usize));
     let mut prev = g.scratch_idx();
-    prev.extend(edges.iter().map(|e| block.dst_in_src[e.dst_pos as usize] as usize));
+    prev.extend(
+        edges
+            .iter()
+            .map(|e| block.dst_in_src[e.dst_pos as usize] as usize),
+    );
     EdgeIdx { src, dst, prev }
 }
 
@@ -213,8 +241,12 @@ pub fn mean_norm_col(g: &mut Graph, dst: &[usize]) -> Var {
 pub fn gather_seed_rows(g: &mut Graph, block0: &Block, seeds: &[NodeId], h: Var) -> Var {
     // Duplicate papers in a batch dedup in the sampler's frontier, so look
     // each paper's row up by node id rather than by position.
-    let pos_of: std::collections::BTreeMap<NodeId, usize> =
-        block0.dst_nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+    let pos_of: std::collections::BTreeMap<NodeId, usize> = block0
+        .dst_nodes
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| (n, i))
+        .collect();
     let mut rows = g.scratch_idx();
     rows.extend(seeds.iter().map(|n| pos_of[n]));
     g.gather_rows(h, rows)
@@ -223,12 +255,218 @@ pub fn gather_seed_rows(g: &mut Graph, block0: &Block, seeds: &[NodeId], h: Var)
 /// Merges all link types of a block into one homogeneous edge list and adds
 /// a self-loop per destination (weight 1). Used by GAT.
 pub fn merged_edges_with_self_loops(block: &Block) -> Vec<BlockEdge> {
-    let mut edges: Vec<BlockEdge> =
-        block.edges_by_type.iter().flatten().copied().collect();
+    let mut edges: Vec<BlockEdge> = block.edges_by_type.iter().flatten().copied().collect();
     for (dst_pos, &src_pos) in block.dst_in_src.iter().enumerate() {
-        edges.push(BlockEdge { src_pos, dst_pos: dst_pos as u32, weight: 1.0 });
+        edges.push(BlockEdge {
+            src_pos,
+            dst_pos: dst_pos as u32,
+            weight: 1.0,
+        });
     }
     edges
+}
+
+/// LeakyReLU slope of the attention scores (GAT's 0.2).
+const ATTENTION_SLOPE: f32 = 0.2;
+
+/// Registers `heads` attention vectors over `[h_v ‖ h_u]` (each `2d x 1`,
+/// Xavier-uniform, drawn in head order as separate vectors would be) in
+/// split layout: `{name}.v` holds the `h_v` halves and `{name}.u` the
+/// `h_u` halves, head `k` in column `k` of each `d x H` block.
+pub fn pair_attention_params<R: Rng>(
+    params: &mut Params,
+    name: &str,
+    d: usize,
+    heads: usize,
+    rng: &mut R,
+) -> [ParamId; 2] {
+    let mut halves = [Tensor::zeros(d, heads), Tensor::zeros(d, heads)];
+    for k in 0..heads {
+        let a = Initializer::XavierUniform.sample(2 * d, 1, rng);
+        for (r, &x) in a.as_slice().iter().enumerate() {
+            halves[r / d].set(r % d, k, x);
+        }
+    }
+    let [v, u] = halves;
+    [
+        params.add(format!("{name}.v"), v),
+        params.add(format!("{name}.u"), u),
+    ]
+}
+
+/// Attention over `[h_v ‖ h_u]` in split form: per edge and head the
+/// score `(h_v·A_v)[v_e] + (h_u·A_u)[u_e]`, which is `[h_v ‖ h_u]·a` for
+/// `a = [A_v; A_u]`, through LeakyReLU(0.2), softmaxed within each
+/// segment and averaged over the heads. `att` comes from
+/// [`pair_attention_params`]. Each product runs once per row of `h_v` and
+/// of `h_u`, not once per edge, and no per-edge concat exists.
+pub fn pair_attention(
+    g: &mut Graph,
+    params: &Params,
+    att: [ParamId; 2],
+    (h_v, v_rows): (Var, EdgeRows),
+    (h_u, u_rows): (Var, EdgeRows),
+    segments: Vec<usize>,
+    n_seg: usize,
+) -> Var {
+    let [a_v, a_u] = att.map(|id| g.param(params, id));
+    let s_v = g.matmul(h_v, a_v);
+    let s_u = g.matmul(h_u, a_u);
+    g.edge_softmax(
+        [(s_v, v_rows), (s_u, u_rows)],
+        segments,
+        n_seg,
+        ATTENTION_SLOPE,
+    )
+}
+
+/// How a meta-path model ([`MetapathModel`]) turns the sampled instances
+/// of one meta-path into input rows.
+pub trait PathRows {
+    /// [`BatchRegressor::NAME`] of the model.
+    const NAME: &'static str;
+    /// Mixed into the config seed for parameter initialisation.
+    const SEED_SALT: u64;
+    /// For each batch paper in order, the paper's own row, then one row per
+    /// sampled instance of `path`: the raw input rows, and each row's
+    /// position in the batch.
+    fn rows<R: Rng>(
+        ds: &Dataset,
+        papers: &[usize],
+        path: &[LinkTypeId],
+        fanout: usize,
+        rng: &mut R,
+    ) -> (Tensor, Vec<usize>);
+}
+
+/// The meta-path attention model HAN and MAGNN share, target-node-centric:
+/// only papers are embedded. Per meta-path, node-level attention over
+/// `[h_v ‖ h_u]` weighs each paper's instance rows into `z_p`; a semantic
+/// score `mean(q^T tanh(W z_p + b))` per path is softmaxed across the
+/// paths, and the regressor reads `z = sum_p beta_p z_p`. `P` says how an
+/// instance becomes a row.
+#[derive(Debug)]
+pub struct MetapathModel<P> {
+    cfg: GnnConfig,
+    params: Params,
+    w_proj: ParamId,
+    b_proj: ParamId,
+    /// Node-level attention per meta-path, split (`d x 1` halves).
+    att: Vec<[ParamId; 2]>,
+    /// Semantic attention: shared transform + query vector.
+    w_sem: ParamId,
+    b_sem: ParamId,
+    q_sem: ParamId,
+    w_out: ParamId,
+    b_out: ParamId,
+    n_paths: usize,
+    rows: PhantomData<P>,
+}
+
+impl<P: PathRows> MetapathModel<P> {
+    pub fn new(cfg: GnnConfig, feat_dim: usize, n_paths: usize) -> Self {
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ P::SEED_SALT);
+        let mut params = Params::new();
+        let d = cfg.dim;
+        let w_proj = params.add_init("proj.w", feat_dim, d, Initializer::XavierUniform, &mut rng);
+        let b_proj = params.add_init("proj.b", 1, d, Initializer::Zeros, &mut rng);
+        let att = (0..n_paths)
+            .map(|p| pair_attention_params(&mut params, &format!("att.p{p}"), d, 1, &mut rng))
+            .collect();
+        let w_sem = params.add_init("sem.w", d, d, Initializer::XavierUniform, &mut rng);
+        let b_sem = params.add_init("sem.b", 1, d, Initializer::Zeros, &mut rng);
+        let q_sem = params.add_init("sem.q", d, 1, Initializer::XavierUniform, &mut rng);
+        let w_out = params.add_init("out.w", d, 1, Initializer::XavierUniform, &mut rng);
+        let b_out = params.add_init("out.b", 1, 1, Initializer::Zeros, &mut rng);
+        MetapathModel {
+            cfg,
+            params,
+            w_proj,
+            b_proj,
+            att,
+            w_sem,
+            b_sem,
+            q_sem,
+            w_out,
+            b_out,
+            n_paths,
+            rows: PhantomData,
+        }
+    }
+}
+
+impl<P: PathRows> BatchRegressor for MetapathModel<P> {
+    const NAME: &'static str = P::NAME;
+
+    fn cfg(&self) -> &GnnConfig {
+        &self.cfg
+    }
+
+    fn params_mut(&mut self) -> &mut Params {
+        &mut self.params
+    }
+
+    fn batch_forward<R: Rng>(
+        &self,
+        g: &mut Graph,
+        ds: &Dataset,
+        papers: &[usize],
+        rng: &mut R,
+    ) -> Var {
+        let b = papers.len();
+        let paths = standard_metapaths(ds);
+        assert_eq!(paths.len(), self.n_paths);
+        // Projected features of the batch papers themselves.
+        let self_rows: Vec<usize> = papers.iter().map(|&i| ds.paper_nodes[i].index()).collect();
+        let x_self = g.input(ds.features.gather_rows(&self_rows));
+        let w_proj = g.param(&self.params, self.w_proj);
+        let b_proj = g.param(&self.params, self.b_proj);
+        let lin = g.linear(x_self, w_proj, b_proj);
+        let h_self = g.relu(lin);
+
+        let mut z_paths = Vec::with_capacity(self.n_paths);
+        let mut sem_scores = Vec::with_capacity(self.n_paths);
+        for (&att, (_, path)) in self.att.iter().zip(&paths) {
+            let (x, seg) = P::rows(ds, papers, path, self.cfg.fanout, rng);
+            let x_n = g.input(x);
+            let lin_n = g.linear(x_n, w_proj, b_proj);
+            let h_n = g.relu(lin_n);
+            // Node-level attention: a^T [h_v || h_u] within each paper.
+            let v_rows = EdgeRows::Gather(seg.clone());
+            let alpha = pair_attention(
+                g,
+                &self.params,
+                att,
+                (h_self, v_rows),
+                (h_n, EdgeRows::Own),
+                seg.clone(),
+                b,
+            );
+            let z_p = g.edge_aggregate([(h_n, EdgeRows::Own)], alpha, seg, b);
+            // Semantic score: mean over the batch of q^T tanh(W z + b).
+            let w_sem = g.param(&self.params, self.w_sem);
+            let b_sem = g.param(&self.params, self.b_sem);
+            let t1 = g.linear(z_p, w_sem, b_sem);
+            let t = g.tanh(t1);
+            let q = g.param(&self.params, self.q_sem);
+            let s_col = g.matmul(t, q);
+            sem_scores.push(g.mean_all(s_col));
+            z_paths.push(z_p);
+        }
+        // Semantic fusion, one edge per (path, paper): the softmax of the
+        // path scores at each paper, then z = sum_p beta_p z_p.
+        let scores = g.stack_rows(&sem_scores);
+        let z_all = g.stack_rows(&z_paths);
+        let path_of = (0..self.n_paths)
+            .flat_map(|p| std::iter::repeat_n(p, b))
+            .collect();
+        let paper: Vec<usize> = (0..self.n_paths).flat_map(|_| 0..b).collect();
+        let beta = g.edge_softmax([(scores, EdgeRows::Gather(path_of))], paper.clone(), b, 1.0);
+        let z = g.edge_aggregate([(z_all, EdgeRows::Own)], beta, paper, b);
+        let w_out = g.param(&self.params, self.w_out);
+        let b_out = g.param(&self.params, self.b_out);
+        g.linear(z, w_out, b_out)
+    }
 }
 
 /// Samples up to `fanout` meta-path-reachable neighbors of `start` by
@@ -283,8 +521,8 @@ pub fn standard_metapaths(ds: &Dataset) -> Vec<(String, Vec<hetgraph::LinkTypeId
 /// RMSE of a constant mean predictor fitted on the training labels — the
 /// sanity floor every learning model must beat.
 pub fn mean_predictor_rmse(ds: &Dataset, papers: &[usize]) -> f32 {
-    let mean = ds.labels_of(&ds.split.train).iter().sum::<f32>()
-        / ds.split.train.len().max(1) as f32;
+    let mean =
+        ds.labels_of(&ds.split.train).iter().sum::<f32>() / ds.split.train.len().max(1) as f32;
     let truth = ds.labels_of(papers);
     catehgn::rmse(&vec![mean; truth.len()], &truth)
 }
@@ -301,8 +539,16 @@ mod tests {
             src_nodes: vec![NodeId(0), NodeId(1), NodeId(2)],
             dst_in_src: vec![0, 1],
             edges_by_type: vec![
-                vec![BlockEdge { src_pos: 2, dst_pos: 0, weight: 1.0 }],
-                vec![BlockEdge { src_pos: 2, dst_pos: 1, weight: 0.5 }],
+                vec![BlockEdge {
+                    src_pos: 2,
+                    dst_pos: 0,
+                    weight: 1.0,
+                }],
+                vec![BlockEdge {
+                    src_pos: 2,
+                    dst_pos: 1,
+                    weight: 0.5,
+                }],
             ],
         };
         let merged = merged_edges_with_self_loops(&block);

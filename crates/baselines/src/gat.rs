@@ -5,27 +5,26 @@
 //! blindness.
 
 use crate::common::{
-    build_batch, edge_idx, gather_seed_rows, merged_edges_with_self_loops, predict_regressor,
-    train_regressor, BatchInputs, BatchRegressor, CitationModel, GnnConfig,
+    build_batch, edge_idx, gather_seed_rows, merged_edges_with_self_loops, pair_attention,
+    pair_attention_params, BatchInputs, BatchRegressor, GnnConfig,
 };
 use dblp_sim::Dataset;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tensor::{Graph, Initializer, ParamId, Params, Var};
+use tensor::{EdgeRows, Graph, Initializer, ParamId, Params, Var};
 
 /// Homogeneous multi-head graph attention regressor.
 #[derive(Debug)]
 pub struct Gat {
     cfg: GnnConfig,
-    heads: usize,
     params: Params,
     w_in: ParamId,
     b_in: ParamId,
-    /// Per layer: shared projection W and per-head attention vector a
-    /// (`2d x 1`).
+    /// Per layer: shared projection W and the heads' attention vectors
+    /// over `[Wh_v ‖ Wh_u]`, split (`d x H` halves).
     w: Vec<ParamId>,
-    att: Vec<Vec<ParamId>>,
+    att: Vec<[ParamId; 2]>,
     w_out: ParamId,
     b_out: ParamId,
 }
@@ -38,30 +37,37 @@ impl Gat {
         let w_in = params.add_init("in.w", feat_dim, d, Initializer::XavierUniform, &mut rng);
         let b_in = params.add_init("in.b", 1, d, Initializer::Zeros, &mut rng);
         let w = (0..cfg.layers)
-            .map(|l| params.add_init(format!("l{l}.w"), d, d, Initializer::XavierUniform, &mut rng))
+            .map(|l| {
+                params.add_init(
+                    format!("l{l}.w"),
+                    d,
+                    d,
+                    Initializer::XavierUniform,
+                    &mut rng,
+                )
+            })
             .collect();
         let att = (0..cfg.layers)
-            .map(|l| {
-                (0..heads)
-                    .map(|h| {
-                        params.add_init(
-                            format!("l{l}.a{h}"),
-                            2 * d,
-                            1,
-                            Initializer::XavierUniform,
-                            &mut rng,
-                        )
-                    })
-                    .collect()
-            })
+            .map(|l| pair_attention_params(&mut params, &format!("l{l}.a"), d, heads, &mut rng))
             .collect();
         let w_out = params.add_init("out.w", d, 1, Initializer::XavierUniform, &mut rng);
         let b_out = params.add_init("out.b", 1, 1, Initializer::Zeros, &mut rng);
-        Gat { cfg, heads, params, w_in, b_in, w, att, w_out, b_out }
+        Gat {
+            cfg,
+            params,
+            w_in,
+            b_in,
+            w,
+            att,
+            w_out,
+            b_out,
+        }
     }
 }
 
 impl BatchRegressor for Gat {
+    const NAME: &'static str = "GAT";
+
     fn cfg(&self) -> &GnnConfig {
         &self.cfg
     }
@@ -91,26 +97,19 @@ impl BatchRegressor for Gat {
             let idx = edge_idx(g, block, &edges);
             let w = g.param(&self.params, self.w[l]);
             let wh = g.matmul(h, w);
-            let wh_u = g.gather_rows(wh, idx.src);
-            let wh_v = g.gather_rows(wh, idx.prev);
-            let feat = g.concat_cols(wh_v, wh_u);
             // Head-averaged attention weights.
-            let mut alpha: Option<Var> = None;
-            for &aid in &self.att[l] {
-                let a = g.param(&self.params, aid);
-                let s = g.matmul(feat, a);
-                let s = g.leaky_relu(s, 0.2);
-                let seg = g.scratch_idx_from(&idx.dst);
-                let sm = g.segment_softmax(s, seg);
-                alpha = Some(match alpha {
-                    Some(prev_a) => g.add(prev_a, sm),
-                    None => sm,
-                });
-            }
-            let alpha = alpha.expect("heads >= 1");
-            let alpha = g.scale(alpha, 1.0 / self.heads as f32);
-            let weighted = g.mul_col(wh_u, alpha);
-            let agg = g.segment_sum(weighted, idx.dst, n_dst);
+            let u_rows = EdgeRows::Gather(g.scratch_idx_from(&idx.src));
+            let seg = g.scratch_idx_from(&idx.dst);
+            let alpha = pair_attention(
+                g,
+                &self.params,
+                self.att[l],
+                (wh, EdgeRows::Gather(idx.prev)),
+                (wh, u_rows),
+                seg,
+                n_dst,
+            );
+            let agg = g.edge_aggregate([(wh, EdgeRows::Gather(idx.src))], alpha, idx.dst, n_dst);
             h = g.relu(agg);
         }
         let hb = gather_seed_rows(g, &blocks[0], &seeds, h);
@@ -120,23 +119,10 @@ impl BatchRegressor for Gat {
     }
 }
 
-impl CitationModel for Gat {
-    fn name(&self) -> String {
-        "GAT".into()
-    }
-
-    fn fit(&mut self, ds: &Dataset) {
-        train_regressor(self, ds);
-    }
-
-    fn predict(&self, ds: &Dataset, papers: &[usize]) -> Vec<f32> {
-        predict_regressor(self, ds, papers)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::CitationModel;
     use dblp_sim::WorldConfig;
 
     #[test]
@@ -156,10 +142,20 @@ mod tests {
         let ds = Dataset::full(&WorldConfig::tiny(), 8);
         let probe: Vec<usize> = ds.split.train.iter().take(60).copied().collect();
         let truth = ds.labels_of(&probe);
-        let mut m = Gat::new(GnnConfig { steps: 120, ..GnnConfig::test_tiny() }, ds.features.cols(), 2);
+        let mut m = Gat::new(
+            GnnConfig {
+                steps: 120,
+                ..GnnConfig::test_tiny()
+            },
+            ds.features.cols(),
+            2,
+        );
         let before = catehgn::rmse(&m.predict(&ds, &probe), &truth);
         m.fit(&ds);
         let after = catehgn::rmse(&m.predict(&ds, &probe), &truth);
-        assert!(after < before, "training should help: before {before}, after {after}");
+        assert!(
+            after < before,
+            "training should help: before {before}, after {after}"
+        );
     }
 }

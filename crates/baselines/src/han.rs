@@ -2,168 +2,58 @@
 //! node-level attention over meta-path-based neighbors and semantic-level
 //! attention across meta-paths. Target-node-centric: only papers are
 //! embedded; context types exist solely inside the meta-paths — exactly
-//! the design limitation Sec. III-C motivates against.
+//! the design limitation Sec. III-C motivates against. The model body is
+//! [`MetapathModel`]; HAN's own part is that each meta-path neighbor
+//! enters with its features.
 
-use crate::common::{
-    metapath_neighbors, predict_regressor, standard_metapaths, train_regressor, BatchRegressor,
-    CitationModel, GnnConfig,
-};
+use crate::common::{metapath_neighbors, MetapathModel, PathRows};
 use dblp_sim::Dataset;
+use hetgraph::LinkTypeId;
 use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use tensor::{Graph, Initializer, ParamId, Params, Tensor, Var};
+use tensor::Tensor;
 
 /// Meta-path attention regressor.
+pub type Han = MetapathModel<MetapathNeighbours>;
+
+/// HAN's instance rows: the features of each meta-path neighbor.
 #[derive(Debug)]
-pub struct Han {
-    cfg: GnnConfig,
-    params: Params,
-    w_proj: ParamId,
-    b_proj: ParamId,
-    /// Node-level attention vector per meta-path (`2d x 1`).
-    att_node: Vec<ParamId>,
-    /// Semantic attention: shared transform + query vector.
-    w_sem: ParamId,
-    b_sem: ParamId,
-    q_sem: ParamId,
-    w_out: ParamId,
-    b_out: ParamId,
-    n_paths: usize,
-}
+pub struct MetapathNeighbours;
 
-impl Han {
-    pub fn new(cfg: GnnConfig, feat_dim: usize, n_paths: usize) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let mut params = Params::new();
-        let d = cfg.dim;
-        let w_proj = params.add_init("proj.w", feat_dim, d, Initializer::XavierUniform, &mut rng);
-        let b_proj = params.add_init("proj.b", 1, d, Initializer::Zeros, &mut rng);
-        let att_node = (0..n_paths)
-            .map(|p| {
-                params.add_init(format!("att.p{p}"), 2 * d, 1, Initializer::XavierUniform, &mut rng)
-            })
-            .collect();
-        let w_sem = params.add_init("sem.w", d, d, Initializer::XavierUniform, &mut rng);
-        let b_sem = params.add_init("sem.b", 1, d, Initializer::Zeros, &mut rng);
-        let q_sem = params.add_init("sem.q", d, 1, Initializer::XavierUniform, &mut rng);
-        let w_out = params.add_init("out.w", d, 1, Initializer::XavierUniform, &mut rng);
-        let b_out = params.add_init("out.b", 1, 1, Initializer::Zeros, &mut rng);
-        Han { cfg, params, w_proj, b_proj, att_node, w_sem, b_sem, q_sem, w_out, b_out, n_paths }
-    }
-}
+impl PathRows for MetapathNeighbours {
+    const NAME: &'static str = "HAN";
+    const SEED_SALT: u64 = 0;
 
-impl BatchRegressor for Han {
-    fn cfg(&self) -> &GnnConfig {
-        &self.cfg
-    }
-
-    fn params_mut(&mut self) -> &mut Params {
-        &mut self.params
-    }
-
-    fn batch_forward<R: Rng>(
-        &self,
-        g: &mut Graph,
+    fn rows<R: Rng>(
         ds: &Dataset,
         papers: &[usize],
+        path: &[LinkTypeId],
+        fanout: usize,
         rng: &mut R,
-    ) -> Var {
-        let b = papers.len();
-        let paths = standard_metapaths(ds);
-        assert_eq!(paths.len(), self.n_paths);
-        // Projected features of the batch papers themselves.
-        let self_rows: Vec<usize> = papers.iter().map(|&i| ds.paper_nodes[i].index()).collect();
-        let x_self = g.input(ds.features.gather_rows(&self_rows));
-        let w_proj = g.param(&self.params, self.w_proj);
-        let b_proj = g.param(&self.params, self.b_proj);
-        let lin = g.linear(x_self, w_proj, b_proj);
-        let h_self = g.relu(lin);
-
-        let mut z_paths: Vec<Var> = Vec::with_capacity(self.n_paths);
-        let mut sem_scores: Vec<Var> = Vec::with_capacity(self.n_paths);
-        for (p, (_, path)) in paths.iter().enumerate() {
-            // Sample meta-path neighbors for each batch paper; include the
-            // paper itself so isolated papers still get an embedding.
-            let mut nbr_rows: Vec<usize> = Vec::new();
-            let mut seg: Vec<usize> = Vec::new();
-            for (pos, &i) in papers.iter().enumerate() {
-                nbr_rows.push(ds.paper_nodes[i].index());
+    ) -> (Tensor, Vec<usize>) {
+        // Include the paper itself so isolated papers still get an
+        // embedding.
+        let mut nbr_rows: Vec<usize> = Vec::new();
+        let mut seg: Vec<usize> = Vec::new();
+        for (pos, &i) in papers.iter().enumerate() {
+            nbr_rows.push(ds.paper_nodes[i].index());
+            seg.push(pos);
+            for (end, _) in metapath_neighbors(ds, ds.paper_nodes[i], path, fanout, rng) {
+                nbr_rows.push(end.index());
                 seg.push(pos);
-                for (end, _) in
-                    metapath_neighbors(ds, ds.paper_nodes[i], path, self.cfg.fanout, rng)
-                {
-                    nbr_rows.push(end.index());
-                    seg.push(pos);
-                }
             }
-            let x_n = g.input(ds.features.gather_rows(&nbr_rows));
-            let lin_n = g.linear(x_n, w_proj, b_proj);
-            let h_n = g.relu(lin_n);
-            // Node-level attention: a^T [h_v || h_u].
-            let h_v = g.gather_rows(h_self, seg.clone());
-            let feat = g.concat_cols(h_v, h_n);
-            let a = g.param(&self.params, self.att_node[p]);
-            let s = g.matmul(feat, a);
-            let s = g.leaky_relu(s, 0.2);
-            let alpha = g.segment_softmax(s, seg.clone());
-            let weighted = g.mul_col(h_n, alpha);
-            let z_p = g.segment_sum(weighted, seg, b);
-            // Semantic score: mean over the batch of q^T tanh(W z + b).
-            let w_sem = g.param(&self.params, self.w_sem);
-            let b_sem = g.param(&self.params, self.b_sem);
-            let t1 = g.linear(z_p, w_sem, b_sem);
-            let t = g.tanh(t1);
-            let q = g.param(&self.params, self.q_sem);
-            let s_col = g.matmul(t, q);
-            let s_mean = g.mean_all(s_col);
-            z_paths.push(z_p);
-            sem_scores.push(s_mean);
         }
-        // Softmax over the per-path scalars.
-        let mut stacked = sem_scores[0];
-        for &s in &sem_scores[1..] {
-            stacked = g.concat_rows(stacked, s);
-        }
-        let row = g.transpose(stacked); // 1 x P
-        let beta = g.softmax_rows(row);
-        // z = sum_p beta_p z_p.
-        let ones = g.input(Tensor::ones(b, 1));
-        let mut z: Option<Var> = None;
-        for (p, &z_p) in z_paths.iter().enumerate() {
-            let beta_p = g.col_slice(beta, p); // (1 x 1) since beta is 1 x P
-            let beta_col = g.matmul(ones, beta_p); // b x 1
-            let term = g.mul_col(z_p, beta_col);
-            z = Some(match z {
-                Some(prev) => g.add(prev, term),
-                None => term,
-            });
-        }
-        let z = z.expect("at least one meta-path");
-        let w_out = g.param(&self.params, self.w_out);
-        let b_out = g.param(&self.params, self.b_out);
-        g.linear(z, w_out, b_out)
-    }
-}
-
-impl CitationModel for Han {
-    fn name(&self) -> String {
-        "HAN".into()
-    }
-
-    fn fit(&mut self, ds: &Dataset) {
-        train_regressor(self, ds);
-    }
-
-    fn predict(&self, ds: &Dataset, papers: &[usize]) -> Vec<f32> {
-        predict_regressor(self, ds, papers)
+        (ds.features.gather_rows(&nbr_rows), seg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{BatchRegressor, CitationModel, GnnConfig};
     use dblp_sim::WorldConfig;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use tensor::Graph;
 
     #[test]
     fn trains_and_predicts_finite() {
@@ -184,6 +74,6 @@ mod tests {
         let batch: Vec<usize> = ds.split.train.iter().take(4).copied().collect();
         let _ = m.batch_forward(&mut g, &ds, &batch, &mut rng);
         // The forward ran without shape panics; the softmax invariant is
-        // enforced structurally by softmax_rows.
+        // enforced structurally by the per-paper edge softmax.
     }
 }

@@ -7,15 +7,13 @@
 //! GRU run over the fixed-size sampled neighbor sequence (same recurrent
 //! set-function family, half the gates), vectorised across the batch.
 
-use crate::common::{
-    predict_regressor, train_regressor, BatchRegressor, CitationModel, GnnConfig,
-};
+use crate::common::{pair_attention, pair_attention_params, BatchRegressor, GnnConfig};
 use dblp_sim::Dataset;
 use hetgraph::{uniform_typed_walk, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tensor::{Graph, Initializer, ParamId, Params, Tensor, Var};
+use tensor::{EdgeRows, Graph, Initializer, ParamId, Params, Tensor, Var};
 
 /// GRU gate parameters.
 #[derive(Debug)]
@@ -31,7 +29,13 @@ struct Gru {
 impl Gru {
     fn init<R: Rng>(params: &mut Params, name: &str, d: usize, rng: &mut R) -> Self {
         let mut m = |suffix: &str, rng: &mut R| {
-            params.add_init(format!("{name}.{suffix}"), d, d, Initializer::XavierUniform, rng)
+            params.add_init(
+                format!("{name}.{suffix}"),
+                d,
+                d,
+                Initializer::XavierUniform,
+                rng,
+            )
         };
         Gru {
             w_z: m("wz", rng),
@@ -90,8 +94,9 @@ pub struct HetGnn {
     w_in: ParamId,
     b_in: ParamId,
     gru: Vec<Gru>,
-    /// Type-level attention vector (`2d x 1`).
-    att: ParamId,
+    /// Type-level attention vector over `[h_self ‖ c]`, split (`d x 1`
+    /// halves).
+    att: [ParamId; 2],
     w_out: ParamId,
     b_out: ParamId,
     n_node_types: usize,
@@ -109,20 +114,26 @@ impl HetGnn {
         let gru = (0..n_node_types)
             .map(|t| Gru::init(&mut params, &format!("gru{t}"), d, &mut rng))
             .collect();
-        let att = params.add_init("att", 2 * d, 1, Initializer::XavierUniform, &mut rng);
+        let att = pair_attention_params(&mut params, "att", d, 1, &mut rng);
         let w_out = params.add_init("out.w", d, 1, Initializer::XavierUniform, &mut rng);
         let b_out = params.add_init("out.b", 1, 1, Initializer::Zeros, &mut rng);
-        HetGnn { cfg, params, w_in, b_in, gru, att, w_out, b_out, n_node_types, walk_len: 12 }
+        HetGnn {
+            cfg,
+            params,
+            w_in,
+            b_in,
+            gru,
+            att,
+            w_out,
+            b_out,
+            n_node_types,
+            walk_len: 12,
+        }
     }
 
     /// Samples up to `fanout` neighbors of each node type for `node` using
     /// restart random walks (HetGNN's neighbor collection strategy).
-    fn typed_neighbors<R: Rng>(
-        &self,
-        ds: &Dataset,
-        node: NodeId,
-        rng: &mut R,
-    ) -> Vec<Vec<NodeId>> {
+    fn typed_neighbors<R: Rng>(&self, ds: &Dataset, node: NodeId, rng: &mut R) -> Vec<Vec<NodeId>> {
         let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); self.n_node_types];
         for _ in 0..4 {
             for (_, v) in uniform_typed_walk(&ds.graph, node, self.walk_len, rng) {
@@ -140,6 +151,8 @@ impl HetGnn {
 }
 
 impl BatchRegressor for HetGnn {
+    const NAME: &'static str = "HetGNN";
+
     fn cfg(&self) -> &GnnConfig {
         &self.cfg
     }
@@ -204,29 +217,18 @@ impl BatchRegressor for HetGnn {
         // Type-level attention over {self} union type aggregates.
         let mut candidates = vec![h_self];
         candidates.extend(type_embs);
-        let att = g.param(&self.params, self.att);
-        let mut stacked_feat: Option<Var> = None;
-        let mut stacked_emb: Option<Var> = None;
-        let mut seg: Vec<usize> = Vec::new();
-        for &c in &candidates {
-            let feat = g.concat_cols(h_self, c);
-            stacked_feat = Some(match stacked_feat {
-                Some(p) => g.concat_rows(p, feat),
-                None => feat,
-            });
-            stacked_emb = Some(match stacked_emb {
-                Some(p) => g.concat_rows(p, c),
-                None => c,
-            });
-            seg.extend(0..bsz);
-        }
-        let sf = stacked_feat.expect("candidates non-empty");
-        let se = stacked_emb.expect("candidates non-empty");
-        let scores = g.matmul(sf, att);
-        let scores = g.leaky_relu(scores, 0.2);
-        let alpha = g.segment_softmax(scores, seg.clone());
-        let weighted = g.mul_col(se, alpha);
-        let z = g.segment_sum(weighted, seg, bsz);
+        let se = g.stack_rows(&candidates);
+        let seg: Vec<usize> = candidates.iter().flat_map(|_| 0..bsz).collect();
+        let alpha = pair_attention(
+            g,
+            &self.params,
+            self.att,
+            (h_self, EdgeRows::Gather(seg.clone())),
+            (se, EdgeRows::Own),
+            seg.clone(),
+            bsz,
+        );
+        let z = g.edge_aggregate([(se, EdgeRows::Own)], alpha, seg, bsz);
 
         let w_out = g.param(&self.params, self.w_out);
         let b_out = g.param(&self.params, self.b_out);
@@ -234,23 +236,10 @@ impl BatchRegressor for HetGnn {
     }
 }
 
-impl CitationModel for HetGnn {
-    fn name(&self) -> String {
-        "HetGNN".into()
-    }
-
-    fn fit(&mut self, ds: &Dataset) {
-        train_regressor(self, ds);
-    }
-
-    fn predict(&self, ds: &Dataset, papers: &[usize]) -> Vec<f32> {
-        predict_regressor(self, ds, papers)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::CitationModel;
     use dblp_sim::WorldConfig;
 
     #[test]
@@ -271,7 +260,14 @@ mod tests {
     #[test]
     fn trains_and_predicts_finite() {
         let ds = Dataset::full(&WorldConfig::tiny(), 8);
-        let mut m = HetGnn::new(GnnConfig { steps: 15, ..GnnConfig::test_tiny() }, ds.features.cols(), 4);
+        let mut m = HetGnn::new(
+            GnnConfig {
+                steps: 15,
+                ..GnnConfig::test_tiny()
+            },
+            ds.features.cols(),
+            4,
+        );
         m.fit(&ds);
         let preds = m.predict(&ds, &ds.split.test);
         assert_eq!(preds.len(), ds.split.test.len());

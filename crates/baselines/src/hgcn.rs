@@ -4,14 +4,13 @@
 //! coefficient gating each relation's contribution.
 
 use crate::common::{
-    build_batch, edge_idx, gather_seed_rows, mean_norm_col, predict_regressor, train_regressor,
-    BatchInputs, BatchRegressor, CitationModel, GnnConfig,
+    build_batch, edge_idx, gather_seed_rows, mean_norm_col, BatchInputs, BatchRegressor, GnnConfig,
 };
 use dblp_sim::Dataset;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tensor::{Graph, Initializer, ParamId, Params, Var};
+use tensor::{EdgeRows, Graph, Initializer, ParamId, Params, Var};
 
 /// Compatibility-gated heterogeneous GCN regressor.
 #[derive(Debug)]
@@ -38,27 +37,55 @@ impl Hgcn {
         let w_in = params.add_init("in.w", feat_dim, d, Initializer::XavierUniform, &mut rng);
         let b_in = params.add_init("in.b", 1, d, Initializer::Zeros, &mut rng);
         let w = (0..cfg.layers)
-            .map(|l| params.add_init(format!("l{l}.w"), d, d, Initializer::XavierUniform, &mut rng))
+            .map(|l| {
+                params.add_init(
+                    format!("l{l}.w"),
+                    d,
+                    d,
+                    Initializer::XavierUniform,
+                    &mut rng,
+                )
+            })
             .collect();
         let compat = (0..cfg.layers)
             .map(|l| {
                 (0..n_link_types)
-                    .map(|t| params.add_init(format!("l{l}.c{t}"), 1, 1, Initializer::Zeros, &mut rng))
+                    .map(|t| {
+                        params.add_init(format!("l{l}.c{t}"), 1, 1, Initializer::Zeros, &mut rng)
+                    })
                     .collect()
             })
             .collect();
         let w_self = (0..cfg.layers)
             .map(|l| {
-                params.add_init(format!("l{l}.self"), d, d, Initializer::XavierUniform, &mut rng)
+                params.add_init(
+                    format!("l{l}.self"),
+                    d,
+                    d,
+                    Initializer::XavierUniform,
+                    &mut rng,
+                )
             })
             .collect();
         let w_out = params.add_init("out.w", d, 1, Initializer::XavierUniform, &mut rng);
         let b_out = params.add_init("out.b", 1, 1, Initializer::Zeros, &mut rng);
-        Hgcn { cfg, params, w_in, b_in, w, compat, w_self, w_out, b_out }
+        Hgcn {
+            cfg,
+            params,
+            w_in,
+            b_in,
+            w,
+            compat,
+            w_self,
+            w_out,
+            b_out,
+        }
     }
 }
 
 impl BatchRegressor for Hgcn {
+    const NAME: &'static str = "HGCN";
+
     fn cfg(&self) -> &GnnConfig {
         &self.cfg
     }
@@ -98,9 +125,7 @@ impl BatchRegressor for Hgcn {
                 let idx = edge_idx(g, block, edges);
                 g.recycle_idx(idx.prev);
                 let nv = mean_norm_col(g, &idx.dst);
-                let msg = g.gather_rows(wh, idx.src);
-                let weighted = g.mul_col(msg, nv);
-                let agg = g.segment_sum(weighted, idx.dst, n_dst);
+                let agg = g.edge_aggregate([(wh, EdgeRows::Gather(idx.src))], nv, idx.dst, n_dst);
                 // Compatibility gate: scale the relation's aggregate by a
                 // learnable sigmoid scalar, broadcast as a 1 x d row.
                 let c_raw = g.param(&self.params, self.compat[l][lt]);
@@ -120,30 +145,21 @@ impl BatchRegressor for Hgcn {
     }
 }
 
-impl CitationModel for Hgcn {
-    fn name(&self) -> String {
-        "HGCN".into()
-    }
-
-    fn fit(&mut self, ds: &Dataset) {
-        train_regressor(self, ds);
-    }
-
-    fn predict(&self, ds: &Dataset, papers: &[usize]) -> Vec<f32> {
-        predict_regressor(self, ds, papers)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::CitationModel;
     use dblp_sim::WorldConfig;
     use tensor::Tensor;
 
     #[test]
     fn trains_and_predicts_finite() {
         let ds = Dataset::full(&WorldConfig::tiny(), 8);
-        let mut m = Hgcn::new(GnnConfig::test_tiny(), ds.features.cols(), ds.graph.schema().num_link_types());
+        let mut m = Hgcn::new(
+            GnnConfig::test_tiny(),
+            ds.features.cols(),
+            ds.graph.schema().num_link_types(),
+        );
         m.fit(&ds);
         let preds = m.predict(&ds, &ds.split.test);
         assert_eq!(preds.len(), ds.split.test.len());
@@ -153,7 +169,11 @@ mod tests {
     #[test]
     fn compatibility_gates_receive_gradients() {
         let ds = Dataset::full(&WorldConfig::tiny(), 8);
-        let m = Hgcn::new(GnnConfig::test_tiny(), ds.features.cols(), ds.graph.schema().num_link_types());
+        let m = Hgcn::new(
+            GnnConfig::test_tiny(),
+            ds.features.cols(),
+            ds.graph.schema().num_link_types(),
+        );
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let mut g = Graph::new();
         let batch: Vec<usize> = ds.split.train.iter().take(8).copied().collect();
@@ -164,9 +184,7 @@ mod tests {
         let gated = g
             .bindings()
             .iter()
-            .filter(|(pid, v)| {
-                m.compat.iter().flatten().any(|c| c == pid) && g.grad(*v).is_some()
-            })
+            .filter(|(pid, v)| m.compat.iter().flatten().any(|c| c == pid) && g.grad(*v).is_some())
             .count();
         assert!(gated > 0, "at least one compatibility gate must train");
     }

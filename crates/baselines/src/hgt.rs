@@ -6,14 +6,13 @@
 //! output projection with a residual connection.
 
 use crate::common::{
-    build_batch, edge_idx, gather_seed_rows, predict_regressor, train_regressor, BatchInputs,
-    BatchRegressor, CitationModel, GnnConfig,
+    build_batch, edge_idx, gather_seed_rows, BatchInputs, BatchRegressor, GnnConfig,
 };
 use dblp_sim::Dataset;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tensor::{Graph, Initializer, ParamId, Params, Var};
+use tensor::{EdgeRows, Graph, Initializer, ParamId, Params, Var};
 
 /// Heterogeneous graph transformer regressor.
 #[derive(Debug)]
@@ -92,6 +91,8 @@ impl Hgt {
 }
 
 impl BatchRegressor for Hgt {
+    const NAME: &'static str = "HGT";
+
     fn cfg(&self) -> &GnnConfig {
         &self.cfg
     }
@@ -135,46 +136,36 @@ impl BatchRegressor for Hgt {
             // Stack all typed edges; attention normalised per dst across
             // every incoming edge regardless of type, with a per-type prior.
             let mut dst_all = g.scratch_idx();
-            let mut scores: Option<Var> = None;
-            let mut values: Option<Var> = None;
+            let mut src_all = g.scratch_idx();
+            let mut scores = Vec::with_capacity(block.edges_by_type.len());
             for (lt, edges) in block.edges_by_type.iter().enumerate() {
                 if edges.is_empty() {
                     continue;
                 }
                 let n_edges = edges.len();
                 let idx = edge_idx(g, block, edges);
-                let src2 = g.scratch_idx_from(&idx.src);
-                let k_u = g.gather_rows(kh, src2);
+                src_all.extend_from_slice(&idx.src);
+                let k_u = g.gather_rows(kh, idx.src);
                 let q_v = g.gather_rows(qh, idx.prev);
                 let s = g.rowwise_dot(k_u, q_v);
                 let s = g.scale(s, scale);
                 // Per-link-type prior: multiply scores by mu_lt.
                 let mu = g.param(&self.params, self.mu[l][lt]);
                 let mu_col = g.tile_row(mu, n_edges);
-                let s = g.mul(s, mu_col);
-                let v_u = g.gather_rows(vh, idx.src);
-                scores = Some(match scores {
-                    Some(p) => g.concat_rows(p, s),
-                    None => s,
-                });
-                values = Some(match values {
-                    Some(p) => g.concat_rows(p, v_u),
-                    None => v_u,
-                });
+                scores.push(g.mul(s, mu_col));
                 dst_all.extend_from_slice(&idx.dst);
                 g.recycle_idx(idx.dst);
             }
-            let agg = match (scores, values) {
-                (Some(s), Some(val)) => {
-                    let seg = g.scratch_idx_from(&dst_all);
-                    let alpha = g.segment_softmax(s, seg);
-                    let weighted = g.mul_col(val, alpha);
-                    g.segment_sum(weighted, dst_all, n_dst)
-                }
-                _ => {
-                    g.recycle_idx(dst_all);
-                    g.input_with(n_dst, self.cfg.dim, |rows| rows.fill(0.0))
-                }
+            let agg = if scores.is_empty() {
+                g.recycle_idx(src_all);
+                g.recycle_idx(dst_all);
+                g.input_with(n_dst, self.cfg.dim, |rows| rows.fill(0.0))
+            } else {
+                // Scaled dot-product scores have no LeakyReLU: slope 1.
+                let s = g.stack_rows(&scores);
+                let seg = g.scratch_idx_from(&dst_all);
+                let alpha = g.edge_softmax([(s, EdgeRows::Own)], seg, n_dst, 1.0);
+                g.edge_aggregate([(vh, EdgeRows::Gather(src_all))], alpha, dst_all, n_dst)
             };
             // Node-type-specific output projection + residual.
             let mut dst_types = g.scratch_idx();
@@ -213,7 +204,7 @@ fn project_by_type(
     for (pos, &t) in types.iter().enumerate() {
         groups[t].push(pos);
     }
-    let mut stacked: Option<Var> = None;
+    let mut projected = Vec::with_capacity(n_types);
     let mut landing = g.scratch_idx();
     landing.resize(types.len(), 0);
     let mut offset = 0usize;
@@ -229,32 +220,16 @@ fn project_by_type(
             landing[pos] = offset + i;
         }
         offset += group.len();
-        stacked = Some(match stacked {
-            Some(prev) => g.concat_rows(prev, proj),
-            None => proj,
-        });
+        projected.push(proj);
     }
-    let stacked = stacked.expect("non-empty frontier");
+    let stacked = g.stack_rows(&projected);
     g.gather_rows(stacked, landing)
-}
-
-impl CitationModel for Hgt {
-    fn name(&self) -> String {
-        "HGT".into()
-    }
-
-    fn fit(&mut self, ds: &Dataset) {
-        train_regressor(self, ds);
-    }
-
-    fn predict(&self, ds: &Dataset, papers: &[usize]) -> Vec<f32> {
-        predict_regressor(self, ds, papers)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::CitationModel;
     use dblp_sim::WorldConfig;
     use tensor::Tensor;
 

@@ -35,7 +35,7 @@ pub mod skipgram;
 
 pub use bert_reg::BertRegressor;
 pub use cart::{Cart, CartConfig};
-pub use common::{mean_predictor_rmse, CitationModel, GnnConfig};
+pub use common::{mean_predictor_rmse, CitationModel, GnnConfig, MetapathModel};
 pub use features::{Ccp, Cpdf, HistoryStats};
 pub use gat::Gat;
 pub use han::Han;
@@ -55,6 +55,8 @@ pub fn all_baselines(ds: &Dataset, gnn: &GnnConfig) -> Vec<Box<dyn CitationModel
     let feat_dim = ds.features.cols();
     let n_node_types = ds.graph.schema().num_node_types();
     let n_link_types = ds.graph.schema().num_link_types();
+    let han: Han = MetapathModel::new(gnn.clone(), feat_dim, 4);
+    let magnn: Magnn = MetapathModel::new(gnn.clone(), feat_dim, 4);
     vec![
         Box::new(BertRegressor::default()),
         Box::new(Gat::new(gnn.clone(), feat_dim, 2)),
@@ -63,10 +65,10 @@ pub fn all_baselines(ds: &Dataset, gnn: &GnnConfig) -> Vec<Box<dyn CitationModel
         Box::new(MetaPath2Vec::default()),
         Box::new(Hin2Vec::default()),
         Box::new(Rgcn::new(gnn.clone(), feat_dim, n_link_types)),
-        Box::new(Han::new(gnn.clone(), feat_dim, 4)),
+        Box::new(han),
         Box::new(HetGnn::new(gnn.clone(), feat_dim, n_node_types)),
         Box::new(Hgt::new(gnn.clone(), feat_dim, n_node_types, n_link_types)),
-        Box::new(Magnn::new(gnn.clone(), feat_dim, 4)),
+        Box::new(magnn),
         Box::new(Hgcn::new(gnn.clone(), feat_dim, n_link_types)),
     ]
 }

@@ -2,178 +2,69 @@
 //! MAGNN encodes whole meta-path *instances* — including the intermediate
 //! nodes — with an instance encoder (the "MAGNN-mean" variant here), then
 //! applies intra-meta-path attention over instances and inter-meta-path
-//! attention across paths.
+//! attention across paths. The model body is [`MetapathModel`]; MAGNN's
+//! own part is the instance encoder.
 
-use crate::common::{
-    metapath_neighbors, predict_regressor, standard_metapaths, train_regressor, BatchRegressor,
-    CitationModel, GnnConfig,
-};
+use crate::common::{metapath_neighbors, MetapathModel, PathRows};
 use dblp_sim::Dataset;
+use hetgraph::LinkTypeId;
 use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use tensor::{Graph, Initializer, ParamId, Params, Tensor, Var};
+use tensor::Tensor;
 
 /// Meta-path-instance attention regressor.
+pub type Magnn = MetapathModel<InstanceMeans>;
+
+/// MAGNN's instance rows: the mean of the raw features of every node on
+/// the instance (start, intermediate if any, end) — the MAGNN-mean
+/// encoder.
 #[derive(Debug)]
-pub struct Magnn {
-    cfg: GnnConfig,
-    params: Params,
-    w_proj: ParamId,
-    b_proj: ParamId,
-    /// Intra-path instance attention per meta-path (`2d x 1`).
-    att_intra: Vec<ParamId>,
-    /// Inter-path attention (semantic level).
-    w_sem: ParamId,
-    b_sem: ParamId,
-    q_sem: ParamId,
-    w_out: ParamId,
-    b_out: ParamId,
-    n_paths: usize,
-}
+pub struct InstanceMeans;
 
-impl Magnn {
-    pub fn new(cfg: GnnConfig, feat_dim: usize, n_paths: usize) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xA6);
-        let mut params = Params::new();
-        let d = cfg.dim;
-        let w_proj = params.add_init("proj.w", feat_dim, d, Initializer::XavierUniform, &mut rng);
-        let b_proj = params.add_init("proj.b", 1, d, Initializer::Zeros, &mut rng);
-        let att_intra = (0..n_paths)
-            .map(|p| {
-                params.add_init(format!("intra.p{p}"), 2 * d, 1, Initializer::XavierUniform, &mut rng)
-            })
-            .collect();
-        let w_sem = params.add_init("sem.w", d, d, Initializer::XavierUniform, &mut rng);
-        let b_sem = params.add_init("sem.b", 1, d, Initializer::Zeros, &mut rng);
-        let q_sem = params.add_init("sem.q", d, 1, Initializer::XavierUniform, &mut rng);
-        let w_out = params.add_init("out.w", d, 1, Initializer::XavierUniform, &mut rng);
-        let b_out = params.add_init("out.b", 1, 1, Initializer::Zeros, &mut rng);
-        Magnn { cfg, params, w_proj, b_proj, att_intra, w_sem, b_sem, q_sem, w_out, b_out, n_paths }
-    }
-}
+impl PathRows for InstanceMeans {
+    const NAME: &'static str = "MAGNN";
+    const SEED_SALT: u64 = 0xA6;
 
-impl BatchRegressor for Magnn {
-    fn cfg(&self) -> &GnnConfig {
-        &self.cfg
-    }
-
-    fn params_mut(&mut self) -> &mut Params {
-        &mut self.params
-    }
-
-    fn batch_forward<R: Rng>(
-        &self,
-        g: &mut Graph,
+    fn rows<R: Rng>(
         ds: &Dataset,
         papers: &[usize],
+        path: &[LinkTypeId],
+        fanout: usize,
         rng: &mut R,
-    ) -> Var {
-        let b = papers.len();
-        let paths = standard_metapaths(ds);
-        let self_rows: Vec<usize> = papers.iter().map(|&i| ds.paper_nodes[i].index()).collect();
-        let x_self = g.input(ds.features.gather_rows(&self_rows));
-        let w_proj = g.param(&self.params, self.w_proj);
-        let b_proj = g.param(&self.params, self.b_proj);
-        let lin = g.linear(x_self, w_proj, b_proj);
-        let h_self = g.relu(lin);
-
-        let mut z_paths = Vec::with_capacity(self.n_paths);
-        let mut sem_scores = Vec::with_capacity(self.n_paths);
-        for (p, (_, path)) in paths.iter().enumerate() {
-            // Instance encoding: mean of the raw features of every node on
-            // the instance (start, intermediate if any, end) — the
-            // MAGNN-mean encoder.
-            let mut inst_feats: Vec<f32> = Vec::new();
-            let mut seg: Vec<usize> = Vec::new();
-            let fdim = ds.features.cols();
-            for (pos, &i) in papers.iter().enumerate() {
-                let start = ds.paper_nodes[i];
-                // Self instance keeps isolated papers covered.
-                inst_feats.extend(ds.features.row(start.index()));
-                seg.push(pos);
-                for (end, mid) in metapath_neighbors(ds, start, path, self.cfg.fanout, rng) {
-                    let mut mean = ds.features.row(start.index()).to_vec();
-                    let mut cnt = 1.0f32;
-                    for (m, &x) in mean.iter_mut().zip(ds.features.row(end.index())) {
+    ) -> (Tensor, Vec<usize>) {
+        let mut inst_feats: Vec<f32> = Vec::new();
+        let mut seg: Vec<usize> = Vec::new();
+        let fdim = ds.features.cols();
+        for (pos, &i) in papers.iter().enumerate() {
+            let start = ds.paper_nodes[i];
+            // Self instance keeps isolated papers covered.
+            inst_feats.extend(ds.features.row(start.index()));
+            seg.push(pos);
+            for (end, mid) in metapath_neighbors(ds, start, path, fanout, rng) {
+                let mut mean = ds.features.row(start.index()).to_vec();
+                let mut cnt = 1.0f32;
+                for (m, &x) in mean.iter_mut().zip(ds.features.row(end.index())) {
+                    *m += x;
+                }
+                cnt += 1.0;
+                if let Some(mid) = mid {
+                    for (m, &x) in mean.iter_mut().zip(ds.features.row(mid.index())) {
                         *m += x;
                     }
                     cnt += 1.0;
-                    if let Some(mid) = mid {
-                        for (m, &x) in mean.iter_mut().zip(ds.features.row(mid.index())) {
-                            *m += x;
-                        }
-                        cnt += 1.0;
-                    }
-                    mean.iter_mut().for_each(|m| *m /= cnt);
-                    inst_feats.extend(mean);
-                    seg.push(pos);
                 }
+                mean.iter_mut().for_each(|m| *m /= cnt);
+                inst_feats.extend(mean);
+                seg.push(pos);
             }
-            let n_inst = seg.len();
-            let x_inst = g.input(Tensor::from_vec(n_inst, fdim, inst_feats));
-            let lin_i = g.linear(x_inst, w_proj, b_proj);
-            let h_inst = g.relu(lin_i);
-            // Intra-path attention over instances.
-            let h_v = g.gather_rows(h_self, seg.clone());
-            let feat = g.concat_cols(h_v, h_inst);
-            let a = g.param(&self.params, self.att_intra[p]);
-            let s = g.matmul(feat, a);
-            let s = g.leaky_relu(s, 0.2);
-            let alpha = g.segment_softmax(s, seg.clone());
-            let weighted = g.mul_col(h_inst, alpha);
-            let z_p = g.segment_sum(weighted, seg, b);
-            // Inter-path semantic score.
-            let w_sem = g.param(&self.params, self.w_sem);
-            let b_sem = g.param(&self.params, self.b_sem);
-            let t1 = g.linear(z_p, w_sem, b_sem);
-            let t = g.tanh(t1);
-            let q = g.param(&self.params, self.q_sem);
-            let s_col = g.matmul(t, q);
-            sem_scores.push(g.mean_all(s_col));
-            z_paths.push(z_p);
         }
-        let mut stacked = sem_scores[0];
-        for &s in &sem_scores[1..] {
-            stacked = g.concat_rows(stacked, s);
-        }
-        let row = g.transpose(stacked);
-        let beta = g.softmax_rows(row);
-        let ones = g.input(Tensor::ones(b, 1));
-        let mut z: Option<Var> = None;
-        for (p, &z_p) in z_paths.iter().enumerate() {
-            let beta_p = g.col_slice(beta, p);
-            let beta_col = g.matmul(ones, beta_p);
-            let term = g.mul_col(z_p, beta_col);
-            z = Some(match z {
-                Some(prev) => g.add(prev, term),
-                None => term,
-            });
-        }
-        let z = z.expect("at least one path");
-        let w_out = g.param(&self.params, self.w_out);
-        let b_out = g.param(&self.params, self.b_out);
-        g.linear(z, w_out, b_out)
-    }
-}
-
-impl CitationModel for Magnn {
-    fn name(&self) -> String {
-        "MAGNN".into()
-    }
-
-    fn fit(&mut self, ds: &Dataset) {
-        train_regressor(self, ds);
-    }
-
-    fn predict(&self, ds: &Dataset, papers: &[usize]) -> Vec<f32> {
-        predict_regressor(self, ds, papers)
+        (Tensor::from_vec(seg.len(), fdim, inst_feats), seg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{CitationModel, GnnConfig};
     use dblp_sim::WorldConfig;
 
     #[test]

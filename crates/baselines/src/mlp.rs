@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn shapes_and_determinism() {
         let mlp = Mlp::new(&[4, 8, 8, 1], 7);
-        let x = Tensor::ones(3, 4);
+        let x = Tensor::full(3, 4, 1.0);
         let (a, b) = (mlp.predict(&x), mlp.predict(&x));
         assert_eq!(a.len(), 3);
         assert_eq!(a, b);

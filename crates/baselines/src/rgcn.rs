@@ -4,14 +4,13 @@
 //! (Sec. III-C1).
 
 use crate::common::{
-    build_batch, edge_idx, gather_seed_rows, mean_norm_col, predict_regressor, train_regressor,
-    BatchInputs, BatchRegressor, CitationModel, GnnConfig,
+    build_batch, edge_idx, gather_seed_rows, mean_norm_col, BatchInputs, BatchRegressor, GnnConfig,
 };
 use dblp_sim::Dataset;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tensor::{Graph, Initializer, ParamId, Params, Var};
+use tensor::{EdgeRows, Graph, Initializer, ParamId, Params, Var};
 
 /// Relational GCN regressor.
 #[derive(Debug)]
@@ -51,11 +50,28 @@ impl Rgcn {
             })
             .collect();
         let w_self = (0..cfg.layers)
-            .map(|l| params.add_init(format!("l{l}.self"), d, d, Initializer::XavierUniform, &mut rng))
+            .map(|l| {
+                params.add_init(
+                    format!("l{l}.self"),
+                    d,
+                    d,
+                    Initializer::XavierUniform,
+                    &mut rng,
+                )
+            })
             .collect();
         let w_out = params.add_init("out.w", d, 1, Initializer::XavierUniform, &mut rng);
         let b_out = params.add_init("out.b", 1, 1, Initializer::Zeros, &mut rng);
-        Rgcn { cfg, params, w_in, b_in, w_rel, w_self, w_out, b_out }
+        Rgcn {
+            cfg,
+            params,
+            w_in,
+            b_in,
+            w_rel,
+            w_self,
+            w_out,
+            b_out,
+        }
     }
 
     /// Number of scalar weights — the per-relation cost the test
@@ -67,6 +83,8 @@ impl Rgcn {
 }
 
 impl BatchRegressor for Rgcn {
+    const NAME: &'static str = "R-GCN";
+
     fn cfg(&self) -> &GnnConfig {
         &self.cfg
     }
@@ -111,8 +129,7 @@ impl BatchRegressor for Rgcn {
                 let h_u = g.gather_rows(h, idx.src);
                 let w = g.param(&self.params, self.w_rel[l][lt]);
                 let msg = g.matmul(h_u, w);
-                let weighted = g.mul_col(msg, nv);
-                let agg = g.segment_sum(weighted, idx.dst, n_dst);
+                let agg = g.edge_aggregate([(msg, EdgeRows::Own)], nv, idx.dst, n_dst);
                 acc = g.add(acc, agg);
             }
             h = g.relu(acc);
@@ -124,29 +141,20 @@ impl BatchRegressor for Rgcn {
     }
 }
 
-impl CitationModel for Rgcn {
-    fn name(&self) -> String {
-        "R-GCN".into()
-    }
-
-    fn fit(&mut self, ds: &Dataset) {
-        train_regressor(self, ds);
-    }
-
-    fn predict(&self, ds: &Dataset, papers: &[usize]) -> Vec<f32> {
-        predict_regressor(self, ds, papers)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::CitationModel;
     use dblp_sim::WorldConfig;
 
     #[test]
     fn trains_and_predicts_finite() {
         let ds = Dataset::full(&WorldConfig::tiny(), 8);
-        let mut m = Rgcn::new(GnnConfig::test_tiny(), ds.features.cols(), ds.graph.schema().num_link_types());
+        let mut m = Rgcn::new(
+            GnnConfig::test_tiny(),
+            ds.features.cols(),
+            ds.graph.schema().num_link_types(),
+        );
         m.fit(&ds);
         let preds = m.predict(&ds, &ds.split.test);
         assert_eq!(preds.len(), ds.split.test.len());
@@ -160,8 +168,7 @@ mod tests {
         let small = Rgcn::new(GnnConfig::test_tiny(), 8, 2);
         let large = Rgcn::new(GnnConfig::test_tiny(), 8, 7);
         assert!(large.num_weights() > small.num_weights());
-        let per_rel =
-            (large.num_weights() - small.num_weights()) / 5;
+        let per_rel = (large.num_weights() - small.num_weights()) / 5;
         assert_eq!(per_rel, GnnConfig::test_tiny().layers * 8 * 8);
     }
 }

@@ -250,8 +250,10 @@ fn uniform_weights<F: ForwardCtx>(g: &mut F, groups: &[usize], n_groups: usize) 
 /// Per edge only two fused kernels run: `edge_softmax` assembles each
 /// edge's scores from those rows and turns them into head-averaged
 /// attention, and `edge_aggregate` sums each edge's weighted message
-/// `(φ·W_a[:d])[src] + (h_v·W_a[d:])[dst]` into its slot. Per-edge work is
-/// `O(d)`, and no per-edge `m x d` tensor exists. Everything is a
+/// `(φ·W_a[:d])[src] + (h_v·W_a[d:])[dst]` into its slot. Eq. 15 runs the
+/// same pair per slot and sums the weighted slot aggregates into their
+/// destinations. Per-edge work is `O(d)`, and no per-edge or per-slot
+/// `m x d` tensor exists. Everything is a
 /// `ForwardCtx` op, so the tape and the tape-free context run the same op
 /// sequence.
 pub fn node_update<F: ForwardCtx>(
@@ -375,12 +377,11 @@ pub fn node_update<F: ForwardCtx>(
             let src_rows = EdgeRows::Gather(g.scratch_idx_from(&ti.src_of_edge));
             let seg = g.scratch_idx_from(&ti.local_seg);
             let alpha = g.edge_softmax(
-                s_slot,
-                slot_rows,
-                s_src,
-                src_rows,
-                s_type,
-                EdgeRows::Broadcast,
+                [
+                    (s_slot, slot_rows),
+                    (s_src, src_rows),
+                    (s_type, EdgeRows::Broadcast),
+                ],
                 seg,
                 n_active,
                 ATTENTION_SLOPE,
@@ -397,10 +398,10 @@ pub fn node_update<F: ForwardCtx>(
         // Eq. 3's weighted sum, into *active-dst-local* slots to keep the
         // cross-type softmax free of phantom zero rows.
         let agg = g.edge_aggregate(
-            msg_src,
-            ti.src_of_edge,
-            msg_dst,
-            ti.dst_idx,
+            [
+                (msg_src, EdgeRows::Gather(ti.src_of_edge)),
+                (msg_dst, EdgeRows::Gather(ti.dst_idx)),
+            ],
             alpha,
             ti.local_seg,
             n_active,
@@ -430,12 +431,11 @@ pub fn node_update<F: ForwardCtx>(
             let dst_rows = EdgeRows::Gather(g.scratch_idx_from(&segments));
             let seg = g.scratch_idx_from(&segments);
             let beta = g.edge_softmax(
-                s_dst,
-                dst_rows,
-                s_agg,
-                EdgeRows::Own,
-                s_types,
-                EdgeRows::Gather(slot_type),
+                [
+                    (s_dst, dst_rows),
+                    (s_agg, EdgeRows::Own),
+                    (s_types, EdgeRows::Gather(slot_type)),
+                ],
                 seg,
                 n_dst,
                 ATTENTION_SLOPE,
@@ -452,11 +452,9 @@ pub fn node_update<F: ForwardCtx>(
         }
     };
     g.free(h_prev_dst);
-    let weighted = g.mul_col(stacked_agg, beta);
+    let agg = g.edge_aggregate([(stacked_agg, EdgeRows::Own)], beta, segments, n_dst);
     g.free(stacked_agg);
     g.free(beta);
-    let agg = g.segment_sum(weighted, segments, n_dst);
-    g.free(weighted);
     let combined = add_freeing(g, agg, self_term);
     let out = g.relu(combined);
     g.free(combined);

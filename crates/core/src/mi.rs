@@ -224,7 +224,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let w_d = params.add_init("w_d", 4, 4, Initializer::XavierUniform, &mut rng);
         let mut g = Graph::new();
-        let h = g.input(Tensor::ones(1, 4));
+        let h = g.input(Tensor::full(1, 4, 1.0));
         assert!(mi_loss(&mut g, &params, w_d, &block, h, h, 16, &mut rng).is_none());
     }
 

@@ -4,9 +4,13 @@
 //! Eq. 3 message is `[φ(h_u, h_e) ‖ h_v] · W_a`, each Eq. 14 score is
 //! `[h_v ‖ h_e ‖ h_u] · a` per head, and each Eq. 15 score is
 //! `[h_v ‖ h_e ‖ agg] · a` per head, with every concatenation built per
-//! edge or per slot. `node_update` computes the same function split at the
-//! concat boundaries, once per node or per type, so the two differ only by
-//! float summation order. The tests hold the output and the gradients of
+//! edge or per slot. Each head's concat-form score column goes through
+//! `edge_softmax` as its one `Own` operand (LeakyReLU and segment softmax,
+//! held to a written-out loop in the tensor crate's `edge_kernels` tests),
+//! and each weighted sum through a one-operand `edge_aggregate`.
+//! `node_update` computes the same function split at the concat
+//! boundaries, once per node or per type, so the two differ only by float
+//! summation order. The tests hold the output and the gradients of
 //! `W_a`, `w_self`, every `a_node` and `a_link` head and `h_src` to the
 //! reference within [`REL_TOL`] of each tensor's largest magnitude.
 
@@ -16,25 +20,26 @@ use dblp_sim::{Dataset, WorldConfig};
 use hetgraph::{sample_blocks, Block};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tensor::{Graph, ParamId, Params, Tensor, Var};
+use tensor::{EdgeRows, Graph, ParamId, Params, Tensor, Var};
 
 /// Largest allowed `max |got - want| / max |want|` per compared tensor.
 const REL_TOL: f32 = 1e-4;
 
-/// Head-averaged `softmax(leaky_relu(feat · a_h))` within each segment.
+/// Head-averaged `softmax(leaky_relu(feat · a_h))` within each of the
+/// `n_seg` segments.
 fn reference_heads(
     g: &mut Graph,
     params: &Params,
     feat: Var,
     heads: &[ParamId],
     segments: &[usize],
+    n_seg: usize,
 ) -> Var {
     let mut sum: Option<Var> = None;
     for &aid in heads {
         let a = g.param(params, aid);
         let s = g.matmul(feat, a);
-        let s = g.leaky_relu(s, 0.2);
-        let sm = g.segment_softmax(s, segments.to_vec());
+        let sm = g.edge_softmax([(s, EdgeRows::Own)], segments.to_vec(), n_seg, 0.2);
         sum = Some(match sum {
             None => sm,
             Some(prev) => g.add(prev, sm),
@@ -88,7 +93,7 @@ fn reference_node_update(
         let alpha = if attn {
             let hv_he = g.concat_cols(h_v, e_tiled);
             let feat = g.concat_cols(hv_he, h_u);
-            reference_heads(g, params, feat, &lp.a_node[lt], &dst)
+            reference_heads(g, params, feat, &lp.a_node[lt], &dst, n_dst)
         } else {
             let mut deg = vec![0.0f32; n_dst];
             for &d in &dst {
@@ -96,8 +101,7 @@ fn reference_node_update(
             }
             g.input(Tensor::col_vec(dst.iter().map(|&d| 1.0 / deg[d]).collect()))
         };
-        let weighted = g.mul_col(msg, alpha);
-        let agg = g.segment_sum(weighted, slot, active.len());
+        let agg = g.edge_aggregate([(msg, EdgeRows::Own)], alpha, slot, active.len());
 
         let h_v_slot = g.gather_rows(h_src, active_prev);
         let e_slot = g.tile_row(h_edge[lt], active.len());
@@ -106,9 +110,10 @@ fn reference_node_update(
         segments.extend_from_slice(&active);
         stacked = Some(match stacked {
             None => (agg, feat),
-            Some((prev_agg, prev_feat)) => {
-                (g.concat_rows(prev_agg, agg), g.concat_rows(prev_feat, feat))
-            }
+            Some((prev_agg, prev_feat)) => (
+                g.stack_rows(&[prev_agg, agg]),
+                g.stack_rows(&[prev_feat, feat]),
+            ),
         });
     }
 
@@ -120,7 +125,7 @@ fn reference_node_update(
         return g.relu(self_term);
     };
     let beta = if attn {
-        reference_heads(g, params, stacked_feat, &lp.a_link, &segments)
+        reference_heads(g, params, stacked_feat, &lp.a_link, &segments, n_dst)
     } else {
         let mut cnt = vec![0.0f32; n_dst];
         for &s in &segments {
@@ -130,8 +135,7 @@ fn reference_node_update(
             segments.iter().map(|&s| 1.0 / cnt[s]).collect(),
         ))
     };
-    let weighted = g.mul_col(stacked_agg, beta);
-    let agg = g.segment_sum(weighted, segments, n_dst);
+    let agg = g.edge_aggregate([(stacked_agg, EdgeRows::Own)], beta, segments, n_dst);
     let combined = g.add(agg, self_term);
     g.relu(combined)
 }

@@ -6,7 +6,7 @@ use catehgn::ca::{masked_embedding, soft_assign, target_distribution, CaParams};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tensor::{Graph, Params, Tensor};
+use tensor::{softmax_in_place, Graph, Params, Tensor};
 
 fn small_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-3.0f32..3.0, rows * cols)
@@ -52,7 +52,10 @@ proptest! {
     #[test]
     fn target_distribution_is_stochastic_and_sharper(q_raw in small_tensor(5, 3)) {
         // Build a valid Q by softmaxing arbitrary logits.
-        let q = q_raw.softmax_rows();
+        let mut q = q_raw.clone();
+        for i in 0..5 {
+            softmax_in_place(q.row_mut(i));
+        }
         let p = target_distribution(&q);
         let mut q_ent = 0.0f32;
         let mut p_ent = 0.0f32;

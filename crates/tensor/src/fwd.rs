@@ -13,7 +13,7 @@
 
 use crate::graph::Var;
 use crate::pool::BufferPool;
-use crate::tensor::{circular_correlation_windowed, fill_corr_window, softmax_in_place, Tensor};
+use crate::tensor::{circular_correlation_windowed, dot, fill_corr_window, Tensor};
 
 /// Pooled element-wise map (`out[i] = f(src[i])`), same shape as `src`.
 pub(crate) fn pooled_map(pool: &mut BufferPool, src: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
@@ -64,10 +64,6 @@ pub(crate) fn scale(pool: &mut BufferPool, a: &Tensor, alpha: f32) -> Tensor {
 
 pub(crate) fn relu(pool: &mut BufferPool, a: &Tensor) -> Tensor {
     pooled_map(pool, a, |x| x.max(0.0))
-}
-
-pub(crate) fn leaky_relu(pool: &mut BufferPool, a: &Tensor, slope: f32) -> Tensor {
-    pooled_map(pool, a, |x| if x > 0.0 { x } else { slope * x })
 }
 
 pub(crate) fn sigmoid(pool: &mut BufferPool, a: &Tensor) -> Tensor {
@@ -184,15 +180,6 @@ pub(crate) fn sum_rows(pool: &mut BufferPool, a: &Tensor) -> Tensor {
     out
 }
 
-pub(crate) fn softmax_rows(pool: &mut BufferPool, a: &Tensor) -> Tensor {
-    let m = a.cols();
-    let mut out = pool.tensor_copy(a);
-    for r in out.as_mut_slice().chunks_exact_mut(m.max(1)) {
-        softmax_in_place(r);
-    }
-    out
-}
-
 /// `[a | b]` horizontal concatenation.
 pub(crate) fn concat_cols(pool: &mut BufferPool, a: &Tensor, b: &Tensor) -> Tensor {
     let (n, ma) = a.shape();
@@ -215,64 +202,6 @@ pub(crate) fn gather_rows(pool: &mut BufferPool, a: &Tensor, indices: &[usize]) 
         assert!(i < n, "gather index {i} out of bounds ({n} rows)");
         out.row_mut(r).copy_from_slice(a.row(i));
     }
-    out
-}
-
-/// Scatter-sums the rows of `a` into `n_segments` buckets.
-pub(crate) fn segment_sum(
-    pool: &mut BufferPool,
-    a: &Tensor,
-    segments: &[usize],
-    n_segments: usize,
-) -> Tensor {
-    let (n, _m) = a.shape();
-    assert_eq!(segments.len(), n, "segment_sum: one segment id per row");
-    let mut out = pool.tensor_zeroed(n_segments, a.cols());
-    for (i, &s) in segments.iter().enumerate() {
-        assert!(s < n_segments, "segment id {s} out of range");
-        for (o, &x) in out.row_mut(s).iter_mut().zip(a.row(i)) {
-            *o += x;
-        }
-    }
-    out
-}
-
-/// Softmax over the entries of an `n x 1` score column, normalised
-/// independently within each segment-id group.
-pub(crate) fn segment_softmax(
-    pool: &mut BufferPool,
-    scores: &Tensor,
-    segments: &[usize],
-) -> Tensor {
-    let (n, c) = scores.shape();
-    assert_eq!(c, 1, "segment_softmax expects an n x 1 column");
-    assert_eq!(segments.len(), n);
-    let n_seg = segments.iter().copied().max().map_or(0, |s| s + 1);
-    let mut out = pool.tensor_raw(n, 1);
-    let mut seg_max = pool.take_raw(n_seg);
-    let mut seg_sum = pool.take_zeroed(n_seg);
-    seg_max.fill(f32::NEG_INFINITY);
-    {
-        // Same arithmetic as a per-group `softmax_in_place`: per-group
-        // max, exp(x - max) accumulated in index order, then normalise.
-        let sv = scores.as_slice();
-        let o = out.as_mut_slice();
-        for (j, &s) in segments.iter().enumerate() {
-            seg_max[s] = seg_max[s].max(sv[j]);
-        }
-        for (j, &s) in segments.iter().enumerate() {
-            let e = (sv[j] - seg_max[s]).exp();
-            o[j] = e;
-            seg_sum[s] += e;
-        }
-        for (j, &s) in segments.iter().enumerate() {
-            if seg_sum[s] > 0.0 {
-                o[j] /= seg_sum[s];
-            }
-        }
-    }
-    pool.give(seg_max);
-    pool.give(seg_sum);
     out
 }
 
@@ -341,8 +270,8 @@ pub(crate) fn input_rows(pool: &mut BufferPool, src: &Tensor, rows: &[usize]) ->
     out
 }
 
-/// Which row of an [`edge_softmax`](crate::Graph::edge_softmax) score
-/// operand feeds each edge.
+/// Which row of an operand of [`edge_softmax`](crate::Graph::edge_softmax)
+/// or [`edge_aggregate`](crate::Graph::edge_aggregate) feeds each edge.
 #[derive(Clone, Debug)]
 pub enum EdgeRows {
     /// Row `e` feeds edge `e`: the operand holds one row per edge.
@@ -365,8 +294,15 @@ impl EdgeRows {
         }
     }
 
+    /// Returns a `Gather` list to `pool`.
+    pub(crate) fn recycle(self, pool: &mut BufferPool) {
+        if let EdgeRows::Gather(idx) = self {
+            pool.give_idx(idx);
+        }
+    }
+
     /// Panics unless every edge's row exists in an `n_rows`-row operand.
-    fn check(&self, n_rows: usize, m: usize, what: &str) {
+    fn check(&self, n_rows: usize, m: usize, op: &str) {
         let ok = match self {
             EdgeRows::Own => n_rows == m,
             EdgeRows::Gather(idx) => idx.len() == m && idx.iter().all(|&i| i < n_rows),
@@ -374,61 +310,101 @@ impl EdgeRows {
         };
         assert!(
             ok,
-            "edge_softmax: operand {what} ({n_rows} rows) does not cover {m} edges"
+            "{op}: an operand ({n_rows} rows) does not cover {m} edges"
         );
     }
 }
 
+/// One operand of a fused edge kernel: its value and how its rows meet
+/// the edges.
+pub(crate) type Operand<'a> = (&'a Tensor, &'a EdgeRows);
+
+/// Calls `f(e, j, x)` for each edge `e` and head `j`, in that order, with
+/// the edge's score `x`: the operands' rows summed in list order, so three
+/// operands give `(a + b) + c`. Dispatching on the operand count keeps the
+/// inner loop free of a loop over operands.
+pub(crate) fn for_each_score(
+    ops: &[Operand],
+    m: usize,
+    h: usize,
+    f: impl FnMut(usize, usize, f32),
+) {
+    match *ops {
+        [a] => scores_of([a], m, h, f),
+        [a, b] => scores_of([a, b], m, h, f),
+        [a, b, c] => scores_of([a, b, c], m, h, f),
+        // `edge_softmax` admits no other operand count.
+        _ => {}
+    }
+}
+
+#[inline(always)]
+fn scores_of<const N: usize>(
+    ops: [Operand; N],
+    m: usize,
+    h: usize,
+    mut f: impl FnMut(usize, usize, f32),
+) {
+    let vals = ops.map(|(t, _)| t.as_slice());
+    for e in 0..m {
+        let at = ops.map(|(_, r)| r.row(e) * h);
+        for j in 0..h {
+            let mut x = vals[0][at[0] + j];
+            for k in 1..N {
+                x += vals[k][at[k] + j];
+            }
+            f(e, j, x);
+        }
+    }
+}
+
 /// The fused attention of one edge set: per edge `e` and head `h`,
-/// `s = leaky_relu((a[ia_e] + b[ib_e]) + c[ic_e])`, a per-head softmax of
-/// `s` within each of the `n_seg` segments, and the heads' mean (summed in
-/// head order, then scaled by `1 / H`). Returns the `m x 1` mean and the
-/// `m x H` per-head weights that backward reads.
+/// `s = LeakyReLU(a[ia_e] + ...)` over the 1 to 3 score operands, a
+/// per-head softmax of `s` within each of the `n_seg` segments, and the
+/// heads' mean (summed in head order, then scaled by `1 / H`). Returns the
+/// `m x 1` mean and the `m x H` per-head weights that backward reads.
 ///
 /// Per (segment, head) every max, exponential sum and division runs in
-/// edge order, so each value is bitwise equal to the chain `gather_rows`,
-/// `add`, `add_row`, `leaky_relu`, `col_slice`, `segment_softmax`, `add`,
-/// `scale` that it replaces.
+/// edge order, as a segment softmax of the score column does. A slope of 1
+/// makes the LeakyReLU the identity, bit for bit.
 pub(crate) fn edge_softmax(
     pool: &mut BufferPool,
-    [a, b, c]: [&Tensor; 3],
-    [ia, ib, ic]: [&EdgeRows; 3],
+    ops: &[Operand],
     segments: &[usize],
     n_seg: usize,
     slope: f32,
 ) -> (Tensor, Tensor) {
+    assert!(
+        (1..=3).contains(&ops.len()),
+        "edge_softmax: takes 1 to 3 score operands, got {}",
+        ops.len()
+    );
     let m = segments.len();
-    let h = a.cols();
+    let h = ops[0].0.cols();
     assert!(h >= 1, "edge_softmax: needs at least one head");
     assert!(
-        b.cols() == h && c.cols() == h,
-        "edge_softmax: head counts differ ({h}, {}, {})",
-        b.cols(),
-        c.cols()
+        ops.iter().all(|(t, _)| t.cols() == h),
+        "edge_softmax: operand head counts differ"
     );
-    ia.check(a.rows(), m, "a");
-    ib.check(b.rows(), m, "b");
-    ic.check(c.rows(), m, "c");
+    for (t, rows) in ops {
+        rows.check(t.rows(), m, "edge_softmax");
+    }
     assert!(
         segments.iter().all(|&s| s < n_seg),
         "edge_softmax: segment id out of range ({n_seg} segments)"
     );
-    let (av, bv, cv) = (a.as_slice(), b.as_slice(), c.as_slice());
     let mut probs = pool.tensor_raw(m, h);
     let mut seg_max = pool.take_raw(n_seg * h);
     let mut seg_sum = pool.take_zeroed(n_seg * h);
     seg_max.fill(f32::NEG_INFINITY);
     {
         let p = probs.as_mut_slice();
-        for (e, &s) in segments.iter().enumerate() {
-            let (ra, rb, rc) = (ia.row(e) * h, ib.row(e) * h, ic.row(e) * h);
-            for j in 0..h {
-                let x = (av[ra + j] + bv[rb + j]) + cv[rc + j];
-                let y = if x > 0.0 { x } else { slope * x };
-                p[e * h + j] = y;
-                seg_max[s * h + j] = seg_max[s * h + j].max(y);
-            }
-        }
+        for_each_score(ops, m, h, |e, j, x| {
+            let s = segments[e];
+            let y = if x > 0.0 { x } else { slope * x };
+            p[e * h + j] = y;
+            seg_max[s * h + j] = seg_max[s * h + j].max(y);
+        });
         for (e, &s) in segments.iter().enumerate() {
             for j in 0..h {
                 let ex = (p[e * h + j] - seg_max[s * h + j]).exp();
@@ -453,7 +429,7 @@ pub(crate) fn edge_softmax(
         .iter_mut()
         .zip(probs.as_slice().chunks_exact(h))
     {
-        // Head 0 starts the sum, as the chain's first head did.
+        // Head 0 starts the sum; no `+0.0` start.
         let sum = row.iter().copied().reduce(|acc, y| acc + y).unwrap_or(0.0);
         *o = sum * inv;
     }
@@ -461,46 +437,87 @@ pub(crate) fn edge_softmax(
 }
 
 /// The fused weighted aggregation of one edge set:
-/// `out[seg_e] += (x[xi_e] + y[yi_e]) * w_e` over the edges in order, into
-/// `n_seg x d` zeros. Bitwise equal to the chain `gather_rows` (twice),
-/// `add`, `mul_col`, `segment_sum` it replaces, without its `m x d`
-/// intermediates.
-#[allow(clippy::too_many_arguments)]
+/// `out[seg_e] += msg_e * w_e` over the edges in order, into `n_seg x d`
+/// zeros, where `msg_e` is one operand's row or the sum of two operands'
+/// rows. No per-edge `m x d` tensor is built.
 pub(crate) fn edge_aggregate(
     pool: &mut BufferPool,
-    x: &Tensor,
-    xi: &[usize],
-    y: &Tensor,
-    yi: &[usize],
+    msgs: &[Operand],
     w: &Tensor,
     segments: &[usize],
     n_seg: usize,
 ) -> Tensor {
+    assert!(
+        (1..=2).contains(&msgs.len()),
+        "edge_aggregate: takes 1 or 2 message operands, got {}",
+        msgs.len()
+    );
     let m = segments.len();
-    let d = x.cols();
-    assert_eq!(y.cols(), d, "edge_aggregate: x and y widths differ");
+    let d = msgs[0].0.cols();
+    assert!(
+        msgs.iter().all(|(t, _)| t.cols() == d),
+        "edge_aggregate: message widths differ"
+    );
     assert_eq!(w.shape(), (m, 1), "edge_aggregate: w must be {m} x 1");
-    assert!(
-        xi.len() == m && yi.len() == m,
-        "edge_aggregate: one x and one y row per edge"
-    );
-    assert!(
-        xi.iter().all(|&i| i < x.rows()) && yi.iter().all(|&i| i < y.rows()),
-        "edge_aggregate: row index out of bounds"
-    );
+    for (t, rows) in msgs {
+        rows.check(t.rows(), m, "edge_aggregate");
+    }
     assert!(
         segments.iter().all(|&s| s < n_seg),
         "edge_aggregate: segment id out of range ({n_seg} segments)"
     );
+    let wv = w.as_slice();
     let mut out = pool.tensor_zeroed(n_seg, d);
-    for (e, &s) in segments.iter().enumerate() {
-        let wv = w.as_slice()[e];
-        let (xr, yr) = (x.row(xi[e]), y.row(yi[e]));
-        for ((o, &xv), &yv) in out.row_mut(s).iter_mut().zip(xr).zip(yr) {
-            *o += (xv + yv) * wv;
+    match *msgs {
+        [(x, xr)] => {
+            for (e, &s) in segments.iter().enumerate() {
+                for (o, &xv) in out.row_mut(s).iter_mut().zip(x.row(xr.row(e))) {
+                    *o += xv * wv[e];
+                }
+            }
         }
+        [(x, xr), (y, yr)] => {
+            for (e, &s) in segments.iter().enumerate() {
+                let (xs, ys) = (x.row(xr.row(e)), y.row(yr.row(e)));
+                for ((o, &xv), &yv) in out.row_mut(s).iter_mut().zip(xs).zip(ys) {
+                    *o += (xv + yv) * wv[e];
+                }
+            }
+        }
+        // Checked above.
+        _ => {}
     }
     out
+}
+
+/// `dw` of [`edge_aggregate`]: per edge, the dot of the output-gradient row
+/// of its segment with its recomputed message row, as `mul_col`'s column
+/// gradient. `msg` is scratch of the message width.
+pub(crate) fn edge_aggregate_dw(
+    msgs: &[Operand],
+    g: &Tensor,
+    segments: &[usize],
+    msg: &mut [f32],
+    out: &mut [f32],
+) {
+    match *msgs {
+        [(x, xr)] => {
+            for (e, (o, &s)) in out.iter_mut().zip(segments).enumerate() {
+                *o = dot(g.row(s), x.row(xr.row(e)));
+            }
+        }
+        [(x, xr), (y, yr)] => {
+            for (e, (o, &s)) in out.iter_mut().zip(segments).enumerate() {
+                let (xs, ys) = (x.row(xr.row(e)), y.row(yr.row(e)));
+                for ((m, &a), &b) in msg.iter_mut().zip(xs).zip(ys) {
+                    *m = a + b;
+                }
+                *o = dot(g.row(s), msg);
+            }
+        }
+        // `edge_aggregate` admits no other operand count.
+        _ => {}
+    }
 }
 
 /// The `values` of `parts` stacked vertically in order: one copy per part.

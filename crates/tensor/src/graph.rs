@@ -4,9 +4,9 @@
 //! Each op returns a [`Var`] handle; calling [`Graph::backward`] on a scalar
 //! loss propagates gradients to every node, including parameter leaves bound
 //! from a [`crate::params::Params`] store. The op set is tailored to the
-//! needs of heterogeneous GNNs: gather/segment operations for message
-//! passing over sampled neighborhoods, segment softmax for attention over
-//! variable-size neighbor sets, circular correlation for HolE-style
+//! needs of heterogeneous GNNs: gathers and the fused edge kernels for
+//! attention and message passing over sampled neighborhoods, circular
+//! correlation for HolE-style
 //! entity-relation composition, and pairwise distances plus Student-t
 //! transforms for DEC-style soft clustering.
 //!
@@ -107,9 +107,7 @@ enum Op {
     AddScalar(Var),
     Neg(Var),
     MatMul(Var, Var),
-    Transpose(Var),
     Relu(Var),
-    LeakyRelu(Var, f32),
     Sigmoid(Var),
     Tanh(Var),
     Softplus(Var),
@@ -119,14 +117,8 @@ enum Op {
     SumAll(Var),
     MeanAll(Var),
     SumRows(Var),
-    SoftmaxRows(Var),
     ConcatCols(Var, Var),
     GatherRows(Var, Vec<usize>),
-    /// Sums rows of `a` into output rows keyed by `segments`.
-    SegmentSum(Var, Vec<usize>),
-    /// Softmax over the entries of an `n x 1` column, independently within
-    /// each contiguous-or-not segment id group.
-    SegmentSoftmax(Var, Vec<usize>),
     /// Row-wise dot product of two `n x d` tensors, yielding `n x 1`.
     RowwiseDot(Var, Var),
     /// Row-wise circular correlation of two `n x d` tensors.
@@ -143,30 +135,70 @@ enum Op {
     /// Mean squared error against an interned constant target; `1 x 1`.
     Mse(Var, ConstId),
     /// Fused edge attention ([`Graph::edge_softmax`]): the score operands
-    /// `a, b, c` and how their rows meet the edges, each edge's segment,
-    /// the segment count, the LeakyReLU slope, and the `m x H` per-head
-    /// softmax weights that backward reads.
+    /// and how their rows meet the edges, each edge's segment, the segment
+    /// count, the LeakyReLU slope, and the `m x H` per-head softmax
+    /// weights that backward reads.
     EdgeSoftmax {
-        parents: [Var; 3],
-        rows: [EdgeRows; 3],
+        scores: EdgeOperands<3>,
         segments: Vec<usize>,
         n_seg: usize,
         slope: f32,
         probs: Tensor,
     },
-    /// Fused weighted aggregation ([`Graph::edge_aggregate`]) of the rows
-    /// `x[xi]` and `y[yi]` with per-edge weights `w` into segments.
+    /// Fused weighted aggregation ([`Graph::edge_aggregate`]) of the
+    /// message operands with per-edge weights `w` into segments.
     EdgeAggregate {
-        x: Var,
-        xi: Vec<usize>,
-        y: Var,
-        yi: Vec<usize>,
+        msgs: EdgeOperands<2>,
         w: Var,
         segments: Vec<usize>,
     },
     /// Vertical stack of any number of parents, whose node ids the pooled
     /// list holds in stack order.
     StackRows(Vec<usize>),
+}
+
+/// The `(operand, rows)` pairs of a fused edge op, held inline: the first
+/// `len` of the `N` slots are in use, so recording allocates nothing.
+#[derive(Debug)]
+struct EdgeOperands<const N: usize> {
+    len: usize,
+    vars: [Var; N],
+    rows: [EdgeRows; N],
+}
+
+impl<const N: usize> EdgeOperands<N> {
+    fn new<const K: usize>(ops: [(Var, EdgeRows); K]) -> Self {
+        assert!(
+            K <= N,
+            "a fused edge op takes at most {N} operands, got {K}"
+        );
+        let mut out = EdgeOperands {
+            len: K,
+            vars: [Var(0); N],
+            rows: std::array::from_fn(|_| EdgeRows::Own),
+        };
+        for ((v, r), (ov, or)) in ops.into_iter().zip(out.vars.iter_mut().zip(&mut out.rows)) {
+            *ov = v;
+            *or = r;
+        }
+        out
+    }
+
+    /// The operands in use, in list order.
+    fn iter(&self) -> impl Iterator<Item = (Var, &EdgeRows)> {
+        self.vars.iter().copied().zip(&self.rows).take(self.len)
+    }
+
+    /// Runs `f` on the operands' values and rows, in list order.
+    fn with_values<'a, R>(
+        &'a self,
+        values: &'a [Tensor],
+        f: impl FnOnce(&[fwd::Operand<'a>]) -> R,
+    ) -> R {
+        let all: [fwd::Operand; N] =
+            std::array::from_fn(|k| (&values[self.vars[k].idx()], &self.rows[k]));
+        f(all.get(..self.len).unwrap_or_default())
+    }
 }
 
 impl Op {
@@ -196,9 +228,7 @@ impl Op {
             | &Op::AddScalar(a)
             | &Op::Neg(a)
             | &Op::TileRow(a)
-            | &Op::Transpose(a)
             | &Op::Relu(a)
-            | &Op::LeakyRelu(a, _)
             | &Op::Sigmoid(a)
             | &Op::Tanh(a)
             | &Op::Softplus(a)
@@ -207,17 +237,15 @@ impl Op {
             | &Op::SumAll(a)
             | &Op::MeanAll(a)
             | &Op::SumRows(a)
-            | &Op::SoftmaxRows(a)
             | &Op::Recip1p(a)
             | &Op::ColSlice(a, _)
             | &Op::MulConst(a, _)
             | &Op::Mse(a, _) => f(a),
-            Op::GatherRows(a, _) | Op::SegmentSum(a, _) | Op::SegmentSoftmax(a, _) => f(*a),
-            Op::EdgeSoftmax { parents, .. } => parents.iter().for_each(|&p| f(p)),
-            &Op::EdgeAggregate { x, y, w, .. } => {
-                f(x);
-                f(y);
-                f(w);
+            Op::GatherRows(a, _) => f(*a),
+            Op::EdgeSoftmax { scores, .. } => scores.iter().for_each(|(p, _)| f(p)),
+            Op::EdgeAggregate { msgs, w, .. } => {
+                msgs.iter().for_each(|(p, _)| f(p));
+                f(*w);
             }
             Op::StackRows(parts) => parts.iter().for_each(|&p| f(Var::from_index(p))),
         }
@@ -240,9 +268,7 @@ fn op_name(op: &Op) -> &'static str {
         Op::AddScalar(..) => "AddScalar",
         Op::Neg(..) => "Neg",
         Op::MatMul(..) => "MatMul",
-        Op::Transpose(..) => "Transpose",
         Op::Relu(..) => "Relu",
-        Op::LeakyRelu(..) => "LeakyRelu",
         Op::Sigmoid(..) => "Sigmoid",
         Op::Tanh(..) => "Tanh",
         Op::Softplus(..) => "Softplus",
@@ -251,11 +277,8 @@ fn op_name(op: &Op) -> &'static str {
         Op::SumAll(..) => "SumAll",
         Op::MeanAll(..) => "MeanAll",
         Op::SumRows(..) => "SumRows",
-        Op::SoftmaxRows(..) => "SoftmaxRows",
         Op::ConcatCols(..) => "ConcatCols",
         Op::GatherRows(..) => "GatherRows",
-        Op::SegmentSum(..) => "SegmentSum",
-        Op::SegmentSoftmax(..) => "SegmentSoftmax",
         Op::RowwiseDot(..) => "RowwiseDot",
         Op::CircCorr(..) => "CircCorr",
         Op::PairwiseSqDist(..) => "PairwiseSqDist",
@@ -349,29 +372,23 @@ impl Graph {
         }
         for op in self.ops.drain(..) {
             match op {
-                Op::GatherRows(_, idx)
-                | Op::SegmentSum(_, idx)
-                | Op::SegmentSoftmax(_, idx)
-                | Op::StackRows(idx) => self.pool.give_idx(idx),
+                Op::GatherRows(_, idx) | Op::StackRows(idx) => self.pool.give_idx(idx),
                 Op::EdgeSoftmax {
-                    rows,
+                    scores,
                     segments,
                     probs,
                     ..
                 } => {
-                    for r in rows {
-                        if let EdgeRows::Gather(idx) = r {
-                            self.pool.give_idx(idx);
-                        }
+                    for r in scores.rows {
+                        r.recycle(&mut self.pool);
                     }
                     self.pool.give_idx(segments);
                     self.pool.give(probs.into_vec());
                 }
-                Op::EdgeAggregate {
-                    xi, yi, segments, ..
-                } => {
-                    self.pool.give_idx(xi);
-                    self.pool.give_idx(yi);
+                Op::EdgeAggregate { msgs, segments, .. } => {
+                    for r in msgs.rows {
+                        r.recycle(&mut self.pool);
+                    }
                     self.pool.give_idx(segments);
                 }
                 _ => {}
@@ -628,21 +645,9 @@ impl Graph {
         self.push(out, Op::MatMul(a, b))
     }
 
-    pub fn transpose(&mut self, a: Var) -> Var {
-        let (n, m) = self.shape(a);
-        let mut out = self.pool.tensor_raw(m, n);
-        self.values[a.idx()].transpose_into(&mut out);
-        self.push(out, Op::Transpose(a))
-    }
-
     pub fn relu(&mut self, a: Var) -> Var {
         let v = fwd::relu(&mut self.pool, &self.values[a.idx()]);
         self.push(v, Op::Relu(a))
-    }
-
-    pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let v = fwd::leaky_relu(&mut self.pool, &self.values[a.idx()], slope);
-        self.push(v, Op::LeakyRelu(a, slope))
     }
 
     pub fn sigmoid(&mut self, a: Var) -> Var {
@@ -696,20 +701,10 @@ impl Graph {
         self.push(out, Op::SumRows(a))
     }
 
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let out = fwd::softmax_rows(&mut self.pool, &self.values[a.idx()]);
-        self.push(out, Op::SoftmaxRows(a))
-    }
-
     /// `[a | b]` horizontal concatenation.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
         let out = fwd::concat_cols(&mut self.pool, &self.values[a.idx()], &self.values[b.idx()]);
         self.push(out, Op::ConcatCols(a, b))
-    }
-
-    /// `[a; b]` vertical concatenation: [`Graph::stack_rows`] of two.
-    pub fn concat_rows(&mut self, a: Var, b: Var) -> Var {
-        self.stack_rows(&[a, b])
     }
 
     /// `parts` stacked vertically in order; each part's gradient is its
@@ -722,35 +717,26 @@ impl Graph {
     }
 
     /// Fused edge attention, `m x 1`: per edge `e` and head `h` the score
-    /// `leaky_relu((a[ia_e] + b[ib_e]) + c[ic_e], slope)`, softmaxed per
-    /// head within each of the `n_seg` segments, then averaged over the
-    /// `H` heads (the operands' common width). Value and gradients are
-    /// bitwise equal to the chain of gathers, adds, `leaky_relu`,
-    /// `col_slice`, `segment_softmax` and `scale` it replaces.
-    #[allow(clippy::too_many_arguments)]
-    pub fn edge_softmax(
+    /// `LeakyReLU(a[ia_e] + b[ib_e] + c[ic_e])` (negative slope `slope`)
+    /// over the 1 to 3 `scores` operands (summed in list order;
+    /// [`EdgeRows`] says which row of each meets edge `e`), softmaxed per
+    /// head within each of the `n_seg` segments, then averaged over the `H`
+    /// heads (the operands' common width). With one `Own` operand and
+    /// `H = 1` it is the segment softmax of `LeakyReLU(a)`; a `slope` of 1
+    /// drops the LeakyReLU, bit for bit.
+    pub fn edge_softmax<const N: usize>(
         &mut self,
-        a: Var,
-        ia: EdgeRows,
-        b: Var,
-        ib: EdgeRows,
-        c: Var,
-        ic: EdgeRows,
+        scores: [(Var, EdgeRows); N],
         segments: Vec<usize>,
         n_seg: usize,
         slope: f32,
     ) -> Var {
-        let (out, probs) = fwd::edge_softmax(
-            &mut self.pool,
-            [a, b, c].map(|p| &self.values[p.idx()]),
-            [&ia, &ib, &ic],
-            &segments,
-            n_seg,
-            slope,
-        );
+        let scores: EdgeOperands<3> = EdgeOperands::new(scores);
+        let (out, probs) = scores.with_values(&self.values, |ops| {
+            fwd::edge_softmax(&mut self.pool, ops, &segments, n_seg, slope)
+        });
         let op = Op::EdgeSoftmax {
-            parents: [a, b, c],
-            rows: [ia, ib, ic],
+            scores,
             segments,
             n_seg,
             slope,
@@ -759,61 +745,29 @@ impl Graph {
         self.push(out, op)
     }
 
-    /// Fused weighted aggregation, `n_seg x d`: `out[seg_e] += (x[xi_e] +
-    /// y[yi_e]) * w_e` over the edges in order. Value and gradients are
-    /// bitwise equal to `gather_rows` (twice), `add`, `mul_col` and
-    /// `segment_sum`, with no per-edge `m x d` tensor.
-    #[allow(clippy::too_many_arguments)]
-    pub fn edge_aggregate(
+    /// Fused weighted aggregation, `n_seg x d`: `out[seg_e] += msg_e * w_e`
+    /// over the edges in order, where `msg_e` is the row of the one `msgs`
+    /// operand that meets edge `e`, or the sum of the two operands' rows.
+    /// No per-edge `m x d` tensor is built, forward or backward.
+    pub fn edge_aggregate<const N: usize>(
         &mut self,
-        x: Var,
-        xi: Vec<usize>,
-        y: Var,
-        yi: Vec<usize>,
+        msgs: [(Var, EdgeRows); N],
         w: Var,
         segments: Vec<usize>,
         n_seg: usize,
     ) -> Var {
-        let out = fwd::edge_aggregate(
-            &mut self.pool,
-            &self.values[x.idx()],
-            &xi,
-            &self.values[y.idx()],
-            &yi,
-            &self.values[w.idx()],
-            &segments,
-            n_seg,
-        );
-        let op = Op::EdgeAggregate {
-            x,
-            xi,
-            y,
-            yi,
-            w,
-            segments,
-        };
-        self.push(out, op)
+        let msgs: EdgeOperands<2> = EdgeOperands::new(msgs);
+        let wv = &self.values[w.idx()];
+        let out = msgs.with_values(&self.values, |ops| {
+            fwd::edge_aggregate(&mut self.pool, ops, wv, &segments, n_seg)
+        });
+        self.push(out, Op::EdgeAggregate { msgs, w, segments })
     }
 
     /// Gathers rows of `a` by `indices` (duplicates allowed).
     pub fn gather_rows(&mut self, a: Var, indices: Vec<usize>) -> Var {
         let out = fwd::gather_rows(&mut self.pool, &self.values[a.idx()], &indices);
         self.push(out, Op::GatherRows(a, indices))
-    }
-
-    /// Scatter-sums the rows of `a` into `n_segments` buckets:
-    /// `out[s] = sum over i with segments[i] == s of a[i, :]`.
-    pub fn segment_sum(&mut self, a: Var, segments: Vec<usize>, n_segments: usize) -> Var {
-        let out = fwd::segment_sum(&mut self.pool, &self.values[a.idx()], &segments, n_segments);
-        self.push(out, Op::SegmentSum(a, segments))
-    }
-
-    /// Softmax over the entries of an `n x 1` score column, normalised
-    /// independently within each segment-id group. Used for attention over
-    /// variable-size neighbor sets.
-    pub fn segment_softmax(&mut self, scores: Var, segments: Vec<usize>) -> Var {
-        let out = fwd::segment_softmax(&mut self.pool, &self.values[scores.idx()], &segments);
-        self.push(out, Op::SegmentSoftmax(scores, segments))
     }
 
     /// Row-wise dot product, `n x d . n x d -> n x 1`.
@@ -1614,9 +1568,6 @@ fn backward_op(
             // `reference::matmul_tb` / `reference::matmul_ta`.
             sink.emit_pair_with(a, b, &mut |da, db| g.matmul_grads_into(av, bv, da, db));
         }
-        &Op::Transpose(a) => {
-            sink.emit_with(a, &mut |out| g.transpose_into(out));
-        }
         &Op::Relu(a) => {
             let yv = &values[i];
             sink.emit_with(a, &mut |out| {
@@ -1624,17 +1575,6 @@ fn backward_op(
                 for (d, &y) in out.as_mut_slice().iter_mut().zip(yv.as_slice()) {
                     if y <= 0.0 {
                         *d = 0.0;
-                    }
-                }
-            });
-        }
-        &Op::LeakyRelu(a, slope) => {
-            let xv = &values[a.idx()];
-            sink.emit_with(a, &mut |out| {
-                out.as_mut_slice().copy_from_slice(g.as_slice());
-                for (d, &x) in out.as_mut_slice().iter_mut().zip(xv.as_slice()) {
-                    if x <= 0.0 {
-                        *d *= slope;
                     }
                 }
             });
@@ -1722,20 +1662,6 @@ fn backward_op(
                 }
             });
         }
-        &Op::SoftmaxRows(a) => {
-            let y = &values[i];
-            sink.emit_with(a, &mut |out| {
-                let n = out.rows();
-                for r in 0..n {
-                    let yr = y.row(r);
-                    let gr = g.row(r);
-                    let s = dot(yr, gr);
-                    for ((o, &yc), &gc) in out.row_mut(r).iter_mut().zip(yr).zip(gr) {
-                        *o = yc * (gc - s);
-                    }
-                }
-            });
-        }
         &Op::ConcatCols(a, b) => {
             let n = g.rows();
             let ma = values[a.idx()].cols();
@@ -1759,32 +1685,6 @@ fn backward_op(
                     }
                 }
             });
-        }
-        Op::SegmentSum(a, segments) => {
-            sink.emit_with(*a, &mut |out| {
-                for (r, &s) in segments.iter().enumerate() {
-                    out.row_mut(r).copy_from_slice(g.row(s));
-                }
-            });
-        }
-        Op::SegmentSoftmax(a, segments) => {
-            let n_seg = segments.iter().copied().max().map_or(0, |s| s + 1);
-            // Softmax Jacobian within each group:
-            // da_j = y_j * (g_j - sum_k y_k g_k), dots accumulated in index
-            // order per segment.
-            let mut sdot = sink.scratch().take_zeroed(n_seg);
-            let y = values[i].as_slice();
-            let gs = g.as_slice();
-            for (j, &s) in segments.iter().enumerate() {
-                sdot[s] += y[j] * gs[j];
-            }
-            sink.emit_with(*a, &mut |out| {
-                let o = out.as_mut_slice();
-                for (j, &s) in segments.iter().enumerate() {
-                    o[j] = y[j] * (gs[j] - sdot[s]);
-                }
-            });
-            sink.scratch().give(sdot);
         }
         &Op::RowwiseDot(a, b) => {
             let (av, bv) = (&values[a.idx()], &values[b.idx()]);
@@ -1925,22 +1825,19 @@ fn backward_op(
             });
         }
         Op::EdgeSoftmax {
-            parents,
-            rows,
+            scores,
             segments,
             n_seg,
             slope,
             probs,
         } => {
-            // The replaced chain's backward, step for step: `scale` by
-            // `1 / H`; per head the segment-softmax Jacobian with `sdot`
-            // summed in edge order; the sum of the heads' `col_slice`
-            // gradients, whose zero-filled columns add `+0.0` once H >= 2
-            // (a `-0.0` comes out `+0.0`); `leaky_relu` at the recomputed
-            // score; then per operand the gradient of the add (`Own`) or
-            // of the gather (`Gather`, `Broadcast`: zeros, then
-            // scatter-adds in edge order, which for a broadcast row is
-            // `add_row`'s column sum).
+            // Per head the segment-softmax Jacobian with `sdot` summed in
+            // edge order, from the output gradient scaled by `1 / H`; for
+            // H >= 2 a `+ 0.0` (so a `-0.0` comes out `+0.0`, as a sum of
+            // per-head column gradients did); the LeakyReLU slope at the
+            // recomputed score; then per operand a copy (`Own`) or a
+            // scatter-add from zeros in edge order (`Gather`, and
+            // `Broadcast`, whose one row collects every edge's gradient).
             let (m, h) = probs.shape();
             let inv = 1.0 / h as f32;
             let (p, gs) = (probs.as_slice(), g.as_slice());
@@ -1951,28 +1848,22 @@ fn backward_op(
                     sdot[s * h + j] += p[e * h + j] * ge;
                 }
             }
-            let [av, bv, cv] = parents.map(|v| values[v.idx()].as_slice());
-            let [ia, ib, ic] = rows;
             let mut gx = sink.scratch().tensor_raw(m, h);
-            for (e, (&s, o)) in segments
-                .iter()
-                .zip(gx.as_mut_slice().chunks_exact_mut(h))
-                .enumerate()
-            {
-                let ge = gs[e] * inv;
-                let (ra, rb, rc) = (ia.row(e) * h, ib.row(e) * h, ic.row(e) * h);
-                for (j, o) in o.iter_mut().enumerate() {
-                    let mut d = p[e * h + j] * (ge - sdot[s * h + j]);
+            let gxs = gx.as_mut_slice();
+            scores.with_values(values, |ops| {
+                fwd::for_each_score(ops, m, h, |e, j, x| {
+                    let s = segments[e];
+                    let mut d = p[e * h + j] * (gs[e] * inv - sdot[s * h + j]);
                     if h > 1 {
                         d += 0.0;
                     }
-                    if (av[ra + j] + bv[rb + j]) + cv[rc + j] <= 0.0 {
+                    if x <= 0.0 {
                         d *= slope;
                     }
-                    *o = d;
-                }
-            }
-            for (&v, r) in parents.iter().zip(rows) {
+                    gxs[e * h + j] = d;
+                })
+            });
+            for (v, r) in scores.iter() {
                 match r {
                     EdgeRows::Own => sink.emit_scaled(v, &gx, 1.0),
                     _ => sink.emit_with(v, &mut |out| {
@@ -1989,41 +1880,36 @@ fn backward_op(
             scratch.give(sdot);
             scratch.give(gx.into_vec());
         }
-        Op::EdgeAggregate {
-            x,
-            xi,
-            y,
-            yi,
-            w,
-            segments,
-        } => {
-            // As the replaced chain: `segment_sum` hands edge `e` the row
-            // `g[seg_e]`, `mul_col` scales it by `w_e` and dots it with the
-            // message `x[xi_e] + y[yi_e]` (recomputed here), and each
-            // gather scatter-adds from zeros in edge order.
-            let (xv, yv, wv) = (
-                &values[x.idx()],
-                &values[y.idx()],
-                values[w.idx()].as_slice(),
-            );
-            for (p, idx) in [(*x, xi), (*y, yi)] {
-                sink.emit_with(p, &mut |out| {
-                    out.fill(0.0);
-                    for (e, (&r, &s)) in idx.iter().zip(segments).enumerate() {
-                        for (d, &gv) in out.row_mut(r).iter_mut().zip(g.row(s)) {
-                            *d += gv * wv[e];
+        Op::EdgeAggregate { msgs, w, segments } => {
+            // Edge `e` reads the output-gradient row `g[seg_e]`. Each
+            // operand gets it scaled by `w_e`: written as is into an `Own`
+            // row, as `mul_col`'s gradient; scatter-added from zeros in
+            // edge order into a `Gather` or `Broadcast` row, as a gather's.
+            // `dw_e` is its dot with the recomputed message.
+            let wv = values[w.idx()].as_slice();
+            for (v, r) in msgs.iter() {
+                sink.emit_with(v, &mut |out| {
+                    if let EdgeRows::Own = r {
+                        for (e, &s) in segments.iter().enumerate() {
+                            for (d, &gv) in out.row_mut(e).iter_mut().zip(g.row(s)) {
+                                *d = gv * wv[e];
+                            }
+                        }
+                    } else {
+                        out.fill(0.0);
+                        for (e, &s) in segments.iter().enumerate() {
+                            for (d, &gv) in out.row_mut(r.row(e)).iter_mut().zip(g.row(s)) {
+                                *d += gv * wv[e];
+                            }
                         }
                     }
                 });
             }
-            let mut msg = sink.scratch().take_raw(xv.cols());
-            sink.emit_with(*w, &mut |out| {
-                for (e, o) in out.as_mut_slice().iter_mut().enumerate() {
-                    for ((m, &a), &b) in msg.iter_mut().zip(xv.row(xi[e])).zip(yv.row(yi[e])) {
-                        *m = a + b;
-                    }
-                    *o = dot(g.row(segments[e]), &msg);
-                }
+            let mut msg = sink.scratch().take_raw(g.cols());
+            msgs.with_values(values, |ops| {
+                sink.emit_with(*w, &mut |out| {
+                    fwd::edge_aggregate_dw(ops, g, segments, &mut msg, out.as_mut_slice())
+                })
             });
             sink.scratch().give(msg);
         }
@@ -2111,20 +1997,6 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_gradient_sums_to_zero() {
-        let mut g = Graph::new();
-        let a = g.input(Tensor::from_rows(&[&[0.3, -1.0, 2.0]]));
-        let s = g.softmax_rows(a);
-        // Pick out one coordinate as loss.
-        let picked = g.mul_const(s, &Tensor::from_rows(&[&[0.0, 1.0, 0.0]]));
-        let loss = g.sum_all(picked);
-        g.backward(loss);
-        let da = g.grad(a).unwrap();
-        // Softmax Jacobian rows sum to zero along the input axis.
-        assert!(da.sum().abs() < 1e-6);
-    }
-
-    #[test]
     fn gather_rows_accumulates_duplicates() {
         let mut g = Graph::new();
         let a = g.input(Tensor::from_rows(&[&[1.0, 1.0], &[2.0, 2.0]]));
@@ -2132,30 +2004,6 @@ mod tests {
         let loss = g.sum_all(gth);
         g.backward(loss);
         assert_eq!(g.grad(a).unwrap().as_slice(), &[2.0, 2.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn segment_sum_routes_gradient() {
-        let mut g = Graph::new();
-        let a = g.input(Tensor::from_rows(&[&[1.0], &[2.0], &[3.0]]));
-        let ss = g.segment_sum(a, vec![1, 0, 1], 2);
-        assert_eq!(g.value(ss).as_slice(), &[2.0, 4.0]);
-        let w = g.mul_const(ss, &Tensor::from_rows(&[&[10.0], &[1.0]]));
-        let loss = g.sum_all(w);
-        g.backward(loss);
-        assert_eq!(g.grad(a).unwrap().as_slice(), &[1.0, 10.0, 1.0]);
-    }
-
-    #[test]
-    fn segment_softmax_normalises_within_segments() {
-        let mut g = Graph::new();
-        let s = g.input(Tensor::col_vec(vec![1.0, 1.0, 5.0, 2.0, 2.0]));
-        let sm = g.segment_softmax(s, vec![0, 0, 0, 7, 7]);
-        let v = g.value(sm).as_slice().to_vec();
-        assert!((v[0] + v[1] + v[2] - 1.0).abs() < 1e-5);
-        assert!((v[3] + v[4] - 1.0).abs() < 1e-5);
-        assert!(v[2] > v[0]);
-        assert!((v[3] - 0.5).abs() < 1e-5);
     }
 
     #[test]
@@ -2293,7 +2141,7 @@ mod tests {
     #[test]
     fn reset_invalidates_tape_but_keeps_working() {
         let mut g = Graph::new();
-        let a = g.input(Tensor::ones(2, 2));
+        let a = g.input(Tensor::full(2, 2, 1.0));
         let s = g.sum_all(a);
         assert_eq!(g.value(s).as_slice(), &[4.0]);
         assert_eq!(g.len(), 2);
@@ -2325,16 +2173,23 @@ mod tests {
         ]));
         let b = g.input(Tensor::from_rows(&[&[0.05, -0.1, 0.2]]));
         let h = g.linear(x, w, b);
-        // Head 1: activations and softmax.
+        // Head 1: activations and a two-operand edge softmax.
         let h1 = g.sigmoid(h);
-        let s1 = g.softmax_rows(h1);
+        let s1 = g.edge_softmax(
+            [
+                (h1, EdgeRows::Gather(vec![0, 1, 1])),
+                (b, EdgeRows::Broadcast),
+            ],
+            vec![0, 0, 1],
+            2,
+            0.2,
+        );
         let l1 = g.sum_all(s1);
         // Head 2: gather/segment path reusing `h`.
         let gth = g.gather_rows(h, vec![0, 1, 0, 1]);
         let col = g.col_slice(gth, 1);
-        let att = g.segment_softmax(col, vec![0, 0, 1, 1]);
-        let weighted = g.mul_col(gth, att);
-        let seg = g.segment_sum(weighted, vec![0, 1, 0, 1], 2);
+        let att = g.edge_softmax([(col, EdgeRows::Own)], vec![0, 0, 1, 1], 2, 0.2);
+        let seg = g.edge_aggregate([(gth, EdgeRows::Own)], att, vec![0, 1, 0, 1], 2);
         let l2 = g.mean_all(seg);
         // Head 3: elementwise branch reusing `x` twice (duplicate-parent op).
         let sq = g.mul(x, x);

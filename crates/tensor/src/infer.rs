@@ -79,7 +79,6 @@ pub trait ForwardCtx {
     fn matmul(&mut self, a: Var, b: Var) -> Var;
     fn gather_rows(&mut self, a: Var, indices: Vec<usize>) -> Var;
     fn concat_cols(&mut self, a: Var, b: Var) -> Var;
-    fn segment_sum(&mut self, a: Var, segments: Vec<usize>, n_segments: usize) -> Var;
     fn circ_corr(&mut self, a: Var, b: Var) -> Var;
     fn pairwise_sq_dist(&mut self, a: Var, b: Var) -> Var;
     fn recip1p(&mut self, a: Var) -> Var;
@@ -87,29 +86,20 @@ pub trait ForwardCtx {
     fn col_slice(&mut self, a: Var, j: usize) -> Var;
     /// `parts` stacked vertically in order (see [`Graph::stack_rows`]).
     fn stack_rows(&mut self, parts: &[Var]) -> Var;
-    /// Fused edge attention, `m x 1` (see [`Graph::edge_softmax`]).
-    #[allow(clippy::too_many_arguments)]
-    fn edge_softmax(
+    /// Fused edge attention over 1 to 3 score operands, `m x 1` (see
+    /// [`Graph::edge_softmax`]).
+    fn edge_softmax<const N: usize>(
         &mut self,
-        a: Var,
-        ia: EdgeRows,
-        b: Var,
-        ib: EdgeRows,
-        c: Var,
-        ic: EdgeRows,
+        scores: [(Var, EdgeRows); N],
         segments: Vec<usize>,
         n_seg: usize,
         slope: f32,
     ) -> Var;
-    /// Fused weighted aggregation, `n_seg x d` (see
-    /// [`Graph::edge_aggregate`]).
-    #[allow(clippy::too_many_arguments)]
-    fn edge_aggregate(
+    /// Fused weighted aggregation of 1 or 2 message operands, `n_seg x d`
+    /// (see [`Graph::edge_aggregate`]).
+    fn edge_aggregate<const N: usize>(
         &mut self,
-        x: Var,
-        xi: Vec<usize>,
-        y: Var,
-        yi: Vec<usize>,
+        msgs: [(Var, EdgeRows); N],
         w: Var,
         segments: Vec<usize>,
         n_seg: usize,
@@ -204,9 +194,6 @@ impl ForwardCtx for Graph {
     fn concat_cols(&mut self, a: Var, b: Var) -> Var {
         Graph::concat_cols(self, a, b)
     }
-    fn segment_sum(&mut self, a: Var, segments: Vec<usize>, n_segments: usize) -> Var {
-        Graph::segment_sum(self, a, segments, n_segments)
-    }
     fn circ_corr(&mut self, a: Var, b: Var) -> Var {
         Graph::circ_corr(self, a, b)
     }
@@ -225,31 +212,23 @@ impl ForwardCtx for Graph {
     fn stack_rows(&mut self, parts: &[Var]) -> Var {
         Graph::stack_rows(self, parts)
     }
-    fn edge_softmax(
+    fn edge_softmax<const N: usize>(
         &mut self,
-        a: Var,
-        ia: EdgeRows,
-        b: Var,
-        ib: EdgeRows,
-        c: Var,
-        ic: EdgeRows,
+        scores: [(Var, EdgeRows); N],
         segments: Vec<usize>,
         n_seg: usize,
         slope: f32,
     ) -> Var {
-        Graph::edge_softmax(self, a, ia, b, ib, c, ic, segments, n_seg, slope)
+        Graph::edge_softmax(self, scores, segments, n_seg, slope)
     }
-    fn edge_aggregate(
+    fn edge_aggregate<const N: usize>(
         &mut self,
-        x: Var,
-        xi: Vec<usize>,
-        y: Var,
-        yi: Vec<usize>,
+        msgs: [(Var, EdgeRows); N],
         w: Var,
         segments: Vec<usize>,
         n_seg: usize,
     ) -> Var {
-        Graph::edge_aggregate(self, x, xi, y, yi, w, segments, n_seg)
+        Graph::edge_aggregate(self, msgs, w, segments, n_seg)
     }
 }
 
@@ -422,11 +401,6 @@ impl ForwardCtx for InferCtx {
         let v = fwd::concat_cols(&mut self.pool, &self.values[a.idx()], &self.values[b.idx()]);
         self.push(v)
     }
-    fn segment_sum(&mut self, a: Var, segments: Vec<usize>, n_segments: usize) -> Var {
-        let v = fwd::segment_sum(&mut self.pool, &self.values[a.idx()], &segments, n_segments);
-        self.pool.give_idx(segments);
-        self.push(v)
-    }
     fn circ_corr(&mut self, a: Var, b: Var) -> Var {
         let v = fwd::circ_corr(&mut self.pool, &self.values[a.idx()], &self.values[b.idx()]);
         self.push(v)
@@ -451,58 +425,38 @@ impl ForwardCtx for InferCtx {
         let v = fwd::stack_rows(&mut self.pool, &self.values, parts);
         self.push(v)
     }
-    fn edge_softmax(
+    fn edge_softmax<const N: usize>(
         &mut self,
-        a: Var,
-        ia: EdgeRows,
-        b: Var,
-        ib: EdgeRows,
-        c: Var,
-        ic: EdgeRows,
+        scores: [(Var, EdgeRows); N],
         segments: Vec<usize>,
         n_seg: usize,
         slope: f32,
     ) -> Var {
-        let (v, probs) = fwd::edge_softmax(
-            &mut self.pool,
-            [a, b, c].map(|p| &self.values[p.idx()]),
-            [&ia, &ib, &ic],
-            &segments,
-            n_seg,
-            slope,
-        );
+        let ops: [fwd::Operand; N] =
+            std::array::from_fn(|k| (&self.values[scores[k].0.idx()], &scores[k].1));
+        let (v, probs) = fwd::edge_softmax(&mut self.pool, &ops, &segments, n_seg, slope);
         self.pool.give(probs.into_vec());
-        for rows in [ia, ib, ic] {
-            if let EdgeRows::Gather(idx) = rows {
-                self.pool.give_idx(idx);
-            }
+        for (_, r) in scores {
+            r.recycle(&mut self.pool);
         }
         self.pool.give_idx(segments);
         self.push(v)
     }
-    fn edge_aggregate(
+    fn edge_aggregate<const N: usize>(
         &mut self,
-        x: Var,
-        xi: Vec<usize>,
-        y: Var,
-        yi: Vec<usize>,
+        msgs: [(Var, EdgeRows); N],
         w: Var,
         segments: Vec<usize>,
         n_seg: usize,
     ) -> Var {
-        let v = fwd::edge_aggregate(
-            &mut self.pool,
-            &self.values[x.idx()],
-            &xi,
-            &self.values[y.idx()],
-            &yi,
-            &self.values[w.idx()],
-            &segments,
-            n_seg,
-        );
-        for idx in [xi, yi, segments] {
-            self.pool.give_idx(idx);
+        let ops: [fwd::Operand; N] =
+            std::array::from_fn(|k| (&self.values[msgs[k].0.idx()], &msgs[k].1));
+        let wv = &self.values[w.idx()];
+        let v = fwd::edge_aggregate(&mut self.pool, &ops, wv, &segments, n_seg);
+        for (_, r) in msgs {
+            r.recycle(&mut self.pool);
         }
+        self.pool.give_idx(segments);
         self.push(v)
     }
 }
@@ -527,22 +481,31 @@ mod tests {
         let col = ctx.sum_rows(cc);
         let d = ctx.div_col(cc, col);
         let g = ctx.gather_rows(d, vec![1, 0, 1]);
-        let seg = ctx.segment_sum(g, vec![0, 1, 0], 2);
+        let ones = ctx.input_with(3, 1, |w| w.fill(1.0));
+        let seg = ctx.edge_aggregate([(g, EdgeRows::Own)], ones, vec![0, 1, 0], 2);
         let cs = ctx.col_slice(seg, 1);
         let gc = ctx.col_slice(g, 2);
         let shift = ctx.input(Tensor::from_rows(&[&[-0.4]]));
         let sm = ctx.edge_softmax(
-            cs,
-            EdgeRows::Gather(vec![0, 1, 1]),
-            gc,
-            EdgeRows::Own,
-            shift,
-            EdgeRows::Broadcast,
+            [
+                (cs, EdgeRows::Gather(vec![0, 1, 1])),
+                (gc, EdgeRows::Own),
+                (shift, EdgeRows::Broadcast),
+            ],
             vec![0, 0, 1],
             2,
             0.2,
         );
-        let agg = ctx.edge_aggregate(seg, vec![0, 1, 1], d, vec![1, 1, 0], sm, vec![1, 0, 1], 2);
+        let sm1 = ctx.edge_softmax([(sm, EdgeRows::Own)], vec![1, 1, 0], 2, 1.0);
+        let agg = ctx.edge_aggregate(
+            [
+                (seg, EdgeRows::Gather(vec![0, 1, 1])),
+                (d, EdgeRows::Gather(vec![1, 1, 0])),
+            ],
+            sm1,
+            vec![1, 0, 1],
+            2,
+        );
         let stacked = ctx.stack_rows(&[agg, seg]);
         let mc = ctx.gather_rows(stacked, vec![0, 3]);
         let w = ctx.input(Tensor::from_rows(&[&[0.3], &[-0.7], &[0.9]]));

@@ -8,13 +8,13 @@
 //!
 //! The op vocabulary is chosen for heterogeneous GNN workloads:
 //!
-//! * `gather_rows` / `segment_sum` / `stack_rows` — message passing over
+//! * `gather_rows` / `stack_rows` — row selection and stacking over
 //!   sampled neighborhoods laid out as flat edge lists;
-//! * `segment_softmax` — attention over variable-size neighbor sets;
-//! * `edge_softmax` / `edge_aggregate` — the fused per-edge kernels of
-//!   attention message passing: edge scores assembled from per-node rows
-//!   ([`EdgeRows`]) and softmaxed per segment and head, then the weighted
-//!   gather-and-sum, each bitwise equal to the primitive chain it fuses;
+//! * `edge_softmax` / `edge_aggregate` — the two per-edge kernels of
+//!   attention message passing, and the only ones: edge scores summed from
+//!   1 to 3 operands whose rows meet the edges as [`EdgeRows`], softmaxed
+//!   per segment and head over variable-size neighbor sets; then the
+//!   weighted gather-and-sum of 1 or 2 message operands into segments;
 //! * `circ_corr` — HolE-style circular-correlation composition of node and
 //!   relation embeddings;
 //! * `pairwise_sq_dist` / `recip1p` / `div_col` — DEC-style Student-t soft

@@ -257,7 +257,7 @@ mod tests {
     fn repeated_bindings_sum_gradients() {
         // loss = sum(w) + sum(w) -> grad wrt w is 2 per element.
         let mut params = Params::new();
-        let w = params.add("w", Tensor::ones(1, 2));
+        let w = params.add("w", Tensor::full(1, 2, 1.0));
         let mut g = Graph::new();
         let w1 = g.param(&params, w);
         let w2 = g.param(&params, w);

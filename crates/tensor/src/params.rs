@@ -132,7 +132,7 @@ mod tests {
     #[test]
     fn add_and_lookup() {
         let mut p = Params::new();
-        let w = p.add("w", Tensor::ones(2, 3));
+        let w = p.add("w", Tensor::full(2, 3, 1.0));
         let b = p.add("b", Tensor::zeros(1, 3));
         assert_eq!(p.len(), 2);
         assert_eq!(p.num_weights(), 9);

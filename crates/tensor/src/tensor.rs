@@ -53,11 +53,6 @@ impl Tensor {
         }
     }
 
-    /// A `rows x cols` tensor of ones.
-    pub fn ones(rows: usize, cols: usize) -> Self {
-        Self::full(rows, cols, 1.0)
-    }
-
     /// Builds a tensor from a flat row-major buffer.
     ///
     /// # Panics
@@ -505,24 +500,6 @@ impl Tensor {
         }
     }
 
-    /// Writes the transpose into `out` (which must be `cols x rows`),
-    /// reusing its storage.
-    pub fn transpose_into(&self, out: &mut Tensor) {
-        assert_eq!(
-            out.shape(),
-            (self.cols, self.rows),
-            "transpose_into: out must be {}x{}",
-            self.cols,
-            self.rows
-        );
-        let dst = out.as_mut_slice();
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                dst[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-    }
-
     /// Gathers rows by index into a new tensor (`indices.len() x cols`).
     pub fn gather_rows(&self, indices: &[usize]) -> Tensor {
         let mut data = Vec::with_capacity(indices.len() * self.cols);
@@ -555,27 +532,6 @@ impl Tensor {
             cols,
             data: Stamped::new(data),
         }
-    }
-
-    /// Vertical concatenation `[self; other]`.
-    pub fn concat_rows(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.cols, other.cols, "concat_rows col mismatch");
-        let mut data = self.data.to_vec();
-        data.extend_from_slice(&other.data);
-        Tensor {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data: Stamped::new(data),
-        }
-    }
-
-    /// Per-row softmax, numerically stabilised by max subtraction.
-    pub fn softmax_rows(&self) -> Tensor {
-        let mut out = self.clone();
-        for r in out.data.chunks_exact_mut(self.cols.max(1)) {
-            softmax_in_place(r);
-        }
-        out
     }
 
     /// Per-row L2 normalisation; zero rows are left untouched.
@@ -1404,9 +1360,6 @@ pub(crate) mod tests {
         let mut out = Tensor::full(2, 2, f32::NAN);
         a.matmul_tb_into(&c, &mut out);
         assert_eq!(out, a.matmul_tb(&c));
-        let mut out = Tensor::zeros(3, 2);
-        a.transpose_into(&mut out);
-        assert_eq!(out, a.transpose());
     }
 
     #[test]
@@ -1438,14 +1391,14 @@ pub(crate) mod tests {
         let cc = a.concat_cols(&b);
         assert_eq!(cc.shape(), (3, 3));
         assert_eq!(cc.row(1), &[3.0, 4.0, 8.0]);
-        let cr = a.concat_rows(&a);
-        assert_eq!(cr.shape(), (6, 2));
     }
 
     #[test]
-    fn softmax_rows_is_a_distribution() {
-        let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[1000.0, 1000.0, 1000.0]]);
-        let s = a.softmax_rows();
+    fn softmax_in_place_is_a_distribution() {
+        let mut s = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[1000.0, 1000.0, 1000.0]]);
+        for r in 0..2 {
+            softmax_in_place(s.row_mut(r));
+        }
         for r in s.rows_iter() {
             let sum: f32 = r.iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
@@ -1489,7 +1442,7 @@ pub(crate) mod tests {
         assert_eq!(base.content_stamp(), base.content_stamp(), "reads");
         let other = twin.clone();
         type Mutation<'a> = (&'a str, &'a dyn Fn(&mut Tensor));
-        let mutations: [Mutation; 13] = [
+        let mutations: [Mutation; 12] = [
             ("as_mut_slice", &|t| {
                 let v = t.get(0, 0);
                 t.as_mut_slice()[0] = v; // the same bits
@@ -1509,7 +1462,6 @@ pub(crate) mod tests {
             ("matmul_grads_into db", &|t| {
                 other.matmul_grads_into(&other, &other, &mut Tensor::zeros(2, 2), t)
             }),
-            ("transpose_into", &|t| other.transpose_into(t)),
         ];
         for (name, mutate) in mutations {
             // A clone shares the stamp until either side is mutated, and

@@ -8,7 +8,7 @@
 //! under a shared lock.
 
 use proptest::prelude::*;
-use tensor::{par, Graph, Optimizer, Params, Tensor, Var};
+use tensor::{par, EdgeRows, Graph, Optimizer, Params, Tensor, Var};
 
 /// Serialises access to the process-global thread override.
 static THREADS: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -46,10 +46,76 @@ fn make_params(d_in: usize, d_out: usize, state: &mut f32) -> Params {
     params
 }
 
+/// The fused edge ops a random program draws: the score operand count
+/// (1 to 3), each operand's row mode (0 `Own`, 1 `Gather`, 2
+/// `Broadcast`), the head count (1 or 4) and the message operand count
+/// (1 or 2).
+#[derive(Clone, Copy, Debug)]
+struct EdgeMix {
+    scores: usize,
+    modes: [u8; 3],
+    heads: usize,
+    msgs: usize,
+}
+
+fn edge_mix() -> impl Strategy<Value = EdgeMix> {
+    (1usize..4, 0u8..3, 0u8..3, 0u8..3, 0u8..2, 1usize..3).prop_map(
+        |(scores, m0, m1, m2, h, msgs)| EdgeMix {
+            scores,
+            modes: [m0, m1, m2],
+            heads: if h == 0 { 1 } else { 4 },
+            msgs,
+        },
+    )
+}
+
+/// Attention over the `m` rows of `h` as edges (edge `e` in segment
+/// `e % 2`) and the weighted sum of `h`'s rows into the two segments:
+/// `edge_softmax` over `mix.scores` operands cut from `h`'s row sums, each
+/// read in its drawn row mode, then `edge_aggregate` of `mix.msgs`
+/// operands. Returns the `2 x d` aggregate.
+fn edge_ops(g: &mut Graph, h: Var, mix: EdgeMix) -> Var {
+    let m = g.shape(h).0;
+    let col = g.sum_rows(h);
+    let col = g.tanh(col);
+    let head_row = g.input(Tensor::from_vec(
+        1,
+        mix.heads,
+        [1.0, -0.5, 0.25, 2.0][..mix.heads].to_vec(),
+    ));
+    let wide = g.matmul(col, head_row);
+    let reversed: Vec<usize> = (0..m).rev().collect();
+    let mut ops = Vec::with_capacity(mix.scores);
+    for (k, &mode) in mix.modes.iter().enumerate().take(mix.scores) {
+        let x = g.scale(wide, 0.5 + k as f32);
+        ops.push(match mode {
+            0 => (x, EdgeRows::Own),
+            1 => (x, EdgeRows::Gather(reversed.clone())),
+            _ => (g.gather_rows(x, vec![m / 2]), EdgeRows::Broadcast),
+        });
+    }
+    let segs: Vec<usize> = (0..m).map(|i| i % 2).collect();
+    let mut ops = ops.into_iter();
+    let mut next = || ops.next().expect("drawn operand");
+    let att = match mix.scores {
+        1 => g.edge_softmax([next()], segs.clone(), 2, 0.2),
+        2 => g.edge_softmax([next(), next()], segs.clone(), 2, 0.2),
+        _ => g.edge_softmax([next(), next(), next()], segs.clone(), 2, 0.2),
+    };
+    if mix.msgs == 1 {
+        g.edge_aggregate([(h, EdgeRows::Own)], att, segs, 2)
+    } else {
+        let h2 = g.tanh(h);
+        let msgs = [(h, EdgeRows::Own), (h2, EdgeRows::Gather(reversed))];
+        g.edge_aggregate(msgs, att, segs, 2)
+    }
+}
+
 /// Builds a randomized forward tape with wide fan-in/fan-out (shared
 /// sub-expressions, gather/segment ops, attention) and returns the loss.
 /// The shape mix is chosen so several tape branches are independent and
 /// genuinely schedulable in parallel.
+#[allow(clippy::too_many_arguments)]
 fn forward(
     g: &mut Graph,
     params: &Params,
@@ -58,6 +124,7 @@ fn forward(
     indices: &[usize],
     segments: &[usize],
     op_mix: u8,
+    mix: EdgeMix,
 ) -> Var {
     let ids: Vec<tensor::ParamId> = params.iter().map(|(id, _, _)| id).collect();
     let xv = g.input_from(x);
@@ -68,7 +135,7 @@ fn forward(
         0 => g.relu(lin),
         1 => g.tanh(lin),
         2 => g.sigmoid(lin),
-        _ => g.leaky_relu(lin, 0.1),
+        _ => g.softplus(lin),
     };
     // A second branch off the same activation: shared fan-in whose gradient
     // contributions must fold in canonical order.
@@ -77,19 +144,16 @@ fn forward(
     let side = g.tanh(side);
     h = g.add(h, side);
     if op_mix & 4 != 0 {
-        h = g.gather_rows(h, indices.to_vec());
         let n_seg = segments.iter().copied().max().map_or(0, |s| s + 1);
-        h = g.segment_sum(h, segments.to_vec(), n_seg);
+        let ones = g.input_with(indices.len(), 1, |w| w.fill(1.0));
+        let rows = EdgeRows::Gather(indices.to_vec());
+        h = g.edge_aggregate([(h, rows)], ones, segments.to_vec(), n_seg);
     }
     if op_mix & 8 != 0 {
-        h = g.softmax_rows(h);
+        h = g.mul_row(h, b);
     }
-    let col = g.sum_rows(h);
-    let scores = g.tanh(col);
-    let segs: Vec<usize> = (0..g.shape(scores).0).map(|i| i % 2).collect();
-    let att = g.segment_softmax(scores, segs);
-    let hw = g.mul_col(h, att);
-    let pred = g.sum_rows(hw);
+    let agg = edge_ops(g, h, mix);
+    let pred = g.sum_rows(agg);
     let yv: Vec<f32> = (0..g.shape(pred).0)
         .map(|i| y.as_slice()[i % y.len()])
         .collect();
@@ -117,6 +181,7 @@ proptest! {
         (n, d_in, d_out) in (dim(), dim(), dim()),
         seed in 0.0f32..64.0,
         op_mix in 0u8..16,
+        mix in edge_mix(),
     ) {
         let mut state = seed + 0.0625;
         let x = fill(n, d_in, &mut state);
@@ -130,14 +195,14 @@ proptest! {
         // Reference: serial backward at 1 thread.
         par::set_num_threads(1);
         let mut g = Graph::new();
-        let loss = forward(&mut g, &params, &x, &y, &indices, &segments, op_mix);
+        let loss = forward(&mut g, &params, &x, &y, &indices, &segments, op_mix, mix);
         g.backward_serial(loss);
         let reference = snapshot(&g, loss);
 
         for t in [1usize, 2, 4] {
             par::set_num_threads(t);
             let mut g = Graph::new();
-            let loss = forward(&mut g, &params, &x, &y, &indices, &segments, op_mix);
+            let loss = forward(&mut g, &params, &x, &y, &indices, &segments, op_mix, mix);
             g.backward_parallel(loss);
             let got = snapshot(&g, loss);
             prop_assert_eq!(
@@ -156,6 +221,7 @@ proptest! {
         (n, d_in, d_out) in (dim(), dim(), dim()),
         seed in 0.0f32..64.0,
         op_mix in 0u8..16,
+        mix in edge_mix(),
     ) {
         let mut state = seed + 0.1875;
         let x = fill(n, d_in, &mut state);
@@ -172,7 +238,7 @@ proptest! {
         let mut trace_a = Vec::new();
         for _ in 0..3 {
             let mut g = Graph::new();
-            let loss = forward(&mut g, &params_a, &x, &y, &indices, &segments, op_mix);
+            let loss = forward(&mut g, &params_a, &x, &y, &indices, &segments, op_mix, mix);
             g.backward_serial(loss);
             opt_a.step_clipped(&mut params_a, &mut g, Some(5.0));
             let pbits: Vec<Vec<u32>> = params_a.iter().map(|(_, _, v)| bits(v)).collect();
@@ -188,7 +254,7 @@ proptest! {
             let mut trace_b = Vec::new();
             for _ in 0..3 {
                 g.reset();
-                let loss = forward(&mut g, &params_b, &x, &y, &indices, &segments, op_mix);
+                let loss = forward(&mut g, &params_b, &x, &y, &indices, &segments, op_mix, mix);
                 g.backward_parallel(loss);
                 opt_b.step_clipped(&mut params_b, &mut g, Some(5.0));
                 let pbits: Vec<Vec<u32>> = params_b.iter().map(|(_, _, v)| bits(v)).collect();
@@ -223,7 +289,7 @@ fn deep_chain_backward_completes_and_matches_serial() {
             h = match i % 3 {
                 0 => g.tanh(h),
                 1 => g.scale(h, 1.01),
-                _ => g.leaky_relu(h, 0.3),
+                _ => g.softplus(h),
             };
         }
         let pred = g.sum_rows(h);

@@ -7,7 +7,7 @@
 //! {1, 2, 4}-thread sweep under a shared lock.
 
 use proptest::prelude::*;
-use tensor::{par, Graph, Optimizer, Params, Tensor};
+use tensor::{par, EdgeRows, Graph, Optimizer, Params, Tensor, Var};
 
 /// Serialises access to the process-global thread override.
 static THREADS: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -36,6 +36,71 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
+/// The fused edge ops a random program draws: the score operand count
+/// (1 to 3), each operand's row mode (0 `Own`, 1 `Gather`, 2
+/// `Broadcast`), the head count (1 or 4) and the message operand count
+/// (1 or 2).
+#[derive(Clone, Copy, Debug)]
+struct EdgeMix {
+    scores: usize,
+    modes: [u8; 3],
+    heads: usize,
+    msgs: usize,
+}
+
+fn edge_mix() -> impl Strategy<Value = EdgeMix> {
+    (1usize..4, 0u8..3, 0u8..3, 0u8..3, 0u8..2, 1usize..3).prop_map(
+        |(scores, m0, m1, m2, h, msgs)| EdgeMix {
+            scores,
+            modes: [m0, m1, m2],
+            heads: if h == 0 { 1 } else { 4 },
+            msgs,
+        },
+    )
+}
+
+/// Attention over the `m` rows of `h` as edges (edge `e` in segment
+/// `e % 2`) and the weighted sum of `h`'s rows into the two segments:
+/// `edge_softmax` over `mix.scores` operands cut from `h`'s row sums, each
+/// read in its drawn row mode, then `edge_aggregate` of `mix.msgs`
+/// operands. Returns the `2 x d` aggregate.
+fn edge_ops(g: &mut Graph, h: Var, mix: EdgeMix) -> Var {
+    let m = g.shape(h).0;
+    let col = g.sum_rows(h);
+    let col = g.tanh(col);
+    let head_row = g.input(Tensor::from_vec(
+        1,
+        mix.heads,
+        [1.0, -0.5, 0.25, 2.0][..mix.heads].to_vec(),
+    ));
+    let wide = g.matmul(col, head_row);
+    let reversed: Vec<usize> = (0..m).rev().collect();
+    let mut ops = Vec::with_capacity(mix.scores);
+    for (k, &mode) in mix.modes.iter().enumerate().take(mix.scores) {
+        let x = g.scale(wide, 0.5 + k as f32);
+        ops.push(match mode {
+            0 => (x, EdgeRows::Own),
+            1 => (x, EdgeRows::Gather(reversed.clone())),
+            _ => (g.gather_rows(x, vec![m / 2]), EdgeRows::Broadcast),
+        });
+    }
+    let segs: Vec<usize> = (0..m).map(|i| i % 2).collect();
+    let mut ops = ops.into_iter();
+    let mut next = || ops.next().expect("drawn operand");
+    let att = match mix.scores {
+        1 => g.edge_softmax([next()], segs.clone(), 2, 0.2),
+        2 => g.edge_softmax([next(), next()], segs.clone(), 2, 0.2),
+        _ => g.edge_softmax([next(), next(), next()], segs.clone(), 2, 0.2),
+    };
+    if mix.msgs == 1 {
+        g.edge_aggregate([(h, EdgeRows::Own)], att, segs, 2)
+    } else {
+        let h2 = g.tanh(h);
+        let msgs = [(h, EdgeRows::Own), (h2, EdgeRows::Gather(reversed))];
+        g.edge_aggregate(msgs, att, segs, 2)
+    }
+}
+
 /// One randomized training step exercising a broad op mix: linear layers,
 /// activations, gather/segment ops, softmax attention, constant-arena MSE,
 /// backward, and an Adam update. Returns (loss bits, per-param value bits).
@@ -49,6 +114,7 @@ fn step(
     indices: &[usize],
     segments: &[usize],
     op_mix: u8,
+    mix: EdgeMix,
 ) -> (Vec<u32>, Vec<Vec<u32>>) {
     let ids: Vec<tensor::ParamId> = params.iter().map(|(id, _, _)| id).collect();
     let xv = g.input_from(x);
@@ -59,22 +125,19 @@ fn step(
         0 => g.relu(lin),
         1 => g.tanh(lin),
         2 => g.sigmoid(lin),
-        _ => g.leaky_relu(lin, 0.1),
+        _ => g.softplus(lin),
     };
     if op_mix & 4 != 0 {
-        h = g.gather_rows(h, indices.to_vec());
         let n_seg = segments.iter().copied().max().map_or(0, |s| s + 1);
-        h = g.segment_sum(h, segments.to_vec(), n_seg);
+        let ones = g.input_with(indices.len(), 1, |w| w.fill(1.0));
+        let rows = EdgeRows::Gather(indices.to_vec());
+        h = g.edge_aggregate([(h, rows)], ones, segments.to_vec(), n_seg);
     }
     if op_mix & 8 != 0 {
-        h = g.softmax_rows(h);
+        h = g.mul_row(h, b);
     }
-    let col = g.sum_rows(h);
-    let scores = g.tanh(col);
-    let segs: Vec<usize> = (0..g.shape(scores).0).map(|i| i % 2).collect();
-    let att = g.segment_softmax(scores, segs);
-    let hw = g.mul_col(h, att);
-    let pred = g.sum_rows(hw);
+    let agg = edge_ops(g, h, mix);
+    let pred = g.sum_rows(agg);
     let yv: Vec<f32> = (0..g.shape(pred).0)
         .map(|i| y.as_slice()[i % y.len()])
         .collect();
@@ -106,6 +169,7 @@ proptest! {
         (n, d_in, d_out) in (dim(), dim(), dim()),
         seed in 0.0f32..64.0,
         op_mix in 0u8..16,
+        mix in edge_mix(),
     ) {
         let mut state = seed + 0.125;
         let x = fill(n, d_in, &mut state);
@@ -124,7 +188,7 @@ proptest! {
             for _ in 0..3 {
                 let mut g = Graph::new();
                 trace_a.push(step(
-                    &mut g, &mut params_a, &mut opt_a, &x, &y, &indices, &segments, op_mix,
+                    &mut g, &mut params_a, &mut opt_a, &x, &y, &indices, &segments, op_mix, mix,
                 ));
             }
 
@@ -136,7 +200,7 @@ proptest! {
             for _ in 0..3 {
                 g.reset();
                 trace_b.push(step(
-                    &mut g, &mut params_b, &mut opt_b, &x, &y, &indices, &segments, op_mix,
+                    &mut g, &mut params_b, &mut opt_b, &x, &y, &indices, &segments, op_mix, mix,
                 ));
             }
 
@@ -152,6 +216,7 @@ proptest! {
         (n, d_in, d_out) in (dim(), dim(), dim()),
         seed in 0.0f32..64.0,
         op_mix in 0u8..16,
+        mix in edge_mix(),
     ) {
         let mut state = seed + 0.375;
         let x = fill(n, d_in, &mut state);
@@ -162,10 +227,10 @@ proptest! {
         let mut params = make_params(d_in, d_out, &mut state);
         let mut opt = Optimizer::adam(0.01);
         let mut g = Graph::new();
-        step(&mut g, &mut params, &mut opt, &x, &y, &indices, &segments, op_mix);
+        step(&mut g, &mut params, &mut opt, &x, &y, &indices, &segments, op_mix, mix);
         g.reset();
         let before = g.pool_stats();
-        step(&mut g, &mut params, &mut opt, &x, &y, &indices, &segments, op_mix);
+        step(&mut g, &mut params, &mut opt, &x, &y, &indices, &segments, op_mix, mix);
         let after = g.pool_stats();
         prop_assert_eq!(
             after.misses, before.misses,

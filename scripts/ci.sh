@@ -38,8 +38,10 @@
 #      cache check, which tier-1's root-package run never reaches; those
 #      unit tests run again in a release build, and the HGN layer is
 #      checked against its concat-form reference (`layer_reference`) and
-#      its fused edge kernels against the op chains they replace
-#      (`edge_kernels`).
+#      its fused edge kernels against written-out loops and the op chains
+#      their multi-operand forms stand for (`edge_kernels`). The Table II
+#      baselines run on the same two kernels: their unit tests and the
+#      split-form attention against its concat form (`split_attention`).
 #      Next come the owning-crate suites behind the timing gates and the
 #      scale path: pooled, serial and branch-parallel tape equivalence,
 #      lane determinism across thread counts, sublinear generator
@@ -124,6 +126,14 @@ RUSTFMT_RATCHET=(
     crates/lint/tests/golden.rs
     crates/eval/src/case.rs
     crates/baselines/src/hgt.rs
+    crates/baselines/src/common.rs
+    crates/baselines/src/gat.rs
+    crates/baselines/src/han.rs
+    crates/baselines/src/hetgnn.rs
+    crates/baselines/src/hgcn.rs
+    crates/baselines/src/magnn.rs
+    crates/baselines/src/rgcn.rs
+    crates/baselines/tests/split_attention.rs
 )
 
 echo "== rustfmt (ratcheted file list) =="
@@ -183,10 +193,14 @@ cargo test -q -p tensor --lib
 cargo test -q --release -p tensor --lib
 # The per-node HGN layer against the concat-form reference of the paper's
 # equations: output and gradients within a relative tolerance. Its fused
-# edge kernels against the primitive op chains they replace: value and
-# every gradient bit for bit, serial and branch-parallel backward.
+# edge kernels against written-out loops (one-operand forms) and the op
+# chains the other forms stand for: value and every gradient bit for bit,
+# serial and branch-parallel backward.
 cargo test -q -p catehgn --test layer_reference
 cargo test -q -p tensor --test edge_kernels
+
+echo "== baseline suite (Table II models on the edge kernels) =="
+cargo test -q -p baselines
 
 # The deterministic halves of the timing gates below, and the scale
 # path's checks, live in the suites of the crates that own the code;
