@@ -269,37 +269,13 @@ pub fn merged_edges_with_self_loops(block: &Block) -> Vec<BlockEdge> {
 /// LeakyReLU slope of the attention scores (GAT's 0.2).
 const ATTENTION_SLOPE: f32 = 0.2;
 
-/// Registers `heads` attention vectors over `[h_v ‖ h_u]` (each `2d x 1`,
-/// Xavier-uniform, drawn in head order as separate vectors would be) in
-/// split layout: `{name}.v` holds the `h_v` halves and `{name}.u` the
-/// `h_u` halves, head `k` in column `k` of each `d x H` block.
-pub fn pair_attention_params<R: Rng>(
-    params: &mut Params,
-    name: &str,
-    d: usize,
-    heads: usize,
-    rng: &mut R,
-) -> [ParamId; 2] {
-    let mut halves = [Tensor::zeros(d, heads), Tensor::zeros(d, heads)];
-    for k in 0..heads {
-        let a = Initializer::XavierUniform.sample(2 * d, 1, rng);
-        for (r, &x) in a.as_slice().iter().enumerate() {
-            halves[r / d].set(r % d, k, x);
-        }
-    }
-    let [v, u] = halves;
-    [
-        params.add(format!("{name}.v"), v),
-        params.add(format!("{name}.u"), u),
-    ]
-}
-
 /// Attention over `[h_v ‖ h_u]` in split form: per edge and head the
 /// score `(h_v·A_v)[v_e] + (h_u·A_u)[u_e]`, which is `[h_v ‖ h_u]·a` for
 /// `a = [A_v; A_u]`, through LeakyReLU(0.2), softmaxed within each
-/// segment and averaged over the heads. `att` comes from
-/// [`pair_attention_params`]. Each product runs once per row of `h_v` and
-/// of `h_u`, not once per edge, and no per-edge concat exists.
+/// segment and averaged over the heads. `att` holds `A_v` and `A_u`, the
+/// `d x H` halves that [`Params::add_init_split`] registers for `H` heads
+/// of `2d x 1`. Each product runs once per row of `h_v` and of `h_u`, not
+/// once per edge, and no per-edge concat exists.
 pub fn pair_attention(
     g: &mut Graph,
     params: &Params,
@@ -371,7 +347,16 @@ impl<P: PathRows> MetapathModel<P> {
         let w_proj = params.add_init("proj.w", feat_dim, d, Initializer::XavierUniform, &mut rng);
         let b_proj = params.add_init("proj.b", 1, d, Initializer::Zeros, &mut rng);
         let att = (0..n_paths)
-            .map(|p| pair_attention_params(&mut params, &format!("att.p{p}"), d, 1, &mut rng))
+            .map(|p| {
+                params.add_init_split(
+                    &format!("att.p{p}"),
+                    ["v", "u"],
+                    (d, 1),
+                    1,
+                    Initializer::XavierUniform,
+                    &mut rng,
+                )
+            })
             .collect();
         let w_sem = params.add_init("sem.w", d, d, Initializer::XavierUniform, &mut rng);
         let b_sem = params.add_init("sem.b", 1, d, Initializer::Zeros, &mut rng);

@@ -6,7 +6,7 @@
 
 use crate::common::{
     build_batch, edge_idx, gather_seed_rows, merged_edges_with_self_loops, pair_attention,
-    pair_attention_params, BatchInputs, BatchRegressor, GnnConfig,
+    BatchInputs, BatchRegressor, GnnConfig,
 };
 use dblp_sim::Dataset;
 use rand::Rng;
@@ -48,7 +48,16 @@ impl Gat {
             })
             .collect();
         let att = (0..cfg.layers)
-            .map(|l| pair_attention_params(&mut params, &format!("l{l}.a"), d, heads, &mut rng))
+            .map(|l| {
+                params.add_init_split(
+                    &format!("l{l}.a"),
+                    ["v", "u"],
+                    (d, 1),
+                    heads,
+                    Initializer::XavierUniform,
+                    &mut rng,
+                )
+            })
             .collect();
         let w_out = params.add_init("out.w", d, 1, Initializer::XavierUniform, &mut rng);
         let b_out = params.add_init("out.b", 1, 1, Initializer::Zeros, &mut rng);

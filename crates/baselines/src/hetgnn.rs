@@ -7,7 +7,7 @@
 //! GRU run over the fixed-size sampled neighbor sequence (same recurrent
 //! set-function family, half the gates), vectorised across the batch.
 
-use crate::common::{pair_attention, pair_attention_params, BatchRegressor, GnnConfig};
+use crate::common::{pair_attention, BatchRegressor, GnnConfig};
 use dblp_sim::Dataset;
 use hetgraph::{uniform_typed_walk, NodeId};
 use rand::Rng;
@@ -114,7 +114,14 @@ impl HetGnn {
         let gru = (0..n_node_types)
             .map(|t| Gru::init(&mut params, &format!("gru{t}"), d, &mut rng))
             .collect();
-        let att = pair_attention_params(&mut params, "att", d, 1, &mut rng);
+        let att = params.add_init_split(
+            "att",
+            ["v", "u"],
+            (d, 1),
+            1,
+            Initializer::XavierUniform,
+            &mut rng,
+        );
         let w_out = params.add_init("out.w", d, 1, Initializer::XavierUniform, &mut rng);
         let b_out = params.add_init("out.b", 1, 1, Initializer::Zeros, &mut rng);
         HetGnn {

@@ -55,8 +55,6 @@ pub fn all_baselines(ds: &Dataset, gnn: &GnnConfig) -> Vec<Box<dyn CitationModel
     let feat_dim = ds.features.cols();
     let n_node_types = ds.graph.schema().num_node_types();
     let n_link_types = ds.graph.schema().num_link_types();
-    let han: Han = MetapathModel::new(gnn.clone(), feat_dim, 4);
-    let magnn: Magnn = MetapathModel::new(gnn.clone(), feat_dim, 4);
     vec![
         Box::new(BertRegressor::default()),
         Box::new(Gat::new(gnn.clone(), feat_dim, 2)),
@@ -65,10 +63,10 @@ pub fn all_baselines(ds: &Dataset, gnn: &GnnConfig) -> Vec<Box<dyn CitationModel
         Box::new(MetaPath2Vec::default()),
         Box::new(Hin2Vec::default()),
         Box::new(Rgcn::new(gnn.clone(), feat_dim, n_link_types)),
-        Box::new(han),
+        Box::new(Han::new(gnn.clone(), feat_dim, 4)),
         Box::new(HetGnn::new(gnn.clone(), feat_dim, n_node_types)),
         Box::new(Hgt::new(gnn.clone(), feat_dim, n_node_types, n_link_types)),
-        Box::new(magnn),
+        Box::new(Magnn::new(gnn.clone(), feat_dim, 4)),
         Box::new(Hgcn::new(gnn.clone(), feat_dim, n_link_types)),
     ]
 }

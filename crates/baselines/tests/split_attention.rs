@@ -3,16 +3,17 @@
 //!
 //! GAT, HAN, MAGNN and HetGNN score an edge as `[h_v ‖ h_u]·a`. They store
 //! each head's `2d x 1` vector `a` as the `d x H` halves `A_v` and `A_u`
-//! ([`pair_attention_params`]) and compute `h_v·A_v + h_u·A_u`, once per
+//! ([`Params::add_init_split`]) and compute `h_v·A_v + h_u·A_u`, once per
 //! row ([`pair_attention`]). The reference below draws each head's `a`
 //! from the same seed as one `2d x 1` parameter, as the models once did,
-//! builds `[h_v ‖ h_u]` per edge and multiplies. The two differ only by
+//! builds `[h_v ‖ h_u]` per edge as `h_v·[I 0] + h_u·[0 I]` with constant
+//! selection matrices, and multiplies. The two differ only by
 //! float summation order, so the attention-weighted aggregate and the
 //! gradients of `a`, its halves and the inputs agree within [`REL_TOL`] of
 //! each tensor's largest magnitude. A swap of the two halves, in the
 //! layout or in the product, fails them.
 
-use baselines::common::{pair_attention, pair_attention_params};
+use baselines::common::pair_attention;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tensor::{EdgeRows, Graph, Initializer, ParamId, Params, Tensor, Var};
@@ -97,6 +98,30 @@ fn run(
     }
 }
 
+/// `[x_1 ‖ .. ‖ x_K]` for `n x d` inputs, as `sum_i x_i·S_i` with the
+/// constant `d x K·d` selection matrix `S_i = [0 .. I .. 0]` (`I` in
+/// block `i`): each entry of the result is one input entry times 1 plus
+/// zeros, so the values are exact, and each input's gradient is its
+/// column block of the output's.
+fn concat_cols(g: &mut Graph, parts: &[Var]) -> Var {
+    let d = g.shape(parts[0]).1;
+    let width = parts.len() * d;
+    let mut sum: Option<Var> = None;
+    for (i, &x) in parts.iter().enumerate() {
+        let mut sel = Tensor::zeros(d, width);
+        for r in 0..d {
+            sel.set(r, i * d + r, 1.0);
+        }
+        let sel = g.input(sel);
+        let term = g.matmul(x, sel);
+        sum = Some(match sum {
+            None => term,
+            Some(prev) => g.add(prev, term),
+        });
+    }
+    sum.expect("at least one part")
+}
+
 /// The gradient of parameter `id`, summed over its bindings.
 fn param_grad(g: &Graph, id: ParamId) -> Tensor {
     let mut grads = g
@@ -113,11 +138,12 @@ fn check(lay: &Layout, what: &str) {
     let seed = 5;
 
     let mut split = Params::new();
-    let att = pair_attention_params(
-        &mut split,
+    let att = split.add_init_split(
         "a",
-        d,
+        ["v", "u"],
+        (d, 1),
         lay.heads,
+        Initializer::XavierUniform,
         &mut ChaCha8Rng::seed_from_u64(seed),
     );
     let got = run(
@@ -173,7 +199,7 @@ fn check(lay: &Layout, what: &str) {
         &|g, h_v, h_u| {
             let v = pick(g, h_v, &lay.v_rows);
             let u = pick(g, h_u, &lay.u_rows);
-            let feat = g.concat_cols(v, u);
+            let feat = concat_cols(g, &[v, u]);
             let mut sum: Option<Var> = None;
             for &id in &heads {
                 let a = g.param(&concat, id);

@@ -9,7 +9,7 @@
 #![cfg(feature = "alloc-count")]
 
 use bench::{bench_dataset, bench_model, bench_model_cfg};
-use catehgn::CateHgn;
+use catehgn::{CateHgn, Reads};
 use hetgraph::{sample_blocks, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
@@ -86,7 +86,7 @@ fn run_training_path(reuse: bool) -> (Vec<u32>, f64) {
             fresh = Graph::new();
             &mut fresh
         };
-        let fw = model.forward(g, &ds.graph, &ds.features, &blocks, false);
+        let fw = model.forward(g, &ds.graph, &ds.features, &blocks, Reads::HGN_STEP);
         let (loss, _, _) = model.hgn_loss(g, &fw, &blocks, &labels, &mut rng);
         let bits = g.value(loss).as_slice()[0].to_bits();
         g.backward(loss);

@@ -9,26 +9,35 @@
 //! (head-averaged). With attention disabled (ablation), aggregation is
 //! uniform within and across types, which is Eq. 3's plain form normalised
 //! for stability. Every product over a concatenation runs split at the
-//! concat boundaries, once per row it depends on (see [`node_update`]).
+//! concat boundaries, once per row it depends on (see [`node_update`]),
+//! and every weight over a concatenation is stored split there, one
+//! parameter per concatenated input (see [`LayerParams`]).
 
 use crate::config::{Composition, ModelConfig};
 use hetgraph::Block;
 use tensor::{EdgeRows, ForwardCtx, ParamId, Params, Var};
 
-/// Trainable parameters of one HGN layer.
+/// Trainable parameters of one HGN layer, each stored in the layout it
+/// is multiplied in: a weight over a concatenation is one parameter per
+/// concatenated input, the `d` rows that multiply it.
 #[derive(Clone, Debug)]
 pub struct LayerParams {
-    /// Shared node transformation `W_a` (`2d x d`).
-    pub w_a: ParamId,
+    /// Shared node transformation `W_a` (`2d x d`, Eq. 3) over `[φ ‖ h_v]`,
+    /// as its halves `[W_a[:d], W_a[d:]]` (`d x d` each), applied to φ and
+    /// to `h_v`.
+    pub w_a: [ParamId; 2],
     /// Self-connection transformation (`d x d`) — the `A + I`
     /// self-connection of the GCN the HGN builds on (Eq. 1).
     pub w_self: ParamId,
     /// Shared link transformation `W_b` (`d x d`).
     pub w_b: ParamId,
-    /// Node-wise attention vectors `a_t` per link type per head (`3d x 1`).
-    pub a_node: Vec<Vec<ParamId>>,
-    /// Link-wise attention vectors `a_b` per head (`3d x 1`).
-    pub a_link: Vec<ParamId>,
+    /// Node-wise attention `a_t` over `[h_v ‖ h_e ‖ h_u]` per link type
+    /// (Eq. 14), as `[A_v, A_e, A_u]` (`d x heads_node` each): head `k`'s
+    /// `3d x 1` vector is column `k` of the three stacked.
+    pub a_node: Vec<[ParamId; 3]>,
+    /// Link-wise attention `a_b` over `[h_v ‖ h_e ‖ agg]` (Eq. 15), as
+    /// `[A_v, A_e, A_u]` (`d x heads_link` each).
+    pub a_link: [ParamId; 3],
     /// Layer-wise citation regressor `W_y` (`d x 1`) and bias (Eq. 6).
     pub w_y: ParamId,
     pub b_y: ParamId,
@@ -37,7 +46,9 @@ pub struct LayerParams {
 }
 
 impl LayerParams {
-    /// Registers one layer's parameters.
+    /// Registers one layer's parameters. The values and the RNG order are
+    /// those of the concat layout: `W_a` is one `2d x d` draw, and each
+    /// head one `3d x 1` draw, type by type and head by head.
     pub fn init<R: rand::Rng>(
         params: &mut Params,
         l: usize,
@@ -47,27 +58,30 @@ impl LayerParams {
         rng: &mut R,
     ) -> Self {
         use tensor::Initializer::{XavierUniform, Zeros};
-        let w_a = params.add_init(format!("l{l}.w_a"), 2 * dim, dim, XavierUniform, rng);
+        let w_a = params.add_init_split(
+            &format!("l{l}.w_a"),
+            ["phi", "v"],
+            (dim, dim),
+            1,
+            XavierUniform,
+            rng,
+        );
         let w_self = params.add_init(format!("l{l}.w_self"), dim, dim, XavierUniform, rng);
         let w_b = params.add_init(format!("l{l}.w_b"), dim, dim, XavierUniform, rng);
+        let mut heads = |name: String, n_heads: usize| {
+            params.add_init_split(
+                &name,
+                ["v", "e", "u"],
+                (dim, 1),
+                n_heads,
+                XavierUniform,
+                rng,
+            )
+        };
         let a_node = (0..n_link_types)
-            .map(|t| {
-                (0..cfg.heads_node)
-                    .map(|h| {
-                        params.add_init(
-                            format!("l{l}.a_node.t{t}.h{h}"),
-                            3 * dim,
-                            1,
-                            XavierUniform,
-                            rng,
-                        )
-                    })
-                    .collect()
-            })
+            .map(|t| heads(format!("l{l}.a_node.t{t}"), cfg.heads_node))
             .collect();
-        let a_link = (0..cfg.heads_link)
-            .map(|h| params.add_init(format!("l{l}.a_link.h{h}"), 3 * dim, 1, XavierUniform, rng))
-            .collect();
+        let a_link = heads(format!("l{l}.a_link"), cfg.heads_link);
         // Zero-init output head: with the train-mean bias warm start this
         // makes the untrained model exactly the mean predictor, which the
         // best-on-validation selection then only improves on.
@@ -142,31 +156,6 @@ pub fn link_update<F: ForwardCtx>(
 /// LeakyReLU slope of the attention scores (GAT's 0.2).
 const ATTENTION_SLOPE: f32 = 0.2;
 
-/// The attention vectors of `heads` (each `3d x 1`) side by side and cut
-/// at the concat boundaries of `[h_v ‖ h_e ‖ h_u]`: the `d x H` blocks
-/// `(A_v, A_e, A_u)`.
-fn head_blocks<F: ForwardCtx>(g: &mut F, params: &Params, heads: &[ParamId], d: usize) -> [Var; 3] {
-    let first = g.param(params, heads[0]);
-    let stacked = heads.iter().skip(1).fold(first, |acc, &id| {
-        let a = g.param(params, id);
-        let next = g.concat_cols(acc, a);
-        g.free(acc);
-        g.free(a);
-        next
-    });
-    let blocks = [0, 1, 2].map(|i| rows(g, stacked, i * d, (i + 1) * d));
-    g.free(stacked);
-    blocks
-}
-
-/// Rows `start..end` of `a`, where a weight is cut at a concat boundary.
-/// The index list comes from the scratch pool, like every other list here.
-fn rows<F: ForwardCtx>(g: &mut F, a: Var, start: usize, end: usize) -> Var {
-    let mut idx = g.scratch_idx();
-    idx.extend(start..end);
-    g.gather_rows(a, idx)
-}
-
 /// `a + b`, freeing both operands.
 fn add_freeing<F: ForwardCtx>(g: &mut F, a: Var, b: Var) -> Var {
     let sum = g.add(a, b);
@@ -184,7 +173,7 @@ fn stack_freeing<F: ForwardCtx>(g: &mut F, vars: &[Var]) -> Var {
     out
 }
 
-/// `a · b`, freeing `b` (a weight block read once).
+/// `a · b`, freeing `b` (a weight read once).
 fn matmul_freeing_rhs<F: ForwardCtx>(g: &mut F, a: Var, b: Var) -> Var {
     let out = g.matmul(a, b);
     g.free(b);
@@ -241,9 +230,9 @@ fn uniform_weights<F: ForwardCtx>(g: &mut F, groups: &[usize], n_groups: usize) 
 /// * Eq. 3: `W_a(φ ‖ h_v) = φ·W_a[:d] + h_v·W_a[d:]`. The first term runs
 ///   once per distinct (type, source) row, the second once per
 ///   destination, since `W_a` is shared across types.
-/// * Eq. 14: `[h_v ‖ h_e ‖ h_u]·a = h_v·a_v + h_e·a_e + h_u·a_u`, with a
-///   type's heads stacked into `d x H` blocks: once per active slot, once
-///   per type and once per distinct source.
+/// * Eq. 14: `[h_v ‖ h_e ‖ h_u]·a = h_v·A_v + h_e·A_e + h_u·A_u`, all of
+///   a type's heads at once through its `d x H` weights: once per active
+///   slot, once per type and once per distinct source.
 /// * Eq. 15: the same split over `[h_v ‖ h_e ‖ agg]`, with `h_v·A_v` once
 ///   per destination, `h_e·A_e` once per type, and `agg·A_u` per slot.
 ///
@@ -253,7 +242,8 @@ fn uniform_weights<F: ForwardCtx>(g: &mut F, groups: &[usize], n_groups: usize) 
 /// `(φ·W_a[:d])[src] + (h_v·W_a[d:])[dst]` into its slot. Eq. 15 runs the
 /// same pair per slot and sums the weighted slot aggregates into their
 /// destinations. Per-edge work is `O(d)`, and no per-edge or per-slot
-/// `m x d` tensor exists. Everything is a
+/// `m x d` tensor exists. The weights are bound as stored
+/// ([`LayerParams`]), so no op copies or cuts a parameter. Everything is a
 /// `ForwardCtx` op, so the tape and the tape-free context run the same op
 /// sequence.
 pub fn node_update<F: ForwardCtx>(
@@ -266,7 +256,7 @@ pub fn node_update<F: ForwardCtx>(
     h_edge: &[Var],
 ) -> Var {
     let n_dst = block.dst_nodes.len();
-    let (n_src, d) = g.shape(h_src);
+    let n_src = g.shape(h_src).0;
     let attn = cfg.ablation.attention;
 
     // Per-type index preparation is pure bookkeeping over the block. Every
@@ -332,14 +322,11 @@ pub fn node_update<F: ForwardCtx>(
     }
 
     // Eq. 3's destination term `h_v · W_a[d:]`, once per destination.
-    let w_a = g.param(params, lp.w_a);
-    let w_top = rows(g, w_a, 0, d);
-    let w_bot = rows(g, w_a, d, 2 * d);
-    g.free(w_a);
-    let msg_dst = matmul_freeing_rhs(g, h_prev_dst, w_bot);
+    let [w_phi, w_v] = lp.w_a.map(|id| g.param(params, id));
+    let msg_dst = matmul_freeing_rhs(g, h_prev_dst, w_v);
 
-    // Eq. 15's link heads, cut into `d x H` blocks.
-    let link_heads = attn.then(|| head_blocks(g, params, &lp.a_link, d));
+    // Eq. 15's link heads.
+    let link_heads = attn.then(|| lp.a_link.map(|id| g.param(params, id)));
 
     // Per-type aggregates at their active destinations, in type order:
     // the (type, destination) slots of Eq. 15. `segments` holds each
@@ -361,12 +348,12 @@ pub fn node_update<F: ForwardCtx>(
         let e_tiled = g.tile_row(h_e, n_distinct);
         let phi = compose(g, h_u, e_tiled, cfg.composition);
         g.free(e_tiled);
-        let msg_src = g.matmul(phi, w_top);
+        let msg_src = g.matmul(phi, w_phi);
         g.free(phi);
 
         // Eq. 14: node-wise attention within the type, or uniform weights.
         let alpha = if attn {
-            let [a_v, a_e, a_u] = head_blocks(g, params, &lp.a_node[ti.lt], d);
+            let [a_v, a_e, a_u] = lp.a_node[ti.lt].map(|id| g.param(params, id));
             let idx = g.scratch_idx_from(&ti.active_dst);
             let h_v = g.gather_rows(h_prev_dst, idx);
             let s_slot = matmul_freeing_rhs(g, h_v, a_v);
@@ -416,7 +403,7 @@ pub fn node_update<F: ForwardCtx>(
             type_scores.push(g.matmul(h_e, a_e));
         }
     }
-    g.free(w_top);
+    g.free(w_phi);
     g.free(msg_dst);
     let stacked_agg = stack_freeing(g, &aggs);
 
@@ -465,7 +452,7 @@ pub fn node_update<F: ForwardCtx>(
 mod tests {
     use super::*;
     use hetgraph::{sample_blocks, HetGraphBuilder, Schema};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use tensor::{Graph, Tensor};
 
@@ -546,6 +533,53 @@ mod tests {
         assert_ne!(ga.value(ha).as_slice(), gu.value(hu).as_slice());
     }
 
+    /// `LayerParams::init` draws what the concat layout drew, value for
+    /// value and in the same RNG order: `W_a` as one `2d x d` draw, then
+    /// `w_self` and `w_b`, each type's heads and then the link heads as
+    /// `3d x 1` draws, and `w_d` (the zero-initialised `w_y` and `b_y`
+    /// draw nothing).
+    #[test]
+    fn init_draws_the_concat_layout_values() {
+        use tensor::Initializer::XavierUniform;
+        let (d, n_types) = (6, 3);
+        for heads in [1, 4] {
+            let cfg = ModelConfig {
+                dim: d,
+                heads_node: heads,
+                heads_link: heads,
+                ..ModelConfig::test_tiny()
+            };
+            let mut params = Params::new();
+            let mut split_rng = ChaCha8Rng::seed_from_u64(3);
+            let lp = LayerParams::init(&mut params, 0, d, n_types, &cfg, &mut split_rng);
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            // Columns `cols` of the split weight `blocks`, stacked
+            // row-wise, against the whole of one concat-layout draw.
+            let mut check = |blocks: &[ParamId], cols: std::ops::Range<usize>, what: &str| {
+                let want = XavierUniform.sample(blocks.len() * d, cols.len(), &mut rng);
+                for r in 0..blocks.len() * d {
+                    for (j, c) in cols.clone().enumerate() {
+                        let got = params.value(blocks[r / d]).get(r % d, c);
+                        assert_eq!(got.to_bits(), want.get(r, j).to_bits(), "{what} ({r}, {c})");
+                    }
+                }
+            };
+            check(&lp.w_a, 0..d, "W_a");
+            check(&[lp.w_self], 0..d, "w_self");
+            check(&[lp.w_b], 0..d, "w_b");
+            for (t, a) in lp.a_node.iter().enumerate() {
+                for h in 0..heads {
+                    check(a, h..h + 1, &format!("a_node type {t} head {h}"));
+                }
+            }
+            for h in 0..heads {
+                check(&lp.a_link, h..h + 1, &format!("a_link head {h}"));
+            }
+            check(&[lp.w_d], 0..d, "w_d");
+            assert_eq!(split_rng.gen::<u64>(), rng.gen::<u64>());
+        }
+    }
+
     #[test]
     fn layer_is_differentiable_end_to_end() {
         let cfg = ModelConfig {
@@ -577,8 +611,8 @@ mod tests {
         let bound: Vec<_> = g
             .bindings()
             .iter()
-            .filter(|(pid, v)| *pid == lp.w_a && g.grad(*v).is_some())
+            .filter(|(pid, v)| lp.w_a.contains(pid) && g.grad(*v).is_some())
             .collect();
-        assert!(!bound.is_empty(), "W_a got no gradient");
+        assert_eq!(bound.len(), 2, "each half of W_a gets a gradient");
     }
 }

@@ -32,7 +32,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use tensor::{Graph, Params};
+use tensor::{Graph, ParamId, Params};
 
 /// Snapshot file magic.
 const MAGIC: [u8; 4] = *b"CHGN";
@@ -496,35 +496,45 @@ pub fn snapshot_params(params: &Params) -> Vec<ParamSnap> {
         .collect()
 }
 
-/// Restores snaps into a live [`Params`] store built by the same model
-/// constructor. Validates count, names, and shapes positionally.
-pub fn restore_params(params: &mut Params, snaps: &[ParamSnap]) -> Result<(), CheckpointError> {
-    if params.len() != snaps.len() {
+/// Checks a saved parameter list against a live [`Params`] store
+/// positionally: the same count, and at each position the same name and
+/// shape. `saved` yields each saved parameter's `(name, rows, cols)`.
+/// Returns the live store's ids in order, for the caller to restore into.
+pub(crate) fn check_layout<'a>(
+    params: &Params,
+    saved: impl ExactSizeIterator<Item = (&'a str, usize, usize)>,
+) -> Result<Vec<ParamId>, CheckpointError> {
+    if params.len() != saved.len() {
         return Err(CheckpointError::Mismatch(format!(
             "snapshot has {} parameters, model has {}",
-            snaps.len(),
+            saved.len(),
             params.len()
         )));
     }
-    let ids: Vec<tensor::ParamId> = params.iter().map(|(id, _, _)| id).collect();
-    for (id, snap) in ids.iter().zip(snaps) {
-        if params.name(*id) != snap.name {
+    for ((_, name, value), (saved_name, rows, cols)) in params.iter().zip(saved) {
+        if name != saved_name {
             return Err(CheckpointError::Mismatch(format!(
-                "parameter name mismatch: snapshot '{}', model '{}'",
-                snap.name,
-                params.name(*id)
+                "parameter name mismatch: snapshot '{saved_name}', model '{name}'"
             )));
         }
-        if params.value(*id).shape() != (snap.rows, snap.cols) {
+        if value.shape() != (rows, cols) {
             return Err(CheckpointError::Mismatch(format!(
-                "parameter '{}' shape mismatch: snapshot {}x{}, model {:?}",
-                snap.name,
-                snap.rows,
-                snap.cols,
-                params.value(*id).shape()
+                "parameter '{name}' shape mismatch: snapshot {rows}x{cols}, model {:?}",
+                value.shape()
             )));
         }
-        params.restore_state(*id, &snap.value, &snap.m, &snap.v);
+    }
+    Ok(params.iter().map(|(id, _, _)| id).collect())
+}
+
+/// Restores snaps into a live [`Params`] store built by the same model
+/// constructor, after [`check_layout`] accepts them; on a mismatch the
+/// store is left as it was.
+pub fn restore_params(params: &mut Params, snaps: &[ParamSnap]) -> Result<(), CheckpointError> {
+    let layout = snaps.iter().map(|s| (s.name.as_str(), s.rows, s.cols));
+    let ids = check_layout(params, layout)?;
+    for (id, snap) in ids.into_iter().zip(snaps) {
+        params.restore_state(id, &snap.value, &snap.m, &snap.v);
     }
     Ok(())
 }
@@ -546,36 +556,14 @@ pub fn snapshot_values(params: &Params) -> Vec<ValueSnap> {
 }
 
 /// Restores values-only snaps into a live [`Params`] store, leaving its
-/// optimizer moments untouched. Validates count, names, and shapes
-/// positionally, exactly like [`restore_params`].
+/// optimizer moments untouched, after the same [`check_layout`] as
+/// [`restore_params`].
 pub fn restore_values(params: &mut Params, snaps: &[ValueSnap]) -> Result<(), CheckpointError> {
-    if params.len() != snaps.len() {
-        return Err(CheckpointError::Mismatch(format!(
-            "snapshot has {} parameters, model has {}",
-            snaps.len(),
-            params.len()
-        )));
-    }
-    let ids: Vec<tensor::ParamId> = params.iter().map(|(id, _, _)| id).collect();
-    for (id, snap) in ids.iter().zip(snaps) {
-        if params.name(*id) != snap.name {
-            return Err(CheckpointError::Mismatch(format!(
-                "parameter name mismatch: snapshot '{}', model '{}'",
-                snap.name,
-                params.name(*id)
-            )));
-        }
-        if params.value(*id).shape() != (snap.rows, snap.cols) {
-            return Err(CheckpointError::Mismatch(format!(
-                "parameter '{}' shape mismatch: snapshot {}x{}, model {:?}",
-                snap.name,
-                snap.rows,
-                snap.cols,
-                params.value(*id).shape()
-            )));
-        }
+    let layout = snaps.iter().map(|s| (s.name.as_str(), s.rows, s.cols));
+    let ids = check_layout(params, layout)?;
+    for (id, snap) in ids.into_iter().zip(snaps) {
         params
-            .value_mut(*id)
+            .value_mut(id)
             .as_mut_slice()
             .copy_from_slice(&snap.value);
     }

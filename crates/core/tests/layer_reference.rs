@@ -4,15 +4,21 @@
 //! Eq. 3 message is `[φ(h_u, h_e) ‖ h_v] · W_a`, each Eq. 14 score is
 //! `[h_v ‖ h_e ‖ h_u] · a` per head, and each Eq. 15 score is
 //! `[h_v ‖ h_e ‖ agg] · a` per head, with every concatenation built per
-//! edge or per slot. Each head's concat-form score column goes through
+//! edge or per slot. The layer stores its weights split
+//! ([`LayerParams`]); the reference reassembles the concat-form ones from
+//! those parameters: `W_a` as `[W_a[:d]; W_a[d:]]` and head `k`'s `3d x 1`
+//! vector as `[A_v·e_k; A_e·e_k; A_u·e_k]` (`e_k` the `k`-th unit column).
+//! Each column concatenation is `sum_i x_i·S_i` with constant selection
+//! matrices, which is exact. Each head's concat-form score column goes through
 //! `edge_softmax` as its one `Own` operand (LeakyReLU and segment softmax,
 //! held to a written-out loop in the tensor crate's `edge_kernels` tests),
 //! and each weighted sum through a one-operand `edge_aggregate`.
 //! `node_update` computes the same function split at the concat
 //! boundaries, once per node or per type, so the two differ only by float
-//! summation order. The tests hold the output and the gradients of
-//! `W_a`, `w_self`, every `a_node` and `a_link` head and `h_src` to the
-//! reference within [`REL_TOL`] of each tensor's largest magnitude.
+//! summation order. The tests hold the output and the gradients of both
+//! `W_a` halves, `w_self`, every type's and the link heads' `A_v`, `A_e`
+//! and `A_u`, and `h_src` to the reference within [`REL_TOL`] of each
+//! tensor's largest magnitude.
 
 use catehgn::config::{Composition, ModelConfig};
 use catehgn::layer::{compose, node_update, LayerParams};
@@ -20,24 +26,56 @@ use dblp_sim::{Dataset, WorldConfig};
 use hetgraph::{sample_blocks, Block};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 use tensor::{EdgeRows, Graph, ParamId, Params, Tensor, Var};
 
 /// Largest allowed `max |got - want| / max |want|` per compared tensor.
 const REL_TOL: f32 = 1e-4;
 
-/// Head-averaged `softmax(leaky_relu(feat · a_h))` within each of the
-/// `n_seg` segments.
+/// `[x_1 ‖ .. ‖ x_K]` for `n x d` inputs, as `sum_i x_i·S_i` with the
+/// constant `d x K·d` selection matrix `S_i = [0 .. I .. 0]` (`I` in
+/// block `i`): each entry of the result is one input entry times 1 plus
+/// zeros, so the values are exact, and each input's gradient is its
+/// column block of the output's.
+fn concat_cols(g: &mut Graph, parts: &[Var]) -> Var {
+    let d = g.shape(parts[0]).1;
+    let width = parts.len() * d;
+    let mut sum: Option<Var> = None;
+    for (i, &x) in parts.iter().enumerate() {
+        let mut sel = Tensor::zeros(d, width);
+        for r in 0..d {
+            sel.set(r, i * d + r, 1.0);
+        }
+        let sel = g.input(sel);
+        let term = g.matmul(x, sel);
+        sum = Some(match sum {
+            None => term,
+            Some(prev) => g.add(prev, term),
+        });
+    }
+    sum.expect("at least one part")
+}
+
+/// Head-averaged `softmax(leaky_relu(feat · a_k))` within each of the
+/// `n_seg` segments, where head `k`'s `3d x 1` vector `a_k` is
+/// `[A_v·e_k; A_e·e_k; A_u·e_k]` for the split weights `blocks`.
 fn reference_heads(
     g: &mut Graph,
     params: &Params,
     feat: Var,
-    heads: &[ParamId],
+    blocks: [ParamId; 3],
     segments: &[usize],
     n_seg: usize,
 ) -> Var {
+    let blocks = blocks.map(|id| g.param(params, id));
+    let n_heads = g.shape(blocks[0]).1;
     let mut sum: Option<Var> = None;
-    for &aid in heads {
-        let a = g.param(params, aid);
+    for k in 0..n_heads {
+        let mut unit = Tensor::zeros(n_heads, 1);
+        unit.set(k, 0, 1.0);
+        let e_k = g.input(unit);
+        let cols = blocks.map(|a| g.matmul(a, e_k));
+        let a = g.stack_rows(&cols);
         let s = g.matmul(feat, a);
         let sm = g.edge_softmax([(s, EdgeRows::Own)], segments.to_vec(), n_seg, 0.2);
         sum = Some(match sum {
@@ -46,7 +84,7 @@ fn reference_heads(
         });
     }
     let sum = sum.expect("at least one head");
-    g.scale(sum, 1.0 / heads.len() as f32)
+    g.scale(sum, 1.0 / n_heads as f32)
 }
 
 /// The HGN layer with every product over a per-edge or per-slot
@@ -62,7 +100,8 @@ fn reference_node_update(
 ) -> Var {
     let n_dst = block.dst_nodes.len();
     let attn = cfg.ablation.attention;
-    let w_a = g.param(params, lp.w_a);
+    let halves = lp.w_a.map(|id| g.param(params, id));
+    let w_a = g.stack_rows(&halves);
     let mut stacked: Option<(Var, Var)> = None;
     let mut segments = Vec::new();
     for (lt, edges) in block.edges_by_type.iter().enumerate() {
@@ -88,12 +127,11 @@ fn reference_node_update(
         let h_v = g.gather_rows(h_src, prev);
         let e_tiled = g.tile_row(h_edge[lt], dst.len());
         let phi = compose(g, h_u, e_tiled, cfg.composition);
-        let msg_in = g.concat_cols(phi, h_v);
+        let msg_in = concat_cols(g, &[phi, h_v]);
         let msg = g.matmul(msg_in, w_a);
         let alpha = if attn {
-            let hv_he = g.concat_cols(h_v, e_tiled);
-            let feat = g.concat_cols(hv_he, h_u);
-            reference_heads(g, params, feat, &lp.a_node[lt], &dst, n_dst)
+            let feat = concat_cols(g, &[h_v, e_tiled, h_u]);
+            reference_heads(g, params, feat, lp.a_node[lt], &dst, n_dst)
         } else {
             let mut deg = vec![0.0f32; n_dst];
             for &d in &dst {
@@ -105,8 +143,7 @@ fn reference_node_update(
 
         let h_v_slot = g.gather_rows(h_src, active_prev);
         let e_slot = g.tile_row(h_edge[lt], active.len());
-        let hv_he = g.concat_cols(h_v_slot, e_slot);
-        let feat = g.concat_cols(hv_he, agg);
+        let feat = concat_cols(g, &[h_v_slot, e_slot, agg]);
         segments.extend_from_slice(&active);
         stacked = Some(match stacked {
             None => (agg, feat),
@@ -125,7 +162,7 @@ fn reference_node_update(
         return g.relu(self_term);
     };
     let beta = if attn {
-        reference_heads(g, params, stacked_feat, &lp.a_link, &segments, n_dst)
+        reference_heads(g, params, stacked_feat, lp.a_link, &segments, n_dst)
     } else {
         let mut cnt = vec![0.0f32; n_dst];
         for &s in &segments {
@@ -191,6 +228,27 @@ fn run(
     }
 }
 
+/// Columns `cols` of the gradients of the split parameters `blocks`,
+/// stacked row-wise: the gradient of (part of) the concat-layout weight
+/// they hold. `None` when no block got a gradient.
+fn concat_grad(r: &Run, blocks: &[ParamId], cols: Range<usize>, name: &str) -> Option<Tensor> {
+    let grads: Vec<Option<&Tensor>> = blocks
+        .iter()
+        .map(|id| r.param_grads.iter().find(|(p, _)| p == id).map(|(_, t)| t))
+        .collect();
+    if grads.iter().all(Option::is_none) {
+        return None;
+    }
+    let rows: Vec<f32> = grads
+        .iter()
+        .flat_map(|t| {
+            let t = t.unwrap_or_else(|| panic!("{name}: only some blocks have a gradient"));
+            t.rows_iter().flat_map(|row| row[cols.clone()].to_vec())
+        })
+        .collect();
+    Some(Tensor::from_vec(rows.len() / cols.len(), cols.len(), rows))
+}
+
 fn rel_err(got: &Tensor, want: &Tensor) -> f32 {
     assert_eq!(got.shape(), want.shape());
     let scale = want
@@ -252,20 +310,25 @@ fn node_update_matches_concat_form_reference() {
                     let err = rel_err(&got.h_src_grad, &want.h_src_grad);
                     assert!(err < REL_TOL, "h_src grad: rel err {err} ({what})");
 
-                    let mut checked = vec![lp.w_a, lp.w_self];
+                    // Each gradient is compared as part of the concat-layout
+                    // weight it belongs to: `W_a` whole, and each head's
+                    // `3d x 1` vector. A lone `A_v` or `A_e` block can be all
+                    // rounding noise, since a score term that a whole
+                    // segment shares cancels in its softmax wherever the
+                    // LeakyReLU is linear over the segment.
+                    let mut checked: Vec<(&[ParamId], Range<usize>)> = vec![
+                        (&lp.w_a, 0..dim),
+                        (std::slice::from_ref(&lp.w_self), 0..dim),
+                    ];
                     if attention {
-                        checked.extend(lp.a_node.iter().flatten());
-                        checked.extend(&lp.a_link);
+                        for blocks in lp.a_node.iter().chain([&lp.a_link]) {
+                            checked.extend((0..heads).map(|k| (&blocks[..], k..k + 1)));
+                        }
                     }
-                    for id in checked {
-                        let find = |r: &Run| {
-                            r.param_grads
-                                .iter()
-                                .find(|(p, _)| *p == id)
-                                .map(|(_, t)| t.clone())
-                        };
-                        let name = params.name(id);
-                        let (got_g, want_g) = (find(&got), find(&want));
+                    for (blocks, cols) in checked {
+                        let name = format!("{} columns {cols:?}", params.name(blocks[0]));
+                        let got_g = concat_grad(&got, blocks, cols.clone(), &name);
+                        let want_g = concat_grad(&want, blocks, cols, &name);
                         assert_eq!(
                             got_g.is_some(),
                             want_g.is_some(),

@@ -5,7 +5,7 @@
 //! parameters, over 3 outer rounds of Algorithm 1's HGN + CA phases.
 
 use catehgn::config::ModelConfig;
-use catehgn::model::CateHgn;
+use catehgn::model::{CateHgn, Reads};
 use dblp_sim::{Dataset, WorldConfig};
 use hetgraph::{sample_blocks, NodeId};
 use rand::Rng;
@@ -87,7 +87,7 @@ fn run(ds: &Dataset, arm: Arm) -> (Vec<u32>, Vec<Vec<u32>>) {
                 shared.reset();
                 &mut shared
             };
-            let fw = model.forward(g, &ds.graph, &ds.features, &blocks, false);
+            let fw = model.forward(g, &ds.graph, &ds.features, &blocks, Reads::HGN_STEP);
             let (loss, _, _) = model.hgn_loss(g, &fw, &blocks, &labels, &mut rng);
             losses.push(g.value(loss).as_slice()[0].to_bits());
             // Long enough that `backward` takes the branch-parallel
@@ -109,7 +109,7 @@ fn run(ds: &Dataset, arm: Arm) -> (Vec<u32>, Vec<Vec<u32>>) {
                 shared.reset();
                 &mut shared
             };
-            let fw = model.forward(g, &ds.graph, &ds.features, &blocks, true);
+            let fw = model.forward(g, &ds.graph, &ds.features, &blocks, Reads::CA_STEP);
             if let Some(loss) = model.ca_loss(g, &fw) {
                 losses.push(g.value(loss).as_slice()[0].to_bits());
                 backward(g, loss);

@@ -103,7 +103,7 @@ proptest! {
 
 mod end_to_end_props {
     use super::*;
-    use catehgn::{CateHgn, ModelConfig};
+    use catehgn::{CateHgn, ModelConfig, Reads};
     use dblp_sim::{Dataset, WorldConfig};
     use hetgraph::sample_blocks;
 
@@ -130,7 +130,7 @@ mod end_to_end_props {
                 .collect();
             let blocks = sample_blocks(&ds.graph, &seeds, model.cfg.layers, fanout, &mut rng);
             let mut g = Graph::new();
-            let fw = model.forward(&mut g, &ds.graph, &ds.features, &blocks, false);
+            let fw = model.forward(&mut g, &ds.graph, &ds.features, &blocks, Reads::HGN_STEP);
             for &h in &fw.h_layers {
                 prop_assert!(g.value(h).all_finite());
                 prop_assert_eq!(g.value(h).cols(), model.cfg.dim);

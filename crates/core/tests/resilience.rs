@@ -10,7 +10,7 @@ use catehgn::{
 use dblp_sim::{Dataset, WorldConfig};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use tensor::par;
+use tensor::{par, Params, Tensor};
 
 /// Serialises access to the process-global tensor thread-count override.
 static THREADS: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -580,4 +580,65 @@ fn resume_without_a_checkpoint_reports_missing() {
         err,
         TrainError::Checkpoint(CheckpointError::Missing)
     ));
+}
+
+/// A model saved before the HGN layer stored its weights split carries
+/// `l{l}.w_a` as one `2d x d` parameter and each attention head as its
+/// own `3d x 1` parameter (`l0.a_node.t0.h0`, ..). It holds exactly as
+/// many weights as the split layout, so only the positional name and
+/// shape check tells them apart: `CateHgn::load` returns a typed
+/// mismatch instead of binding the wrong shapes.
+#[test]
+fn load_rejects_a_model_saved_in_the_concat_layout() {
+    let cfg = tiny_cfg();
+    let pristine = Dataset::full(&WorldConfig::tiny(), 8);
+    let (model, ds) = build(&cfg, &pristine);
+
+    // The same values regrouped into the concat layout, in the old order.
+    let mut old = Params::new();
+    let mut split = model.params.iter();
+    while let Some((_, name, value)) = split.next() {
+        let mut next_block = || split.next().expect("a split weight has all its blocks").2;
+        if let Some(base) = name.strip_suffix(".phi") {
+            // `W_a`: its halves stacked.
+            let bottom = next_block();
+            let rows: Vec<f32> = [value, bottom]
+                .iter()
+                .flat_map(|t| t.as_slice().to_vec())
+                .collect();
+            old.add(base, Tensor::from_vec(2 * value.rows(), value.cols(), rows));
+        } else if let Some(base) = name.strip_suffix(".v") {
+            // Attention `[A_v, A_e, A_u]`: one `3d x 1` vector per head.
+            let blocks = [value, next_block(), next_block()];
+            for h in 0..value.cols() {
+                let col: Vec<f32> = blocks
+                    .iter()
+                    .flat_map(|t| (0..t.rows()).map(move |r| t.get(r, h)))
+                    .collect();
+                old.add(format!("{base}.h{h}"), Tensor::col_vec(col));
+            }
+        } else {
+            old.add(name, value.clone());
+        }
+    }
+    assert!(old
+        .iter()
+        .any(|(_, name, value)| name == "l0.a_node.t0.h0" && value.shape() == (3 * cfg.dim, 1)));
+    assert_eq!(old.num_weights(), model.num_weights());
+
+    let path = ckpt_path("concat-layout").with_extension("json");
+    let blob = serde_json::json!({ "config": cfg, "params": old });
+    std::fs::write(&path, serde_json::to_string(&blob).unwrap()).unwrap();
+    let loaded = CateHgn::load(
+        &path,
+        ds.features.cols(),
+        ds.graph.schema().num_node_types(),
+        ds.graph.schema().num_link_types(),
+    );
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(loaded, Err(CheckpointError::Mismatch(_))),
+        "expected a layout mismatch, got {:?}",
+        loaded.err()
+    );
 }

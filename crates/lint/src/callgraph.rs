@@ -7,9 +7,13 @@
 //! several items produces an edge to every one of them.
 //! Over-approximation is the designed failure mode: the taint and
 //! panic-reach passes may report a path that the type checker would rule
-//! out, but they cannot miss one through a resolvable call. The one
-//! deliberate under-approximation: a path qualifier that matches no
-//! workspace self type or module names a *foreign* type
+//! out, but they cannot miss one through a resolvable call. A qualifier
+//! names its type through a turbofish (`Type::<N>::new` names `Type`)
+//! and through a workspace type alias (`type Han = MetapathModel<..>`
+//! makes `Han::new` name `MetapathModel`); a type parameter of the
+//! caller's file (`P::rows`) resolves like a bare name. The one
+//! deliberate under-approximation: any other path qualifier that matches
+//! no workspace self type or module names a *foreign* type
 //! (`Condvar::new`), and the call resolves to nothing rather than to
 //! every same-named workspace fn. Calls into `std` and vendored shims
 //! likewise resolve to nothing and end the walk; macro bodies and
@@ -21,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::items::FnItem;
+use crate::items::{self, FnItem};
 use crate::lexer::SigView;
 use crate::scanner::Kind;
 
@@ -56,6 +60,11 @@ pub struct CallGraph {
     /// Reverse edges: for each function, `(caller, call line)` pairs.
     pub callers: Vec<Vec<(usize, u32)>>,
     by_name: BTreeMap<String, Vec<usize>>,
+    /// Workspace type aliases: alias name to every type it names.
+    aliases: BTreeMap<String, BTreeSet<String>>,
+    /// Per file (indexed like `views`), the type parameter names it
+    /// declares.
+    type_params: Vec<BTreeSet<String>>,
 }
 
 impl CallGraph {
@@ -67,11 +76,17 @@ impl CallGraph {
         for (i, f) in fns.iter().enumerate() {
             by_name.entry(f.name.clone()).or_default().push(i);
         }
+        let mut aliases: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        for (alias, target) in views.iter().flat_map(|v| items::type_aliases(v)) {
+            aliases.entry(alias).or_default().insert(target);
+        }
         let mut graph = CallGraph {
             calls: vec![Vec::new(); fns.len()],
             callers: vec![Vec::new(); fns.len()],
             fns,
             by_name,
+            aliases,
+            type_params: views.iter().map(|v| items::type_params(v)).collect(),
         };
         for caller in 0..graph.fns.len() {
             let Some((open, close)) = graph.fns[caller].body else {
@@ -98,11 +113,14 @@ impl CallGraph {
     /// Resolve a callee name to candidate functions. A bare `name(…)`
     /// call resolves to every workspace item of that name (ambiguity is
     /// over-approximated). A `Q::name(…)` call resolves against self
-    /// types first, then module paths; a qualifier matching *neither*
-    /// resolves to nothing — `Q` names a foreign type (`Condvar::new`),
-    /// so keeping all same-named workspace fns would only produce false
-    /// edges. `recv.name(…)` narrows to methods (`has_self`), again with
-    /// no fallback: a bare fn cannot be a method callee. A bare value
+    /// types first (the types `Q` aliases, when it is a workspace type
+    /// alias), then module paths. A qualifier matching *neither* that is
+    /// a type parameter declared in the caller's file (`P::rows(…)` under
+    /// `impl<P: PathRows>`) resolves like a bare call; any other resolves
+    /// to nothing — `Q` names a foreign type (`Condvar::new`), so keeping
+    /// all same-named workspace fns would only produce false edges.
+    /// `recv.name(…)` narrows to methods (`has_self`), again with no
+    /// fallback: a bare fn cannot be a method callee. A bare value
     /// (`zip(name)`) resolves to free functions only: Rust cannot name a
     /// method or associated function without a path, so a local called
     /// `l2` must not keep `Graph::l2` alive. Test-only items never
@@ -137,15 +155,31 @@ impl CallGraph {
                 } else {
                     q.clone()
                 };
+                let aliased = self.aliases.get(&q);
                 let by_ty: Vec<usize> = visible()
-                    .filter(|&i| self.fns[i].self_ty.as_deref() == Some(q.as_str()))
+                    .filter(|&i| {
+                        self.fns[i].self_ty.as_ref().is_some_and(|ty| {
+                            *ty == q || aliased.is_some_and(|targets| targets.contains(ty))
+                        })
+                    })
                     .collect();
                 if !by_ty.is_empty() {
                     return by_ty;
                 }
-                visible()
+                let by_module: Vec<usize> = visible()
                     .filter(|&i| self.fns[i].self_ty.is_none() && self.fns[i].module.contains(&q))
-                    .collect()
+                    .collect();
+                // `P::name(…)` through a type parameter `P` of the
+                // caller's file can reach any implementor's `name`.
+                let type_param = caller.is_some_and(|c| {
+                    self.type_params
+                        .get(self.fns[c].file_idx)
+                        .is_some_and(|params| params.contains(&q))
+                });
+                if by_module.is_empty() && type_param {
+                    return visible().collect();
+                }
+                by_module
             }
         }
     }
@@ -244,6 +278,38 @@ fn non_callee(name: &str) -> bool {
     )
 }
 
+/// The path segment that ends at `t`, just before a `::`: the identifier
+/// at `t`, or for a turbofish `Type::<…>` ending at `t` the identifier
+/// before it. `None` when the segment starts before `start` or is not a
+/// name.
+fn path_qualifier(view: &SigView, start: usize, t: usize) -> Option<String> {
+    if view.kind(t) == Some(Kind::Ident) {
+        return Some(view.text(t).to_string());
+    }
+    if view.text(t) != ">" {
+        return None;
+    }
+    // Walk back to the matching `<`, skipping `->` arrows.
+    let mut depth = 0usize;
+    let mut k = t;
+    loop {
+        match view.text(k) {
+            ">" if k > start && view.text(k - 1) == "-" => k -= 1,
+            ">" => depth += 1,
+            "<" if depth <= 1 => break,
+            "<" => depth -= 1,
+            ";" | "{" | "}" => return None,
+            _ => {}
+        }
+        if k <= start {
+            return None;
+        }
+        k -= 1;
+    }
+    (k >= start + 2 && view.text(k - 1) == "::" && view.kind(k - 2) == Some(Kind::Ident))
+        .then(|| view.text(k - 2).to_string())
+}
+
 /// Invoke `f(sig_pos_of_name, name, qual)` for every syntactic call site
 /// in `view[start..end)`: `name(…)`, `recv.name(…)`, `Q::name(…)`, and
 /// the turbofish form `name::<…>(…)`. With `refs`, also for every name
@@ -305,8 +371,11 @@ pub fn for_each_call_site(
             Qual::Value
         } else if prev == "." {
             Qual::Method
-        } else if prev == "::" && s >= start + 2 && view.kind(s - 2) == Some(Kind::Ident) {
-            Qual::Path(view.text(s - 2).to_string())
+        } else if let Some(q) = (prev == "::" && s >= start + 2)
+            .then(|| path_qualifier(view, start, s - 2))
+            .flatten()
+        {
+            Qual::Path(q)
         } else {
             Qual::None
         };

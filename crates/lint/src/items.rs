@@ -8,6 +8,8 @@
 //! macro-generated items are invisible, and a `{` inside a const-generic
 //! position of a function signature would be mistaken for the body.
 
+use std::collections::BTreeSet;
+
 use crate::lexer::SigView;
 use crate::scanner::Kind;
 
@@ -64,6 +66,86 @@ pub fn extract(file: &str, file_idx: usize, view: &SigView, package: Option<&str
         None,
         &mut out,
     );
+    out
+}
+
+/// Every `type Alias = Target<…>;` item outside `impl` and `trait`
+/// blocks, as `(Alias, Target)` with `Target` the last segment of the
+/// aliased path: `type Han = common::MetapathModel<HanRows>;` gives
+/// `("Han", "MetapathModel")`. Associated types are skipped with the
+/// blocks that hold them.
+pub fn type_aliases(view: &SigView) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let end = view.len();
+    let mut s = 0;
+    while s < end {
+        match view.text(s) {
+            "impl" | "trait" => match find_block_open(view, s + 1, end) {
+                Some(open) => s = view.mate(open).map_or(end, |close| close + 1),
+                None => s += 1,
+            },
+            "type" if view.kind(s + 1) == Some(Kind::Ident) => {
+                let semi = (s + 2..end).find(|&t| view.text(t) == ";").unwrap_or(end);
+                let target = (s + 2..semi)
+                    .find(|&t| view.text(t) == "=")
+                    .and_then(|eq| impl_self_type(view, eq + 1, semi));
+                if let Some(target) = target {
+                    out.push((view.text(s + 1).to_string(), target));
+                }
+                s = semi;
+            }
+            _ => s += 1,
+        }
+    }
+    out
+}
+
+/// Names of the type parameters declared in `view`: the first identifier
+/// of each parameter in the `<…>` list of an `impl` header or of a
+/// `fn`/`struct`/`enum`/`trait`/`type` item (`impl<P: PathRows>` gives
+/// `P`). Lifetimes and `const` parameters are not types and are skipped.
+pub fn type_params(view: &SigView) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for open in 0..view.len() {
+        let opens_list = view.text(open) == "<"
+            && open >= 1
+            && (view.text(open - 1) == "impl"
+                || open >= 2
+                    && view.kind(open - 1) == Some(Kind::Ident)
+                    && matches!(
+                        view.text(open - 2),
+                        "fn" | "struct" | "enum" | "trait" | "type"
+                    ));
+        if !opens_list {
+            continue;
+        }
+        let mut depth = 0usize;
+        let mut param_start = true;
+        for s in open..view.len() {
+            match view.text(s) {
+                "<" => depth += 1,
+                ">" if view.text(s - 1) == "-" => {}
+                ">" if depth <= 1 => break,
+                ">" => depth -= 1,
+                "," if depth == 1 => {
+                    param_start = true;
+                    continue;
+                }
+                "{" | ";" => break,
+                t if depth == 1
+                    && param_start
+                    && view.kind(s) == Some(Kind::Ident)
+                    && t != "const" =>
+                {
+                    out.insert(t.to_string());
+                }
+                _ => {}
+            }
+            if s > open {
+                param_start = false;
+            }
+        }
+    }
     out
 }
 

@@ -252,6 +252,49 @@ fn panic_reach_fixture_counts_and_witness() {
         .contains("`ServeEngine::safe` (crates/foo/src/train.rs:7) — no panic path found"));
 }
 
+/// The callees of the function named `caller`, as qualified names.
+fn callees(cg: &CallGraph, caller: &str) -> Vec<String> {
+    let i = cg
+        .fns
+        .iter()
+        .position(|f| f.name == caller)
+        .unwrap_or_else(|| panic!("no fn `{caller}`"));
+    cg.calls[i]
+        .iter()
+        .map(|c| cg.fns[c.callee].qualified())
+        .collect()
+}
+
+/// A turbofish qualifier names its type: `Operands::<3>::new()` calls
+/// `Operands::new` only, not every workspace `new`.
+#[test]
+fn turbofish_qualifier_resolves_to_its_type() {
+    let scanned = scanner::scan(&fixture("callgraph_qualifiers.rs"));
+    let (cg, _view) = single_file_graph("crates/foo/src/lib.rs", &scanned);
+    assert_eq!(callees(&cg, "with_turbofish"), ["Operands::new"]);
+}
+
+/// A type alias names its target: `Alias::new(0)` with
+/// `type Alias = crate::Model<u8>` calls `Model::new`.
+#[test]
+fn type_alias_qualifier_resolves_to_its_target() {
+    let scanned = scanner::scan(&fixture("callgraph_qualifiers.rs"));
+    let (cg, _view) = single_file_graph("crates/foo/src/lib.rs", &scanned);
+    assert_eq!(callees(&cg, "through_alias"), ["Model::new"]);
+}
+
+/// A type parameter qualifier resolves like a bare name: `P::rows()`
+/// under `P: Rows` reaches the implementors' `rows`.
+#[test]
+fn type_param_qualifier_resolves_like_a_bare_name() {
+    let scanned = scanner::scan(&fixture("callgraph_qualifiers.rs"));
+    let (cg, _view) = single_file_graph("crates/foo/src/lib.rs", &scanned);
+    assert_eq!(
+        callees(&cg, "through_param"),
+        ["Rows::rows", "ByPath::rows"]
+    );
+}
+
 #[test]
 fn par_fold_fixture_flags_captured_accumulator_only() {
     let scanned = scanner::scan(&fixture("par_fold_viol.rs"));

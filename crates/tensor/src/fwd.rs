@@ -180,20 +180,6 @@ pub(crate) fn sum_rows(pool: &mut BufferPool, a: &Tensor) -> Tensor {
     out
 }
 
-/// `[a | b]` horizontal concatenation.
-pub(crate) fn concat_cols(pool: &mut BufferPool, a: &Tensor, b: &Tensor) -> Tensor {
-    let (n, ma) = a.shape();
-    let (nb, mb) = b.shape();
-    assert_eq!(n, nb, "concat_cols row mismatch");
-    let mut out = pool.tensor_raw(n, ma + mb);
-    for r in 0..n {
-        let (left, right) = out.row_mut(r).split_at_mut(ma);
-        left.copy_from_slice(a.row(r));
-        right.copy_from_slice(b.row(r));
-    }
-    out
-}
-
 /// Gathers rows of `a` by `indices` (duplicates allowed).
 pub(crate) fn gather_rows(pool: &mut BufferPool, a: &Tensor, indices: &[usize]) -> Tensor {
     let (n, m) = a.shape();

@@ -117,7 +117,6 @@ enum Op {
     SumAll(Var),
     MeanAll(Var),
     SumRows(Var),
-    ConcatCols(Var, Var),
     GatherRows(Var, Vec<usize>),
     /// Row-wise dot product of two `n x d` tensors, yielding `n x 1`.
     RowwiseDot(Var, Var),
@@ -217,7 +216,6 @@ impl Op {
             | &Op::MulCol(a, b)
             | &Op::DivCol(a, b)
             | &Op::MatMul(a, b)
-            | &Op::ConcatCols(a, b)
             | &Op::RowwiseDot(a, b)
             | &Op::CircCorr(a, b)
             | &Op::PairwiseSqDist(a, b) => {
@@ -277,7 +275,6 @@ fn op_name(op: &Op) -> &'static str {
         Op::SumAll(..) => "SumAll",
         Op::MeanAll(..) => "MeanAll",
         Op::SumRows(..) => "SumRows",
-        Op::ConcatCols(..) => "ConcatCols",
         Op::GatherRows(..) => "GatherRows",
         Op::RowwiseDot(..) => "RowwiseDot",
         Op::CircCorr(..) => "CircCorr",
@@ -701,12 +698,6 @@ impl Graph {
         self.push(out, Op::SumRows(a))
     }
 
-    /// `[a | b]` horizontal concatenation.
-    pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let out = fwd::concat_cols(&mut self.pool, &self.values[a.idx()], &self.values[b.idx()]);
-        self.push(out, Op::ConcatCols(a, b))
-    }
-
     /// `parts` stacked vertically in order; each part's gradient is its
     /// slice of the output's, copied once.
     pub fn stack_rows(&mut self, parts: &[Var]) -> Var {
@@ -731,7 +722,7 @@ impl Graph {
         n_seg: usize,
         slope: f32,
     ) -> Var {
-        let scores: EdgeOperands<3> = EdgeOperands::new(scores);
+        let scores = EdgeOperands::<3>::new(scores);
         let (out, probs) = scores.with_values(&self.values, |ops| {
             fwd::edge_softmax(&mut self.pool, ops, &segments, n_seg, slope)
         });
@@ -756,7 +747,7 @@ impl Graph {
         segments: Vec<usize>,
         n_seg: usize,
     ) -> Var {
-        let msgs: EdgeOperands<2> = EdgeOperands::new(msgs);
+        let msgs = EdgeOperands::<2>::new(msgs);
         let wv = &self.values[w.idx()];
         let out = msgs.with_values(&self.values, |ops| {
             fwd::edge_aggregate(&mut self.pool, ops, wv, &segments, n_seg)
@@ -1659,20 +1650,6 @@ fn backward_op(
                 for r in 0..n {
                     let gv = g.as_slice()[r];
                     out.row_mut(r).iter_mut().for_each(|d| *d = gv);
-                }
-            });
-        }
-        &Op::ConcatCols(a, b) => {
-            let n = g.rows();
-            let ma = values[a.idx()].cols();
-            sink.emit_with(a, &mut |out| {
-                for r in 0..n {
-                    out.row_mut(r).copy_from_slice(&g.row(r)[..ma]);
-                }
-            });
-            sink.emit_with(b, &mut |out| {
-                for r in 0..n {
-                    out.row_mut(r).copy_from_slice(&g.row(r)[ma..]);
                 }
             });
         }

@@ -78,7 +78,6 @@ pub trait ForwardCtx {
     fn softplus(&mut self, a: Var) -> Var;
     fn matmul(&mut self, a: Var, b: Var) -> Var;
     fn gather_rows(&mut self, a: Var, indices: Vec<usize>) -> Var;
-    fn concat_cols(&mut self, a: Var, b: Var) -> Var;
     fn circ_corr(&mut self, a: Var, b: Var) -> Var;
     fn pairwise_sq_dist(&mut self, a: Var, b: Var) -> Var;
     fn recip1p(&mut self, a: Var) -> Var;
@@ -190,9 +189,6 @@ impl ForwardCtx for Graph {
     }
     fn gather_rows(&mut self, a: Var, indices: Vec<usize>) -> Var {
         Graph::gather_rows(self, a, indices)
-    }
-    fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        Graph::concat_cols(self, a, b)
     }
     fn circ_corr(&mut self, a: Var, b: Var) -> Var {
         Graph::circ_corr(self, a, b)
@@ -395,10 +391,6 @@ impl ForwardCtx for InferCtx {
     fn gather_rows(&mut self, a: Var, indices: Vec<usize>) -> Var {
         let v = fwd::gather_rows(&mut self.pool, &self.values[a.idx()], &indices);
         self.pool.give_idx(indices);
-        self.push(v)
-    }
-    fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let v = fwd::concat_cols(&mut self.pool, &self.values[a.idx()], &self.values[b.idx()]);
         self.push(v)
     }
     fn circ_corr(&mut self, a: Var, b: Var) -> Var {

@@ -60,6 +60,40 @@ impl Params {
         self.add(name, init.sample(rows, cols, rng))
     }
 
+    /// Registers a weight over a concatenation `[x_1 ‖ .. ‖ x_K]` of
+    /// `d`-wide inputs in split layout: one parameter per input, the rows
+    /// that multiply it. `draws` weights of `K·d x cols` are drawn by
+    /// `init` in turn, exactly as `draws` calls of [`Params::add_init`]
+    /// would draw them (same fan-in and fan-out, same RNG order). Rows
+    /// `i·d..(i+1)·d` of every draw go to `{name}.{parts[i]}`, a
+    /// `d x (draws·cols)` parameter holding draw `k` in columns
+    /// `k·cols..(k+1)·cols`.
+    ///
+    /// `H` attention heads over `[h_v ‖ h_u]` are `H` draws of one column
+    /// each (`d x H` blocks); a shared `2d x d` transformation is one draw
+    /// of `d` columns (its two `d x d` halves).
+    pub fn add_init_split<const K: usize, R: Rng>(
+        &mut self,
+        name: &str,
+        parts: [&str; K],
+        (d, cols): (usize, usize),
+        draws: usize,
+        init: Initializer,
+        rng: &mut R,
+    ) -> [ParamId; K] {
+        let drawn: Vec<Tensor> = (0..draws).map(|_| init.sample(K * d, cols, rng)).collect();
+        let first = self.entries.len();
+        for (i, part) in parts.iter().enumerate() {
+            // Row `r` of block `i` is row `i·d + r` of every draw, in turn.
+            let data = (i * d..(i + 1) * d)
+                .flat_map(|r| drawn.iter().flat_map(move |w| w.row(r)))
+                .copied()
+                .collect();
+            self.add(format!("{name}.{part}"), Tensor::from_vec(d, draws * cols, data));
+        }
+        std::array::from_fn(|i| ParamId(first + i))
+    }
+
     /// Number of registered parameters.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -90,7 +124,7 @@ impl Params {
     }
 
     /// Iterates over `(id, name, value)`.
-    pub fn iter(&self) -> impl Iterator<Item = (ParamId, &str, &Tensor)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (ParamId, &str, &Tensor)> {
         self.entries.iter().enumerate().map(|(i, e)| (ParamId(i), e.name.as_str(), &e.value))
     }
 
@@ -149,6 +183,54 @@ mod tests {
         assert_eq!(p.value(w).shape(), (4, 5));
         // Xavier bound for 4x5 is sqrt(6/9) ~ 0.816.
         assert!(p.value(w).max() <= 0.82 && p.value(w).min() >= -0.82);
+    }
+
+    /// Draws `draws` concat-layout `K·d x cols` weights both ways from one
+    /// seed and holds every split-layout value bitwise to its concat-layout
+    /// twin, and the RNG streams to the same position afterwards.
+    fn assert_split_matches_concat<const K: usize>(d: usize, cols: usize, draws: usize) {
+        let parts: [&str; K] = std::array::from_fn(|i| ["v", "e", "u"][i]);
+        let mut split_rng = ChaCha8Rng::seed_from_u64(9);
+        let mut p = Params::new();
+        let ids = p.add_init_split(
+            "a",
+            parts,
+            (d, cols),
+            draws,
+            Initializer::XavierUniform,
+            &mut split_rng,
+        );
+        let mut concat_rng = ChaCha8Rng::seed_from_u64(9);
+        for k in 0..draws {
+            let want = Initializer::XavierUniform.sample(K * d, cols, &mut concat_rng);
+            for r in 0..K * d {
+                for c in 0..cols {
+                    let got = p.value(ids[r / d]).get(r % d, k * cols + c);
+                    assert_eq!(got.to_bits(), want.get(r, c).to_bits(), "draw {k}, ({r}, {c})");
+                }
+            }
+        }
+        for (id, part) in ids.iter().zip(parts) {
+            assert_eq!(p.name(*id), format!("a.{part}"));
+            assert_eq!(p.value(*id).shape(), (d, draws * cols));
+        }
+        assert_eq!(split_rng.gen::<u64>(), concat_rng.gen::<u64>());
+    }
+
+    #[test]
+    fn split_draws_equal_the_concat_draws_they_replace() {
+        for d in [3, 8] {
+            // Attention heads over `[h_v ‖ h_u]` (the baselines).
+            for heads in [1, 2] {
+                assert_split_matches_concat::<2>(d, 1, heads);
+            }
+            // Attention heads over `[h_v ‖ h_e ‖ h_u]` (Eqs. 14 and 15).
+            for heads in [1, 4] {
+                assert_split_matches_concat::<3>(d, 1, heads);
+            }
+            // A shared `2d x d` transformation over `[φ ‖ h_v]` (Eq. 3).
+            assert_split_matches_concat::<2>(d, d, 1);
+        }
     }
 
     #[test]

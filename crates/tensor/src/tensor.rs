@@ -518,22 +518,6 @@ impl Tensor {
         }
     }
 
-    /// Horizontal concatenation `[self | other]`.
-    pub fn concat_cols(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.rows, other.rows, "concat_cols row mismatch");
-        let cols = self.cols + other.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for r in 0..self.rows {
-            data.extend_from_slice(self.row(r));
-            data.extend_from_slice(other.row(r));
-        }
-        Tensor {
-            rows: self.rows,
-            cols,
-            data: Stamped::new(data),
-        }
-    }
-
     /// Per-row L2 normalisation; zero rows are left untouched.
     pub fn l2_normalize_rows(&self) -> Tensor {
         let mut out = self.clone();
@@ -1383,14 +1367,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn gather_and_concat() {
+    fn gather_rows_repeats_and_reorders() {
         let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let g = a.gather_rows(&[2, 0, 2]);
         assert_eq!(g.as_slice(), &[5.0, 6.0, 1.0, 2.0, 5.0, 6.0]);
-        let b = Tensor::from_rows(&[&[9.0], &[8.0], &[7.0]]);
-        let cc = a.concat_cols(&b);
-        assert_eq!(cc.shape(), (3, 3));
-        assert_eq!(cc.row(1), &[3.0, 4.0, 8.0]);
     }
 
     #[test]

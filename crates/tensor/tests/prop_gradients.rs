@@ -144,11 +144,6 @@ proptest! {
     }
 
     #[test]
-    fn grad_concat_cols(a in small_tensor(3, 2), b in small_tensor(3, 3)) {
-        assert_grad_binary(&a, &b, |g, x, y| { let s = g.concat_cols(x, y); weighted_sum(g, s) });
-    }
-
-    #[test]
     fn grad_gather_rows(a in small_tensor(4, 3)) {
         assert_grad_unary(&a, |g, x| {
             let s = g.gather_rows(x, vec![0, 2, 2, 3, 1, 0]);
