@@ -11,6 +11,7 @@
 
 use crate::config::ModelConfig;
 use crate::model::{CateHgn, Reads};
+use crate::train::dedup_labels;
 use dblp_sim::Dataset;
 use hetgraph::sample_blocks;
 use rand::Rng;
@@ -52,18 +53,9 @@ pub fn adapt<R: Rng>(
             .map(|_| new_papers[rng.gen_range(0..new_papers.len())])
             .collect();
         let seeds = ds.paper_nodes_of(&batch);
-        let labels_raw = Tensor::col_vec(ds.labels_of(&batch));
+        let labels = Tensor::col_vec(ds.labels_of(&batch));
         let blocks = sample_blocks(&ds.graph, &seeds, cfg.layers, cfg.fanout, rng);
-        // Align labels with the deduped frontier prefix.
-        let labels = if blocks[0].dst_nodes.len() == seeds.len() {
-            labels_raw
-        } else {
-            let mut first = std::collections::BTreeMap::new();
-            for (&n, &l) in seeds.iter().zip(labels_raw.as_slice()).rev() {
-                first.insert(n, l);
-            }
-            Tensor::col_vec(blocks[0].dst_nodes.iter().map(|n| first[n]).collect())
-        };
+        let labels = dedup_labels(&seeds, &blocks[0].dst_nodes, &labels);
         g.reset();
         let fw = model.forward(&mut g, &ds.graph, &ds.features, &blocks, Reads::HGN_STEP);
         let (loss, sup, _) = model.hgn_loss(&mut g, &fw, &blocks, &labels, rng);

@@ -7,7 +7,7 @@ use crate::config::ModelConfig;
 use crate::encoder::{encode_links, encode_nodes, EncoderParams};
 use crate::layer::{link_update, node_update, LayerParams};
 use crate::mi::{mi_loss_planned, plan_mi, MiPlan};
-use crate::resilience::{check_layout, CheckpointError};
+use crate::resilience::{check_layout, write_atomic, CheckpointError};
 use hetgraph::{Block, BlockCache, HetGraph, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
@@ -182,13 +182,16 @@ impl CateHgn {
     }
 
     /// Serialises the trained weights (with optimizer state) and the
-    /// configuration to a JSON file.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
+    /// configuration to a JSON file. The write is atomic, as a checkpoint's
+    /// is: a crash mid-save leaves the previous model in place, and the
+    /// model it replaces is kept at `<path>.prev`.
+    pub fn save(&self, path: &std::path::Path) -> Result<(), CheckpointError> {
         let blob = serde_json::json!({
             "config": self.cfg,
             "params": self.params,
         });
-        std::fs::write(path, serde_json::to_string(&blob)?)
+        let text = serde_json::to_string(&blob).map_err(|e| CheckpointError::Io(e.to_string()))?;
+        write_atomic(path, text.as_bytes())
     }
 
     /// Restores a model saved with [`CateHgn::save`]. The schema sizes and
@@ -916,5 +919,40 @@ mod persist_tests {
             loaded.predict(&ds.graph, &ds.features, &seeds, 3)
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn saving_over_a_model_keeps_the_old_one_at_prev() {
+        let ds = Dataset::full(&WorldConfig::tiny(), 8);
+        let (feat, nnt, nlt) = (
+            ds.features.cols(),
+            ds.graph.schema().num_node_types(),
+            ds.graph.schema().num_link_types(),
+        );
+        let old = CateHgn::new(ModelConfig::test_tiny(), feat, nnt, nlt);
+        let mut cfg = ModelConfig::test_tiny();
+        cfg.seed = 1;
+        let new = CateHgn::new(cfg, feat, nnt, nlt);
+        let dir = std::env::temp_dir().join("catehgn_persist_overwrite_test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.json");
+        old.save(&path).unwrap();
+        let old_bytes = std::fs::read(&path).unwrap();
+        new.save(&path).unwrap();
+        assert_eq!(
+            std::fs::read(dir.join("model.json.prev")).unwrap(),
+            old_bytes
+        );
+        assert!(!dir.join("model.json.tmp").exists());
+        assert_ne!(std::fs::read(&path).unwrap(), old_bytes);
+        let loaded = CateHgn::load(&path, feat, nnt, nlt).unwrap();
+        let seeds: Vec<NodeId> = ds.paper_nodes.iter().take(10).copied().collect();
+        let bits = |m: &CateHgn| -> Vec<u32> {
+            let p = m.predict(&ds.graph, &ds.features, &seeds, 3);
+            p.iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&loaded), bits(&new));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1057,7 +1057,7 @@ fn rotate_to_prev(path: &Path) -> Result<(), CheckpointError> {
 
 /// Temp-file + fsync + rename; the destination is either the old snapshot
 /// or the complete new one at every instant, never a torn mix.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     let tmp = tmp_path(path);
     {
         use std::io::Write;

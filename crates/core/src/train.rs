@@ -796,8 +796,9 @@ fn val_rmse(model: &CateHgn, ds: &Dataset) -> Option<f32> {
     })
 }
 
-/// The sampler dedups seeds; align the label column with the deduped order.
-fn dedup_labels(seeds: &[NodeId], deduped: &[NodeId], labels: &Tensor) -> Tensor {
+/// The sampler dedups seeds; align the label column with the deduped order,
+/// keeping each seed's first label.
+pub(crate) fn dedup_labels(seeds: &[NodeId], deduped: &[NodeId], labels: &Tensor) -> Tensor {
     if seeds.len() == deduped.len() {
         return labels.clone();
     }

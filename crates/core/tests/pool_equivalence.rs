@@ -1,8 +1,7 @@
 //! Tape equivalence on the real model: the pooled, long-lived-tape
 //! training path must be bitwise-identical to the seed path that builds a
-//! fresh `Graph` per batch, and the serial backward sweep to the
-//! branch-parallel one at any thread count — per-step losses and all
-//! parameters, over 3 outer rounds of Algorithm 1's HGN + CA phases.
+//! fresh `Graph` per batch — per-step losses and all parameters, over 3
+//! outer rounds of Algorithm 1's HGN + CA phases.
 
 use catehgn::config::ModelConfig;
 use catehgn::model::{CateHgn, Reads};
@@ -33,15 +32,13 @@ fn dedup_labels(seeds: &[NodeId], deduped: &[NodeId], labels: &Tensor) -> Tensor
     Tensor::col_vec(deduped.iter().map(|n| first[n]).collect())
 }
 
-/// How each training step gets its tape and sweeps it backward.
+/// How each training step gets its tape.
 #[derive(Clone, Copy, PartialEq)]
 enum Arm {
-    /// A fresh `Graph` per batch, branch-parallel `Graph::backward`.
+    /// A fresh `Graph` per batch.
     Fresh,
-    /// One long-lived `Graph` reset per batch, `Graph::backward`.
+    /// One long-lived `Graph` reset per batch.
     Pooled,
-    /// The pooled tape swept by `Graph::backward_serial`.
-    PooledSerialBackward,
 }
 
 /// Runs 3 outer rounds of the HGN + CA training phases under `arm`;
@@ -61,13 +58,6 @@ fn run(ds: &Dataset, arm: Arm) -> (Vec<u32>, Vec<Vec<u32>>) {
     let center_ids: BTreeSet<tensor::ParamId> = model.ca.centers.iter().copied().collect();
     let train_idx = &ds.split.train;
 
-    let backward = |g: &mut Graph, loss| {
-        if arm == Arm::PooledSerialBackward {
-            g.backward_serial(loss);
-        } else {
-            g.backward(loss);
-        }
-    };
     let mut shared = Graph::new();
     let mut losses = Vec::new();
     for _outer in 0..OUTER_ROUNDS {
@@ -90,10 +80,7 @@ fn run(ds: &Dataset, arm: Arm) -> (Vec<u32>, Vec<Vec<u32>>) {
             let fw = model.forward(g, &ds.graph, &ds.features, &blocks, Reads::HGN_STEP);
             let (loss, _, _) = model.hgn_loss(g, &fw, &blocks, &labels, &mut rng);
             losses.push(g.value(loss).as_slice()[0].to_bits());
-            // Long enough that `backward` takes the branch-parallel
-            // scheduler whenever more than one worker is configured.
-            assert!(g.len() >= tensor::graph::PAR_TAPE_MIN);
-            backward(g, loss);
+            g.backward(loss);
             opt.step_clipped(&mut model.params, g, Some(cfg.clip));
         }
         for _ in 0..CA_ITERS {
@@ -112,7 +99,7 @@ fn run(ds: &Dataset, arm: Arm) -> (Vec<u32>, Vec<Vec<u32>>) {
             let fw = model.forward(g, &ds.graph, &ds.features, &blocks, Reads::CA_STEP);
             if let Some(loss) = model.ca_loss(g, &fw) {
                 losses.push(g.value(loss).as_slice()[0].to_bits());
-                backward(g, loss);
+                g.backward(loss);
                 ca_opt.step_filtered(&mut model.params, g, Some(cfg.clip), &center_ids);
             }
         }
@@ -139,27 +126,4 @@ fn pooled_training_is_bitwise_identical_to_fresh_graphs() {
         params_fresh, params_pooled,
         "final parameters must be bitwise identical across {OUTER_ROUNDS} rounds"
     );
-}
-
-/// The serial backward sweep and the branch-parallel one accumulate every
-/// gradient in the same order, so at 1 and 4 tensor threads both land on
-/// the fresh-graph reference bits.
-#[test]
-fn serial_and_parallel_backward_are_bitwise_identical_across_threads() {
-    let ds = Dataset::full(&WorldConfig::tiny(), 8);
-    let reference = run(&ds, Arm::Fresh);
-    for threads in [1usize, 4] {
-        tensor::par::set_num_threads(threads);
-        let serial = run(&ds, Arm::PooledSerialBackward);
-        let parallel = run(&ds, Arm::Pooled);
-        tensor::par::set_num_threads(0);
-        assert!(
-            serial == reference,
-            "serial backward diverged at {threads} threads"
-        );
-        assert!(
-            parallel == reference,
-            "parallel backward diverged at {threads} threads"
-        );
-    }
 }

@@ -519,8 +519,7 @@ pub fn rule_contracts() -> &'static [(&'static str, &'static str, &'static str)]
          "A compound assignment inside a parallel-region closure targets a variable captured from \
           outside the region; its accumulation order would depend on job scheduling, and float \
           addition does not commute bitwise. Keep accumulators region-local or route them through \
-          the sanctioned fixed-order folds: matmul_grads_into, the hgn_step lane fold, the \
-          backward_parallel_impl slot fold."),
+          the sanctioned fixed-order folds: matmul_grads_into and the hgn_step lane fold."),
         ("lock-discipline", "wait-outside-loop",
          "Condvar::wait must sit inside a loop/while that rechecks its predicate; condvars wake \
           spuriously, and a single-shot wait turns a spurious wake into a missed condition."),

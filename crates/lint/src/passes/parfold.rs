@@ -11,11 +11,10 @@
 //! argument region of a `tensor::par` primitive.
 //!
 //! Accumulation belongs in the sanctioned fixed-order fold helpers
-//! ([`SANCTIONED_FOLDS`]): `matmul_grads_into` (fused MatMul backward),
-//! the lane fold in the training step driver's `hgn_step`, and the
-//! slot-id fold in `backward_parallel_impl`. Regions lexically inside
-//! those functions are exempt; everything else either keeps its
-//! accumulators local or justifies itself in `lint.allow`.
+//! ([`SANCTIONED_FOLDS`]): `matmul_grads_into` (fused MatMul backward)
+//! and the lane fold in the training step driver's `hgn_step`. Regions
+//! lexically inside those functions are exempt; everything else either
+//! keeps its accumulators local or justifies itself in `lint.allow`.
 
 use std::collections::BTreeSet;
 
@@ -27,7 +26,7 @@ use crate::taint::PAR_PRIMS;
 
 /// Functions that implement the deterministic fixed-order folds; their
 /// parallel regions are the sanctioned exceptions to this pass.
-pub const SANCTIONED_FOLDS: [&str; 3] = ["matmul_grads_into", "hgn_step", "backward_parallel_impl"];
+pub const SANCTIONED_FOLDS: [&str; 2] = ["matmul_grads_into", "hgn_step"];
 
 /// Run the pass over one file. `fns` are the file's extracted items
 /// (used to name the enclosing function of each region).

@@ -23,26 +23,15 @@
 //! zero-filled before use, and no compute order depends on the pool (see
 //! DESIGN.md, "Memory model").
 //!
-//! ## Parallel backward
+//! ## Backward sweep
 //!
-//! Large tapes run the reverse sweep branch-parallel on the
-//! [`crate::par`] worker count: a one-shot dependency analysis
-//! ([`BackwardPlan`]) counts each node's gradient contributions, assigns
-//! every contribution a dedicated accumulation slot checked out of the main
-//! pool on the tape thread, and a work-stealing-free ready queue executes a
-//! node once all of its consumers have deposited their contributions. Slots
-//! for a node are folded in a fixed canonical order — consumers in
-//! descending node id, emits in op-argument order — which is exactly the
-//! order the serial sweep accumulates in, so gradients are bitwise-identical
-//! to [`Graph::backward_serial`] at every thread count (see DESIGN.md,
-//! "Parallel backward"). Each worker owns a private scratch [`BufferPool`]
-//! for op-internal temporaries; those buffers are taken and returned within
-//! a single node's backward rule, so per-worker pools converge to a fixed
-//! working set and the steady state stays allocation-free.
-
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+//! [`Graph::backward`] is one serial reverse sweep: nodes in descending
+//! id order, each op's parent contributions accumulated in argument
+//! order, so every fan-in sum has one fixed addition order. Parallelism
+//! lives inside the kernels (a large MatMul backward splits its rows over
+//! the [`crate::par`] workers), whose results do not depend on the thread
+//! count, so gradients are bitwise-identical at every thread count (see
+//! DESIGN.md, "Backward sweep").
 
 use crate::params::{ParamId, Params};
 use crate::pool::BufferPool;
@@ -200,56 +189,6 @@ impl<const N: usize> EdgeOperands<N> {
     }
 }
 
-impl Op {
-    /// Visits this op's parents in exactly the order [`backward_op`] emits
-    /// their gradient contributions. The backward planner relies on that
-    /// correspondence to pre-assign accumulation slots, so the two functions
-    /// must stay in lock-step.
-    fn for_each_parent(&self, mut f: impl FnMut(Var)) {
-        match self {
-            Op::Leaf => {}
-            &Op::Add(a, b)
-            | &Op::Sub(a, b)
-            | &Op::Mul(a, b)
-            | &Op::AddRow(a, b)
-            | &Op::MulRow(a, b)
-            | &Op::MulCol(a, b)
-            | &Op::DivCol(a, b)
-            | &Op::MatMul(a, b)
-            | &Op::RowwiseDot(a, b)
-            | &Op::CircCorr(a, b)
-            | &Op::PairwiseSqDist(a, b) => {
-                f(a);
-                f(b);
-            }
-            &Op::Scale(a, _)
-            | &Op::AddScalar(a)
-            | &Op::Neg(a)
-            | &Op::TileRow(a)
-            | &Op::Relu(a)
-            | &Op::Sigmoid(a)
-            | &Op::Tanh(a)
-            | &Op::Softplus(a)
-            | &Op::Log(a)
-            | &Op::Square(a)
-            | &Op::SumAll(a)
-            | &Op::MeanAll(a)
-            | &Op::SumRows(a)
-            | &Op::Recip1p(a)
-            | &Op::ColSlice(a, _)
-            | &Op::MulConst(a, _)
-            | &Op::Mse(a, _) => f(a),
-            Op::GatherRows(a, _) => f(*a),
-            Op::EdgeSoftmax { scores, .. } => scores.iter().for_each(|(p, _)| f(p)),
-            Op::EdgeAggregate { msgs, w, .. } => {
-                msgs.iter().for_each(|(p, _)| f(p));
-                f(*w);
-            }
-            Op::StackRows(parts) => parts.iter().for_each(|&p| f(Var::from_index(p))),
-        }
-    }
-}
-
 /// Display name of an op variant, for diagnostics on malformed tapes.
 fn op_name(op: &Op) -> &'static str {
     match op {
@@ -309,11 +248,6 @@ fn check_grad_shape(i: usize, op: &Op, g: &Tensor, values: &[Tensor]) {
 /// Floor used inside [`Graph::log`] to keep gradients finite.
 pub const LOG_EPS: f32 = 1e-12;
 
-/// Tapes shorter than this always take the serial backward path: the
-/// scheduler's per-node bookkeeping costs more than it recovers on tiny
-/// graphs, and unit-test tapes keep their exact historical pool behavior.
-pub const PAR_TAPE_MIN: usize = 256;
-
 /// A single forward pass's computation tape.
 ///
 /// Build one `Graph` per training run and call [`Graph::reset`] between
@@ -324,18 +258,13 @@ pub const PAR_TAPE_MIN: usize = 256;
 pub struct Graph {
     // Node storage is struct-of-arrays: `values`, `grads`, and `ops` are
     // indexed by node id. The split lets the backward pass borrow values
-    // and ops immutably while gradients are written through disjoint-index
-    // cells.
+    // and ops immutably while it writes gradients.
     values: Vec<Tensor>,
     grads: Vec<Option<Tensor>>,
     ops: Vec<Op>,
     bindings: Vec<(ParamId, Var)>,
     consts: Vec<Tensor>,
     pool: BufferPool,
-    /// One private scratch pool per backward worker, reused across steps.
-    worker_scratch: Vec<BufferPool>,
-    /// Reusable dependency-analysis storage for the parallel backward.
-    plan: BackwardPlan,
 }
 
 use crate::fwd::{self, pooled_map, pooled_zip, EdgeRows};
@@ -395,15 +324,6 @@ impl Graph {
             self.pool.give(c.into_vec());
         }
         self.bindings.clear();
-        // Safety net: a backward pass that panicked mid-flight can leave
-        // accumulation slots parked; return them so the pool's books stay
-        // balanced. After a clean backward every cell is already empty.
-        for cell in self.plan.slots.iter_mut() {
-            if let Some(t) = cell.0.get_mut().take() {
-                self.pool.give(t.into_vec());
-            }
-        }
-        self.plan.n_slots = 0;
     }
 
     /// Checkout statistics of the graph's buffer pool.
@@ -874,30 +794,11 @@ impl Graph {
     /// Runs reverse-mode differentiation seeded at `loss`, which must be a
     /// `1 x 1` scalar. Gradients accumulate on every reachable node.
     ///
-    /// Large gradient-free tapes dispatch to the branch-parallel scheduler
-    /// when more than one worker is configured; the result is
-    /// bitwise-identical to [`Graph::backward_serial`] either way. Tapes
-    /// that already carry gradients (repeated backward calls accumulate)
-    /// and tapes shorter than [`PAR_TAPE_MIN`] stay on the serial sweep.
+    /// The sweep visits nodes in descending id order and accumulates each
+    /// op's contributions in argument order. A second call on the same
+    /// tape adds to the gradients already there (the loss's own seed is
+    /// reset to 1).
     pub fn backward(&mut self, loss: Var) {
-        let idx = loss.idx();
-        let workers = crate::par::num_threads();
-        if workers > 1
-            && !crate::par::in_parallel_worker()
-            && idx + 1 >= PAR_TAPE_MIN
-            && self.grads[..=idx].iter().all(|g| g.is_none())
-        {
-            self.backward_parallel_impl(loss, workers);
-        } else {
-            self.backward_serial(loss);
-        }
-    }
-
-    /// The serial reverse sweep: nodes in descending id order, each op's
-    /// contributions accumulated in argument order. This ordering is the
-    /// canonical result every other backward strategy must reproduce
-    /// bitwise.
-    pub fn backward_serial(&mut self, loss: Var) {
         assert_eq!(self.shape(loss), (1, 1), "backward seed must be a scalar");
         let idx = loss.idx();
         let mut seed = self.pool.tensor_raw(1, 1);
@@ -918,117 +819,19 @@ impl Graph {
             self.grads[i] = Some(g);
         }
     }
-
-    /// Forces the branch-parallel scheduler regardless of tape size (test
-    /// hook; [`Graph::backward`] applies the dispatch policy instead).
-    /// Requires a gradient-free tape — the parallel fold installs each
-    /// node's gradient rather than accumulating into a pre-existing one.
-    pub fn backward_parallel(&mut self, loss: Var) {
-        assert!(
-            self.grads.iter().all(|g| g.is_none()),
-            "parallel backward needs a gradient-free tape"
-        );
-        let workers = crate::par::num_threads().max(1);
-        self.backward_parallel_impl(loss, workers);
-    }
-
-    fn backward_parallel_impl(&mut self, loss: Var, workers: usize) {
-        assert_eq!(self.shape(loss), (1, 1), "backward seed must be a scalar");
-        let idx = loss.idx();
-        let mut seed = self.pool.tensor_raw(1, 1);
-        seed.as_mut_slice()[0] = 1.0;
-        self.grads[idx] = Some(seed);
-        let Graph {
-            values,
-            grads,
-            ops,
-            consts,
-            pool,
-            worker_scratch,
-            plan,
-            ..
-        } = self;
-        let values: &[Tensor] = values;
-        let ops: &[Op] = ops;
-        let consts: &[Tensor] = consts;
-        plan_backward(plan, ops, values, pool, idx);
-        if worker_scratch.len() < workers {
-            worker_scratch.resize_with(workers, BufferPool::default);
-        }
-        let sched = Scheduler {
-            queue: Mutex::new(vec![loss.0]),
-            cv: Condvar::new(),
-            remaining: AtomicUsize::new(plan.n_scheduled),
-        };
-        let n = idx + 1;
-        // SAFETY: `GradCell` is `repr(transparent)` over
-        // `UnsafeCell<Option<Tensor>>`, which has the same in-memory
-        // representation as `Option<Tensor>`, so the cast reinterprets the
-        // gradient storage as shared cells. `grads` (the unique `&mut`) is
-        // not touched again until the region below ends, and the scheduler
-        // hands each node to exactly one worker, so every cell has at most
-        // one writer at a time and is read only by that writer.
-        let grad_cells: &[GradCell] =
-            unsafe { std::slice::from_raw_parts(grads.as_ptr() as *const GradCell, n) };
-        let plan_ref: &BackwardPlan = plan;
-        let sched_ref = &sched;
-        let scratch_base = crate::par::SyncPtr(worker_scratch.as_mut_ptr());
-        crate::par::run_region(workers, move |w| {
-            // SAFETY: job `w < workers` selects a distinct scratch pool;
-            // `worker_scratch` was resized to `workers` above and outlives
-            // the region (`run_region` returns only after every job
-            // completed).
-            let scratch = unsafe { &mut *scratch_base.get().add(w) };
-            backward_worker(
-                sched_ref, plan_ref, values, ops, consts, grad_cells, scratch,
-            );
-        });
-        // Return the parked (non-first) accumulation slots to the main pool
-        // in slot-id order — a fixed order independent of how the workers
-        // were scheduled, so the pool stays deterministic step to step.
-        for cell in &mut plan.slots[..plan.n_slots] {
-            if let Some(t) = cell.0.get_mut().take() {
-                pool.give(t.into_vec());
-            }
-        }
-        plan.n_slots = 0;
-    }
 }
 
-/// Destination for the gradient contributions an op emits to its parents.
-///
-/// [`backward_op`] is the single source of truth for every backward rule;
-/// the sink decides where each contribution lands: [`SerialSink`]
-/// accumulates directly into the gradient array (the canonical serial
-/// semantics), [`ParallelSink`] materialises each contribution into its
-/// pre-assigned slot for a later ordered fold. Emits must happen in the
-/// exact order [`Op::for_each_parent`] enumerates parents.
-trait GradSink {
-    /// Emits `alpha * t` as the next contribution.
-    fn emit_scaled(&mut self, p: Var, t: &Tensor, alpha: f32);
-    /// Emits a computed contribution: `fill` must fully define the contents
-    /// of the provided buffer (shape = the parent's value shape; contents
-    /// unspecified on entry).
-    fn emit_with(&mut self, p: Var, fill: &mut dyn FnMut(&mut Tensor));
-    /// Emits two computed contributions in one call — the fused MatMul
-    /// backward fills both parents' buffers at once so its kernels share
-    /// a single parallel region. Must be equivalent to `emit_with(pa, …)`
-    /// followed by `emit_with(pb, …)`: same slot order, same accumulation
-    /// arithmetic.
-    fn emit_pair_with(&mut self, pa: Var, pb: Var, fill: &mut dyn FnMut(&mut Tensor, &mut Tensor));
-    /// Pool for op-internal temporaries (taken and returned within one op).
-    fn scratch(&mut self) -> &mut BufferPool;
-}
-
-/// Accumulates contributions straight into `grads`, preserving the exact
-/// arithmetic of the historical serial sweep: the first contribution to a
-/// node installs a pooled copy (or scaled map), later ones add in place.
+/// Where [`backward_op`] sends the gradient contributions an op emits to
+/// its parents: straight into `grads`. The first contribution to a node
+/// installs a pooled buffer, later ones add into it in place.
 struct SerialSink<'a> {
     /// Id of the op currently emitting — names the culprit when a parent's
     /// accumulated gradient turns out malformed.
     op: usize,
     values: &'a [Tensor],
     grads: &'a mut [Option<Tensor>],
+    /// The graph's pool: contribution buffers and op-internal temporaries
+    /// (taken and returned within one op).
     pool: &'a mut BufferPool,
 }
 
@@ -1038,7 +841,11 @@ impl SerialSink<'_> {
     /// (e.g. by external gradient surgery) and would otherwise die with an
     /// anonymous assert inside `add_assign`.
     #[inline]
-    fn check_accum(&self, p: Var, have: (usize, usize), want: (usize, usize)) {
+    fn check_accum(&self, p: Var, want: (usize, usize)) {
+        let Some(g) = &self.grads[p.idx()] else {
+            return;
+        };
+        let have = g.shape();
         if have != want {
             panic!(
                 "malformed tape: accumulated gradient of node {} has shape {have:?}, \
@@ -1048,13 +855,22 @@ impl SerialSink<'_> {
             );
         }
     }
-}
 
-impl GradSink for SerialSink<'_> {
-    fn emit_scaled(&mut self, p: Var, t: &Tensor, alpha: f32) {
-        if let Some(g) = &self.grads[p.idx()] {
-            self.check_accum(p, g.shape(), t.shape());
+    /// Installs `t` as `p`'s gradient, or adds it to the one already there
+    /// and returns its buffer to the pool.
+    fn accumulate(&mut self, p: Var, t: Tensor) {
+        match &mut self.grads[p.idx()] {
+            Some(g) => {
+                g.add_assign(&t);
+                self.pool.give(t.into_vec());
+            }
+            slot => *slot = Some(t),
         }
+    }
+
+    /// Emits `alpha * t` as `p`'s next contribution.
+    fn emit_scaled(&mut self, p: Var, t: &Tensor, alpha: f32) {
+        self.check_accum(p, t.shape());
         match &mut self.grads[p.idx()] {
             Some(g) => {
                 if alpha == 1.0 {
@@ -1074,359 +890,33 @@ impl GradSink for SerialSink<'_> {
         }
     }
 
-    fn emit_with(&mut self, p: Var, fill: &mut dyn FnMut(&mut Tensor)) {
+    /// Emits a computed contribution to `p`: `fill` must fully define the
+    /// contents of the buffer it gets (shape = `p`'s value shape; contents
+    /// unspecified on entry).
+    fn emit_with(&mut self, p: Var, fill: impl FnOnce(&mut Tensor)) {
         let (r, c) = self.values[p.idx()].shape();
-        if let Some(g) = &self.grads[p.idx()] {
-            self.check_accum(p, g.shape(), (r, c));
-        }
+        self.check_accum(p, (r, c));
         let mut t = self.pool.tensor_raw(r, c);
         fill(&mut t);
-        match &mut self.grads[p.idx()] {
-            Some(g) => {
-                g.add_assign(&t);
-                self.pool.give(t.into_vec());
-            }
-            slot => *slot = Some(t),
-        }
+        self.accumulate(p, t);
     }
 
-    fn emit_pair_with(&mut self, pa: Var, pb: Var, fill: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+    /// Emits two computed contributions in one call — the fused MatMul
+    /// backward fills both parents' buffers at once so its kernels share
+    /// a single parallel region. Equivalent to `emit_with(pa, …)` followed
+    /// by `emit_with(pb, …)`, including the repeated-parent case
+    /// `pa == pb`, where `tb` accumulates into the gradient `ta` just
+    /// installed.
+    fn emit_pair_with(&mut self, pa: Var, pb: Var, fill: impl FnOnce(&mut Tensor, &mut Tensor)) {
         let (ra, ca) = self.values[pa.idx()].shape();
         let (rb, cb) = self.values[pb.idx()].shape();
-        if let Some(g) = &self.grads[pa.idx()] {
-            self.check_accum(pa, g.shape(), (ra, ca));
-        }
-        if let Some(g) = &self.grads[pb.idx()] {
-            self.check_accum(pb, g.shape(), (rb, cb));
-        }
+        self.check_accum(pa, (ra, ca));
+        self.check_accum(pb, (rb, cb));
         let mut ta = self.pool.tensor_raw(ra, ca);
         let mut tb = self.pool.tensor_raw(rb, cb);
         fill(&mut ta, &mut tb);
-        // Install / accumulate in pa-then-pb order — exactly the serial
-        // semantics of two consecutive `emit_with` calls (including the
-        // repeated-parent case `pa == pb`, where `tb` accumulates into
-        // the gradient `ta` just installed).
-        match &mut self.grads[pa.idx()] {
-            Some(g) => {
-                g.add_assign(&ta);
-                self.pool.give(ta.into_vec());
-            }
-            slot => *slot = Some(ta),
-        }
-        match &mut self.grads[pb.idx()] {
-            Some(g) => {
-                g.add_assign(&tb);
-                self.pool.give(tb.into_vec());
-            }
-            slot => *slot = Some(tb),
-        }
-    }
-
-    fn scratch(&mut self) -> &mut BufferPool {
-        self.pool
-    }
-}
-
-/// One gradient-contribution slot, written by exactly one worker (the one
-/// executing the emitting consumer) and read by exactly one worker (the one
-/// folding the receiving node) strictly after the write, as ordered by the
-/// pending-counter/ready-queue handoff.
-#[repr(transparent)]
-#[derive(Default)]
-struct SlotCell(UnsafeCell<Option<Tensor>>);
-
-// SAFETY: disjoint-index access discipline above; the cell itself carries
-// no thread affinity.
-unsafe impl Sync for SlotCell {}
-
-/// A node's gradient cell during the parallel sweep; same layout as the
-/// `Option<Tensor>` it aliases. Written once by the folding worker, then
-/// read by that same worker while running the node's backward rule.
-#[repr(transparent)]
-struct GradCell(UnsafeCell<Option<Tensor>>);
-
-// SAFETY: single folding worker per node (scheduler invariant).
-unsafe impl Sync for GradCell {}
-
-/// Reusable one-shot dependency analysis over the tape prefix `0..=loss`.
-///
-/// For every reachable node the plan records how many gradient
-/// contributions it will receive (`pending`, counted down atomically as
-/// consumers emit) and a contiguous range of pre-checked-out accumulation
-/// slots (`slot_start`); for every consumer it records which slot each of
-/// its emits targets (`emit_start` / `emit_slots`). Slot ids within a
-/// node's range follow the serial accumulation order — consumers in
-/// descending node id, emits in op-argument order — so folding a node's
-/// slots in ascending slot id reproduces the serial gradient bitwise.
-#[derive(Default)]
-struct BackwardPlan {
-    reachable: Vec<bool>,
-    pending: Vec<AtomicU32>,
-    /// Prefix sums (len `n + 1`) of per-consumer emit counts.
-    emit_start: Vec<u32>,
-    /// Slot id for each emit, indexed by `emit_start[i] + emit_position`.
-    emit_slots: Vec<u32>,
-    /// Prefix sums (len `n + 1`) of per-parent contribution counts.
-    slot_start: Vec<u32>,
-    /// Scratch: contribution counts, then running slot cursors.
-    cursor: Vec<u32>,
-    slots: Vec<SlotCell>,
-    n_slots: usize,
-    n_scheduled: usize,
-}
-
-/// Builds the plan for a backward sweep seeded at node `loss`, checking one
-/// pooled buffer out of the main pool per contribution (all on the tape
-/// thread, in node-id order — fully deterministic pool traffic).
-fn plan_backward(
-    plan: &mut BackwardPlan,
-    ops: &[Op],
-    values: &[Tensor],
-    pool: &mut BufferPool,
-    loss: usize,
-) {
-    let n = loss + 1;
-    plan.reachable.clear();
-    plan.reachable.resize(n, false);
-    plan.reachable[loss] = true;
-    plan.cursor.clear();
-    plan.cursor.resize(n, 0);
-    plan.emit_start.clear();
-    plan.emit_start.resize(n + 1, 0);
-    let mut n_scheduled = 0usize;
-    for i in (0..n).rev() {
-        if !plan.reachable[i] {
-            continue;
-        }
-        n_scheduled += 1;
-        let mut emits = 0u32;
-        let (reachable, cursor) = (&mut plan.reachable, &mut plan.cursor);
-        ops[i].for_each_parent(|p| {
-            reachable[p.idx()] = true;
-            cursor[p.idx()] += 1;
-            emits += 1;
-        });
-        plan.emit_start[i + 1] = emits;
-    }
-    plan.n_scheduled = n_scheduled;
-    for i in 0..n {
-        plan.emit_start[i + 1] += plan.emit_start[i];
-    }
-    plan.slot_start.clear();
-    plan.slot_start.resize(n + 1, 0);
-    for p in 0..n {
-        plan.slot_start[p + 1] = plan.slot_start[p] + plan.cursor[p];
-    }
-    plan.pending.clear();
-    plan.pending
-        .extend(plan.cursor.iter().map(|&c| AtomicU32::new(c)));
-    // Second descending pass assigns each emit its slot; because consumers
-    // are visited high-to-low and the cursor advances per parent, slot ids
-    // land in canonical (serial) accumulation order.
-    plan.cursor.copy_from_slice(&plan.slot_start[..n]);
-    let total = plan.slot_start[n] as usize;
-    plan.emit_slots.clear();
-    plan.emit_slots.resize(plan.emit_start[n] as usize, 0);
-    for i in (0..n).rev() {
-        if !plan.reachable[i] {
-            continue;
-        }
-        let mut at = plan.emit_start[i] as usize;
-        let (cursor, emit_slots) = (&mut plan.cursor, &mut plan.emit_slots);
-        ops[i].for_each_parent(|p| {
-            emit_slots[at] = cursor[p.idx()];
-            cursor[p.idx()] += 1;
-            at += 1;
-        });
-    }
-    if plan.slots.len() < total {
-        plan.slots.resize_with(total, SlotCell::default);
-    }
-    for (p, v) in values.iter().enumerate().take(n) {
-        let (rows, cols) = v.shape();
-        for s in plan.slot_start[p]..plan.slot_start[p + 1] {
-            *plan.slots[s as usize].0.get_mut() = Some(pool.tensor_raw(rows, cols));
-        }
-    }
-    plan.n_slots = total;
-}
-
-/// Ready-queue scheduler for the parallel sweep. `remaining` counts
-/// unprocessed reachable nodes; when it hits zero every worker drains out.
-struct Scheduler {
-    queue: Mutex<Vec<u32>>,
-    cv: Condvar,
-    remaining: AtomicUsize,
-}
-
-impl Scheduler {
-    /// Pops a ready node, blocking until one arrives or the sweep finishes.
-    fn pop(&self) -> Option<u32> {
-        let mut q = self.queue.lock().unwrap();
-        loop {
-            if let Some(i) = q.pop() {
-                return Some(i);
-            }
-            if self.remaining.load(Ordering::Acquire) == 0 {
-                return None;
-            }
-            q = self.cv.wait(q).unwrap();
-        }
-    }
-
-    /// Marks one node done; the final completion releases all waiters.
-    fn finish_one(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Take the queue lock before notifying so a worker between its
-            // empty-queue check and its wait cannot miss the wakeup.
-            drop(self.queue.lock());
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// Unblocks the sweep if a worker panics: remaining work is abandoned so
-/// the other workers exit their pop loops and the pool region completes,
-/// letting `par::run_region` re-raise the panic instead of deadlocking.
-struct AbortOnPanic<'a>(&'a Scheduler);
-
-impl Drop for AbortOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.remaining.store(0, Ordering::Release);
-            drop(self.0.queue.lock());
-            self.0.cv.notify_all();
-        }
-    }
-}
-
-/// Writes each contribution into its pre-assigned slot and counts down the
-/// receiving node's pending counter, enqueueing the node when it is ready.
-struct ParallelSink<'a> {
-    plan: &'a BackwardPlan,
-    sched: &'a Scheduler,
-    scratch: &'a mut BufferPool,
-    /// Next emit index in `plan.emit_slots` for the node being executed.
-    at: usize,
-}
-
-impl ParallelSink<'_> {
-    /// The slot tensor for the current emit.
-    ///
-    /// SAFETY: each slot id appears exactly once in `emit_slots` and the
-    /// executing worker is the unique owner of the current node, so this
-    /// worker is the slot's only writer; the folding reader is ordered
-    /// after it by the pending-counter release/acquire chain.
-    unsafe fn slot_out(&mut self) -> &mut Tensor {
-        let slot = self.plan.emit_slots[self.at] as usize;
-        self.at += 1;
-        (*self.plan.slots[slot].0.get())
-            .as_mut()
-            .expect("slot checked out at plan time")
-    }
-
-    fn deposited(&mut self, p: Var) {
-        if self.plan.pending[p.idx()].fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut q = self.sched.queue.lock().unwrap();
-            q.push(p.0);
-            drop(q);
-            self.sched.cv.notify_one();
-        }
-    }
-}
-
-impl GradSink for ParallelSink<'_> {
-    fn emit_scaled(&mut self, p: Var, t: &Tensor, alpha: f32) {
-        // SAFETY: see `slot_out`.
-        let out = unsafe { self.slot_out() };
-        debug_assert_eq!(out.shape(), t.shape());
-        if alpha == 1.0 {
-            out.as_mut_slice().copy_from_slice(t.as_slice());
-        } else {
-            for (o, &x) in out.as_mut_slice().iter_mut().zip(t.as_slice()) {
-                *o = x * alpha;
-            }
-        }
-        self.deposited(p);
-    }
-
-    fn emit_with(&mut self, p: Var, fill: &mut dyn FnMut(&mut Tensor)) {
-        // SAFETY: see `slot_out`.
-        let out = unsafe { self.slot_out() };
-        fill(out);
-        self.deposited(p);
-    }
-
-    fn emit_pair_with(&mut self, pa: Var, pb: Var, fill: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        // SAFETY: see `slot_out`; consecutive emits target distinct slot
-        // ids (each slot appears exactly once in `emit_slots`), so the
-        // two raw borrows never alias.
-        let ta: *mut Tensor = unsafe { self.slot_out() };
-        // SAFETY: as above.
-        let tb: *mut Tensor = unsafe { self.slot_out() };
-        // SAFETY: both pointers address distinct checked-out slots owned
-        // by this worker for the duration of the call.
-        unsafe { fill(&mut *ta, &mut *tb) };
-        self.deposited(pa);
-        self.deposited(pb);
-    }
-
-    fn scratch(&mut self) -> &mut BufferPool {
-        self.scratch
-    }
-}
-
-/// One worker of the parallel sweep: pops ready nodes, folds their slots in
-/// ascending slot id (= canonical serial order) into the gradient cell,
-/// then runs the node's backward rule, emitting into consumers' slots.
-fn backward_worker(
-    sched: &Scheduler,
-    plan: &BackwardPlan,
-    values: &[Tensor],
-    ops: &[Op],
-    consts: &[Tensor],
-    grads: &[GradCell],
-    scratch: &mut BufferPool,
-) {
-    let _nested = crate::par::NestedSerialGuard::new();
-    let _abort = AbortOnPanic(sched);
-    while let Some(i) = sched.pop() {
-        let i = i as usize;
-        let lo = plan.slot_start[i] as usize;
-        let hi = plan.slot_start[i + 1] as usize;
-        // SAFETY: this worker uniquely owns node `i` (the scheduler hands
-        // each ready node to one popper); all slot writes in `lo..hi`
-        // happened-before via the pending-counter RMW chain plus the queue
-        // mutex. Non-first slots are only read and stay parked for the
-        // deterministic epilogue sweep.
-        unsafe {
-            if hi > lo {
-                let mut acc = (*plan.slots[lo].0.get())
-                    .take()
-                    .expect("first slot deposited");
-                for cell in &plan.slots[lo + 1..hi] {
-                    acc.add_assign((*cell.0.get()).as_ref().expect("slot deposited"));
-                }
-                *grads[i].0.get() = Some(acc);
-            }
-            let g = (*grads[i].0.get())
-                .as_ref()
-                .expect("gradient present before execute");
-            check_grad_shape(i, &ops[i], g, values);
-            let mut sink = ParallelSink {
-                plan,
-                sched,
-                scratch,
-                at: plan.emit_start[i] as usize,
-            };
-            backward_op(i, &ops[i], g, values, consts, &mut sink);
-            debug_assert_eq!(
-                sink.at,
-                plan.emit_start[i + 1] as usize,
-                "emit count mismatch"
-            );
-        }
-        sched.finish_one();
+        self.accumulate(pa, ta);
+        self.accumulate(pb, tb);
     }
 }
 
@@ -1441,17 +931,15 @@ fn col_sums_into(g: &Tensor, out: &mut Tensor) {
     }
 }
 
-/// The backward rule of node `i`: emits each parent's gradient contribution
-/// to `sink`, in [`Op::for_each_parent`] order. Shared verbatim by the
-/// serial and parallel sweeps, so the two cannot drift apart — arithmetic
-/// is evaluated identically and only the accumulation site differs.
+/// The backward rule of node `i`: emits each parent's gradient
+/// contribution to `sink`, in op-argument order.
 fn backward_op(
     i: usize,
     op: &Op,
     g: &Tensor,
     values: &[Tensor],
     consts: &[Tensor],
-    sink: &mut impl GradSink,
+    sink: &mut SerialSink,
 ) {
     match op {
         Op::Leaf => {}
@@ -1465,7 +953,7 @@ fn backward_op(
         }
         &Op::Mul(a, b) => {
             let (av, bv) = (&values[a.idx()], &values[b.idx()]);
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 for ((o, &gv), &y) in out
                     .as_mut_slice()
                     .iter_mut()
@@ -1475,7 +963,7 @@ fn backward_op(
                     *o = gv * y;
                 }
             });
-            sink.emit_with(b, &mut |out| {
+            sink.emit_with(b, |out| {
                 for ((o, &gv), &x) in out
                     .as_mut_slice()
                     .iter_mut()
@@ -1488,13 +976,13 @@ fn backward_op(
         }
         &Op::AddRow(a, row) => {
             sink.emit_scaled(a, g, 1.0);
-            sink.emit_with(row, &mut |out| col_sums_into(g, out));
+            sink.emit_with(row, |out| col_sums_into(g, out));
         }
-        &Op::TileRow(row) => sink.emit_with(row, &mut |out| col_sums_into(g, out)),
+        &Op::TileRow(row) => sink.emit_with(row, |out| col_sums_into(g, out)),
         &Op::MulRow(a, row) => {
             let n = values[a.idx()].rows();
             let (av, rv) = (&values[a.idx()], &values[row.idx()]);
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 out.as_mut_slice().copy_from_slice(g.as_slice());
                 for r in 0..n {
                     for (d, &rvc) in out.row_mut(r).iter_mut().zip(rv.as_slice()) {
@@ -1502,7 +990,7 @@ fn backward_op(
                     }
                 }
             });
-            sink.emit_with(row, &mut |out| {
+            sink.emit_with(row, |out| {
                 out.fill(0.0);
                 let o = out.as_mut_slice();
                 for r in 0..n {
@@ -1515,7 +1003,7 @@ fn backward_op(
         &Op::MulCol(a, col) => {
             let n = values[a.idx()].rows();
             let (av, cv) = (&values[a.idx()], &values[col.idx()]);
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 out.as_mut_slice().copy_from_slice(g.as_slice());
                 for r in 0..n {
                     let s = cv.as_slice()[r];
@@ -1524,7 +1012,7 @@ fn backward_op(
                     }
                 }
             });
-            sink.emit_with(col, &mut |out| {
+            sink.emit_with(col, |out| {
                 for (r, o) in out.as_mut_slice().iter_mut().enumerate() {
                     *o = dot(g.row(r), av.row(r));
                 }
@@ -1533,7 +1021,7 @@ fn backward_op(
         &Op::DivCol(a, col) => {
             let n = values[a.idx()].rows();
             let (av, cv) = (&values[a.idx()], &values[col.idx()]);
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 out.as_mut_slice().copy_from_slice(g.as_slice());
                 for r in 0..n {
                     let s = cv.as_slice()[r];
@@ -1542,7 +1030,7 @@ fn backward_op(
                     }
                 }
             });
-            sink.emit_with(col, &mut |out| {
+            sink.emit_with(col, |out| {
                 for (r, o) in out.as_mut_slice().iter_mut().enumerate() {
                     let s = cv.as_slice()[r];
                     *o = -dot(g.row(r), av.row(r)) / (s * s);
@@ -1557,11 +1045,11 @@ fn backward_op(
             // Fused: both products land in one call so the packed kernels
             // share a single parallel region (debt 5a). Bitwise-equal to
             // `reference::matmul_tb` / `reference::matmul_ta`.
-            sink.emit_pair_with(a, b, &mut |da, db| g.matmul_grads_into(av, bv, da, db));
+            sink.emit_pair_with(a, b, |da, db| g.matmul_grads_into(av, bv, da, db));
         }
         &Op::Relu(a) => {
             let yv = &values[i];
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 out.as_mut_slice().copy_from_slice(g.as_slice());
                 for (d, &y) in out.as_mut_slice().iter_mut().zip(yv.as_slice()) {
                     if y <= 0.0 {
@@ -1572,7 +1060,7 @@ fn backward_op(
         }
         &Op::Sigmoid(a) => {
             let yv = &values[i];
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 for ((o, &gv), &y) in out
                     .as_mut_slice()
                     .iter_mut()
@@ -1585,7 +1073,7 @@ fn backward_op(
         }
         &Op::Tanh(a) => {
             let yv = &values[i];
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 for ((o, &gv), &y) in out
                     .as_mut_slice()
                     .iter_mut()
@@ -1598,7 +1086,7 @@ fn backward_op(
         }
         &Op::Softplus(a) => {
             let xv = &values[a.idx()];
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 for ((o, &gv), &x) in out
                     .as_mut_slice()
                     .iter_mut()
@@ -1611,7 +1099,7 @@ fn backward_op(
         }
         &Op::Log(a) => {
             let xv = &values[a.idx()];
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 for ((o, &gv), &x) in out
                     .as_mut_slice()
                     .iter_mut()
@@ -1624,7 +1112,7 @@ fn backward_op(
         }
         &Op::Square(a) => {
             let xv = &values[a.idx()];
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 for ((o, &gv), &x) in out
                     .as_mut_slice()
                     .iter_mut()
@@ -1636,16 +1124,16 @@ fn backward_op(
             });
         }
         &Op::SumAll(a) => {
-            sink.emit_with(a, &mut |out| out.fill(g.as_slice()[0]));
+            sink.emit_with(a, |out| out.fill(g.as_slice()[0]));
         }
         &Op::MeanAll(a) => {
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 let (n, m) = out.shape();
                 out.fill(g.as_slice()[0] / (n * m).max(1) as f32);
             });
         }
         &Op::SumRows(a) => {
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 let n = out.rows();
                 for r in 0..n {
                     let gv = g.as_slice()[r];
@@ -1654,7 +1142,7 @@ fn backward_op(
             });
         }
         Op::GatherRows(a, indices) => {
-            sink.emit_with(*a, &mut |out| {
+            sink.emit_with(*a, |out| {
                 out.fill(0.0);
                 for (r, &src) in indices.iter().enumerate() {
                     for (d, &x) in out.row_mut(src).iter_mut().zip(g.row(r)) {
@@ -1665,7 +1153,7 @@ fn backward_op(
         }
         &Op::RowwiseDot(a, b) => {
             let (av, bv) = (&values[a.idx()], &values[b.idx()]);
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 let n = out.rows();
                 for r in 0..n {
                     let gv = g.as_slice()[r];
@@ -1674,7 +1162,7 @@ fn backward_op(
                     }
                 }
             });
-            sink.emit_with(b, &mut |out| {
+            sink.emit_with(b, |out| {
                 let n = out.rows();
                 for r in 0..n {
                     let gv = g.as_slice()[r];
@@ -1690,23 +1178,22 @@ fn backward_op(
             // db[m]  = sum_k g[k] * a[(m-k) mod d]  = circconv(g, a)[m]
             let (av, bv) = (&values[a.idx()], &values[b.idx()]);
             let d = av.cols();
-            let mut win = sink.scratch().tensor_raw(1, 2 * d.max(1) - 1);
-            sink.emit_with(a, &mut |out| {
+            let mut win = sink.pool.tensor_raw(1, 2 * d.max(1) - 1);
+            sink.emit_with(a, |out| {
                 let n = out.rows();
                 for r in 0..n {
                     fill_corr_window(bv.row(r), win.as_mut_slice());
                     circular_correlation_windowed(g.row(r), win.as_slice(), out.row_mut(r));
                 }
             });
-            sink.emit_with(b, &mut |out| {
+            sink.emit_with(b, |out| {
                 let n = out.rows();
                 for r in 0..n {
                     fill_conv_window(av.row(r), win.as_mut_slice());
                     circular_convolution_windowed(g.row(r), win.as_slice(), out.row_mut(r));
                 }
             });
-            let scratch = sink.scratch();
-            scratch.give(win.into_vec());
+            sink.pool.give(win.into_vec());
         }
         &Op::PairwiseSqDist(a, b) => {
             // d[i,k] = |a_i - b_k|^2
@@ -1718,7 +1205,7 @@ fn backward_op(
             let (av, bv) = (&values[a.idx()], &values[b.idx()]);
             let n = av.rows();
             let k = bv.rows();
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 out.fill(0.0);
                 for i_ in 0..n {
                     for k_ in 0..k {
@@ -1733,7 +1220,7 @@ fn backward_op(
                     }
                 }
             });
-            sink.emit_with(b, &mut |out| {
+            sink.emit_with(b, |out| {
                 out.fill(0.0);
                 for i_ in 0..n {
                     for k_ in 0..k {
@@ -1752,7 +1239,7 @@ fn backward_op(
         &Op::Recip1p(a) => {
             // y = 1/(1+x), dy/dx = -y^2
             let yv = &values[i];
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 for ((o, &gv), &y) in out
                     .as_mut_slice()
                     .iter_mut()
@@ -1764,7 +1251,7 @@ fn backward_op(
             });
         }
         &Op::ColSlice(a, j) => {
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 out.fill(0.0);
                 let (n, m) = out.shape();
                 let o = out.as_mut_slice();
@@ -1775,7 +1262,7 @@ fn backward_op(
         }
         &Op::MulConst(a, c) => {
             let cv = &consts[c.idx()];
-            sink.emit_with(a, &mut |out| {
+            sink.emit_with(a, |out| {
                 for ((o, &gv), &cvx) in out
                     .as_mut_slice()
                     .iter_mut()
@@ -1790,7 +1277,7 @@ fn backward_op(
             let pv = &values[pred.idx()];
             let tv = &consts[target.idx()];
             let scale = 2.0 * g.as_slice()[0] / pv.len().max(1) as f32;
-            sink.emit_with(pred, &mut |out| {
+            sink.emit_with(pred, |out| {
                 for ((o, &p), &t) in out
                     .as_mut_slice()
                     .iter_mut()
@@ -1818,14 +1305,14 @@ fn backward_op(
             let (m, h) = probs.shape();
             let inv = 1.0 / h as f32;
             let (p, gs) = (probs.as_slice(), g.as_slice());
-            let mut sdot = sink.scratch().take_zeroed(n_seg * h);
+            let mut sdot = sink.pool.take_zeroed(n_seg * h);
             for (e, &s) in segments.iter().enumerate() {
                 let ge = gs[e] * inv;
                 for j in 0..h {
                     sdot[s * h + j] += p[e * h + j] * ge;
                 }
             }
-            let mut gx = sink.scratch().tensor_raw(m, h);
+            let mut gx = sink.pool.tensor_raw(m, h);
             let gxs = gx.as_mut_slice();
             scores.with_values(values, |ops| {
                 fwd::for_each_score(ops, m, h, |e, j, x| {
@@ -1843,7 +1330,7 @@ fn backward_op(
             for (v, r) in scores.iter() {
                 match r {
                     EdgeRows::Own => sink.emit_scaled(v, &gx, 1.0),
-                    _ => sink.emit_with(v, &mut |out| {
+                    _ => sink.emit_with(v, |out| {
                         out.fill(0.0);
                         for (e, ge) in gx.rows_iter().enumerate() {
                             for (d, &x) in out.row_mut(r.row(e)).iter_mut().zip(ge) {
@@ -1853,9 +1340,8 @@ fn backward_op(
                     }),
                 }
             }
-            let scratch = sink.scratch();
-            scratch.give(sdot);
-            scratch.give(gx.into_vec());
+            sink.pool.give(sdot);
+            sink.pool.give(gx.into_vec());
         }
         Op::EdgeAggregate { msgs, w, segments } => {
             // Edge `e` reads the output-gradient row `g[seg_e]`. Each
@@ -1865,7 +1351,7 @@ fn backward_op(
             // `dw_e` is its dot with the recomputed message.
             let wv = values[w.idx()].as_slice();
             for (v, r) in msgs.iter() {
-                sink.emit_with(v, &mut |out| {
+                sink.emit_with(v, |out| {
                     if let EdgeRows::Own = r {
                         for (e, &s) in segments.iter().enumerate() {
                             for (d, &gv) in out.row_mut(e).iter_mut().zip(g.row(s)) {
@@ -1882,19 +1368,19 @@ fn backward_op(
                     }
                 });
             }
-            let mut msg = sink.scratch().take_raw(g.cols());
+            let mut msg = sink.pool.take_raw(g.cols());
             msgs.with_values(values, |ops| {
-                sink.emit_with(*w, &mut |out| {
+                sink.emit_with(*w, |out| {
                     fwd::edge_aggregate_dw(ops, g, segments, &mut msg, out.as_mut_slice())
                 })
             });
-            sink.scratch().give(msg);
+            sink.pool.give(msg);
         }
         Op::StackRows(parts) => {
             let mut rest = g.as_slice();
             for &p in parts {
                 let (head, tail) = rest.split_at(values[p].len());
-                sink.emit_with(Var::from_index(p), &mut |out| {
+                sink.emit_with(Var::from_index(p), |out| {
                     out.as_mut_slice().copy_from_slice(head)
                 });
                 rest = tail;
@@ -1941,7 +1427,7 @@ mod tests {
         // Corrupt the tape: swap in a gradient whose shape disagrees with
         // the node's forward value, then sweep again.
         *g.grad_mut(sq).unwrap() = Tensor::zeros(3, 3);
-        g.backward_serial(loss);
+        g.backward(loss);
     }
 
     #[test]
@@ -2137,144 +1623,5 @@ mod tests {
         let v = g.input_rows(&src, &[2, 0, 2]);
         assert_eq!(g.value(v).as_slice(), &[5.0, 6.0, 1.0, 2.0, 5.0, 6.0]);
         assert_eq!(g.shape(v), (3, 2));
-    }
-
-    /// Builds a branchy tape (fan-out, fan-in, reused vars, every major op
-    /// family) and returns the loss plus probe vars to compare gradients on.
-    fn branchy_tape(g: &mut Graph) -> (Var, Vec<Var>) {
-        let x = g.input(Tensor::from_rows(&[&[0.4, -0.7, 1.2], &[0.1, 0.9, -0.3]]));
-        let w = g.input(Tensor::from_rows(&[
-            &[0.5, -0.2, 0.8],
-            &[1.1, 0.3, -0.6],
-            &[-0.4, 0.7, 0.2],
-        ]));
-        let b = g.input(Tensor::from_rows(&[&[0.05, -0.1, 0.2]]));
-        let h = g.linear(x, w, b);
-        // Head 1: activations and a two-operand edge softmax.
-        let h1 = g.sigmoid(h);
-        let s1 = g.edge_softmax(
-            [
-                (h1, EdgeRows::Gather(vec![0, 1, 1])),
-                (b, EdgeRows::Broadcast),
-            ],
-            vec![0, 0, 1],
-            2,
-            0.2,
-        );
-        let l1 = g.sum_all(s1);
-        // Head 2: gather/segment path reusing `h`.
-        let gth = g.gather_rows(h, vec![0, 1, 0, 1]);
-        let col = g.col_slice(gth, 1);
-        let att = g.edge_softmax([(col, EdgeRows::Own)], vec![0, 0, 1, 1], 2, 0.2);
-        let seg = g.edge_aggregate([(gth, EdgeRows::Own)], att, vec![0, 1, 0, 1], 2);
-        let l2 = g.mean_all(seg);
-        // Head 3: elementwise branch reusing `x` twice (duplicate-parent op).
-        let sq = g.mul(x, x);
-        let tn = g.tanh(sq);
-        let l3 = g.mean_all(tn);
-        // Combine the heads.
-        let l12 = g.add(l1, l2);
-        let l3s = g.scale(l3, 0.5);
-        let loss = g.add(l12, l3s);
-        (loss, vec![x, w, b, h, gth, sq])
-    }
-
-    /// The forced-parallel scheduler must reproduce the serial sweep
-    /// bitwise, including after a reset replay, at whatever worker count the
-    /// environment provides (worker count never affects results).
-    #[test]
-    fn forced_parallel_backward_matches_serial_bitwise() {
-        let grads_of = |g: &Graph, probes: &[Var]| -> Vec<Vec<u32>> {
-            probes
-                .iter()
-                .map(|&v| {
-                    g.grad(v)
-                        .unwrap()
-                        .as_slice()
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect()
-                })
-                .collect()
-        };
-        let mut gs = Graph::new();
-        let (loss_s, probes_s) = branchy_tape(&mut gs);
-        gs.backward_serial(loss_s);
-        let expected = grads_of(&gs, &probes_s);
-        let mut gp = Graph::new();
-        for round in 0..3 {
-            let (loss_p, probes_p) = branchy_tape(&mut gp);
-            gp.backward_parallel(loss_p);
-            let got = grads_of(&gp, &probes_p);
-            assert_eq!(got, expected, "parallel grads diverged on round {round}");
-            gp.reset();
-        }
-    }
-
-    /// A pure chain exposes zero branch parallelism: the scheduler must
-    /// still terminate (one ready node at a time) and match serial bitwise.
-    #[test]
-    fn deep_chain_parallel_backward_completes() {
-        let build = |g: &mut Graph| -> (Var, Var) {
-            let x = g.input(Tensor::from_rows(&[&[0.37]]));
-            let mut v = x;
-            for k in 0..(2 * PAR_TAPE_MIN) {
-                v = if k % 3 == 0 {
-                    g.sigmoid(v)
-                } else {
-                    g.scale(v, 0.99)
-                };
-            }
-            (v, x)
-        };
-        let mut gs = Graph::new();
-        let (loss_s, x_s) = build(&mut gs);
-        gs.backward_serial(loss_s);
-        let expected: Vec<u32> = gs
-            .grad(x_s)
-            .unwrap()
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let mut gp = Graph::new();
-        let (loss_p, x_p) = build(&mut gp);
-        gp.backward_parallel(loss_p);
-        let got: Vec<u32> = gp
-            .grad(x_p)
-            .unwrap()
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(got, expected);
-    }
-
-    /// The automatic dispatch threshold keeps small tapes serial and sends
-    /// big gradient-free tapes to the scheduler; both paths agree with the
-    /// explicit serial sweep.
-    #[test]
-    fn auto_dispatch_matches_serial() {
-        let mut gs = Graph::new();
-        let (loss_s, probes_s) = branchy_tape(&mut gs);
-        gs.backward_serial(loss_s);
-        let expected: Vec<u32> = gs
-            .grad(probes_s[0])
-            .unwrap()
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let mut ga = Graph::new();
-        let (loss_a, probes_a) = branchy_tape(&mut ga);
-        ga.backward(loss_a);
-        let got: Vec<u32> = ga
-            .grad(probes_a[0])
-            .unwrap()
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(got, expected);
     }
 }

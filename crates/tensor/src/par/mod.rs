@@ -21,6 +21,11 @@
 //! job is scheduling noise that cannot affect results, because every job
 //! writes only its own disjoint chunk.
 //!
+//! The autograd backward sweep ([`crate::Graph::backward`]) is serial: it
+//! reaches the workers only through its kernels, above all the fused
+//! MatMul backward, which splits dA's and dB's rows over one
+//! [`run_region`].
+//!
 //! The worker count comes from [`set_num_threads`], else the
 //! `TENSOR_NUM_THREADS` environment variable, else
 //! `std::thread::available_parallelism()`. Work smaller than
@@ -82,7 +87,7 @@ pub fn num_threads() -> usize {
 
 thread_local! {
     /// Set while the current thread runs a job of a parallel region
-    /// (every pool job, the parallel backward workers): inner kernels
+    /// (every pool job, such as a training data lane): inner kernels
     /// then stay serial instead of oversubscribing the machine with
     /// nested regions. Results are unaffected — every parallel kernel
     /// here is bitwise-identical at any worker count.

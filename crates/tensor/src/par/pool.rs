@@ -1,5 +1,5 @@
 //! The process-wide worker pool behind the `par_*` primitives and the
-//! branch-parallel backward sweep.
+//! fused MatMul backward.
 //!
 //! Workers are spawned lazily on the first parallel region and then live
 //! for the rest of the process, parked between regions. Submitting a

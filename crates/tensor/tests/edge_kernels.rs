@@ -12,10 +12,9 @@
 //! one-operand `edge_softmax` per head, the head sum and a `scale`; or of
 //! gathers, an add and a one-operand `edge_aggregate`. Each test builds
 //! both forms over the same leaves and compares the value and every leaf's
-//! gradient bitwise under the serial and the branch-parallel backward:
-//! once with the op as each leaf's only consumer, so a `-0.0` gradient
-//! reaches the leaf as is, and once with a second consumer on every leaf,
-//! so the accumulation order into it matters. The tape-free context must
+//! gradient bitwise: once with the op as each leaf's only consumer, so a
+//! `-0.0` gradient reaches the leaf as is, and once with a second consumer
+//! on every leaf, so the accumulation order into it matters. The tape-free context must
 //! give the same value.
 //!
 //! One order differs: in the chain a head's LeakyReLU slope is applied
@@ -113,38 +112,12 @@ fn softmax_fused<F: ForwardCtx>(g: &mut F, v: &[Var], case: &SoftmaxCase) -> Var
 /// Value and leaf-gradient bits.
 type Bits = (Vec<u32>, Vec<Vec<u32>>);
 
-/// How a tape is built and swept.
-#[derive(Clone, Copy, Debug)]
-struct Sweep {
-    parallel: bool,
-    /// Give every leaf a second consumer after the op under test.
-    shared: bool,
-}
-
-const SWEEPS: [Sweep; 4] = [
-    Sweep {
-        parallel: false,
-        shared: false,
-    },
-    Sweep {
-        parallel: false,
-        shared: true,
-    },
-    Sweep {
-        parallel: true,
-        shared: false,
-    },
-    Sweep {
-        parallel: true,
-        shared: true,
-    },
-];
-
-/// [`Bits`] of `build` under a weighted-sum loss.
+/// [`Bits`] of `build` under a weighted-sum loss; `shared` gives every
+/// leaf a second consumer after the op under test.
 fn run_taped(
     leaves: &[Tensor],
     out_weights: &[f32],
-    sweep: Sweep,
+    shared: bool,
     build: &dyn Fn(&mut Graph, &[Var]) -> Var,
 ) -> Bits {
     let mut g = Graph::new();
@@ -154,17 +127,13 @@ fn run_taped(
     let w = Tensor::from_vec(rows, cols, out_weights.to_vec());
     let weighted = g.mul_const(out, &w);
     let mut loss = g.sum_all(weighted);
-    for (k, &v) in vars.iter().enumerate().filter(|_| sweep.shared) {
+    for (k, &v) in vars.iter().enumerate().filter(|_| shared) {
         let (r, c) = g.shape(v);
         let extra = g.mul_const(v, &filled(r, c, 40 + k));
         let extra = g.sum_all(extra);
         loss = g.add(loss, extra);
     }
-    if sweep.parallel {
-        g.backward_parallel(loss);
-    } else {
-        g.backward_serial(loss);
-    }
+    g.backward(loss);
     let grads = vars
         .iter()
         .map(|&v| bits(g.grad(v).expect("every leaf gets a gradient")))
@@ -174,22 +143,22 @@ fn run_taped(
 
 fn check_softmax(case: &SoftmaxCase) {
     let leaves = &case.leaves;
-    for sweep in SWEEPS {
-        let chain = run_taped(leaves, &case.out_weights, sweep, &|g, v| {
+    for shared in [false, true] {
+        let chain = run_taped(leaves, &case.out_weights, shared, &|g, v| {
             softmax_chain(g, v, case)
         });
-        let fused = run_taped(leaves, &case.out_weights, sweep, &|g, v| {
+        let fused = run_taped(leaves, &case.out_weights, shared, &|g, v| {
             softmax_fused(g, v, case)
         });
-        assert_eq!(fused.0, chain.0, "value ({sweep:?})");
+        assert_eq!(fused.0, chain.0, "value (shared: {shared})");
         for (k, (f, c)) in fused.1.iter().zip(&chain.1).enumerate() {
-            assert_eq!(f, c, "gradient of operand {k} ({sweep:?})");
+            assert_eq!(f, c, "gradient of operand {k} (shared: {shared})");
         }
     }
     let mut ic = InferCtx::new();
     let v: Vec<Var> = leaves.iter().map(|t| ic.input_from(t)).collect();
     let out = softmax_fused(&mut ic, &v, case);
-    let chain = run_taped(leaves, &case.out_weights, SWEEPS[0], &|g, v| {
+    let chain = run_taped(leaves, &case.out_weights, false, &|g, v| {
         softmax_chain(g, v, case)
     });
     assert_eq!(bits(ic.value(out)), chain.0, "tape-free value");
@@ -308,19 +277,13 @@ fn negative_zero_score_gradients_occur_and_follow_the_head_count() {
             out_weights: vec![0.5, -0.25, -0.0],
         };
         check_softmax(&case);
-        let (_, grads) = run_taped(&case.leaves, &case.out_weights, SWEEPS[0], &|g, v| {
+        let (_, grads) = run_taped(&case.leaves, &case.out_weights, false, &|g, v| {
             softmax_fused(g, v, &case)
         });
         // Row 2 of operand b (`Own`) is the score gradient of edge 2.
         let neg_zero = grads[1][2 * h..].iter().all(|&x| x == (-0.0f32).to_bits());
         assert_eq!(neg_zero, want_neg_zero, "H = {h}: {:x?}", grads[1]);
     }
-}
-
-/// The sweeps with the op as each leaf's only consumer: there the leaf
-/// gradients are the op's own, with no accumulation.
-fn direct_sweeps() -> impl Iterator<Item = Sweep> {
-    SWEEPS.into_iter().filter(|s| !s.shared)
 }
 
 /// The one-operand `edge_softmax` of an `m x 1` column against a written
@@ -376,11 +339,11 @@ fn one_operand_edge_softmax_matches_a_written_loop() {
     let build = |g: &mut Graph, v: &[Var]| {
         g.edge_softmax([(v[0], EdgeRows::Own)], segments.clone(), n_seg, SLOPE)
     };
-    for sweep in direct_sweeps() {
-        let (value, grads) = run_taped(&leaf, &w, sweep, &build);
-        assert_eq!(value, bits_of(&p), "value ({sweep:?})");
-        assert_eq!(grads[0], bits_of(&dx), "gradient ({sweep:?})");
-    }
+    // The op as the leaf's only consumer: the leaf gradient is the op's
+    // own, with no accumulation.
+    let (value, grads) = run_taped(&leaf, &w, false, &build);
+    assert_eq!(value, bits_of(&p), "value");
+    assert_eq!(grads[0], bits_of(&dx), "gradient");
     let mut ic = InferCtx::new();
     let v = ic.input_from(&leaf[0]);
     let out = ic.edge_softmax([(v, EdgeRows::Own)], segments.clone(), n_seg, SLOPE);
@@ -422,12 +385,11 @@ fn one_operand_edge_aggregate_matches_a_written_loop() {
     let build = |g: &mut Graph, v: &[Var]| {
         g.edge_aggregate([(v[0], EdgeRows::Own)], v[1], segments.clone(), n_seg)
     };
-    for sweep in direct_sweeps() {
-        let (value, grads) = run_taped(&leaves, g_out.as_slice(), sweep, &build);
-        assert_eq!(value, bits_of(&out), "value ({sweep:?})");
-        assert_eq!(grads[0], bits_of(&dx), "dx ({sweep:?})");
-        assert_eq!(grads[1], bits_of(&dw), "dw ({sweep:?})");
-    }
+    // The op as each leaf's only consumer, as above.
+    let (value, grads) = run_taped(&leaves, g_out.as_slice(), false, &build);
+    assert_eq!(value, bits_of(&out), "value");
+    assert_eq!(grads[0], bits_of(&dx), "dx");
+    assert_eq!(grads[1], bits_of(&dw), "dw");
     let mut ic = InferCtx::new();
     let v: Vec<Var> = leaves.iter().map(|t| ic.input_from(t)).collect();
     let agg = ic.edge_aggregate([(v[0], EdgeRows::Own)], v[1], segments.clone(), n_seg);
@@ -459,20 +421,20 @@ fn check_aggregate(case: &AggregateCase) {
             case.n_seg,
         )
     };
-    for sweep in SWEEPS {
-        let want = run_taped(&case.leaves, &case.out_weights, sweep, &chain);
-        let got = run_taped(&case.leaves, &case.out_weights, sweep, &|g, v| {
+    for shared in [false, true] {
+        let want = run_taped(&case.leaves, &case.out_weights, shared, &chain);
+        let got = run_taped(&case.leaves, &case.out_weights, shared, &|g, v| {
             aggregate_fused(g, v, case)
         });
-        assert_eq!(got.0, want.0, "value ({sweep:?})");
+        assert_eq!(got.0, want.0, "value (shared: {shared})");
         for (k, (f, c)) in got.1.iter().zip(&want.1).enumerate() {
-            assert_eq!(f, c, "gradient of operand {k} ({sweep:?})");
+            assert_eq!(f, c, "gradient of operand {k} (shared: {shared})");
         }
     }
     let mut ic = InferCtx::new();
     let v: Vec<Var> = case.leaves.iter().map(|t| ic.input_from(t)).collect();
     let out = aggregate_fused(&mut ic, &v, case);
-    let want = run_taped(&case.leaves, &case.out_weights, SWEEPS[0], &chain);
+    let want = run_taped(&case.leaves, &case.out_weights, false, &chain);
     assert_eq!(bits(ic.value(out)), want.0, "tape-free value");
 }
 

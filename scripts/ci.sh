@@ -43,11 +43,11 @@
 #      baselines run on the same two kernels: their unit tests and the
 #      split-form attention against its concat form (`split_attention`).
 #      Next come the owning-crate suites behind the timing gates and the
-#      scale path: pooled, serial and branch-parallel tape equivalence,
-#      lane determinism across thread counts, sublinear generator
-#      memory, shard round-trip and selective load, per-link-type cache
-#      invalidation, and the sampler's unit tests (blocks and RNG state
-#      equal to the ordered-map reference sampler).
+#      scale path: pooled and fresh tape equivalence, lane determinism
+#      across thread counts, sublinear generator memory, shard round-trip
+#      and selective load, per-link-type cache invalidation, and the
+#      sampler's unit tests (blocks and RNG state equal to the
+#      ordered-map reference sampler).
 #      Between tier-1 and the timing gates, three CLI smokes drill the
 #      resilience path end to end: halt/resume fingerprint equality, a
 #      real `kill -TERM` mid-training with bitwise resume, and the shard
@@ -75,7 +75,7 @@ RUSTFMT_RATCHET=(
     crates/tensor/src/stamped.rs
     crates/tensor/tests/prop_pool.rs
     crates/tensor/tests/prop_parallel.rs
-    crates/tensor/tests/prop_parallel_backward.rs
+    crates/tensor/tests/prop_backward_threads.rs
     crates/tensor/tests/prop_gradients.rs
     crates/tensor/tests/edge_kernels.rs
     crates/tensor/src/fwd.rs
@@ -161,7 +161,7 @@ echo "== cargo build --release (workspace) =="
 cargo build --release --workspace
 
 # Tier-1 runs under both a serial and a multi-threaded worker count: the
-# parallel kernels and the branch-parallel backward sweep guarantee
+# parallel kernels, the backward sweep's included, guarantee
 # bitwise-identical results at any thread count, so the same suite must
 # pass unchanged under both.
 echo "== cargo test (tier-1, TENSOR_NUM_THREADS=1) =="
@@ -194,8 +194,7 @@ cargo test -q --release -p tensor --lib
 # The per-node HGN layer against the concat-form reference of the paper's
 # equations: output and gradients within a relative tolerance. Its fused
 # edge kernels against written-out loops (one-operand forms) and the op
-# chains the other forms stand for: value and every gradient bit for bit,
-# serial and branch-parallel backward.
+# chains the other forms stand for: value and every gradient bit for bit.
 cargo test -q -p catehgn --test layer_reference
 cargo test -q -p tensor --test edge_kernels
 
