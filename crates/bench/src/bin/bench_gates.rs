@@ -5,16 +5,14 @@
 //! |---|---|---|---|
 //! | no-tape serving | per-query taped `predict` | one batched `ServeEngine::predict` | 3x |
 //! | warm cache hit | cold engine per query (full re-embed) | warm-cache `recommend` (stamp check + scan + rank) | 10x |
-//! | lanes | `train_with`, 1 data lane | 2 and 4 data lanes | 0.95x |
 //!
 //! Every gate uses one estimator: [`PAIRS`] pairs, each arm timed as the
 //! fastest of [`RUNS`] calls (scheduler noise on a shared host only ever
 //! inflates a call) with the two arms' calls interleaved and the leading
 //! arm alternating, and the gate reads the median pair ratio. The arms'
-//! bitwise equivalence is the owning crates' tests' job (`infer_serve`,
-//! `batch_parallel`); this binary only checks time,
-//! takes no flags and writes no files. It prints one line per gate and
-//! exits non-zero if any gate fails.
+//! bitwise equivalence is the owning crate's tests' job (`infer_serve`);
+//! this binary only checks time, takes no flags and writes no files. It
+//! prints one line per gate and exits non-zero if any gate fails.
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_gates
@@ -25,8 +23,7 @@
 
 use bench::{bench_dataset, bench_model, bench_model_cfg};
 use catehgn::serve::ServeEngine;
-use catehgn::{train_with, CateHgn, ModelConfig, TrainOptions};
-use dblp_sim::Dataset;
+use catehgn::CateHgn;
 use hetgraph::NodeId;
 use std::hint::black_box;
 use std::time::Instant;
@@ -75,23 +72,6 @@ fn pair_speedups(mut slow: impl FnMut() -> f64, mut fast: impl FnMut() -> f64) -
         .collect();
     ratios.sort_by(f64::total_cmp);
     ratios
-}
-
-/// Full `train_with` on a clone of `pristine`; only training is timed.
-/// Every run must finish all outer rounds, so the arms do equal work.
-fn train_secs(pristine: &Dataset, cfg: &ModelConfig, opts: &TrainOptions) -> f64 {
-    let mut ds = pristine.clone();
-    let mut model = bench_model(&ds, cfg.clone());
-    let mut opts = opts.clone();
-    let t = Instant::now();
-    let report = train_with(&mut model, &mut ds, &mut opts).expect("bench training run");
-    let secs = t.elapsed().as_secs_f64();
-    assert_eq!(
-        report.hgn_losses.len(),
-        cfg.outer_iters,
-        "training stopped early"
-    );
-    secs
 }
 
 /// Prints one gate's verdict from its sorted pair speedups; returns
@@ -165,27 +145,6 @@ fn main() {
         },
     );
     passed &= gate("warm cache hit", &cache_hit, 10.0);
-
-    // ---- Batch-parallel lanes vs the one-lane loop, at 4 tensor threads.
-    // A group of lanes takes one averaged optimizer step, so lanes must
-    // not lose throughput even on one CPU.
-    par::set_num_threads(4);
-    let cfg = ModelConfig {
-        outer_iters: 2,
-        mini_iters: 8,
-        ..bench_model_cfg(&ds)
-    };
-    let lanes = |data_lanes| TrainOptions {
-        data_lanes,
-        ..TrainOptions::default()
-    };
-    for n in [2, 4] {
-        let speedup = pair_speedups(
-            || train_secs(&ds, &cfg, &lanes(1)),
-            || train_secs(&ds, &cfg, &lanes(n)),
-        );
-        passed &= gate(&format!("lanes ({n} vs 1)"), &speedup, 0.95);
-    }
 
     par::set_num_threads(0);
 

@@ -20,9 +20,8 @@ type EdgeSegment<'a> = (&'a [hetgraph::BlockEdge], &'a mut [(usize, usize, f32)]
 /// subsample swap targets (empty when the block fits under `max_edges`)
 /// and the negative source rows. Pre-drawing them decouples the loss's
 /// stochastic choices from the tape construction: a training step makes
-/// all of its draws before its forward pass, and a data lane draws its
-/// plan from a private stream, while the one-lane loop stays
-/// bitwise-identical to drawing inside the loss.
+/// all of its draws before its forward pass, and stays bitwise-identical
+/// to drawing inside the loss.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MiDraw {
     /// `swap_js[i]` is the `gen_range(i..total)` target of subsample swap

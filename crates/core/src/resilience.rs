@@ -10,8 +10,8 @@
 //!    accumulators, the full [`TrainReport`] so far, and a content
 //!    fingerprint of the graph). Snapshots are serialized by a hand-rolled
 //!    versioned binary codec, checksummed with FNV-1a, and written via
-//!    temp-file + rename with one `.prev` generation retained, so a crash
-//!    mid-write can never destroy the last good snapshot.
+//!    temp-file + rename with one `.prev` generation retained, so the
+//!    path holds a complete snapshot at every instant of a save.
 //! 2. **[`RecoveryPolicy`]** — what `train_with` does when a loss or
 //!    gradient goes non-finite: structured abort, skip the batch, or roll
 //!    back to the last snapshot with learning-rate backoff.
@@ -36,11 +36,13 @@ use tensor::{Graph, ParamId, Params};
 
 /// Snapshot file magic.
 const MAGIC: [u8; 4] = *b"CHGN";
-/// Snapshot format version. v4 appends the training phase (HGN mini-loop
+/// Snapshot format version. v4 appended the training phase (HGN mini-loop
 /// vs CA refinement) and the completed-CA-iteration count, so a run can
 /// checkpoint and resume bitwise from inside the clustering phase, not
-/// just at HGN mini-iteration boundaries.
-const VERSION: u32 = 4;
+/// just at HGN mini-iteration boundaries. v5 drops the sampling stamp,
+/// which resume never read, and the data-lane count with the lane
+/// schedule.
+const VERSION: u32 = 5;
 
 // -------------------------------------------------------------------
 // Graceful shutdown.
@@ -370,8 +372,7 @@ pub struct TrainOptions {
     /// Snapshot file; `.tmp` and `.prev` siblings are created next to it.
     pub checkpoint_path: Option<PathBuf>,
     /// Capture a snapshot every N completed HGN mini-iterations and every
-    /// N completed CA iterations (a lane group that crosses a multiple of
-    /// N captures at its end). Captures land in memory always (rollback
+    /// N completed CA iterations. Captures land in memory always (rollback
     /// target) and on disk when `checkpoint_path` is set.
     pub checkpoint_every: Option<usize>,
     /// Resume from `checkpoint_path` instead of starting fresh.
@@ -394,12 +395,6 @@ pub struct TrainOptions {
     pub policy: RecoveryPolicy,
     /// Fault injection plan (empty in production).
     pub faults: FaultPlan,
-    /// Independent mini-batch lanes folded into each optimizer step.
-    /// `0` or `1` runs the historical serial loop bitwise; `n > 1` draws
-    /// `n` batches per step, evaluates them concurrently on the tensor
-    /// worker pool, and averages their gradients in fixed lane order —
-    /// results depend on the lane count but never on the thread count.
-    pub data_lanes: usize,
 }
 
 // -------------------------------------------------------------------
@@ -460,14 +455,6 @@ pub struct TrainState {
     /// [`hetgraph::HetGraph::content_fingerprint`] at capture time;
     /// resume verifies the reconstructed graph matches.
     pub graph_fingerprint: u64,
-    /// The process-local sampling stamp at capture time. Diagnostic only:
-    /// stamps are never comparable across processes, and block-cache
-    /// replay is bitwise-transparent, so resume always starts cold.
-    pub cache_stamp: u64,
-    /// Normalized lane count (`max(1)`) the run was captured with; resume
-    /// refuses a snapshot whose lane schedule disagrees with the live
-    /// options, because the RNG stream is a function of it.
-    pub data_lanes: u64,
     /// Training phase at capture: `0` = inside round `outer`'s HGN
     /// mini-loop (resume enters at `mini`), `1` = the round's HGN minis
     /// and epilogue are complete and the CA refinement loop is underway
@@ -796,8 +783,6 @@ fn encode_payload(state: &TrainState) -> Vec<u8> {
     e.u64(r.skipped as u64);
     e.u64(r.rollbacks as u64);
     e.u64(state.graph_fingerprint);
-    e.u64(state.cache_stamp);
-    e.u64(state.data_lanes);
     e.u64(state.phase);
     e.u64(state.ca_done);
     e.buf
@@ -864,8 +849,6 @@ fn decode_payload(buf: &[u8]) -> Result<TrainState, CheckpointError> {
     let skipped = d.u64()? as usize;
     let rollbacks = d.u64()? as usize;
     let graph_fingerprint = d.u64()?;
-    let cache_stamp = d.u64()?;
-    let data_lanes = d.u64()?;
     let phase = d.u64()?;
     let ca_done = d.u64()?;
     Ok(TrainState {
@@ -892,8 +875,6 @@ fn decode_payload(buf: &[u8]) -> Result<TrainState, CheckpointError> {
             rollbacks,
         },
         graph_fingerprint,
-        cache_stamp,
-        data_lanes,
         phase,
         ca_done,
     })
@@ -986,10 +967,10 @@ impl CheckpointManager {
     }
 
     /// Captures a snapshot: always into memory, and atomically onto disk
-    /// when a path is configured (temp-file + rename, previous snapshot
-    /// rotated to `.prev`). An injected torn-write fault leaves a
-    /// truncated file on disk — simulating a writer that crashed
-    /// mid-stream — without updating the in-memory copy.
+    /// when a path is configured (see [`write_atomic`]). An injected
+    /// torn-write fault leaves a truncated file on disk — simulating a
+    /// writer that crashed mid-stream — without updating the in-memory
+    /// copy.
     pub fn save(
         &mut self,
         state: &TrainState,
@@ -998,7 +979,11 @@ impl CheckpointManager {
         let bytes = encode_checkpoint(state);
         if faults.torn_save() {
             if let Some(path) = &self.path {
-                rotate_to_prev(path)?;
+                keep_as_prev(path)?;
+                // `.prev` may share the file's inode: unlink the path so
+                // the torn write lands in a new file and leaves `.prev`
+                // whole.
+                remove_if_present(path)?;
                 // Deliberately non-atomic, deliberately truncated: the
                 // checksum must catch this on load.
                 let torn = bytes.get(..bytes.len() / 2).unwrap_or(&bytes);
@@ -1048,15 +1033,32 @@ fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-fn rotate_to_prev(path: &Path) -> Result<(), CheckpointError> {
-    if path.exists() {
-        std::fs::rename(path, prev_path(path)).map_err(|e| CheckpointError::Io(e.to_string()))?;
+fn remove_if_present(path: &Path) -> Result<(), CheckpointError> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            Err(CheckpointError::Io(e.to_string()))
+        }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
-/// Temp-file + fsync + rename; the destination is either the old snapshot
-/// or the complete new one at every instant, never a torn mix.
+/// Keeps the file at `path`, if there is one, at `.prev` as well: a hard
+/// link, or a copy where the filesystem has none. `path` stays in place.
+fn keep_as_prev(path: &Path) -> Result<(), CheckpointError> {
+    if !path.exists() {
+        return Ok(());
+    }
+    let prev = prev_path(path);
+    remove_if_present(&prev)?;
+    std::fs::hard_link(path, &prev)
+        .or_else(|_| std::fs::copy(path, &prev).map(drop))
+        .map_err(|e| CheckpointError::Io(e.to_string()))
+}
+
+/// Temp-file + fsync, then the old file kept at `.prev`, then one rename
+/// that replaces the destination. The destination holds the old file or
+/// the complete new one at every instant, never a torn mix and never
+/// nothing.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     let tmp = tmp_path(path);
     {
@@ -1067,7 +1069,7 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointEr
         f.sync_all()
             .map_err(|e| CheckpointError::Io(e.to_string()))?;
     }
-    rotate_to_prev(path)?;
+    keep_as_prev(path)?;
     std::fs::rename(&tmp, path).map_err(|e| CheckpointError::Io(e.to_string()))
 }
 
@@ -1146,8 +1148,6 @@ mod tests {
                 rollbacks: 2,
             },
             graph_fingerprint: 0xDEAD_BEEF,
-            cache_stamp: 42,
-            data_lanes: 1,
             phase: 1,
             ca_done: 5,
         }
@@ -1159,6 +1159,41 @@ mod tests {
         let bytes = encode_checkpoint(&state);
         let back = decode_checkpoint(&bytes).unwrap();
         assert_eq!(back, state);
+    }
+
+    #[test]
+    fn a_version_4_snapshot_is_rejected_with_its_version() {
+        let mut bytes = encode_checkpoint(&dummy_state());
+        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+        match decode_checkpoint(&bytes) {
+            Err(CheckpointError::Corrupt(msg)) => {
+                assert!(msg.contains("version 4"), "{msg}");
+            }
+            other => panic!("expected a version error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_crash_before_the_final_rename_leaves_the_old_file_in_place() {
+        let dir = std::env::temp_dir().join(format!(
+            "catehgn-ckpt-test-{}-{:x}",
+            std::process::id(),
+            fnv1a(b"crash_before_rename")
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.json");
+        write_atomic(&path, b"old").unwrap();
+        // The steps of a save up to its final rename, then a crash.
+        std::fs::write(tmp_path(&path), b"new").unwrap();
+        keep_as_prev(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"old");
+        assert_eq!(std::fs::read(prev_path(&path)).unwrap(), b"old");
+        // The next save completes, and `.prev` keeps the replaced bytes.
+        write_atomic(&path, b"newer").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"newer");
+        assert_eq!(std::fs::read(prev_path(&path)).unwrap(), b"old");
+        assert!(!tmp_path(&path).exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! [`train_with`] runs every step through one *step driver*: `Draws`
 //! yields `Payload`s in the main RNG's order — batch, blocks, MI plan —
-//! and the driver evaluates each group of them (on the one tape, or on
-//! lane tapes folded in fixed order), takes the guarded optimizer step,
-//! accounts it, and checkpoints or halts. A run resumed from a checkpoint
-//! at any step boundary reproduces the uninterrupted run bitwise.
+//! and the driver evaluates each one on the run's one tape, takes the
+//! guarded optimizer step, accounts it, and checkpoints or halts. A run
+//! resumed from a checkpoint at any step boundary reproduces the
+//! uninterrupted run bitwise.
 //! Non-finite steps are handled by a [`RecoveryPolicy`]; [`train`] runs
 //! with all of this off.
 
@@ -66,7 +66,7 @@ pub fn train(model: &mut CateHgn, ds: &mut Dataset) -> Result<TrainReport, Train
 }
 
 /// Where the loop stands in Algorithm 1 — exactly what checkpoint codec
-/// v4 records as `(outer, mini, phase, ca_done)`.
+/// v5 records as `(outer, mini, phase, ca_done)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Pos {
     /// Round `outer`, `mini` HGN mini-iterations landed.
@@ -122,7 +122,7 @@ struct Payload {
     blocks: Vec<Block>,
     plan: MiPlan,
     /// Main-RNG state after all of this step's draws; the step driver
-    /// adopts it for every group it takes.
+    /// adopts it for every step it takes.
     rng_words: [u32; 27],
 }
 
@@ -137,7 +137,6 @@ struct Draws<'a> {
     /// HGN steps draw training papers with labels and an MI plan; CA
     /// steps draw any node.
     hgn: bool,
-    lanes: usize,
     rng: ChaCha8Rng,
     steps: std::ops::Range<u64>,
 }
@@ -162,17 +161,10 @@ impl Iterator for Draws<'_> {
             (batch, Vec::new())
         };
         let blocks = sample_blocks(&ds.graph, &seeds, cfg.layers, cfg.fanout, rng);
-        let (mi, max_edges) = (cfg.ablation.mi, cfg.mi_max_edges);
-        let plan = match (self.hgn, self.lanes > 1) {
-            (false, _) => MiPlan::default(),
-            (true, false) => plan_mi(&blocks, mi, max_edges, rng),
-            // A lane draws its plan from a private stream seeded off the
-            // main one, so main-RNG consumption is a function of the lane
-            // schedule only, never of the thread count.
-            (true, true) => {
-                let mut lane_rng = ChaCha8Rng::seed_from_u64(rng.gen());
-                plan_mi(&blocks, mi, max_edges, &mut lane_rng)
-            }
+        let plan = if self.hgn {
+            plan_mi(&blocks, cfg.ablation.mi, cfg.mi_max_edges, rng)
+        } else {
+            MiPlan::default()
         };
         Some(Payload {
             step,
@@ -183,17 +175,6 @@ impl Iterator for Draws<'_> {
             rng_words: rng.state_words(),
         })
     }
-}
-
-/// Per-lane tape of the batch-parallel path (more than one
-/// [`TrainOptions::data_lanes`]), with its own `BufferPool` scratch. Lanes
-/// live as long as the run, so steady-state lane steps run allocation-free
-/// like the one-tape path.
-#[derive(Default)]
-struct Lane {
-    g: Graph,
-    loss: f32,
-    sup: f32,
 }
 
 /// How a step segment ended. Recovery, which may need `&mut Dataset`,
@@ -217,8 +198,6 @@ struct Run<'a> {
     model: &'a mut CateHgn,
     opts: &'a mut TrainOptions,
     manager: CheckpointManager,
-    /// Normalized lane count: 0 and 1 both mean the one-tape loop.
-    lanes: usize,
     center_ids: BTreeSet<ParamId>,
     pos: Pos,
     /// Loss sums over the current round's landed HGN minis.
@@ -238,10 +217,6 @@ struct Run<'a> {
     /// buffer through its pool, so steady-state training steps run
     /// allocation-free (see DESIGN.md, "Memory model").
     g: Graph,
-    /// Lane tapes (empty on the one-tape path).
-    lane_tapes: Vec<Lane>,
-    /// `(loss, sup)` of each step of the last landed group, in step order.
-    landed: Vec<(f32, f32)>,
 }
 
 impl Run<'_> {
@@ -272,8 +247,6 @@ impl Run<'_> {
             }),
             report: self.report.clone(),
             graph_fingerprint: ds.graph.content_fingerprint(),
-            cache_stamp: ds.graph.sampling_stamp(),
-            data_lanes: self.lanes as u64,
             phase,
             ca_done: ca_done as u64,
         }
@@ -337,46 +310,32 @@ impl Run<'_> {
     }
 
     /// Runs the current phase from `pos` to its end, a halt, or a failed
-    /// step: evaluates groups of drawn payloads — one step per group, or
-    /// up to `lanes` HGN steps sharing one optimizer step — and runs the
-    /// post-step block after each landed group. The draws consume a copy
-    /// of the main RNG, and the loop adopts the state of each group it
-    /// takes.
+    /// step: evaluates each drawn payload and runs the post-step block
+    /// after each landed step. The draws consume a copy of the main RNG,
+    /// and the loop adopts the state of each step it takes.
     fn segment(&mut self, ds: &Dataset) -> Result<Segment, TrainError> {
         let start = self.pos.global(self.cfg);
-        let mut draws = Draws {
+        let draws = Draws {
             ds,
             cfg: self.cfg,
             hgn: matches!(self.pos, Pos::Hgn { .. }),
-            lanes: self.lanes,
             rng: self.rng.clone(),
             steps: start..start + self.pos.left(self.cfg) as u64,
         };
         let cfg = self.cfg;
-        let mut batch: Vec<Payload> = Vec::with_capacity(self.lanes);
-        loop {
-            let group = match self.pos {
-                Pos::Hgn { .. } => self.lanes.min(self.pos.left(cfg)),
-                Pos::Ca { .. } => self.pos.left(cfg).min(1),
-            };
-            batch.clear();
-            batch.extend(draws.by_ref().take(group));
-            let Some(last) = batch.last() else {
-                return Ok(Segment::Done);
-            };
-            self.rng = ChaCha8Rng::from_state_words(&last.rng_words);
+        for mut p in draws {
+            self.rng = ChaCha8Rng::from_state_words(&p.rng_words);
             let stepped = match self.pos {
-                Pos::Hgn { .. } => self.hgn_step(ds, &mut batch),
-                Pos::Ca { .. } => batch.iter().try_for_each(|p| self.ca_step(ds, p)),
+                Pos::Hgn { .. } => self.hgn_step(ds, &mut p).map(Some),
+                Pos::Ca { .. } => self.ca_step(ds, &p).map(|()| None),
             };
-            if let Err(source) = stepped {
-                return Ok(Segment::Failed(source));
-            }
+            let landed = match stepped {
+                Ok(landed) => landed,
+                Err(source) => return Ok(Segment::Failed(source)),
+            };
 
-            // ---- Post-step: the group landed ------------------------
-            // Same values, same f32 accumulation order as a serial walk
-            // of the group.
-            for &(loss, sup) in &self.landed {
+            // ---- Post-step: the step landed ----------------------------
+            if let Some((loss, sup)) = landed {
                 self.tot += loss;
                 self.sup_tot += sup;
             }
@@ -384,15 +343,14 @@ impl Run<'_> {
             self.rolls_in_row = 0;
             let prev = self.pos.global(cfg);
             let (Pos::Hgn { mini: k, .. } | Pos::Ca { done: k, .. }) = &mut self.pos;
-            *k += batch.len();
+            *k += 1;
             let halt_at = match self.pos {
                 Pos::Hgn { .. } => self.opts.halt_after_steps,
                 Pos::Ca { .. } => self.opts.halt_after_ca,
             };
             let pos = self.pos.global(cfg);
-            // "Crossed a multiple of n" is `pos.is_multiple_of(n)` for a
-            // one-step group and lands lane groups on group boundaries,
-            // so a resume always restarts on the same lane schedule.
+            // One step per iteration: crossing a multiple of n is landing
+            // on it.
             let due = self
                 .opts
                 .checkpoint_every
@@ -409,105 +367,33 @@ impl Run<'_> {
                 return Ok(Segment::Halt);
             }
         }
+        Ok(Segment::Done)
     }
 
-    /// Guarded HGN step over one group of payloads. On failure nothing
-    /// moved: parameters, moments, and the Adam counter are untouched.
-    fn hgn_step(&mut self, ds: &Dataset, batch: &mut [Payload]) -> Result<(), NonFiniteSource> {
-        self.landed.clear();
-        let clip = Some(self.cfg.clip);
-        if self.lanes == 1 {
-            for p in batch.iter_mut() {
-                let labels = step_labels(p, &mut self.opts.faults);
-                let (model, g): (&CateHgn, _) = (self.model, &mut self.g);
-                g.reset();
-                let fw = model.forward(g, &ds.graph, &ds.features, &p.blocks, Reads::HGN_STEP);
-                let (loss, sup, _mi) = model.hgn_loss_planned(g, &fw, &p.blocks, &labels, &p.plan);
-                let loss_val = g.value(loss).as_slice()[0];
-                if !loss_val.is_finite() {
-                    return Err(NonFiniteSource::Loss);
-                }
-                g.backward(loss);
-                self.opts.faults.corrupt_gradients(p.step, g);
-                self.opt
-                    .step_clipped_guarded(&mut self.model.params, g, clip)
-                    .map_err(|pid| grad_source(self.model, pid))?;
-                self.landed.push((loss_val, sup));
-            }
-            return Ok(());
-        }
-
-        // ---- Lane group: each payload on its own tape ---------------
-        // `batch.len() <= lanes == lane_tapes.len()` by construction.
-        let (lanes, _) = self.lane_tapes.split_at_mut(batch.len());
-        let faults = &mut self.opts.faults;
-        let labels: Vec<Tensor> = batch.iter_mut().map(|p| step_labels(p, faults)).collect();
-        // Each lane touches only its own tape, and every kernel inside a
-        // lane runs serially (pool jobs carry the nested guard), so a
-        // lane's numbers match a one-at-a-time evaluation bitwise at any
-        // `TENSOR_NUM_THREADS`.
-        let payloads: &[Payload] = batch;
-        let model: &CateHgn = self.model;
-        tensor::par::par_for_each_mut(lanes, |k, lane| {
-            let (Some(p), Some(labels)) = (payloads.get(k), labels.get(k)) else {
-                return;
-            };
-            lane.g.reset();
-            let fw = model.forward(
-                &mut lane.g,
-                &ds.graph,
-                &ds.features,
-                &p.blocks,
-                Reads::HGN_STEP,
-            );
-            let (loss, sup, _mi) =
-                model.hgn_loss_planned(&mut lane.g, &fw, &p.blocks, labels, &p.plan);
-            lane.sup = sup;
-            lane.loss = lane.g.value(loss).as_slice()[0];
-            if lane.loss.is_finite() {
-                lane.g.backward(loss);
-            }
-        });
-        if lanes.iter().any(|l| !l.loss.is_finite()) {
+    /// Guarded HGN step; returns its `(loss, supervised loss)`. On failure
+    /// nothing moved: parameters, moments, and the Adam counter are
+    /// untouched.
+    fn hgn_step(&mut self, ds: &Dataset, p: &mut Payload) -> Result<(f32, f32), NonFiniteSource> {
+        let labels = step_labels(p, &mut self.opts.faults);
+        let (model, g): (&CateHgn, _) = (self.model, &mut self.g);
+        g.reset();
+        let fw = model.forward(g, &ds.graph, &ds.features, &p.blocks, Reads::HGN_STEP);
+        let (loss, sup, _mi) = model.hgn_loss_planned(g, &fw, &p.blocks, &labels, &p.plan);
+        let loss_val = g.value(loss).as_slice()[0];
+        if !loss_val.is_finite() {
             return Err(NonFiniteSource::Loss);
         }
-        // Fold per-lane gradient sums in fixed lane order; the BTreeMap then
-        // yields an id-sorted list exactly like `collect_param_grads`, so
-        // the clip norm and Adam arithmetic see a canonical order.
-        let mut folded: BTreeMap<ParamId, Tensor> = BTreeMap::new();
-        for (lane, p) in lanes.iter_mut().zip(payloads) {
-            self.opts.faults.corrupt_gradients(p.step, &mut lane.g);
-            for (pid, grad) in lane.g.collect_param_grads() {
-                match folded.get_mut(&pid) {
-                    Some(sum) => {
-                        sum.add_assign(&grad);
-                        lane.g.recycle(grad);
-                    }
-                    None => {
-                        folded.insert(pid, grad);
-                    }
-                }
-            }
-        }
-        let inv = 1.0 / lanes.len() as f32;
-        let grads: Vec<(ParamId, Tensor)> = folded
-            .into_iter()
-            .map(|(pid, mut sum)| {
-                sum.scale_assign(inv);
-                (pid, sum)
-            })
-            .collect();
+        g.backward(loss);
+        self.opts.faults.corrupt_gradients(p.step, g);
         self.opt
-            .step_grads_clipped_guarded(&mut self.model.params, grads, clip, &mut self.g)
+            .step_clipped_guarded(&mut self.model.params, g, Some(self.cfg.clip))
             .map_err(|pid| grad_source(self.model, pid))?;
-        self.landed.extend(lanes.iter().map(|l| (l.loss, l.sup)));
-        Ok(())
+        Ok((loss_val, sup))
     }
 
     /// Guarded CA step: only the cluster centers move. A batch whose
     /// forward pass yields no CA loss lands without a step.
     fn ca_step(&mut self, ds: &Dataset, p: &Payload) -> Result<(), NonFiniteSource> {
-        self.landed.clear();
         let (model, g): (&CateHgn, _) = (self.model, &mut self.g);
         g.reset();
         let fw = model.forward(g, &ds.graph, &ds.features, &p.blocks, Reads::CA_STEP);
@@ -589,9 +475,8 @@ fn step_labels(p: &mut Payload, faults: &mut FaultPlan) -> Tensor {
     }
 }
 
-/// [`train`] with checkpoint/resume, non-finite recovery, fault injection,
-/// and batch-level data parallelism. See `crate::resilience` for the
-/// option types.
+/// [`train`] with checkpoint/resume, non-finite recovery, and fault
+/// injection. See `crate::resilience` for the option types.
 ///
 /// Determinism contract: on a clean run (no faults, no non-finite values)
 /// this performs arithmetic bitwise-identical to the historical loop
@@ -609,12 +494,10 @@ pub fn train_with(
     let cfg_json = serde_json::to_string(&cfg)
         .map_err(|e| CheckpointError::Corrupt(format!("model config serialization: {e}")))
         .map_err(TrainError::Checkpoint)?;
-    let lanes = opts.data_lanes.max(1);
     let mut run = Run {
         cfg: &cfg,
         cfg_json,
         manager: CheckpointManager::new(opts.checkpoint_path.clone()),
-        lanes,
         center_ids: model.ca.centers.iter().copied().collect(),
         pos: Pos::Hgn { outer: 0, mini: 0 },
         tot: 0.0,
@@ -629,11 +512,6 @@ pub fn train_with(
         skips_in_row: 0,
         rolls_in_row: 0,
         g: Graph::new(),
-        lane_tapes: match lanes {
-            1 => Vec::new(),
-            n => (0..n).map(|_| Lane::default()).collect(),
-        },
-        landed: Vec::with_capacity(lanes),
         model,
         opts,
     };
@@ -644,15 +522,6 @@ pub fn train_with(
             return Err(CheckpointError::Mismatch(
                 "checkpoint was produced by a different model config".into(),
             )
-            .into());
-        }
-        // The RNG stream and step grouping are functions of the lane
-        // schedule: resuming under a different one would silently diverge.
-        if state.data_lanes != lanes as u64 {
-            return Err(CheckpointError::Mismatch(format!(
-                "checkpoint was captured with data_lanes={}, run configured with {lanes}",
-                state.data_lanes
-            ))
             .into());
         }
         // The enhancer itself is a pure deterministic function of the

@@ -433,15 +433,14 @@ fn rollback_aborts_when_retries_are_exhausted() {
     }
 }
 
-/// Recovery does not depend on how the steps are scheduled: the same
-/// fault schedule lands on the same fingerprints at one and at four
-/// tensor threads, on the one-tape loop and in lane groups of two.
+/// Recovery does not depend on the thread count: the same fault schedule
+/// lands on the same fingerprints at one and at four tensor threads.
 #[test]
-fn recovery_is_bitwise_across_step_schedules() {
+fn recovery_is_bitwise_across_thread_counts() {
     let cfg = tiny_cfg();
     let pristine = Dataset::full(&WorldConfig::tiny(), 8);
     // `(params_fingerprint, report_fingerprint, skipped, rollbacks)`.
-    let run = |policy: RecoveryPolicy, lanes: usize| {
+    let run = |policy: RecoveryPolicy| {
         let (mut model, mut ds) = build(&cfg, &pristine);
         let mut opts = TrainOptions {
             checkpoint_every: Some(2),
@@ -453,7 +452,6 @@ fn recovery_is_bitwise_across_step_schedules() {
                 ],
             ),
             policy,
-            data_lanes: lanes,
             ..TrainOptions::default()
         };
         let report = train_with(&mut model, &mut ds, &mut opts).unwrap();
@@ -473,20 +471,15 @@ fn recovery_is_bitwise_across_step_schedules() {
             max_retries: 2,
         },
     ] {
-        for lanes in [1, 2] {
-            par::set_num_threads(1);
-            let serial = run(policy, lanes);
-            assert!(
-                serial.2 + serial.3 > 0,
-                "{policy:?}: no recovery fired at lanes={lanes}"
-            );
-            par::set_num_threads(4);
-            assert_eq!(
-                serial,
-                run(policy, lanes),
-                "{policy:?}: lanes={lanes} diverged between 1 and 4 tensor threads"
-            );
-        }
+        par::set_num_threads(1);
+        let serial = run(policy);
+        assert!(serial.2 + serial.3 > 0, "{policy:?}: no recovery fired");
+        par::set_num_threads(4);
+        assert_eq!(
+            serial,
+            run(policy),
+            "{policy:?}: diverged between 1 and 4 tensor threads"
+        );
     }
     par::set_num_threads(0);
 }

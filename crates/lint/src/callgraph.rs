@@ -20,8 +20,10 @@
 //! trait-object dispatch are the documented blind spots (DESIGN.md
 //! §Static analysis). A crate is named by its directory and by its
 //! package (`core` and `catehgn`), so `catehgn::train(…)` resolves as a
-//! module path. The dead-pub pass's graph also adds an edge for every
-//! function named as a value (`map(Tensor::rows)`).
+//! module path. A `Q::default` call on a struct that derives `Default`
+//! reaches each named field's `<Type>::default`. The dead-pub pass's
+//! graph also adds an edge for every function named as a value
+//! (`map(Tensor::rows)`).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -62,6 +64,8 @@ pub struct CallGraph {
     by_name: BTreeMap<String, Vec<usize>>,
     /// Workspace type aliases: alias name to every type it names.
     aliases: BTreeMap<String, BTreeSet<String>>,
+    /// Structs that derive `Default`: name to their field types.
+    derived_defaults: BTreeMap<String, BTreeSet<String>>,
     /// Per file (indexed like `views`), the type parameter names it
     /// declares.
     type_params: Vec<BTreeSet<String>>,
@@ -80,12 +84,17 @@ impl CallGraph {
         for (alias, target) in views.iter().flat_map(|v| items::type_aliases(v)) {
             aliases.entry(alias).or_default().insert(target);
         }
+        let mut derived_defaults: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        for (ty, fields) in views.iter().flat_map(|v| items::derived_defaults(v)) {
+            derived_defaults.entry(ty).or_default().extend(fields);
+        }
         let mut graph = CallGraph {
             calls: vec![Vec::new(); fns.len()],
             callers: vec![Vec::new(); fns.len()],
             fns,
             by_name,
             aliases,
+            derived_defaults,
             type_params: views.iter().map(|v| items::type_params(v)).collect(),
         };
         for caller in 0..graph.fns.len() {
@@ -156,13 +165,16 @@ impl CallGraph {
                     q.clone()
                 };
                 let aliased = self.aliases.get(&q);
-                let by_ty: Vec<usize> = visible()
+                let mut by_ty: Vec<usize> = visible()
                     .filter(|&i| {
                         self.fns[i].self_ty.as_ref().is_some_and(|ty| {
                             *ty == q || aliased.is_some_and(|targets| targets.contains(ty))
                         })
                     })
                     .collect();
+                if name == "default" {
+                    by_ty.extend(self.derived_default(&q));
+                }
                 if !by_ty.is_empty() {
                     return by_ty;
                 }
@@ -182,6 +194,29 @@ impl CallGraph {
                 by_module
             }
         }
+    }
+
+    /// The non-test `default` fns that a derived `Default` on `ty` calls:
+    /// each named field's `<Type>::default`, and theirs in turn where a
+    /// field's own `Default` is derived.
+    fn derived_default(&self, ty: &str) -> Vec<usize> {
+        let defaults = self.by_name.get("default").map_or(&[][..], Vec::as_slice);
+        let (mut out, mut seen, mut todo) = (Vec::new(), BTreeSet::new(), vec![ty]);
+        while let Some(ty) = todo.pop() {
+            let Some(fields) = self.derived_defaults.get(ty) else {
+                continue;
+            };
+            if !seen.insert(ty) {
+                continue;
+            }
+            for field in fields {
+                out.extend(defaults.iter().copied().filter(|&i| {
+                    !self.fns[i].in_test && self.fns[i].self_ty.as_deref() == Some(field.as_str())
+                }));
+                todo.push(field.as_str());
+            }
+        }
+        out
     }
 
     /// Upward closure: propagate a fact from `seeds` to every transitive

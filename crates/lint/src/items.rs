@@ -100,6 +100,67 @@ pub fn type_aliases(view: &SigView) -> Vec<(String, String)> {
     out
 }
 
+/// Every non-test struct with named fields whose `#[derive(…)]` lists
+/// `Default`, as `(Struct, field types)` with each field type the last
+/// path segment at angle depth 0: `pool: crate::pool::BufferPool` gives
+/// `BufferPool`, `values: Vec<Tensor>` gives `Vec`.
+pub fn derived_defaults(view: &SigView) -> Vec<(String, Vec<String>)> {
+    let mut out = Vec::new();
+    for s in 0..view.len() {
+        let derives_default = view.text(s) == "#"
+            && view.is_ident(s + 2, "derive")
+            && !view.in_test(s)
+            && view
+                .mate(s + 1)
+                .is_some_and(|close| (s + 3..close).any(|t| view.is_ident(t, "Default")));
+        if !derives_default {
+            continue;
+        }
+        // Step over further attributes and the visibility.
+        let mut t = s + 1;
+        loop {
+            match view.text(t) {
+                "#" | "pub" => t += 1,
+                "(" | "[" => t = view.skip_group(t),
+                _ => break,
+            }
+        }
+        if !view.is_ident(t, "struct") || view.kind(t + 1) != Some(Kind::Ident) {
+            continue;
+        }
+        let Some((open, close)) = find_block_open(view, t + 2, view.len())
+            .and_then(|open| Some((open, view.mate(open)?)))
+        else {
+            continue;
+        };
+        // `name: Type` runs to the next `,` (or the closing `}`) at angle
+        // depth 0; `(…)`/`[…]` groups and attributes are skipped whole.
+        let mut fields = Vec::new();
+        let (mut depth, mut ty_start) = (0usize, None);
+        let mut f = open + 1;
+        while f <= close {
+            match view.text(f) {
+                "(" | "[" => {
+                    f = view.skip_group(f);
+                    continue;
+                }
+                "<" => depth += 1,
+                ">" if view.text(f - 1) != "-" => depth = depth.saturating_sub(1),
+                ":" if depth == 0 && ty_start.is_none() => ty_start = Some(f + 1),
+                "," | "}" if depth == 0 => {
+                    if let Some(from) = ty_start.take() {
+                        fields.extend(impl_self_type(view, from, f));
+                    }
+                }
+                _ => {}
+            }
+            f += 1;
+        }
+        out.push((view.text(t + 1).to_string(), fields));
+    }
+    out
+}
+
 /// Names of the type parameters declared in `view`: the first identifier
 /// of each parameter in the `<…>` list of an `impl` header or of a
 /// `fn`/`struct`/`enum`/`trait`/`type` item (`impl<P: PathRows>` gives

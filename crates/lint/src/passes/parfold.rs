@@ -10,11 +10,11 @@
 //! parameter, a `let`, or a `for` pattern inside the region — in the
 //! argument region of a `tensor::par` primitive.
 //!
-//! Accumulation belongs in the sanctioned fixed-order fold helpers
-//! ([`SANCTIONED_FOLDS`]): `matmul_grads_into` (fused MatMul backward)
-//! and the lane fold in the training step driver's `hgn_step`. Regions
-//! lexically inside those functions are exempt; everything else either
-//! keeps its accumulators local or justifies itself in `lint.allow`.
+//! Accumulation belongs in the sanctioned fixed-order fold
+//! ([`SANCTIONED_FOLDS`]): `matmul_grads_into`, the fused MatMul
+//! backward. Regions lexically inside it are exempt; everything else
+//! either keeps its accumulators local or justifies itself in
+//! `lint.allow`.
 
 use std::collections::BTreeSet;
 
@@ -26,7 +26,7 @@ use crate::taint::PAR_PRIMS;
 
 /// Functions that implement the deterministic fixed-order folds; their
 /// parallel regions are the sanctioned exceptions to this pass.
-pub const SANCTIONED_FOLDS: [&str; 2] = ["matmul_grads_into", "hgn_step"];
+pub const SANCTIONED_FOLDS: [&str; 1] = ["matmul_grads_into"];
 
 /// Run the pass over one file. `fns` are the file's extracted items
 /// (used to name the enclosing function of each region).

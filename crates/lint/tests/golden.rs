@@ -295,6 +295,17 @@ fn type_param_qualifier_resolves_like_a_bare_name() {
     );
 }
 
+/// A derived `Default` is a call: `Self::default()` on a struct that
+/// derives it reaches its field's own `Pool::default`, directly and
+/// through an outer struct whose field derives it in turn.
+#[test]
+fn derived_default_calls_each_field_default() {
+    let scanned = scanner::scan(&fixture("derive_default.rs"));
+    let (cg, _view) = single_file_graph("crates/foo/src/lib.rs", &scanned);
+    assert_eq!(callees(&cg, "fresh"), ["Pool::default"]);
+    assert_eq!(callees(&cg, "new_run"), ["Pool::default"]);
+}
+
 #[test]
 fn par_fold_fixture_flags_captured_accumulator_only() {
     let scanned = scanner::scan(&fixture("par_fold_viol.rs"));
@@ -308,7 +319,8 @@ fn par_fold_fixture_flags_captured_accumulator_only() {
     assert_eq!(found.len(), 1);
     assert!(found[0].msg.contains("`acc`"));
     assert!(found[0].msg.contains("matmul_grads_into"));
-    assert!(found[0].msg.contains("hgn_step"));
+    assert!(!found[0].msg.contains("hgn_step"));
+    assert_eq!(passes::SANCTIONED_FOLDS, ["matmul_grads_into"]);
 }
 
 #[test]

@@ -109,23 +109,6 @@ impl Optimizer {
         Ok(self.apply(params, grads, max_norm, graph))
     }
 
-    /// Guarded step over an explicitly supplied gradient list — the
-    /// batch-parallel training path folds per-lane gradients itself (in
-    /// fixed lane order) and hands the sums here. `grads` must be sorted
-    /// by parameter id, matching what `collect_param_grads` produces, so
-    /// the clip norm and updates are bitwise-identical to a serial step
-    /// over the same sums. `graph` only recycles the buffers.
-    pub fn step_grads_clipped_guarded(
-        &mut self,
-        params: &mut Params,
-        grads: Vec<(ParamId, Tensor)>,
-        max_norm: Option<f32>,
-        graph: &mut Graph,
-    ) -> Result<f32, ParamId> {
-        let grads = Self::guard(grads, graph)?;
-        Ok(self.apply(params, grads, max_norm, graph))
-    }
-
     /// Guarded variant of [`Optimizer::step_filtered`]; see
     /// [`Optimizer::step_clipped_guarded`] for the guarantee.
     pub fn step_filtered_guarded(

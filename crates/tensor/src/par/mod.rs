@@ -14,7 +14,7 @@
 //!   neighbour aggregation).
 //! * [`par_for_each_mut`] visits each element of a mutable slice exactly
 //!   once, chunked like [`par_map`] (coarse data parallelism, e.g. the
-//!   batch-parallel training lanes in `catehgn::train`).
+//!   per-link-type edge flattening in `catehgn::mi`).
 //!
 //! Chunk *assignment* (which rows belong to which job index) is a pure
 //! function of the configured worker count; which pool thread executes a
@@ -87,9 +87,9 @@ pub fn num_threads() -> usize {
 
 thread_local! {
     /// Set while the current thread runs a job of a parallel region
-    /// (every pool job, such as a training data lane): inner kernels
-    /// then stay serial instead of oversubscribing the machine with
-    /// nested regions. Results are unaffected — every parallel kernel
+    /// (every pool job, such as one link type's MI edge flattening):
+    /// inner kernels then stay serial instead of oversubscribing the
+    /// machine with nested regions. Results are unaffected — every parallel kernel
     /// here is bitwise-identical at any worker count.
     static NESTED: Cell<bool> = const { Cell::new(false) };
 }
